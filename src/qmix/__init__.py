@@ -12,8 +12,8 @@ from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, Mat
                      verify_twin_subgraphs)
 from .spectral import (EigenvalueSupport, SignedKernelVector, SpectralDecomposition,
                        SpectralError, SpectrumClassification, SpectrumKind, classify_spectrum,
-                       decompose, decompose_graph, exact_kernel, jacobi_eigh,
-                       signed_kernel_vectors, support, vertex_support)
+                       decompose, decompose_graph, exact_kernel, signed_kernel_vectors,
+                       support, vertex_support)
 from .walk import (FeasibilityReport, HadamardClass, HadamardKind, TargetStateCandidate,
                    bipartite_block_check, hadamard_classify, matrix_uniform_deviation,
                    mixing_deviation, regular_equivalence_check, states_proportional,

@@ -58,9 +58,6 @@ class CertificateVerdict:
     def fired(self) -> bool:
         return self.verdict is Verdict.RULED_OUT
 
-    def witness_dict(self) -> dict:
-        return dict(self.witness)
-
 
 def _vertex(rule: str, u: int, verdict: Verdict, tier: Tier = Tier.STRICT,
             **witness) -> CertificateVerdict:
@@ -232,7 +229,7 @@ def cert_eigenvector_inequality(g: WeightedGraph, dec: SpectralDecomposition | N
             vec = vec / norm
             lhs = math.sqrt(n) * abs(float(vec[u]))
             rhs = float(np.abs(vec).sum())
-            if lhs - rhs > best:
+            if lhs - rhs > best + 1e-12:  # near-ties keep the lowest eigenvalue
                 best = lhs - rhs
                 best_idx = i
             if lhs > rhs + margin:

@@ -1,9 +1,10 @@
 """Command-line surface: spectrum | certify | search | batch.
 
 Exit codes: 0 = analysis completed (rule-out verdicts are data, not errors),
-1 = usage error, 2 = input error.  Output is deterministic JSON; batch mode
-streams one JSON document per graph followed by an aggregate, and its output
-is byte-identical regardless of the worker count.
+1 = usage error, 2 = input error, which includes an eigensolver failure on
+the input.  Output is deterministic JSON; batch mode streams one JSON
+document per graph followed by an aggregate, and its output is
+byte-identical regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .certificates import CertifyOptions, Tier, certify_graph
 from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, parse_weighted_edgelist
 from .report import (certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
 from .search import scan_local, scan_uniform
-from .spectral import decompose_graph
+from .spectral import SpectralError, decompose_graph
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .walk import deviation_profile
 
 _MATRIX = {"adjacency": MatrixKind.ADJACENCY,
            "laplacian": MatrixKind.LAPLACIAN,
@@ -166,12 +164,10 @@ def _cmd_search(args) -> int:
     else:
         report = scan_local(dec, args.vertex, args.tmax, args.step, tol)
     if args.csv:
-        ts = np.arange(0.0, report.t_max + report.step / 2.0, report.step)
-        profile = deviation_profile(dec, ts, args.vertex)
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write("t,delta\n")
-                for t, d in zip(ts, profile):
+                for t, d in zip(report.grid, report.profile):
                     fh.write(f"{format(float(t), '.15g')},{format(float(d), '.15g')}\n")
         except OSError as exc:
             print(f"qmix: cannot write CSV: {exc}", file=sys.stderr)
@@ -212,7 +208,9 @@ def _batch_one(task) -> dict:
         entry["graph_ruled_out"] = report.graph_ruled_out
         entry["surviving_vertices"] = list(report.surviving_vertices)
         entry["fired_rules"] = report.fired_rules()
-    except (GraphFormatError, ValueError) as exc:
+        entry["twin_search_truncated"] = report.twin_search_truncated
+        entry["signed_enumeration_truncated"] = report.signed_enumeration_truncated
+    except (GraphFormatError, ValueError, SpectralError) as exc:
         entry["error"] = str(exc)
     return entry
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qmix: usage error: {exc}", file=sys.stderr)
         return 1
-    except GraphFormatError as exc:
+    except (GraphFormatError, SpectralError) as exc:
         print(f"qmix: input error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

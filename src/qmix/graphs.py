@@ -165,7 +165,8 @@ def parse_weighted_edgelist(text: str) -> WeightedGraph:
     """Parse UTF-8 lines "u v w" (0-based ids, '#' comments) into a graph.
 
     The weight class is inferred: all ones -> unit, all integral -> integer,
-    otherwise real.  The vertex count is the largest id plus one.
+    otherwise real.  Every weight must convert to a finite, positive float.
+    The vertex count is the largest id plus one.
     """
     edges: dict[tuple[int, int], Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,14 +182,17 @@ def parse_weighted_edgelist(text: str) -> WeightedGraph:
             raise GraphFormatError(f"line {lineno}: vertex ids must be integers") from None
         try:
             w = Fraction(parts[2])
-        except (ValueError, ZeroDivisionError):
-            raise GraphFormatError(f"line {lineno}: weight {parts[2]!r} is not a decimal number") from None
+            w_float = float(w)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise GraphFormatError(
+                f"line {lineno}: weight {parts[2]!r} is not a decimal number within float range"
+            ) from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: vertex ids must be nonnegative")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        if w <= 0:
-            raise GraphFormatError(f"line {lineno}: nonpositive weight {parts[2]}")
+        if w_float <= 0.0:  # also a positive weight that underflows to zero as a float
+            raise GraphFormatError(f"line {lineno}: weight {parts[2]} is not a positive float")
         key = (min(u, v), max(u, v))
         if key in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {key}")

@@ -14,13 +14,13 @@ deviation: mixing in the limit is only ever "not ruled out" by these scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import SpectralDecomposition
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .walk import (HadamardClass, TargetStateCandidate, deviation_profile,
+from .walk import (HadamardClass, TargetStateCandidate, _propagator, deviation_profile,
                    hadamard_classify, matrix_uniform_deviation, mixing_deviation,
                    transition_matrix)
 
@@ -44,6 +44,8 @@ class MixingReport:
     minima: tuple[tuple[float, float], ...]  # (time, deviation), sorted by deviation
     detections: tuple[Detection, ...]
     empirical_inf: float
+    grid: np.ndarray = field(repr=False, compare=False)     # scanned times, not rendered
+    profile: np.ndarray = field(repr=False, compare=False)  # deviation at each grid time
 
 
 def default_step(dec: SpectralDecomposition) -> float:
@@ -124,14 +126,15 @@ def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float |
         if any(abs(t_star - t) < tol.time_dedupe for t in seen_times):
             continue
         seen_times.append(t_star)
-        mat = transition_matrix(dec, t_star)
         if u is None:
+            mat = transition_matrix(dec, t_star)
             had = hadamard_classify(sqrt_n * mat, tol=1e-6, r_max=tol.butson_rmax)
             state = TargetStateCandidate.from_vector(sqrt_n * mat[:, 0])
             kind = "uniform"
         else:
             had = None
-            state = TargetStateCandidate.from_vector(sqrt_n * mat[:, u])
+            col = _propagator(dec, [t_star], u)[0, :, 0]
+            state = TargetStateCandidate.from_vector(sqrt_n * col)
             kind = "local-uniform"
         detections.append(Detection(time=t_star, delta=d_star, kind=kind,
                                     hadamard=had, target_state=state))
@@ -144,7 +147,7 @@ def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float |
         target=("graph", None) if u is None else ("vertex", u),
         t_max=float(t_max), step=float(step),
         minima=tuple(minima), detections=tuple(detections),
-        empirical_inf=inf_val)
+        empirical_inf=inf_val, grid=ts, profile=profile)
 
 
 def scan_local(dec: SpectralDecomposition, u: int, t_max: float, step: float | None = None,

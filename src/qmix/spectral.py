@@ -3,10 +3,9 @@ eigenvalue supports, exact rational kernels of integer-weighted graph
 matrices, signed {-1, 0, 1} kernel vectors, and recognition of integer or
 quadratic-surd spectra.
 
-Floating decompositions use cyclic Jacobi rotations up to 64 x 64 (small,
-predictable eigenvector error) and LAPACK's tridiagonalization-based solver
-above that.  Exact kernels are computed with fraction-free rational
-elimination, so kernel facts carry no floating error at all.
+Floating decompositions use LAPACK's symmetric eigensolver at every size.
+Exact kernels are computed with fraction-free rational elimination, so kernel
+facts carry no floating error at all.
 """
 
 from __future__ import annotations
@@ -23,71 +22,9 @@ import numpy as np
 from .graphs import MatrixKind, WeightedGraph, adjacency_lists, degrees, is_tree, matrix_of
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-JACOBI_MAX_N = 64
-
 
 class SpectralError(RuntimeError):
     """Eigensolver failure (non-convergence); never silently ignored."""
-
-
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a real symmetric matrix.
-
-    Returns eigenvalues ascending and the matching orthonormal eigenvector
-    columns.  Raises SpectralError when the off-diagonal mass fails to reach
-    rounding level within the sweep limit.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("jacobi_eigh expects a square matrix")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    norm = np.linalg.norm(a)
-    target = max(1e-300, 1e-14 * max(norm, 1.0))
-    prev_off = math.inf
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
-        if off <= target:
-            break
-        if off >= prev_off and off <= 1e-10 * max(norm, 1.0):
-            break  # rounding-level stagnation; as converged as floats allow
-        prev_off = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                small = 100.0 * abs(apq)
-                if abs(a[p, p]) + small == abs(a[p, p]) and abs(a[q, q]) + small == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0  # below rounding level of the diagonal
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) + small == abs(diff):
-                    t = apq / diff  # tiny rotation; the full formula would overflow
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                    if tau < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise SpectralError("Jacobi rotations did not converge")
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -99,7 +36,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
     bases: tuple[np.ndarray, ...]        # orthonormal columns per eigenvalue
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray               # shape (d, n, n), one projector per eigenvalue
 
     @property
     def n(self) -> int:
@@ -130,13 +67,10 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
         raise ValueError("decompose expects a symmetric matrix")
     m = (m + m.T) / 2.0
     n = m.shape[0]
-    if n <= JACOBI_MAX_N:
-        w, v = jacobi_eigh(m)
-    else:
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise SpectralError(f"eigensolver failed: {exc}") from exc
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigensolver failed: {exc}") from exc
     gap = tol.group(float(np.abs(w).max(initial=0.0)))
     groups: list[list[int]] = [[0]]
     for i in range(1, n):
@@ -147,24 +81,22 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
     values = []
     mults = []
     bases = []
-    projectors = []
-    for idx in groups:
+    projectors = np.empty((len(groups), n, n))
+    for k, idx in enumerate(groups):
         block = v[:, idx]
         proj = block @ block.T
-        proj = (proj + proj.T) / 2.0
+        projectors[k] = (proj + proj.T) / 2.0
         values.append(float(np.mean(w[idx])))
         mults.append(len(idx))
         block = block.copy()
         block.setflags(write=False)
-        proj.setflags(write=False)
         bases.append(block)
-        projectors.append(proj)
     eigvals = np.array(values)
-    eigvals.setflags(write=False)
-    m.setflags(write=False)
+    for arr in (eigvals, projectors, m):
+        arr.setflags(write=False)
     return SpectralDecomposition(
         matrix=m, eigenvalues=eigvals, multiplicities=tuple(mults),
-        bases=tuple(bases), projectors=tuple(projectors))
+        bases=tuple(bases), projectors=projectors)
 
 
 def decompose_graph(g: WeightedGraph, kind: MatrixKind,
@@ -378,13 +310,6 @@ def _keep_chunk(coeffs: np.ndarray, basis: np.ndarray, u: int | None,
         if vec[nz[0]] < 0:
             vec = -vec
         found.setdefault(tuple(int(x) for x in vec))
-
-
-def attach_part_counts(sv: SignedKernelVector, b1: tuple[int, ...],
-                       b2: tuple[int, ...]) -> SignedKernelVector:
-    n1 = sum(1 for v in b1 if sv.vector[v])
-    n2 = sum(1 for v in b2 if sv.vector[v])
-    return SignedKernelVector(vector=sv.vector, nnz=sv.nnz, nnz_b1=n1, nnz_b2=n2)
 
 
 # ---------------------------------------------------------------------------

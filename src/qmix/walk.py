@@ -21,50 +21,47 @@ from .spectral import (SpectralDecomposition, decompose_graph, support, vertex_s
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
+_CHUNK = 512  # grid times per evaluation; bounds the (chunk, n, n) U(t) stack
+
+
+def _propagator(dec: SpectralDecomposition, ts, u: int | None = None) -> np.ndarray:
+    """U(t) = sum_lambda e^(it lambda) E_lambda at every time in ts, as one
+    matmul of the phase matrix with the projector stack.  Shape (len(ts), n, n),
+    or (len(ts), n, 1) holding only column u when a vertex u is given."""
+    stack = dec.projectors if u is None else dec.projectors[:, :, u:u + 1]
+    phases = np.exp(1j * np.outer(ts, dec.eigenvalues))
+    return (phases @ stack.reshape(stack.shape[0], -1)).reshape(-1, *stack.shape[1:])
+
+
+def _deviations(dec: SpectralDecomposition, ts, u: int | None) -> np.ndarray:
+    """Deviation of column u at every time in ts; u=None takes the worst column."""
+    mat = _propagator(dec, ts, u)
+    prob = mat.real ** 2 + mat.imag ** 2
+    return np.sqrt(((prob - 1.0 / dec.n) ** 2).sum(axis=1)).max(axis=1)
+
+
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """U(t) as the phase-weighted sum of eigenprojectors; unitary and symmetric."""
-    out = np.zeros((dec.n, dec.n), dtype=complex)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        out += np.exp(1j * t * lam) * proj
-    return out
-
-
-def transition_matrices(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """U(t) for a whole time grid, shape (len(ts), n, n)."""
-    phases = np.exp(1j * np.outer(np.asarray(ts, dtype=float), dec.eigenvalues))
-    stack = np.stack(dec.projectors)
-    return np.einsum("td,dij->tij", phases, stack)
+    return _propagator(dec, [t])[0]
 
 
 def mixing_deviation(dec: SpectralDecomposition, u: int, t: float) -> float:
     """2-norm distance of column u's probability vector from the flat vector."""
-    col = transition_matrix(dec, t)[:, u]
-    prob = col.real ** 2 + col.imag ** 2
-    return float(np.linalg.norm(prob - 1.0 / dec.n))
+    return float(_deviations(dec, [t], u)[0])
 
 
 def matrix_uniform_deviation(dec: SpectralDecomposition, t: float) -> float:
     """Worst column deviation at time t (zero exactly at uniform mixing)."""
-    mat = transition_matrix(dec, t)
-    prob = mat.real ** 2 + mat.imag ** 2
-    dev = prob - 1.0 / dec.n
-    return float(np.sqrt((dev ** 2).sum(axis=0)).max())
+    return float(_deviations(dec, [t], None)[0])
 
 
-def deviation_profile(dec: SpectralDecomposition, ts: np.ndarray, u: int | None = None,
-                      chunk: int = 512) -> np.ndarray:
+def deviation_profile(dec: SpectralDecomposition, ts: np.ndarray,
+                      u: int | None = None) -> np.ndarray:
     """Vectorized deviation over a time grid; u=None takes the worst column."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape[0])
-    flat = 1.0 / dec.n
-    for start in range(0, ts.shape[0], chunk):
-        block = transition_matrices(dec, ts[start:start + chunk])
-        prob = block.real ** 2 + block.imag ** 2
-        if u is None:
-            dev = np.sqrt(((prob - flat) ** 2).sum(axis=1)).max(axis=1)
-        else:
-            dev = np.sqrt(((prob[:, :, u] - flat) ** 2).sum(axis=1))
-        out[start:start + chunk] = dev
+    for start in range(0, ts.shape[0], _CHUNK):
+        out[start:start + _CHUNK] = _deviations(dec, ts[start:start + _CHUNK], u)
     return out
 
 

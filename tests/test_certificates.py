@@ -58,6 +58,20 @@ def test_eigenvector_inequality_star_center_inconclusive():
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
+def test_eigenvector_inequality_witness_survives_relabelling():
+    """E_lambda e_u and E_-lambda e_u of a bipartite graph give equal gaps, so
+    the reported best eigenvalue must not depend on rounding."""
+    rng = np.random.default_rng(7)
+    for g in (cube_q3(), path(6), cycle(6)):
+        perm = [int(x) for x in rng.permutation(g.n)]
+        h = WeightedGraph.build(g.n, [(perm[a], perm[b], w) for a, b, w in g.edges])
+        dg, dh = dec_of(g), dec_of(h)
+        for u in range(g.n):
+            got = dict(cert_eigenvector_inequality(h, dh, perm[u]).witness)
+            want = dict(cert_eigenvector_inequality(g, dg, u).witness)
+            assert got["best_eigenvalue"] == pytest.approx(want["best_eigenvalue"], abs=1e-9)
+
+
 def test_eigenvector_inequality_float_route():
     # center of the 5-star under the Laplacian: eigenvector (4,-1,-1,-1,-1)
     # violates sqrt(5)*4 <= 8, caught through the canonical float vectors

@@ -1,9 +1,14 @@
 import json
 import math
+import sys
+from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 
-from qmix.cli import main
+from qmix import DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
+from qmix.cli import _batch_one, main
+from qmix.walk import deviation_profile
 
 from conftest import star
 
@@ -96,6 +101,34 @@ def test_search_vertex_and_csv(tmp_path, capsys):
     assert ts == sorted(ts)
 
 
+def test_search_csv_reuses_scan_profile(tmp_path, capsys, monkeypatch):
+    text = nx.to_graph6_bytes(nx.path_graph(5), header=False).decode().strip()
+    p = tmp_path / "p5.g6"
+    p.write_text(text + "\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deviation_profile(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every module that looks it up
+        if name.startswith("qmix") and getattr(module, "deviation_profile", None) \
+                is deviation_profile:
+            monkeypatch.setattr(module, "deviation_profile", counted)
+    csv = tmp_path / "out.csv"
+    code, doc = run_json(capsys, ["search", str(p), "--vertex", "2", "--tmax", "3",
+                                  "--csv", str(csv)])
+    assert code == 0
+    assert len(calls) == 1
+    step = doc["mixing"]["step"]
+    ts = np.arange(0.0, 3.0 + step / 2.0, step)
+    want = deviation_profile(decompose_graph(parse_graph6(text), MatrixKind.ADJACENCY), ts, 2)
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "t,delta"
+    assert rows[1:] == [f"{format(float(t), '.15g')},{format(float(d), '.15g')}"
+                        for t, d in zip(ts, want)]
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.g6")]) == 2
     bad = tmp_path / "bad.g6"
@@ -151,3 +184,39 @@ def test_batch_empty_dir(tmp_path, capsys):
     assert code == 0
     aggregate = json.loads(out)
     assert aggregate["aggregate"]["graphs"] == 0
+
+
+def test_bad_weights_are_input_errors(tmp_path, capsys):
+    for weight in ("1e400", "1e-400"):
+        p = tmp_path / "bad.wel"
+        p.write_text(f"0 1 {weight}\n1 2 1\n")
+        assert main(["spectrum", str(p)]) == 2
+        assert main(["certify", str(p)]) == 2
+    capsys.readouterr()
+
+
+def test_eigensolver_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def failing_eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    p = write_star_g6(tmp_path)
+    assert main(["spectrum", str(p)]) == 2
+    assert "eigensolver failed" in capsys.readouterr().err
+    assert main(["batch", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    agg_start = lines.index("{")
+    entries = [json.loads(line) for line in lines[:agg_start]]
+    assert len(entries) == 1 and "eigensolver failed" in entries[0]["error"]
+    assert json.loads("\n".join(lines[agg_start:]))["aggregate"]["errors"] == 1
+
+
+def test_batch_entry_reports_truncation():
+    line = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode().strip()
+    task = ("paths.g6", 1, line, "adjacency", "strict", False, DEFAULT_TOLERANCES)
+    entry = _batch_one(task)
+    assert entry["twin_search_truncated"] is False
+    assert entry["signed_enumeration_truncated"] is False
+    small = replace(DEFAULT_TOLERANCES, subset_budget=3)
+    entry = _batch_one(task[:-1] + (small,))
+    assert entry["twin_search_truncated"] is True

@@ -90,6 +90,10 @@ def test_edgelist_errors():
     with pytest.raises(GraphFormatError):
         parse_weighted_edgelist("0 1 -2\n")      # nonpositive weight
     with pytest.raises(GraphFormatError):
+        parse_weighted_edgelist("0 1 1e400\n")   # overflows a float
+    with pytest.raises(GraphFormatError):
+        parse_weighted_edgelist("0 1 1e-400\n")  # underflows to zero as a float
+    with pytest.raises(GraphFormatError):
         parse_weighted_edgelist("0 1 1\n1 0 2\n")  # duplicate edge
     with pytest.raises(GraphFormatError):
         parse_weighted_edgelist("0 1\n")          # missing weight

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmix import (MatrixKind, SpectrumKind, WeightClass, WeightedGraph, classify_spectrum,
-                  decompose, decompose_graph, exact_kernel, jacobi_eigh, matrix_of,
+                  decompose, decompose_graph, exact_kernel, matrix_of,
                   signed_kernel_vectors, support, vertex_support)
 from qmix.spectral import classify_values, leaf_peel_order
 
@@ -39,18 +39,6 @@ def test_decompose_k4_matches_closed_form():
     assert dec.multiplicities == (3, 1)
     assert np.abs(dec.projectors[1] - oracle[3.0]).max() < 1e-12
     assert np.abs(dec.projectors[0] - oracle[-1.0]).max() < 1e-12
-
-
-def test_jacobi_agrees_with_lapack(rng):
-    for _ in range(15):
-        n = int(rng.integers(2, 30))
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        w_j, v_j = jacobi_eigh(a)
-        w_l = np.linalg.eigvalsh(a)
-        assert np.abs(w_j - w_l).max() < 1e-9 * max(1.0, np.abs(w_l).max())
-        assert np.abs(v_j.T @ v_j - np.eye(n)).max() < 1e-12
-        assert np.abs(v_j @ np.diag(w_j) @ v_j.T - a).max() < 1e-10
 
 
 def test_decompose_rejects_nonsymmetric():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qmix import (HadamardKind, MatrixKind, TargetStateCandidate, WeightClass, WeightedGraph,
-                  bipartite_block_check, bipartition, decompose_graph, hadamard_classify,
+                  bipartite_block_check, bipartition, decompose, decompose_graph,
+                  hadamard_classify, matrix_of,
                   matrix_uniform_deviation, mixing_deviation, regular_equivalence_check,
                   states_proportional, transition_matrix, verify_target_state)
 from qmix.walk import deviation_profile
@@ -97,6 +98,28 @@ def test_deviation_profile_matches_pointwise(rng):
     prof = deviation_profile(dec, ts, None)
     for t, d in zip(ts, prof):
         assert abs(d - matrix_uniform_deviation(dec, float(t))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 90])
+def test_evaluator_matches_ungrouped_eigh(rng, n):
+    """U(t) = V diag(e^(itw)) V^T straight from eigh, with no grouping."""
+    g = random_connected_graph(rng, n, WeightClass.REAL)
+    m = matrix_of(g, MatrixKind.ADJACENCY)
+    dec = decompose(m)
+    w, v = np.linalg.eigh(m)
+    ts = np.linspace(0.0, 3.0, 7)
+    devs = []
+    for t in ts:
+        ref = (v * np.exp(1j * t * w)) @ v.T
+        assert np.abs(transition_matrix(dec, float(t)) - ref).max() < 1e-12
+        prob = ref.real ** 2 + ref.imag ** 2
+        devs.append(np.sqrt(((prob - 1.0 / n) ** 2).sum(axis=0)))
+    devs = np.array(devs)
+    for u in (0, n // 2, n - 1):
+        assert np.abs(deviation_profile(dec, ts, u) - devs[:, u]).max() < 1e-12
+        for t, d in zip(ts, devs[:, u]):
+            assert abs(mixing_deviation(dec, u, float(t)) - d) < 1e-12
+    assert np.abs(deviation_profile(dec, ts, None) - devs.max(axis=1)).max() < 1e-12
 
 
 def test_similar_vertices_have_equal_profiles():
