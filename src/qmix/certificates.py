@@ -217,12 +217,9 @@ def cert_eigenvector_inequality(g: WeightedGraph, dec: SpectralDecomposition | N
                            vector=tuple(vec), lhs_squared=lhs_sq, rhs=rhs)
     if dec is not None and use_float_rules:
         margin = tol.safety(n)
-        e_u = np.zeros(n)
-        e_u[u] = 1.0
         best = -math.inf
         best_idx = None
-        for i, proj in enumerate(dec.projectors):
-            vec = proj @ e_u
+        for i, vec in enumerate(dec.projectors[:, u]):  # E e_u, read as row u (E is symmetric)
             norm = float(np.linalg.norm(vec))
             if norm <= tol.supp:
                 continue

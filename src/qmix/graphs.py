@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
@@ -450,21 +451,30 @@ def attach_pendants(g: WeightedGraph) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # Twins and twin subgraphs
 
-def find_twin_pairs(g: WeightedGraph) -> list[tuple[int, int, TwinKind]]:
-    """All unordered twin pairs: equal weighted neighborhoods off {u, v}."""
-    wm = weight_map(g)
-    rows = []
-    for u in range(g.n):
-        rows.append({v: wm[(u, v)] for v in range(g.n) if (u, v) in wm})
+def _row_differences(mat: np.ndarray, limit: int) -> list[dict[int, frozenset[int]]]:
+    """Where rows of mat differ: entry x maps each y != x whose row differs from
+    row x in at most `limit` positions to that position set D(x, y).
+
+    Built one row at a time, so memory stays O(n^2); keys run in increasing y.
+    """
     out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            ru = {x: w for x, w in rows[u].items() if x != v}
-            rv = {x: w for x, w in rows[v].items() if x != u}
-            if ru == rv:
-                kind = TwinKind.TRUE if (u, v) in wm else TwinKind.FALSE
-                out.append((u, v, kind))
+    for x in range(mat.shape[0]):
+        diff = mat[x] != mat
+        near = np.nonzero(diff.sum(axis=1) <= limit)[0].tolist()
+        out.append({y: frozenset(np.nonzero(diff[y])[0].tolist()) for y in near if y != x})
     return out
+
+
+def find_twin_pairs(g: WeightedGraph) -> list[tuple[int, int, TwinKind]]:
+    """All unordered twin pairs: equal weighted neighborhoods off {u, v}.
+
+    Rows u and v of the adjacency matrix then differ only inside {u, v}, and
+    they differ there exactly when u and v are adjacent (true twins).
+    """
+    mat = adjacency_matrix(g)
+    return [(u, v, TwinKind.TRUE if mat[u, v] else TwinKind.FALSE)
+            for u, near in enumerate(_row_differences(mat, 2))
+            for v, d in near.items() if v > u and d <= {u, v}]
 
 
 @dataclass(frozen=True)
@@ -589,53 +599,113 @@ class TwinSearchResult:
 
 def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
                           subset_budget: int = 1_000_000) -> TwinSearchResult:
-    """Exhaustive twin-subgraph search over part sizes 1..a_max.
+    """Twin-subgraph search over part sizes 1..a_max.
 
-    On small graphs the enumeration is complete; when the number of candidate
-    subset pairs exceeds the budget the result is flagged as truncated.
-    Singleton pairs are reported with their twin kind (false when
-    non-adjacent); larger pairs may satisfy both definitions and then one
-    witness per kind is returned.  Weights compare exactly.
+    The search is defined by an exhaustive order: part sizes a ascending,
+    then first parts gs and second parts hs as sorted tuples in lexicographic
+    order, over every pair of disjoint a-subsets with min(gs) < min(hs).  Its
+    first `subset_budget` candidates are examined.  `truncated` means the
+    budget cut that order: witnesses past the cut are not reported, so on
+    large graphs the result is incomplete.  The position of the cut is
+    computed from the block sizes of the order, without enumerating it.
 
-    Vertices x and y can be matched by a witness only if their adjacency rows
-    agree outside the two parts, so the search precomputes where each row
-    pair differs and rejects candidates by small set inclusions.
+    Before the cut, only candidates that meet a necessary condition are
+    examined.  A witness pairs every x in gs with a y in hs whose adjacency
+    row differs from row x only inside gs | hs.  So gs draws from vertices
+    with such near rows, and hs from a pool of partners whose difference
+    sets fit into a part of size a (see :func:`_partner_pool`).  Singleton
+    pairs are reported with their twin kind (false when non-adjacent);
+    larger pairs may satisfy both definitions and then one witness per kind
+    is returned.  Weights compare exactly.
     """
     n = g.n
     a_cap = min(a_max, n // 2)
     if a_cap < 1:
         return TwinSearchResult(witnesses=(), truncated=False)
     mat = adjacency_matrix(g)
-    limit = 2 * a_cap
-    compat: list[dict[int, frozenset]] = [dict() for _ in range(n)]
-    for x in range(n):
-        row = mat[x]
-        for y in range(n):
-            if x == y:
-                continue
-            diff = np.nonzero(row != mat[y])[0]
-            if diff.size <= limit:
-                compat[x][y] = frozenset(int(i) for i in diff)
+    compat = _row_differences(mat, 2 * a_cap)
+    cut = _budget_cut(n, a_cap, subset_budget)
+    last_a = a_cap if cut is None else cut[0]
+    active = [x for x in range(n) if compat[x]]
     witnesses: list[TwinSubgraphWitness] = []
-    examined = 0
-    truncated = False
-    for a in range(1, a_cap + 1):
-        if truncated:
-            break
-        for gs in combinations(range(n), a):
-            if truncated:
-                break
-            gset = set(gs)
-            rest = [v for v in range(n) if v not in gset]
-            for hs in combinations(rest, a):
-                if min(hs) < min(gs):
-                    continue  # unordered pair: keep the lexicographically first part first
-                examined += 1
-                if examined > subset_budget:
-                    truncated = True
+    for a in range(1, last_a + 1):
+        for gs in combinations(active, a):
+            hs_cut = None
+            if cut is not None and a == last_a:
+                if gs > cut[1]:
+                    break
+                if gs == cut[1]:
+                    hs_cut = cut[2]
+            for hs in combinations(_partner_pool(compat, gs), a):
+                if hs_cut is not None and hs >= hs_cut:
                     break
                 witnesses.extend(_classify_subset_pair(mat, compat, gs, hs))
-    return TwinSearchResult(witnesses=tuple(witnesses), truncated=truncated)
+    return TwinSearchResult(witnesses=tuple(witnesses), truncated=cut is not None)
+
+
+def _budget_cut(n: int, a_cap: int, budget: int) -> tuple[int, tuple, tuple] | None:
+    """Key (a, gs, hs) of the candidate at 0-based position `budget` in the
+    exhaustive order of :func:`search_twin_subgraphs`: the first one the budget
+    leaves out.  None when there are no more than `budget` candidates.
+
+    Each gs starting at g0 has comb(n - g0 - a, a) second parts above g0.
+    """
+    r = max(budget, 0)
+    for a in range(1, a_cap + 1):
+        for g0 in range(n - 2 * a + 1):
+            per_gs = comb(n - g0 - a, a)
+            block = comb(n - g0 - 1, a - 1) * per_gs
+            if r < block:
+                q, r = divmod(r, per_gs)
+                gs = (g0,) + _unrank(range(g0 + 1, n), a - 1, q)
+                hs = _unrank([v for v in range(g0 + 1, n) if v not in gs], a, r)
+                return a, gs, hs
+            r -= block
+    return None
+
+
+def _unrank(items, k: int, r: int) -> tuple:
+    """The k-combination of `items` at 0-based position r in lexicographic order."""
+    out = []
+    for i, v in enumerate(items):
+        if k == 0:
+            break
+        below = comb(len(items) - i - 1, k - 1)  # combinations that start with v
+        if r < below:
+            out.append(v)
+            k -= 1
+        else:
+            r -= below
+    return tuple(out)
+
+
+def _partner_pool(compat, gs) -> list[int]:
+    """Sorted vertices that may form the second part opposite gs.
+
+    If x in gs is paired with y, the second part must hold y and every vertex
+    of D(x, y) outside gs, all above min(gs).  Options whose forced set does
+    not fit into the pool are dropped until the pool is stable; it is empty
+    when some x is left without an option.
+    """
+    a, g0, gset = len(gs), gs[0], frozenset(gs)
+    options = []
+    for x in gs:
+        opts = []
+        for y, d in compat[x].items():
+            if y > g0 and y not in gset:
+                forced = (d - gset) | {y}
+                if len(forced) <= a and min(forced) > g0:
+                    opts.append((y, forced))
+        options.append(opts)
+    pool: set[int] = set()
+    while True:
+        new = {y for opts in options for y, _ in opts}
+        if new == pool:
+            return sorted(pool)
+        pool = new
+        options = [[o for o in opts if o[1] <= pool] for opts in options]
+        if not all(options):
+            return []
 
 
 def _classify_subset_pair(mat, compat, gs, hs) -> list[TwinSubgraphWitness]:

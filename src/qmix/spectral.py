@@ -125,21 +125,25 @@ def support(dec: SpectralDecomposition, x, tol: Tolerances = DEFAULT_TOLERANCES)
     if vec.shape[0] != dec.n:
         raise ValueError("vector length does not match the decomposition")
     cutoff = tol.supp * max(1.0, float(np.linalg.norm(vec)))
+    return _support_of(dec, (proj @ vec for proj in dec.projectors), cutoff)
+
+
+def vertex_support(dec: SpectralDecomposition, u: int,
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> EigenvalueSupport:
+    """Eigenvalue support of e_u.  E e_u is column u of E, read as row u
+    because the projectors are symmetric."""
+    return _support_of(dec, dec.projectors[:, u], tol.supp)
+
+
+def _support_of(dec: SpectralDecomposition, projections, cutoff: float) -> EigenvalueSupport:
     idx, vals, weights = [], [], []
-    for i, proj in enumerate(dec.projectors):
-        w = float(np.linalg.norm(proj @ vec))
+    for i, vec in enumerate(projections):
+        w = float(np.linalg.norm(vec))
         if w > cutoff:
             idx.append(i)
             vals.append(float(dec.eigenvalues[i]))
             weights.append(w)
     return EigenvalueSupport(indices=tuple(idx), eigenvalues=tuple(vals), weights=tuple(weights))
-
-
-def vertex_support(dec: SpectralDecomposition, u: int,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> EigenvalueSupport:
-    e = np.zeros(dec.n)
-    e[u] = 1.0
-    return support(dec, e, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,9 @@ def verify_target_state(g: WeightedGraph, dec: SpectralDecomposition, kind: Matr
             target = stats.edge_count - n * deg_u / 2.0
             record("edge-cosine-sum-laplacian", abs(edge_cos - target), abs(edge_cos - target) > eps)
 
-    e_u = np.zeros(n)
-    e_u[u] = 1.0
     norm_gap = 0.0
     for proj in dec.projectors:
-        lhs = math.sqrt(n) * float(np.linalg.norm(proj @ e_u))
+        lhs = math.sqrt(n) * float(np.linalg.norm(proj[u]))  # ||E e_u||: E is symmetric
         rhs = float(np.linalg.norm(proj @ entries))
         norm_gap = max(norm_gap, abs(lhs - rhs))
     record("projection-norms", norm_gap, norm_gap > eps)
@@ -296,7 +294,7 @@ def verify_target_state(g: WeightedGraph, dec: SpectralDecomposition, kind: Matr
         pu = np.array(part_u, dtype=int)
         po = np.array(part_o, dtype=int)
         for i in supp_u.indices:
-            vec = dec.projectors[i] @ e_u
+            vec = dec.projectors[i, u]
             vu = vec[u]
             if abs(vu) < tol.supp:
                 continue

@@ -127,6 +127,83 @@ def naive_twin_subgraph_check(g: WeightedGraph, gs, hs, f, kind: str) -> bool:
     return len(set(in_g + in_h)) == 1 and len(set(cross)) == 1
 
 
+def reference_twin_search(g: WeightedGraph, a_max: int = 4,
+                          subset_budget: int = 1_000_000):
+    """The exhaustive twin-subgraph search, kept as the reference for the
+    compat-driven one: it examines every pair of disjoint a-subsets (gs, hs)
+    with min(gs) < min(hs), in the order a, gs, hs, up to the budget.  A pair
+    is a witness when a bijection pairs each x in gs with a y in hs whose
+    adjacency rows differ only inside gs | hs: a false witness if the parts
+    are isomorphic under it with no cross edges, a true witness if both parts
+    and the cross graph are regular.  Self-contained: no qmix internals."""
+    from itertools import combinations, permutations
+
+    from qmix.graphs import TwinKind, TwinSearchResult, TwinSubgraphWitness
+
+    def as_weight(x):
+        f = float(x)
+        return int(f) if f.is_integer() else f
+
+    n = g.n
+    a_cap = min(a_max, n // 2)
+    if a_cap < 1:
+        return TwinSearchResult(witnesses=(), truncated=False)
+    mat = np.zeros((n, n))
+    for u, v, w in g.edges:
+        mat[u, v] = mat[v, u] = float(w)
+    diff = {(x, y): frozenset(np.nonzero(mat[x] != mat[y])[0].tolist())
+            for x in range(n) for y in range(n) if x != y}
+
+    def classify(gs, hs):
+        inside = frozenset(gs) | frozenset(hs)
+        partners = [{y for y in hs if diff[x, y] <= inside} for x in gs]
+        if not all(partners):
+            return []
+        a = len(gs)
+        if a == 1:
+            x, y = gs[0], hs[0]
+            true = mat[x, y] != 0
+            return [TwinSubgraphWitness(
+                kind=TwinKind.TRUE if true else TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
+                bijection=((x, y),), valency_in=0 if true else None,
+                valency_cross=as_weight(mat[x, y]) if true else None)]
+        pairings = [p for p in permutations(range(a))
+                    if all(hs[p[i]] in partners[i] for i in range(a))]
+        out = []
+        if not any(mat[x, y] for x in gs for y in hs):
+            for p in pairings:
+                if all(mat[gs[i], gs[j]] == mat[hs[p[i]], hs[p[j]]]
+                       for i in range(a) for j in range(i + 1, a)):
+                    out.append(TwinSubgraphWitness(
+                        kind=TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
+                        bijection=tuple(sorted((gs[i], hs[p[i]]) for i in range(a)))))
+                    break
+        in_deg = {sum(mat[x, z] for z in part) for part in (gs, hs) for x in part}
+        cross = ({sum(mat[x, y] for y in hs) for x in gs}
+                 | {sum(mat[x, y] for x in gs) for y in hs})
+        if len(in_deg) == 1 and len(cross) == 1 and pairings:
+            p = pairings[0]
+            out.append(TwinSubgraphWitness(
+                kind=TwinKind.TRUE, g_vertices=gs, h_vertices=hs,
+                bijection=tuple(sorted((gs[i], hs[p[i]]) for i in range(a))),
+                valency_in=as_weight(in_deg.pop()), valency_cross=as_weight(cross.pop())))
+        return out
+
+    witnesses = []
+    examined = 0
+    for a in range(1, a_cap + 1):
+        for gs in combinations(range(n), a):
+            rest = [v for v in range(n) if v not in gs]
+            for hs in combinations(rest, a):
+                if min(hs) < min(gs):
+                    continue
+                examined += 1
+                if examined > subset_budget:
+                    return TwinSearchResult(witnesses=tuple(witnesses), truncated=True)
+                witnesses.extend(classify(gs, hs))
+    return TwinSearchResult(witnesses=tuple(witnesses), truncated=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

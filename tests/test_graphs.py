@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, WeightClass,
                   WeightedGraph, attach_pendants, bipartition, common_neighbors, cycle_flags,
@@ -13,7 +16,7 @@ from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, W
 from qmix.graphs import degrees
 
 from conftest import (complete, count_distance_two_pairs, cycle, naive_twin_subgraph_check,
-                      path, star)
+                      path, random_connected_graph, reference_twin_search, star)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,81 @@ def test_search_emits_verified_witnesses(rng):
 def test_search_budget_truncation():
     res = search_twin_subgraphs(complete(10), a_max=3, subset_budget=20)
     assert res.truncated
+
+
+def _candidates(n, a_max):
+    """Subset pairs the exhaustive search order holds for part sizes 1..a_max."""
+    return sum(comb(n, a) * comb(n - a, a) // 2 for a in range(1, min(a_max, n // 2) + 1))
+
+
+def test_search_matches_reference_on_atlas():
+    for gnx in nx.graph_atlas_g():
+        n = gnx.number_of_nodes()
+        if not 2 <= n <= 6:
+            continue
+        g = WeightedGraph.build(n, [(u, v, 1) for u, v in gnx.edges()])
+        for a_max in (1, 2, 3):
+            assert search_twin_subgraphs(g, a_max=a_max) == reference_twin_search(g, a_max=a_max)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 12, 16, 20, 24])
+def test_search_matches_reference_on_random_graphs(n, rng):
+    pairs = n * (n - 1) // 2
+    graphs = []
+    for weights in ((1,), (1, 2)):
+        edges = [(u, v, int(rng.choice(weights)))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graphs.append(WeightedGraph.build(n, edges))
+        # copy k vertices S with their edges: G[S] and its copy are twin subgraphs
+        k = min(4, n // 3)
+        m = n - k
+        wm = {(u, v): w for u, v, w in edges if v < m}
+        copy = {s: m + i for i, s in enumerate(rng.choice(m, size=k, replace=False).tolist())}
+        edges = list(wm.items()) + [
+            ((copy[u] if u in copy else u, copy[v] if v in copy else v), w)
+            for (u, v), w in wm.items() if u in copy or v in copy]
+        label = rng.permutation(n).tolist()
+        graphs.append(WeightedGraph.build(n, [(label[u], label[v], w) for (u, v), w in edges]))
+    for g in graphs:
+        for a_max in (1, 2, 3, 4) if n <= 12 else (1, 2):
+            total = _candidates(n, a_max)
+            budgets = {0, 1, pairs - 1, pairs, pairs + 1, 10**6,
+                       int(rng.integers(pairs, _candidates(n, 2) + 1)),
+                       int(rng.integers(0, total + 1))}
+            for budget in sorted(budgets):
+                res = search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
+                assert res == reference_twin_search(g, a_max=a_max, subset_budget=budget)
+                assert res.truncated == (total > budget)
+                assert budget > 0 or not res.witnesses
+
+
+@st.composite
+def _graph_search_case(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weighted = draw(st.booleans())
+    g = WeightedGraph.build(n, [(u, v, draw(st.integers(1, 2)) if weighted else 1)
+                                for u, v in chosen])
+    a_max = draw(st.integers(1, 4))
+    budget = draw(st.integers(0, _candidates(n, a_max) + 1))
+    return g, a_max, budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_search_case())
+def test_search_matches_reference_property(case):
+    g, a_max, budget = case
+    assert (search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
+            == reference_twin_search(g, a_max=a_max, subset_budget=budget))
+
+
+def test_search_truncation_follows_the_candidate_count(rng):
+    # the default budget of 10**6 cuts part size 2 from n = 55 on, whatever the graph
+    for n, cut in ((54, False), (55, True)):
+        assert _candidates(n, 2) == {54: 950_184, 55: 1_024_650}[n]
+        g = random_connected_graph(rng, n, extra_edges=n // 4)
+        assert search_twin_subgraphs(g, a_max=2).truncated is cut
 
 
 # ---------------------------------------------------------------------------
