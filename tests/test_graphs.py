@@ -389,7 +389,7 @@ def test_search_matches_reference_on_random_graphs(n, rng):
 def _graph_search_case(draw):
     n = draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
     weighted = draw(st.booleans())
     g = WeightedGraph.build(n, [(u, v, draw(st.integers(1, 2)) if weighted else 1)
                                 for u, v in chosen])
