@@ -340,11 +340,11 @@ class Bipartition:
     b1: tuple[int, ...] = ()
     b2: tuple[int, ...] = ()
 
-    def part_of(self, u: int) -> int:
-        """1 or 2 for the part containing u."""
+    def part_of(self, u: int) -> tuple[int, ...]:
+        """The part containing u."""
         if not self.present:
             raise ValueError("graph is not bipartite")
-        return 1 if u in self.b1 else 2
+        return self.b1 if u in self.b1 else self.b2
 
 
 def bipartition(g: WeightedGraph) -> Bipartition:

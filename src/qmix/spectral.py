@@ -251,8 +251,6 @@ class SignedKernelVector:
 
     vector: tuple[int, ...]
     nnz: int
-    nnz_b1: int | None = None
-    nnz_b2: int | None = None
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
-from qmix import (CertifyOptions, HadamardKind, MatrixKind, Tier, WeightClass,
+from qmix import (HadamardKind, MatrixKind, Tier, WeightClass,
                   WeightedGraph, bipartition, cert_pendant_pair, certify_graph,
-                  check_real_target_period, decompose_graph, empirical_inf,
+                  check_real_target_period, collect_facts, decompose_graph, empirical_inf,
                   hadamard_classify, is_periodic_vertex, mixing_deviation,
                   regular_equivalence_check, scan_local, scan_uniform,
                   states_proportional, subdivide, transition_matrix, vertex_support)
@@ -159,8 +159,7 @@ def test_criterion_07_rule_out_regressions(rng):
             assert (s.n % 4) != 0  # 2n - 1 is odd
 
             def subdivided_ruled_out(s=s):
-                report = certify_graph(s, None, MatrixKind.ADJACENCY,
-                                       CertifyOptions(use_float_rules=False))
+                report = certify_graph(s, None, MatrixKind.ADJACENCY)
                 assert report.graph_ruled_out
                 assert "bipartite-order-mod4" in report.fired_rules()
             timed(f"subdivided-tree-{i}", subdivided_ruled_out)
@@ -295,6 +294,6 @@ def test_criterion_10_limit_behavior_substitutes(rng):
             edges += [(root, v, 1), (v, u, 1), (v, w, 1)]
             g = WeightedGraph.build(n, edges)
             assert g.n >= 5
-            verdicts = cert_pendant_pair(g, MatrixKind.ADJACENCY)
+            verdicts = cert_pendant_pair(collect_facts(g, None, MatrixKind.ADJACENCY))
             ruled = {x.scope[1] for x in verdicts if x.fired}
             assert {u, w} <= ruled

@@ -1,20 +1,28 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from qmix import (CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, WeightedGraph,
-                  cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
-                  cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
-                  cert_kernel_vector, cert_pendant_pair, cert_planar_family,
-                  cert_tree_suite, cert_twin_subgraphs, cert_twins, certify_graph,
-                  certify_vertex, decompose_graph, search_twin_subgraphs, subdivide)
+from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, WeightedGraph,
+                  cert_bipartite_balance, cert_bipartite_global, cert_bipartite_parity,
+                  cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
+                  cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
+                  cert_pendant_pair, cert_planar_family, cert_tree_suite,
+                  cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
+                  collect_facts, decompose_graph, search_twin_subgraphs, subdivide)
+from qmix.spectral import rational_matrix
 from conftest import (complete, complete_bipartite, cube_q3, cycle, path,
                       random_connected_graph, random_tree, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
     return decompose_graph(g, kind)
+
+
+def facts_of(g, kind=MatrixKind.ADJACENCY, dec=None, **opts):
+    return collect_facts(g, dec, kind, CertifyOptions(**opts))
 
 
 def fired(verdicts, rule):
@@ -26,10 +34,11 @@ def fired(verdicts, rule):
 
 def test_connectivity():
     two_edges = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
-    verdicts = cert_connectivity(two_edges)
+    verdicts = cert_connectivity(facts_of(two_edges))
     assert len(verdicts) == 4 and all(v.verdict is Verdict.RULED_OUT for v in verdicts)
-    assert cert_connectivity(complete(2))[0].verdict is Verdict.INCONCLUSIVE
-    assert cert_connectivity(path(5))[0].verdict is Verdict.INCONCLUSIVE
+    assert all(dict(v.witness)["component_size"] == 2 for v in verdicts)
+    assert cert_connectivity(facts_of(complete(2)))[0].verdict is Verdict.INCONCLUSIVE
+    assert cert_connectivity(facts_of(path(5)))[0].verdict is Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +49,21 @@ def test_eigenvector_inequality_pendant_pair_graph():
     # exact kernel vector and sqrt(6) > 2
     g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
                                 (0, 4, 1), (0, 5, 1)])
-    v = cert_eigenvector_inequality(g, dec_of(g), 4)
+    v = cert_eigenvector_inequality(facts_of(g, dec=dec_of(g)), 4)
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "exact-kernel"
 
 
 def test_eigenvector_inequality_k4_inconclusive():
     g = complete(4)
-    dec = dec_of(g)
+    facts = facts_of(g, dec=dec_of(g))
     for u in range(4):
-        assert cert_eigenvector_inequality(g, dec, u).verdict is Verdict.INCONCLUSIVE
+        assert cert_eigenvector_inequality(facts, u).verdict is Verdict.INCONCLUSIVE
 
 
 def test_eigenvector_inequality_star_center_inconclusive():
     g = star(4)
-    v = cert_eigenvector_inequality(g, dec_of(g), 0)
+    v = cert_eigenvector_inequality(facts_of(g, dec=dec_of(g)), 0)
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -65,10 +74,10 @@ def test_eigenvector_inequality_witness_survives_relabelling():
     for g in (cube_q3(), path(6), cycle(6)):
         perm = [int(x) for x in rng.permutation(g.n)]
         h = WeightedGraph.build(g.n, [(perm[a], perm[b], w) for a, b, w in g.edges])
-        dg, dh = dec_of(g), dec_of(h)
+        fg, fh = facts_of(g, dec=dec_of(g)), facts_of(h, dec=dec_of(h))
         for u in range(g.n):
-            got = dict(cert_eigenvector_inequality(h, dh, perm[u]).witness)
-            want = dict(cert_eigenvector_inequality(g, dg, u).witness)
+            got = dict(cert_eigenvector_inequality(fh, perm[u]).witness)
+            want = dict(cert_eigenvector_inequality(fg, u).witness)
             assert got["best_eigenvalue"] == pytest.approx(want["best_eigenvalue"], abs=1e-9)
 
 
@@ -76,16 +85,15 @@ def test_eigenvector_inequality_float_route():
     # center of the 5-star under the Laplacian: eigenvector (4,-1,-1,-1,-1)
     # violates sqrt(5)*4 <= 8, caught through the canonical float vectors
     g = star(5)
-    v = cert_eigenvector_inequality(g, dec_of(g, MatrixKind.LAPLACIAN), 0,
-                                    MatrixKind.LAPLACIAN)
+    v = cert_eigenvector_inequality(
+        facts_of(g, MatrixKind.LAPLACIAN, dec_of(g, MatrixKind.LAPLACIAN)), 0)
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "canonical-float"
 
 
 def test_eigenvector_inequality_float_disabled():
     g = star(5)
-    v = cert_eigenvector_inequality(g, dec_of(g, MatrixKind.LAPLACIAN), 0,
-                                    MatrixKind.LAPLACIAN, use_float_rules=False)
+    v = cert_eigenvector_inequality(facts_of(g, MatrixKind.LAPLACIAN), 0)
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -93,20 +101,20 @@ def test_eigenvector_inequality_float_disabled():
 # degree bounds
 
 def test_degree_LQ():
-    v = cert_degree_LQ(star(5), 0, MatrixKind.LAPLACIAN)
+    v = cert_degree_LQ(facts_of(star(5), MatrixKind.LAPLACIAN), 0)
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["bound"] == Fraction(16, 5)
-    v = cert_degree_LQ(star(4), 0, MatrixKind.LAPLACIAN)
+    v = cert_degree_LQ(facts_of(star(4), MatrixKind.LAPLACIAN), 0)
     assert v.verdict is Verdict.INCONCLUSIVE  # boundary: 3 <= 3
-    v = cert_degree_LQ(cycle(6), 2, MatrixKind.SIGNLESS_LAPLACIAN)
+    v = cert_degree_LQ(facts_of(cycle(6), MatrixKind.SIGNLESS_LAPLACIAN), 2)
     assert v.verdict is Verdict.INCONCLUSIVE
-    v = cert_degree_LQ(star(5), 0, MatrixKind.ADJACENCY)
+    v = cert_degree_LQ(facts_of(star(5)), 0)
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
 def test_degree_A_c4free_star_boundary():
     g = star(7)  # q = 15, bound 2(6+15)/7 = 6
-    verdicts = cert_degree_A_c4free(g, 0, MatrixKind.ADJACENCY)
+    verdicts = cert_degree_A_c4free(facts_of(g), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.INCONCLUSIVE
     assert dict(main.witness)["bound"] == 6
@@ -116,7 +124,7 @@ def test_degree_A_c4free_spider_fires():
     # 5-star with one leg subdivided: n = 7, q = 11, bound 34/7 < 5
     g = WeightedGraph.build(7, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1),
                                 (0, 5, 1), (5, 6, 1)])
-    verdicts = cert_degree_A_c4free(g, 0, MatrixKind.ADJACENCY)
+    verdicts = cert_degree_A_c4free(facts_of(g), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.RULED_OUT
     assert dict(main.witness)["bound"] == Fraction(34, 7)
@@ -126,7 +134,7 @@ def test_degree_A_c4free_spider_fires():
 def test_degree_A_unicyclic_c4_variant():
     # a 4-cycle with one pendant: the adjusted bound applies
     g = WeightedGraph.build(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 4, 1)])
-    verdicts = cert_degree_A_c4free(g, 0, MatrixKind.ADJACENCY)
+    verdicts = cert_degree_A_c4free(facts_of(g), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.NOT_APPLICABLE  # graph has a C4
     var = next(v for v in verdicts if v.rule_id == "degree-unicyclic-c4-A")
@@ -137,18 +145,19 @@ def test_degree_A_unicyclic_c4_variant():
 
 def test_planar_family_tree_and_unicyclic():
     g = star(6)  # tree with a degree-5 center
-    v = cert_planar_family(g, 0, MatrixKind.LAPLACIAN)
+    v = cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN), 0)
     assert v.verdict is Verdict.RULED_OUT and dict(v.witness)["violated"] == "k-cyclic"
     # tree bound is deg <= 4 - 4/n, so degree 4 already fires
     g = star(5)
-    v = cert_planar_family(g, 0, MatrixKind.SIGNLESS_LAPLACIAN)
+    v = cert_planar_family(facts_of(g, MatrixKind.SIGNLESS_LAPLACIAN), 0)
     assert v.verdict is Verdict.RULED_OUT
     # unicyclic: degree 5 > 4 fires
     g = WeightedGraph.build(7, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1),
                                 (0, 4, 1), (0, 5, 1), (0, 6, 1)])
-    v = cert_planar_family(g, 0, MatrixKind.LAPLACIAN)
+    facts = facts_of(g, MatrixKind.LAPLACIAN)
+    v = cert_planar_family(facts, 0)
     assert v.verdict is Verdict.RULED_OUT
-    v = cert_planar_family(g, 1, MatrixKind.LAPLACIAN)
+    v = cert_planar_family(facts, 1)
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -157,10 +166,10 @@ def test_planar_family_asserted_planar():
     edges = [(0, i, 1) for i in range(1, 13)]
     edges += [(i, i + 1, 1) for i in range(13, 29)] + [(12, 13, 1)]
     g = WeightedGraph.build(30, edges)
-    v = cert_planar_family(g, 0, MatrixKind.LAPLACIAN, assert_planar=True)
+    v = cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN, assert_planar=True), 0)
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["violated"] in ("k-cyclic", "planar")
-    v = cert_planar_family(g, 0, MatrixKind.ADJACENCY, assert_planar=True)
+    v = cert_planar_family(facts_of(g, assert_planar=True), 0)
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -168,9 +177,9 @@ def test_planar_family_asserted_planar():
 # twins
 
 def test_twins_certificate():
-    assert cert_twins(star(5), 1).verdict is Verdict.RULED_OUT
-    assert cert_twins(cycle(4), 0).verdict is Verdict.INCONCLUSIVE  # n = 4
-    assert cert_twins(path(4), 1).verdict is Verdict.INCONCLUSIVE  # no twins
+    assert cert_twins(facts_of(star(5)), 1).verdict is Verdict.RULED_OUT
+    assert cert_twins(facts_of(cycle(4)), 0).verdict is Verdict.INCONCLUSIVE  # n = 4
+    assert cert_twins(facts_of(path(4)), 1).verdict is Verdict.INCONCLUSIVE  # no twins
 
 
 FI = WeightedGraph.build(5, [(2, 1, 1), (1, 0, 1), (3, 4, 1), (2, 3, 1)])
@@ -189,37 +198,37 @@ def big_fii(extra_path=11):
 
 
 def test_twin_subgraphs_true_pair_fires():
-    g = big_fi()  # n = 18 > 16
-    res = search_twin_subgraphs(g, a_max=2)
-    v = cert_twin_subgraphs(g, 0, res.witnesses, MatrixKind.ADJACENCY)
+    g = big_fi()  # n = 18 > 16, found by the pipeline's search (a <= 2)
+    v = cert_twin_subgraphs(facts_of(g), 0)
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "true-pair-size"
 
 
 def test_twin_subgraphs_false_pair_eigenvector():
     g = big_fii()  # n = 18 > 16, inner path kernel vector (1, -1, 0)
-    res = search_twin_subgraphs(g, a_max=3)
+    facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=3).witnesses)
     for u in (0, 1, 5, 6):
-        v = cert_twin_subgraphs(g, u, res.witnesses, MatrixKind.ADJACENCY)
+        v = cert_twin_subgraphs(facts, u)
         assert v.verdict is Verdict.RULED_OUT, u
         assert dict(v.witness)["route"] == "false-pair-eigenvector"
     # the inner-path centers carry a zero entry, so they are not ruled out
-    v = cert_twin_subgraphs(g, 2, res.witnesses, MatrixKind.ADJACENCY)
+    v = cert_twin_subgraphs(facts, 2)
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
 def test_twin_subgraphs_small_graph_inconclusive():
     g = complete(4)
-    res = search_twin_subgraphs(g, a_max=1)
-    v = cert_twin_subgraphs(g, 0, res.witnesses, MatrixKind.ADJACENCY)
+    facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=1).witnesses)
+    v = cert_twin_subgraphs(facts, 0)
     assert v.verdict is Verdict.INCONCLUSIVE  # n = 4 <= 4
 
 
 def test_twin_subgraphs_rejects_bad_witness():
     from qmix import TwinSubgraphWitness
     bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(2,))
+    facts = replace(facts_of(path(4)), twin_witnesses=(bad,))
     with pytest.raises(ValueError):
-        cert_twin_subgraphs(path(4), 0, (bad,), MatrixKind.ADJACENCY)
+        cert_twin_subgraphs(facts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +238,7 @@ def test_bipartite_parity_odd_tree():
     g = random_tree(np.random.default_rng(5), 7)
     for u in range(7):
         if sum(1 for a, b, _ in g.edges if u in (a, b)) == 1:
-            v = cert_bipartite_parity(g, u, MatrixKind.ADJACENCY)
+            v = cert_bipartite_parity(facts_of(g), u)
             assert v.verdict is Verdict.RULED_OUT
             assert dict(v.witness)["route"] == "odd-order-degree"
             break
@@ -238,7 +247,7 @@ def test_bipartite_parity_odd_tree():
 def test_bipartite_parity_p4_pendant_count_rule():
     g = path(4)
     for u in (0, 3):
-        v = cert_bipartite_parity(g, u, MatrixKind.ADJACENCY)
+        v = cert_bipartite_parity(facts_of(g), u)
         assert v.verdict is Verdict.RULED_OUT
         assert dict(v.witness)["route"] == "count-parity"
 
@@ -246,34 +255,31 @@ def test_bipartite_parity_p4_pendant_count_rule():
 def test_bipartite_parity_c6_consistent():
     g = cycle(6)
     for u in range(6):
-        assert cert_bipartite_parity(g, u, MatrixKind.ADJACENCY).verdict \
-            is Verdict.INCONCLUSIVE
+        assert cert_bipartite_parity(facts_of(g), u).verdict is Verdict.INCONCLUSIVE
 
 
 def test_kernel_vector_star_inconclusive():
     g = star(4)
-    vs = cert_kernel_vector(g, 1, MatrixKind.ADJACENCY)
-    assert vs[0].verdict is Verdict.INCONCLUSIVE
+    assert cert_kernel_vector(facts_of(g), 1).verdict is Verdict.INCONCLUSIVE
 
 
 def test_kernel_vector_star_asserted_tier_reports_literal_form():
     g = star(4)
-    vs = cert_kernel_vector(g, 1, MatrixKind.ADJACENCY, include_asserted=True)
-    asserted = [v for v in vs if v.tier is Tier.PAPER_ASSERTED]
+    asserted = cert_kernel_part_size(facts_of(g), 1)
     assert len(asserted) == 1 and asserted[0].verdict is Verdict.RULED_OUT
+    assert asserted[0].tier is Tier.PAPER_ASSERTED
 
 
 def test_kernel_vector_p3_endpoint():
     g = path(3)
-    vs = cert_kernel_vector(g, 0, MatrixKind.ADJACENCY)
-    assert vs[0].verdict is Verdict.RULED_OUT
-    assert dict(vs[0].witness)["route"] == "not-a-square"
+    v = cert_kernel_vector(facts_of(g), 0)
+    assert v.verdict is Verdict.RULED_OUT
+    assert dict(v.witness)["route"] == "not-a-square"
 
 
 def test_kernel_vector_p3_center_not_applicable():
     g = path(3)
-    vs = cert_kernel_vector(g, 1, MatrixKind.ADJACENCY)
-    assert vs[0].verdict is Verdict.NOT_APPLICABLE
+    assert cert_kernel_vector(facts_of(g), 1).verdict is Verdict.NOT_APPLICABLE
 
 
 def test_kernel_vector_ten_vertex_spider():
@@ -285,12 +291,11 @@ def test_kernel_vector_ten_vertex_spider():
     basis = exact_kernel(g, MatrixKind.ADJACENCY)
     assert basis  # singular
     u = next(u for u in range(10) if any(vec[u] for vec in basis))
-    vs = cert_kernel_vector(g, u, MatrixKind.ADJACENCY)
-    assert vs[0].verdict is Verdict.RULED_OUT
+    assert cert_kernel_vector(facts_of(g), u).verdict is Verdict.RULED_OUT
 
 
 def test_bipartite_global_k33():
-    vs = cert_bipartite_global(complete_bipartite(3, 3), MatrixKind.ADJACENCY)
+    vs = cert_bipartite_global(facts_of(complete_bipartite(3, 3)))
     assert any(v.rule_id == "bipartite-order-mod4" and v.fired for v in vs)
 
 
@@ -298,22 +303,22 @@ def test_bipartite_global_subdivided_trees(rng):
     for _ in range(8):
         t = random_tree(rng, int(rng.integers(3, 13)))
         s = subdivide(t)
-        vs = cert_bipartite_global(s, MatrixKind.ADJACENCY,
-                                   subdivision_preimage=(t.n, t.edge_count))
+        vs = cert_bipartite_global(facts_of(s, subdivision_preimage=(t.n, t.edge_count)))
         assert any(v.rule_id == "subdivision-order" and v.fired for v in vs)
         assert any(v.rule_id == "bipartite-order-mod4" and v.fired for v in vs)
 
 
 def test_bipartite_global_star_strict_passes():
-    vs = cert_bipartite_global(star(4), MatrixKind.ADJACENCY, include_asserted=True)
-    strict = [v for v in vs if v.tier is Tier.STRICT]
-    assert all(not v.fired for v in strict)
-    asserted = [v for v in vs if v.tier is Tier.PAPER_ASSERTED]
+    facts = facts_of(star(4))
+    strict = cert_bipartite_global(facts)
+    assert all(v.tier is Tier.STRICT and not v.fired for v in strict)
+    asserted = cert_bipartite_balance(facts)
+    assert all(v.tier is Tier.PAPER_ASSERTED for v in asserted)
     assert any(v.rule_id == "bipartite-balance" and v.fired for v in asserted)
 
 
 def test_bipartite_global_small_orders_exempt():
-    vs = cert_bipartite_global(complete(2), MatrixKind.ADJACENCY)
+    vs = cert_bipartite_global(facts_of(complete(2)))
     assert all(not v.fired for v in vs)
 
 
@@ -323,7 +328,7 @@ def test_bipartite_global_small_orders_exempt():
 def test_pendant_pair_unit_n6():
     g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
                                 (3, 4, 1), (3, 5, 1)])
-    vs = cert_pendant_pair(g, MatrixKind.ADJACENCY)
+    vs = cert_pendant_pair(facts_of(g))
     ruled = {v.scope[1] for v in vs if v.fired}
     assert ruled == {4, 5}
 
@@ -332,13 +337,13 @@ def test_pendant_pair_weighted():
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
              (0, 6, 1), (6, 7, 3), (6, 8, 1)]
     g = WeightedGraph.build(9, edges)
-    vs = cert_pendant_pair(g, MatrixKind.ADJACENCY)
+    vs = cert_pendant_pair(facts_of(g))
     ruled = {v.scope[1] for v in vs if v.fired}
     assert ruled == {8}  # the light pendant: sqrt(9) * 3 > 4
 
 
 def test_pendant_pair_small_inconclusive():
-    vs = cert_pendant_pair(star(4), MatrixKind.ADJACENCY)
+    vs = cert_pendant_pair(facts_of(star(4)))
     assert all(v.verdict is Verdict.INCONCLUSIVE for v in vs)
 
 
@@ -346,7 +351,7 @@ def test_pendant_pair_laplacian_needs_equal_weights():
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
              (0, 6, 1), (6, 7, 3), (6, 8, 1)]
     g = WeightedGraph.build(9, edges)
-    vs = cert_pendant_pair(g, MatrixKind.LAPLACIAN)
+    vs = cert_pendant_pair(facts_of(g, MatrixKind.LAPLACIAN))
     assert all(v.verdict is Verdict.NOT_APPLICABLE for v in vs)
 
 
@@ -354,7 +359,7 @@ def test_pendant_pair_laplacian_needs_equal_weights():
 # tree suite
 
 def test_tree_suite_path6():
-    vs = cert_tree_suite(path(6), MatrixKind.ADJACENCY)
+    vs = cert_tree_suite(facts_of(path(6)))
     assert any(v.rule_id == "path-graph" and v.fired for v in vs)
     assert any(v.rule_id == "caterpillar-pendant-parity" and v.fired for v in vs)
 
@@ -365,14 +370,14 @@ def test_tree_suite_all_odd_degrees():
                                 (1, 4, 1), (1, 5, 1), (1, 6, 1), (0, 7, 1)])
     deg = [sum(1 for a, b, _ in g.edges if u in (a, b)) for u in range(8)]
     assert all(d != 2 for d in deg)
-    vs = cert_tree_suite(g, MatrixKind.ADJACENCY)
+    vs = cert_tree_suite(facts_of(g))
     assert any(v.rule_id == "tree-no-degree-two" and v.fired for v in vs)
 
 
 def test_tree_suite_pendant_tree_pattern():
     from qmix import attach_pendants
     xp4 = attach_pendants(path(4))
-    vs = cert_tree_suite(xp4, MatrixKind.ADJACENCY)
+    vs = cert_tree_suite(facts_of(xp4))
     assert any(v.rule_id == "pendant-tree-pattern" and v.fired for v in vs)
 
 
@@ -380,7 +385,7 @@ def test_tree_suite_unicyclic_parity():
     # 6-vertex bipartite unicyclic, not a cycle: C4 with a 2-path tail
     g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
                                 (0, 4, 1), (4, 5, 1)])
-    vs = cert_tree_suite(g, MatrixKind.ADJACENCY)
+    vs = cert_tree_suite(facts_of(g))
     entry = next(v for v in vs if v.rule_id == "unicyclic-degree-parity")
     # n = 6 == 2 mod 4: rule fires exactly when the deg 2,3 (mod 4) count is even
     count = sum(1 for d in [3, 2, 2, 2, 2, 1] if d % 4 in (2, 3))
@@ -399,6 +404,51 @@ def test_soundness_regression_strict_tier():
         report = certify_graph(g, dec, MatrixKind.ADJACENCY)
         assert not report.graph_ruled_out, (g, report.fired_rules())
         assert report.surviving_vertices == tuple(range(g.n))
+
+
+WALK_MATRICES = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN)
+
+
+def test_strict_tier_silent_under_every_matrix():
+    # regular graphs: L = dI - A and Q = dI + A mix wherever A does
+    for g in (complete(2), complete(3), complete(4), cube_q3(), cycle(4), cycle(5)):
+        for kind in WALK_MATRICES:
+            report = certify_graph(g, dec_of(g, kind), kind)
+            assert not report.graph_ruled_out, (g, kind, report.fired_rules())
+            assert report.surviving_vertices == tuple(range(g.n))
+    # |U(pi/4) e_0| is flat at the 4-star centre under both Laplacians
+    for kind in WALK_MATRICES[1:]:
+        report = certify_graph(star(4), dec_of(star(4), kind), kind)
+        assert 0 in report.surviving_vertices, (kind, report.verdicts_for(0))
+
+
+def test_exact_kernel_witnesses_are_kernel_vectors():
+    for gnx in nx.graph_atlas_g():
+        if not 2 <= gnx.number_of_nodes() <= 6:
+            continue
+        g = WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+        for kind in WALK_MATRICES:
+            m = rational_matrix(g, kind)
+            for _, vs in certify_graph(g, None, kind).vertex_verdicts:
+                for v in vs:
+                    w = dict(v.witness)
+                    if v.fired and w.get("route") == "exact-kernel":
+                        x = w["vector"]
+                        assert not any(sum(m[i][j] * x[j] for j in range(g.n))
+                                       for i in range(g.n)), (gnx.edges(), kind, x)
+
+
+def test_verdicts_follow_rule_table(rng):
+    row_of = {rule_id: i for i, row in enumerate(RULES) for rule_id in row.ids}
+    assert len(row_of) == sum(len(row.ids) for row in RULES)  # each id declared once
+    for _ in range(10):
+        g = random_connected_graph(rng, int(rng.integers(2, 9)))
+        for kind in WALK_MATRICES:
+            report = certify_graph(g, dec_of(g, kind), kind,
+                                   CertifyOptions(tier=Tier.PAPER_ASSERTED))
+            for vs in [report.graph_verdicts] + [vs for _, vs in report.vertex_verdicts]:
+                rows = [row_of[v.rule_id] for v in vs]
+                assert rows == sorted(rows)
 
 
 def test_certify_star5_pipeline():
@@ -430,8 +480,7 @@ def test_exactness_float_rules_off_identical(rng):
         g = random_connected_graph(rng, int(rng.integers(2, 10)))
         dec = dec_of(g)
         with_floats = certify_graph(g, dec, MatrixKind.ADJACENCY)
-        without = certify_graph(g, None, MatrixKind.ADJACENCY,
-                                CertifyOptions(use_float_rules=False))
+        without = certify_graph(g, None, MatrixKind.ADJACENCY)
         for (u, vs1), (_, vs2) in zip(with_floats.vertex_verdicts, without.vertex_verdicts):
             kept1 = [v for v in vs1 if v.rule_id != "eigenvector-inequality"
                      or dict(v.witness).get("route") == "exact-kernel"]
@@ -473,23 +522,3 @@ def test_cross_rule_consistency_kernel_vs_eigenvector(rng):
                 witness = dict(kv[0].witness)
                 if witness["sqrt_n"] ** 2 > witness["restricted_nnz"] ** 2:
                     assert fired(vs, "eigenvector-inequality")
-
-
-def test_eigenvector_inequality_supplied_vector():
-    # 4-cycle with two pendants on one vertex: the supplied pendant-difference
-    # vector is an exact eigenvector and sqrt(6) > 2 rules the pendants out
-    g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
-                                (0, 4, 1), (0, 5, 1)])
-    v = cert_eigenvector_inequality(g, None, 4, signed_pool=(),
-                                    extra_vectors=((0, 0, 0, 0, 1, -1),),
-                                    use_float_rules=False)
-    assert v.verdict is Verdict.RULED_OUT
-    assert dict(v.witness)["route"] == "exact-supplied"
-
-
-def test_eigenvector_inequality_rejects_non_eigenvector():
-    g = path(4)
-    with pytest.raises(ValueError):
-        cert_eigenvector_inequality(g, None, 0, signed_pool=(),
-                                    extra_vectors=((1, 2, 3, 4),),
-                                    use_float_rules=False)

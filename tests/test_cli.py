@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -220,3 +221,25 @@ def test_batch_entry_reports_truncation():
     small = replace(DEFAULT_TOLERANCES, subset_budget=3)
     entry = _batch_one(task[:-1] + (small,))
     assert entry["twin_search_truncated"] is True
+
+
+ATLAS6_PIN = Path(__file__).parent / "data" / "atlas6_batch.jsonl"
+
+
+def test_batch_matches_pinned_atlas6(tmp_path, capsys):
+    """Batch verdicts on every atlas graph with 2 <= n <= 6, under each walk
+    matrix, against the committed entries (each without `file`, tagged with
+    its matrix).  A deliberate verdict change regenerates the pin from the
+    corpus written here."""
+    lines = [nx.to_graph6_bytes(g, header=False).decode().strip()
+             for g in nx.graph_atlas_g() if 2 <= g.number_of_nodes() <= 6]
+    (tmp_path / "atlas6.g6").write_text("\n".join(lines) + "\n")
+    pinned = [json.loads(line) for line in ATLAS6_PIN.read_text().splitlines()]
+    for matrix in ("adjacency", "laplacian", "signless"):
+        assert main(["batch", str(tmp_path), "--matrix", matrix]) == 0
+        out = capsys.readouterr().out.splitlines()
+        got = [json.loads(line) for line in out[:out.index("{")]]
+        for entry in got:
+            del entry["file"]
+            entry["matrix"] = matrix
+        assert got == [e for e in pinned if e["matrix"] == matrix], matrix
