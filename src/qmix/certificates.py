@@ -199,7 +199,7 @@ def cert_eigenvector_inequality(facts: GraphFacts, u: int) -> CertificateVerdict
     margin = tol.safety(n)
     best = -math.inf
     best_idx = None
-    for i, vec in enumerate(dec.projectors[:, u]):  # E e_u, read as row u (E is symmetric)
+    for i, vec in enumerate(dec.projector_rows(u)):  # E e_u, read as row u (E is symmetric)
         norm = float(np.linalg.norm(vec))
         if norm <= tol.supp:
             continue

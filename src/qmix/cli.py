@@ -10,6 +10,7 @@ byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -19,7 +20,7 @@ from .certificates import CertifyOptions, Tier, certify_graph
 from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, parse_weighted_edgelist
 from .report import (certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
-from .search import scan_local, scan_uniform
+from .search import GridError, scan_local, scan_uniform
 from .spectral import SpectralError, decompose_graph
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -35,6 +36,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not argparse's 2
         raise _UsageError(message)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -65,8 +76,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--vertex", type=int, default=None,
                    help="scan one column; omit for the graph-wide scan")
-    p.add_argument("--tmax", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--tmax", type=_positive_float, default=10.0)
+    p.add_argument("--step", type=_positive_float, default=None)
     p.add_argument("--csv", type=str, default=None,
                    help="write the grid profile as CSV 't,delta'")
 
@@ -152,17 +163,18 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     tol = _tolerances(args)
-    if args.tmax <= 0:
-        raise _UsageError("--tmax must be positive")
     g = _load_graph(args.input)
     if args.vertex is not None and not 0 <= args.vertex < g.n:
         raise GraphFormatError(f"vertex {args.vertex} out of range for n={g.n}")
     kind = _MATRIX[args.matrix]
     dec = decompose_graph(g, kind, tol)
-    if args.vertex is None:
-        report = scan_uniform(dec, args.tmax, args.step, tol)
-    else:
-        report = scan_local(dec, args.vertex, args.tmax, args.step, tol)
+    try:
+        if args.vertex is None:
+            report = scan_uniform(dec, args.tmax, args.step, tol)
+        else:
+            report = scan_local(dec, args.vertex, args.tmax, args.step, tol)
+    except GridError as exc:
+        raise _UsageError(f"--tmax/--step: {exc}") from None
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:

@@ -18,7 +18,9 @@ from math import comb
 
 import numpy as np
 
-MAX_GRAPH6_VERTICES = 100_000
+# Largest vertex count either parser accepts.  A graph-wide search peaks near
+# 35 MB + 6.5 * 8n^2 bytes, so about 0.9 GB at this cap (see the README).
+MAX_VERTICES = 4096
 
 
 class GraphFormatError(ValueError):
@@ -139,8 +141,8 @@ def parse_graph6(text: str) -> WeightedGraph:
         body = data[8:]
     if n <= 0:
         raise GraphFormatError("graph6 vertex count must be positive")
-    if n > MAX_GRAPH6_VERTICES:
-        raise GraphFormatError(f"graph6 vertex count {n} exceeds the cap {MAX_GRAPH6_VERTICES}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"graph6 vertex count {n} exceeds the cap of {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
@@ -167,7 +169,7 @@ def parse_weighted_edgelist(text: str) -> WeightedGraph:
 
     The weight class is inferred: all ones -> unit, all integral -> integer,
     otherwise real.  Every weight must convert to a finite, positive float.
-    The vertex count is the largest id plus one.
+    The vertex count is the largest id plus one, at most MAX_VERTICES.
     """
     edges: dict[tuple[int, int], Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,6 +192,9 @@ def parse_weighted_edgelist(text: str) -> WeightedGraph:
             ) from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: vertex ids must be nonnegative")
+        if max(u, v) >= MAX_VERTICES:
+            raise GraphFormatError(
+                f"line {lineno}: vertex id {max(u, v)} exceeds the cap of {MAX_VERTICES} vertices")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if w_float <= 0.0:  # also a positive weight that underflows to zero as a float

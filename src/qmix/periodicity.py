@@ -141,7 +141,7 @@ def is_periodic_vertex(dec: SpectralDecomposition, u: int,
     hint = _period_hint(classification, values)
     if hint is None:
         return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN, mode=cond.mode)
-    overlap = abs(complex(_propagator(dec, [hint], u)[0, u, 0]))
+    overlap = abs(complex(_propagator(dec, [hint], u)[0, u]))
     if overlap > 1.0 - 1e-9:
         return PeriodicityVerdict(status=PeriodicityStatus.PERIODIC, period_hint=hint,
                                   overlap=overlap, mode=cond.mode)
@@ -232,7 +232,7 @@ def check_real_target_period(dec: SpectralDecomposition, u: int, t_star: float,
             note="target state is not a unimodular multiple of a real vector, "
                  "so no period at twice the mixing time is implied")
     period = 2.0 * t_star
-    overlap = abs(complex(_propagator(dec, [period], u)[0, u, 0]))
+    overlap = abs(complex(_propagator(dec, [period], u)[0, u]))
     return RealTargetPeriodReport(
         applicable=True, periodic=bool(overlap > 1.0 - 1e-8), period=period,
         overlap=overlap, note="real target state: vertex must return at twice the mixing time")

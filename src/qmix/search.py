@@ -26,6 +26,12 @@ from .walk import (HadamardClass, TargetStateCandidate, _propagator, deviation_p
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+MAX_GRID_POINTS = 10_000_000  # largest scan grid; its profile alone is 80 MB
+
+
+class GridError(ValueError):
+    """A scan window or grid step that gives no usable grid."""
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -93,12 +99,16 @@ def _polish(f, t: float, h: float) -> tuple[float, float]:
 
 def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float | None,
           tol: Tolerances) -> MixingReport:
-    if t_max <= 0.0:
-        raise ValueError("scan window must be positive")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise GridError("scan window must be positive and finite")
     if step is None:
         step = default_step(dec)
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise GridError("grid step must be positive and finite")
+    points = (t_max + step / 2.0) / step
+    if points > MAX_GRID_POINTS:
+        raise GridError(f"window {t_max:g} at step {step:g} gives a grid of {points:.3g} "
+                        f"points, above the cap of {MAX_GRID_POINTS}")
     ts = np.arange(0.0, t_max + step / 2.0, step)
     profile = deviation_profile(dec, ts, u)
 
@@ -133,7 +143,7 @@ def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float |
             kind = "uniform"
         else:
             had = None
-            col = _propagator(dec, [t_star], u)[0, :, 0]
+            col = _propagator(dec, [t_star], u)[0]
             state = TargetStateCandidate.from_vector(sqrt_n * col)
             kind = "local-uniform"
         detections.append(Detection(time=t_star, delta=d_star, kind=kind,

@@ -1,9 +1,11 @@
-"""Symmetric eigendecomposition with eigenvalue grouping and projectors,
-eigenvalue supports, exact rational kernels of integer-weighted graph
-matrices, signed {-1, 0, 1} kernel vectors, and recognition of integer or
-quadratic-surd spectra.
+"""Symmetric eigendecomposition with eigenvalue grouping, eigenvalue
+supports, exact rational kernels of integer-weighted graph matrices, signed
+{-1, 0, 1} kernel vectors, and recognition of integer or quadratic-surd
+spectra.
 
-Floating decompositions use LAPACK's symmetric eigensolver at every size.
+Floating decompositions use LAPACK's symmetric eigensolver at every size and
+keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
+decomposition holds O(n^2) numbers.
 Exact kernels are computed with fraction-free rational elimination, so kernel
 facts carry no floating error at all.
 """
@@ -29,14 +31,16 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues with multiplicities, orthonormal bases and
-    symmetric eigenprojectors of one symmetric matrix."""
+    """Distinct eigenvalues with multiplicities and orthonormal eigenvectors
+    of one symmetric matrix.  The columns of `vectors` are grouped by
+    distinct eigenvalue in ascending order; the eigenprojector of group k is
+    E_k = B_k B_k^T with B_k = bases[k]."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
-    bases: tuple[np.ndarray, ...]        # orthonormal columns per eigenvalue
-    projectors: np.ndarray               # shape (d, n, n), one projector per eigenvalue
+    vectors: np.ndarray                  # V, shape (n, n), from eigh
+    bases: tuple[np.ndarray, ...]        # B_k, column-slice views of V per eigenvalue
 
     @property
     def n(self) -> int:
@@ -46,19 +50,43 @@ class SpectralDecomposition:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
 
+    @property
+    def levels(self) -> np.ndarray:
+        """Each eigenvector's group eigenvalue, so that
+        V diag(levels) V^T = sum_k lambda_k E_k."""
+        return np.repeat(self.eigenvalues, self.multiplicities)
+
+    @property
+    def _starts(self) -> np.ndarray:
+        """First column of each group in V."""
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    def projection_norms(self, x) -> np.ndarray:
+        """||E_k x|| for every group k, read as ||B_k^T x||."""
+        vec = np.asarray(x, dtype=complex).reshape(-1)
+        return self._group_norms((vec.real @ self.vectors) ** 2 + (vec.imag @ self.vectors) ** 2)
+
+    def vertex_norms(self, u: int) -> np.ndarray:
+        """||E_k e_u|| for every group k, read as ||B_k[u]||."""
+        return self._group_norms(self.vectors[u] ** 2)
+
+    def _group_norms(self, squares: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add.reduceat(squares, self._starts))
+
+    def projector_rows(self, u: int) -> np.ndarray:
+        """Row u of every eigenprojector, shape (d, n): row k is B_k B_k[u]."""
+        return np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1).T
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.matrix)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
+        return (self.vectors * self.levels) @ self.vectors.T
 
 
 def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the spectrum of a symmetric matrix into distinct eigenvalues.
 
     Eigenvalues closer than the grouping tolerance (scaled by the spectral
-    radius) are merged into one eigenspace whose projector is the sum of
-    outer products of the grouped orthonormal eigenvectors.
+    radius) are merged into one eigenspace spanned by the grouped orthonormal
+    eigenvectors; the group's eigenvalue is their mean.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -72,31 +100,15 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     gap = tol.group(float(np.abs(w).max(initial=0.0)))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if w[i] - w[groups[-1][-1]] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    values = []
-    mults = []
-    bases = []
-    projectors = np.empty((len(groups), n, n))
-    for k, idx in enumerate(groups):
-        block = v[:, idx]
-        proj = block @ block.T
-        projectors[k] = (proj + proj.T) / 2.0
-        values.append(float(np.mean(w[idx])))
-        mults.append(len(idx))
-        block = block.copy()
-        block.setflags(write=False)
-        bases.append(block)
-    eigvals = np.array(values)
-    for arr in (eigvals, projectors, m):
+    starts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > gap]
+    stops = starts[1:] + [n]
+    for arr in (m, v):
         arr.setflags(write=False)
+    eigvals = np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])
+    eigvals.setflags(write=False)
     return SpectralDecomposition(
-        matrix=m, eigenvalues=eigvals, multiplicities=tuple(mults),
-        bases=tuple(bases), projectors=projectors)
+        matrix=m, eigenvalues=eigvals, multiplicities=tuple(b - a for a, b in zip(starts, stops)),
+        vectors=v, bases=tuple(v[:, a:b] for a, b in zip(starts, stops)))
 
 
 def decompose_graph(g: WeightedGraph, kind: MatrixKind,
@@ -125,25 +137,21 @@ def support(dec: SpectralDecomposition, x, tol: Tolerances = DEFAULT_TOLERANCES)
     if vec.shape[0] != dec.n:
         raise ValueError("vector length does not match the decomposition")
     cutoff = tol.supp * max(1.0, float(np.linalg.norm(vec)))
-    return _support_of(dec, (proj @ vec for proj in dec.projectors), cutoff)
+    return _support_of(dec, dec.projection_norms(vec), cutoff)
 
 
 def vertex_support(dec: SpectralDecomposition, u: int,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> EigenvalueSupport:
-    """Eigenvalue support of e_u.  E e_u is column u of E, read as row u
-    because the projectors are symmetric."""
-    return _support_of(dec, dec.projectors[:, u], tol.supp)
+    """Eigenvalue support of e_u."""
+    return _support_of(dec, dec.vertex_norms(u), tol.supp)
 
 
-def _support_of(dec: SpectralDecomposition, projections, cutoff: float) -> EigenvalueSupport:
-    idx, vals, weights = [], [], []
-    for i, vec in enumerate(projections):
-        w = float(np.linalg.norm(vec))
-        if w > cutoff:
-            idx.append(i)
-            vals.append(float(dec.eigenvalues[i]))
-            weights.append(w)
-    return EigenvalueSupport(indices=tuple(idx), eigenvalues=tuple(vals), weights=tuple(weights))
+def _support_of(dec: SpectralDecomposition, weights: np.ndarray,
+                cutoff: float) -> EigenvalueSupport:
+    idx = np.nonzero(weights > cutoff)[0]
+    return EigenvalueSupport(indices=tuple(int(i) for i in idx),
+                             eigenvalues=tuple(float(dec.eigenvalues[i]) for i in idx),
+                             weights=tuple(float(weights[i]) for i in idx))
 
 
 # ---------------------------------------------------------------------------

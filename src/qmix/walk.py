@@ -1,5 +1,5 @@
-"""Continuous-walk evaluation: transition matrices U(t) = exp(itM) via the
-projector sum, mixing-deviation metrics, complex Hadamard classification,
+"""Continuous-walk evaluation: transition matrices U(t) = exp(itM) from the
+eigenvectors, mixing-deviation metrics, complex Hadamard classification,
 bipartite block structure, and target-state feasibility verification.
 
 Deviation values are Euclidean 2-norms of (probability vector minus the flat
@@ -21,27 +21,46 @@ from .spectral import (SpectralDecomposition, decompose_graph, support, vertex_s
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-_CHUNK = 512  # grid times per evaluation; bounds the (chunk, n, n) U(t) stack
+_CHUNK_BYTES = 1 << 23  # size of each float array of one grid chunk, e.g. (chunk, n, n) |U(t)|^2
+
+
+def _chunk(n: int, u: int | None) -> int:
+    """Grid times per evaluation: a chunk holds n^2 floats per time for the
+    whole matrix and n for one column."""
+    return max(1, _CHUNK_BYTES // (8 * n * (n if u is None else 1)))
+
+
+def _propagator_parts(dec: SpectralDecomposition, ts, u: int | None = None):
+    """Real and imaginary parts of U(t) = V e^(it levels) V^T at every time in
+    ts.  Shape (len(ts), n, n), or (len(ts), n) holding column u (equal to row
+    u, since U(t) is symmetric) when a vertex u is given."""
+    phase = np.multiply.outer(np.asarray(ts, dtype=float), dec.levels)
+    v = dec.vectors
+    n = dec.n
+    if u is None:  # one (len(ts) * n, n) x (n, n) product per part
+        return tuple(((v * f(phase)[:, None, :]).reshape(-1, n) @ v.T).reshape(-1, n, n)
+                     for f in (np.cos, np.sin))
+    return (np.cos(phase) * v[u]) @ v.T, (np.sin(phase) * v[u]) @ v.T
 
 
 def _propagator(dec: SpectralDecomposition, ts, u: int | None = None) -> np.ndarray:
-    """U(t) = sum_lambda e^(it lambda) E_lambda at every time in ts, as one
-    matmul of the phase matrix with the projector stack.  Shape (len(ts), n, n),
-    or (len(ts), n, 1) holding only column u when a vertex u is given."""
-    stack = dec.projectors if u is None else dec.projectors[:, :, u:u + 1]
-    phases = np.exp(1j * np.outer(ts, dec.eigenvalues))
-    return (phases @ stack.reshape(stack.shape[0], -1)).reshape(-1, *stack.shape[1:])
+    """U(t) at every time in ts, shaped as by _propagator_parts."""
+    re, im = _propagator_parts(dec, ts, u)
+    return re + 1j * im
 
 
 def _deviations(dec: SpectralDecomposition, ts, u: int | None) -> np.ndarray:
     """Deviation of column u at every time in ts; u=None takes the worst column."""
-    mat = _propagator(dec, ts, u)
-    prob = mat.real ** 2 + mat.imag ** 2
-    return np.sqrt(((prob - 1.0 / dec.n) ** 2).sum(axis=1)).max(axis=1)
+    re, im = _propagator_parts(dec, ts, u)
+    prob = np.square(re, out=re)
+    prob += np.square(im, out=im)
+    prob -= 1.0 / dec.n
+    sq = np.square(prob, out=prob).sum(axis=1)  # over rows: one sum per column
+    return np.sqrt(sq if u is not None else sq.max(axis=1))
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) as the phase-weighted sum of eigenprojectors; unitary and symmetric."""
+    """U(t) = sum_lambda e^(it lambda) E_lambda; unitary and symmetric."""
     return _propagator(dec, [t])[0]
 
 
@@ -60,8 +79,9 @@ def deviation_profile(dec: SpectralDecomposition, ts: np.ndarray,
     """Vectorized deviation over a time grid; u=None takes the worst column."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape[0])
-    for start in range(0, ts.shape[0], _CHUNK):
-        out[start:start + _CHUNK] = _deviations(dec, ts[start:start + _CHUNK], u)
+    chunk = _chunk(dec.n, u)
+    for start in range(0, ts.shape[0], chunk):
+        out[start:start + chunk] = _deviations(dec, ts[start:start + chunk], u)
     return out
 
 
@@ -256,11 +276,8 @@ def verify_target_state(g: WeightedGraph, dec: SpectralDecomposition, kind: Matr
             target = stats.edge_count - n * deg_u / 2.0
             record("edge-cosine-sum-laplacian", abs(edge_cos - target), abs(edge_cos - target) > eps)
 
-    norm_gap = 0.0
-    for proj in dec.projectors:
-        lhs = math.sqrt(n) * float(np.linalg.norm(proj[u]))  # ||E e_u||: E is symmetric
-        rhs = float(np.linalg.norm(proj @ entries))
-        norm_gap = max(norm_gap, abs(lhs - rhs))
+    gaps = math.sqrt(n) * dec.vertex_norms(u) - dec.projection_norms(entries)
+    norm_gap = float(np.abs(gaps).max())
     record("projection-norms", norm_gap, norm_gap > eps)
 
     supp_u = vertex_support(dec, u, tol)
@@ -293,8 +310,9 @@ def verify_target_state(g: WeightedGraph, dec: SpectralDecomposition, kind: Matr
         mu2 = rotated.imag
         pu = np.array(part_u, dtype=int)
         po = np.array(part_o, dtype=int)
+        rows = dec.projector_rows(u)
         for i in supp_u.indices:
-            vec = dec.projectors[i, u]
+            vec = rows[i]
             vu = vec[u]
             if abs(vu) < tol.supp:
                 continue

@@ -108,6 +108,11 @@ def complete_projectors(n):
     return {float(n - 1): j, -1.0: np.eye(n) - j}
 
 
+def projectors_of(dec):
+    """Eigenprojectors B B^T of a decomposition, one per distinct eigenvalue."""
+    return [b @ b.T for b in dec.bases]
+
+
 def naive_twin_subgraph_check(g: WeightedGraph, gs, hs, f, kind: str) -> bool:
     """Definition-level twin subgraph check, written independently of qmix."""
     a = np.zeros((g.n, g.n))

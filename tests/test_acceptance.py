@@ -19,7 +19,7 @@ from qmix import (HadamardKind, MatrixKind, Tier, WeightClass,
                   states_proportional, subdivide, transition_matrix, vertex_support)
 from qmix.walk import bipartite_block_check
 
-from conftest import (complete, complete_bipartite, cube_q3, cycle, path,
+from conftest import (complete, complete_bipartite, cube_q3, cycle, path, projectors_of,
                       random_connected_graph, random_tree, star)
 
 
@@ -191,12 +191,12 @@ def test_criterion_08_randomized_invariant_suites(rng):
             dec = dec_of(g)
             tol = 1e-9 * n
             # projector algebra and reconstruction
-            total = sum(dec.projectors)
+            total = sum(projectors_of(dec))
             assert np.abs(total - np.eye(n)).max() < tol
             assert np.abs(dec.reconstruct() - dec.matrix).max() < tol
-            for a, p in enumerate(dec.projectors):
+            for a, p in enumerate(projectors_of(dec)):
                 assert np.abs(p @ p - p).max() < tol
-                for q in dec.projectors[a + 1:]:
+                for q in projectors_of(dec)[a + 1:]:
                     assert np.abs(p @ q).max() < tol
             # unitarity, group law, symmetry at random times
             for t in rng.uniform(-8.0, 8.0, size=3):

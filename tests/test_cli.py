@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import networkx as nx
 import numpy as np
 
 from qmix import DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
+from qmix.graphs import MAX_VERTICES
 from qmix.cli import _batch_one, main
 from qmix.walk import deviation_profile
 
@@ -138,6 +140,50 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["search", str(bad), "--tmax", "-1"]) == 1
     assert main([]) == 1  # missing subcommand is a usage error
     capsys.readouterr()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_grid_arguments_are_usage_errors(tmp_path, capsys):
+    k2 = tmp_path / "k2.g6"
+    k2.write_text("A_\n")
+    heavy = tmp_path / "heavy.wel"  # the default step pi / (8 rho) collapses
+    heavy.write_text("0 1 1e300\n")
+    cases = [(k2, ["--step", "0"]), (k2, ["--step", "-1"]), (k2, ["--step", "nan"]),
+             (k2, ["--tmax", "nan"]), (k2, ["--tmax", "inf"]), (k2, ["--tmax", "1e300"]),
+             (k2, ["--step", "1e-12"]), (heavy, [])]
+    for path, flags in cases:
+        code, peak = _peak_bytes(lambda: main(["search", str(path), *flags]))
+        err = capsys.readouterr().err
+        assert code == 1, flags
+        assert err.startswith("qmix: usage error:") and "Traceback" not in err, flags
+        assert "--tmax" in err or "--step" in err, flags
+        assert peak < 10 * 2 ** 20, flags
+
+
+def test_vertex_cap_is_an_input_error(tmp_path, capsys):
+    n = MAX_VERTICES + 1  # graph6 writes 63 <= n < 2^18 as "~" and three 6-bit digits
+    header = "~" + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
+    g6 = tmp_path / "big.g6"
+    g6.write_text(header + "\n")
+    wel = tmp_path / "big.wel"
+    wel.write_text(f"0 1 1\n1 {MAX_VERTICES} 1\n")
+    for path in (g6, wel):
+        for command in ("spectrum", "certify", "search"):
+            code, peak = _peak_bytes(lambda: main([command, str(path)]))
+            err = capsys.readouterr().err
+            assert code == 2 and "cap" in err, (path.name, command)
+            assert peak < 10 * 2 ** 20
+    assert main(["batch", str(tmp_path)]) == 0
+    entry = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert "cap" in entry["error"]
 
 
 def test_usage_error_unknown_flag(capsys):

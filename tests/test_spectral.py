@@ -9,16 +9,16 @@ from qmix import (MatrixKind, SpectrumKind, WeightClass, WeightedGraph, classify
                   signed_kernel_vectors, support, vertex_support)
 from qmix.spectral import classify_values, leaf_peel_order
 
-from conftest import (complete, complete_projectors, cycle, path, random_connected_graph,
-                      random_tree, star, star_projectors)
+from conftest import (complete, complete_projectors, cycle, path, projectors_of,
+                      random_connected_graph, random_tree, star, star_projectors)
 
 
 def test_decompose_k2():
     dec = decompose_graph(complete(2), MatrixKind.ADJACENCY)
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
     assert dec.multiplicities == (1, 1)
-    assert np.allclose(dec.projectors[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
-    assert np.allclose(dec.projectors[1], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+    assert np.allclose(projectors_of(dec)[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+    assert np.allclose(projectors_of(dec)[1], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
 def test_decompose_star_matches_closed_form():
@@ -27,7 +27,7 @@ def test_decompose_star_matches_closed_form():
     root = math.sqrt(3)
     assert np.allclose(dec.eigenvalues, [-root, 0.0, root], atol=1e-10)
     assert dec.multiplicities == (1, 2, 1)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
+    for lam, proj in zip(dec.eigenvalues, projectors_of(dec)):
         key = min(oracle, key=lambda k: abs(k - lam))
         assert np.abs(proj - oracle[key]).max() < 1e-10
 
@@ -37,8 +37,8 @@ def test_decompose_k4_matches_closed_form():
     oracle = complete_projectors(4)
     assert np.allclose(dec.eigenvalues, [-1.0, 3.0], atol=1e-12)
     assert dec.multiplicities == (3, 1)
-    assert np.abs(dec.projectors[1] - oracle[3.0]).max() < 1e-12
-    assert np.abs(dec.projectors[0] - oracle[-1.0]).max() < 1e-12
+    assert np.abs(projectors_of(dec)[1] - oracle[3.0]).max() < 1e-12
+    assert np.abs(projectors_of(dec)[0] - oracle[-1.0]).max() < 1e-12
 
 
 def test_decompose_rejects_nonsymmetric():
@@ -52,13 +52,13 @@ def test_projector_algebra_random(rng):
         m = matrix_of(g, MatrixKind.ADJACENCY)
         dec = decompose(m)
         tol = 1e-9 * g.n
-        total = sum(dec.projectors)
+        total = sum(projectors_of(dec))
         assert np.abs(total - np.eye(g.n)).max() < tol
         assert np.abs(dec.reconstruct() - m).max() < tol
-        for i, p in enumerate(dec.projectors):
+        for i, p in enumerate(projectors_of(dec)):
             assert np.abs(p @ p - p).max() < tol
             assert abs(np.trace(p) - dec.multiplicities[i]) < tol
-            for q in dec.projectors[i + 1:]:
+            for q in projectors_of(dec)[i + 1:]:
                 assert np.abs(p @ q).max() < tol
         assert sum(dec.multiplicities) == g.n
 
@@ -233,4 +233,4 @@ def test_reconstruction_at_fifty_vertices(rng):
     m = matrix_of(g, MatrixKind.ADJACENCY)
     dec = decompose(m)
     assert np.abs(dec.reconstruct() - m).max() < 1e-9 * 50
-    assert np.abs(sum(dec.projectors) - np.eye(50)).max() < 1e-9 * 50
+    assert np.abs(sum(projectors_of(dec)) - np.eye(50)).max() < 1e-9 * 50

@@ -8,7 +8,7 @@ from qmix import (HadamardKind, MatrixKind, TargetStateCandidate, WeightClass, W
                   hadamard_classify, matrix_of,
                   matrix_uniform_deviation, mixing_deviation, regular_equivalence_check,
                   states_proportional, transition_matrix, verify_target_state)
-from qmix.walk import deviation_profile
+from qmix.walk import _chunk, deviation_profile
 
 from conftest import complete, cube_q3, cycle, path, random_connected_graph, star
 
@@ -120,6 +120,41 @@ def test_evaluator_matches_ungrouped_eigh(rng, n):
         for t, d in zip(ts, devs[:, u]):
             assert abs(mixing_deviation(dec, u, float(t)) - d) < 1e-12
     assert np.abs(deviation_profile(dec, ts, None) - devs.max(axis=1)).max() < 1e-12
+
+
+def test_chunked_profile_matches_pointwise_at_128(rng):
+    """A grid over more than three byte-sized chunks equals the per-time
+    objectives, for one column and for the worst column."""
+    g = random_connected_graph(rng, 128, WeightClass.REAL, extra_edges=300)
+    dec = dec_of(g)
+    for u, pointwise in ((5, lambda t: mixing_deviation(dec, 5, t)),
+                         (None, lambda t: matrix_uniform_deviation(dec, t))):
+        ts = np.linspace(0.0, 4.0, 3 * _chunk(dec.n, u) + 7)
+        want = [pointwise(float(t)) for t in ts]
+        assert np.abs(deviation_profile(dec, ts, u) - want).max() < 1e-12
+
+
+def test_grouped_near_degenerate_pair_uses_the_group_mean(rng):
+    """Two eigenvalues closer than the grouping gap form one group whose
+    phase is their mean: U(t) = sum over groups of e^(it mean) B B^T."""
+    q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    w = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 3e-9, 2.0, 3.0, 4.0])
+    dec = decompose((q * w) @ q.T)
+    assert 2 in dec.multiplicities and len(dec.eigenvalues) == 8
+    for t in (0.3, 1.7, 25.0):
+        ref = sum(np.exp(1j * t * lam) * (b @ b.T) for lam, b in zip(dec.eigenvalues, dec.bases))
+        assert np.abs(transition_matrix(dec, t) - ref).max() < 1e-12
+
+
+def test_decomposition_holds_no_cubic_array(rng):
+    n = 200
+    dec = dec_of(random_connected_graph(rng, n, WeightClass.REAL, extra_edges=400))
+    arrays = []
+    for value in vars(dec).values():
+        arrays.extend(value if isinstance(value, tuple) else [value])
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 3 + len(dec.bases)
+    assert max(a.size for a in arrays) <= n * n
 
 
 def test_similar_vertices_have_equal_profiles():
