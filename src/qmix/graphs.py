@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 # Largest vertex count either parser accepts.  A graph-wide search peaks near
-# 35 MB + 6.5 * 8n^2 bytes, so about 0.9 GB at this cap (see the README).
+# 35 MiB + 6.5 * 8n^2 bytes, about 0.85 GiB at this cap (see the README).
 MAX_VERTICES = 4096
 
 

@@ -21,7 +21,7 @@ from .spectral import (SpectralDecomposition, decompose_graph, support, vertex_s
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-_CHUNK_BYTES = 1 << 23  # size of each float array of one grid chunk, e.g. (chunk, n, n) |U(t)|^2
+_CHUNK_BYTES = 1 << 22  # size of each float array of one grid chunk, e.g. (chunk, n, n) |U(t)|^2
 
 
 def _chunk(n: int, u: int | None) -> int:
