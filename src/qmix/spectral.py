@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -27,6 +28,11 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 class SpectralError(RuntimeError):
     """Eigensolver failure (non-convergence); never silently ignored."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -50,16 +56,16 @@ class SpectralDecomposition:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max())
 
-    @property
+    @cached_property
     def levels(self) -> np.ndarray:
         """Each eigenvector's group eigenvalue, so that
         V diag(levels) V^T = sum_k lambda_k E_k."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
+        return _read_only(np.repeat(self.eigenvalues, self.multiplicities))
 
-    @property
+    @cached_property
     def _starts(self) -> np.ndarray:
         """First column of each group in V."""
-        return np.cumsum((0,) + self.multiplicities[:-1])
+        return _read_only(np.cumsum((0,) + self.multiplicities[:-1]))
 
     def projection_norms(self, x) -> np.ndarray:
         """||E_k x|| for every group k, read as ||B_k^T x||."""
@@ -102,12 +108,11 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
     gap = tol.group(float(np.abs(w).max(initial=0.0)))
     starts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > gap]
     stops = starts[1:] + [n]
-    for arr in (m, v):
-        arr.setflags(write=False)
-    eigvals = np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])
-    eigvals.setflags(write=False)
+    v = _read_only(v)
     return SpectralDecomposition(
-        matrix=m, eigenvalues=eigvals, multiplicities=tuple(b - a for a, b in zip(starts, stops)),
+        matrix=_read_only(m),
+        eigenvalues=_read_only(np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])),
+        multiplicities=tuple(b - a for a, b in zip(starts, stops)),
         vectors=v, bases=tuple(v[:, a:b] for a, b in zip(starts, stops)))
 
 
