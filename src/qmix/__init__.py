@@ -10,10 +10,10 @@ from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, Mat
                      is_connected, is_tree, matrix_of, parse_graph6, parse_weighted_edgelist,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
                      verify_twin_subgraphs)
-from .spectral import (EigenvalueSupport, SignedKernelVector, SpectralDecomposition,
-                       SpectralError, SpectrumClassification, SpectrumKind, classify_spectrum,
-                       decompose, decompose_graph, exact_kernel, signed_kernel_vectors,
-                       support, vertex_support)
+from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectralError,
+                       SpectrumClassification, SpectrumKind, classify_spectrum, decompose,
+                       decompose_graph, exact_kernel, signed_kernel_vectors, support,
+                       vertex_support)
 from .walk import (FeasibilityReport, HadamardClass, HadamardKind, TargetStateCandidate,
                    bipartite_block_check, hadamard_classify, matrix_uniform_deviation,
                    mixing_deviation, regular_equivalence_check, states_proportional,

@@ -32,8 +32,7 @@ from .graphs import (Bipartition, CycleFlags, DegreeStats, MatrixKind, PendantPa
                      degree_stats, find_twin_pairs, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
-from .spectral import (SignedKernelVector, SpectralDecomposition, exact_kernel,
-                       signed_kernel_vectors)
+from .spectral import SpectralDecomposition, exact_kernel, signed_kernel_vectors
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -107,7 +106,7 @@ class GraphFacts:
     twin_witnesses: tuple[TwinSubgraphWitness, ...]
     twin_search_truncated: bool
     kernel_basis: list[tuple[int, ...]]          # exact; empty for real weights
-    signed_vectors: tuple[SignedKernelVector, ...]
+    signed_vectors: np.ndarray  # (k, n) int8 signed kernel vectors, sorted rows
     signed_truncated: bool
     _twin_checked: dict[TwinSubgraphWitness, list | None] = field(
         default_factory=dict, init=False, repr=False)
@@ -131,6 +130,17 @@ class GraphFacts:
             self._twin_checked[w] = _inner_kernel_vectors(self.g, w) \
                 if false_pair and self.g.has_integer_weights() else None
         return self._twin_checked[w]
+
+    @cached_property
+    def signed_nnz(self) -> np.ndarray:
+        """Nonzero count of each signed kernel vector."""
+        return np.count_nonzero(self.signed_vectors, axis=1)
+
+    @cached_property
+    def signed_part_nnz(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Nonzero count of each signed kernel vector inside each bipartition part."""
+        return {part: np.count_nonzero(self.signed_vectors[:, list(part)], axis=1)
+                for part in (self.bip.b1, self.bip.b2)}
 
     @cached_property
     def graph_row_verdicts(self) -> tuple[dict[tuple, list[CertificateVerdict]], ...]:
@@ -186,14 +196,14 @@ def cert_eigenvector_inequality(facts: GraphFacts, u: int) -> CertificateVerdict
     rule = "eigenvector-inequality"
     dec, tol = facts.dec, facts.tol
     n = facts.n
-    for sv in facts.signed_vectors:
-        if sv.vector[u] == 0:
-            continue
-        lhs_sq = n * sv.vector[u] * sv.vector[u]
-        rhs = sum(abs(x) for x in sv.vector)
-        if lhs_sq > rhs * rhs:
+    pool = facts.signed_vectors
+    if len(pool):
+        # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
+        vec = _first_row(pool, (pool[:, u] != 0) & (n > facts.signed_nnz ** 2))
+        if vec is not None:
             return _vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel",
-                           vector=sv.vector, lhs_squared=lhs_sq, rhs=rhs)
+                           vector=vec, lhs_squared=n * vec[u] * vec[u],
+                           rhs=sum(abs(x) for x in vec))
     if dec is None:
         return _vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied")
     margin = tol.safety(n)
@@ -324,7 +334,7 @@ def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tupl
     inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
                                              if a in index and b in index])
     basis = exact_kernel(inner, MatrixKind.ADJACENCY)
-    vectors = [sv.vector for sv in signed_kernel_vectors(basis, max_dim=10).vectors]
+    vectors = [tuple(r) for r in signed_kernel_vectors(basis, max_dim=10).vectors.tolist()]
     vectors.extend(b for b in basis if b not in vectors)
     return vectors
 
@@ -387,15 +397,23 @@ def cert_kernel_vector(facts: GraphFacts, u: int) -> CertificateVerdict:
     root = math.isqrt(n)
     if root * root != n:
         return _vertex(rule, u, Verdict.RULED_OUT, route="not-a-square", n=n)
-    part_u = set(bp.part_of(u))
-    for sv in facts.signed_vectors:
-        if sv.vector[u] == 0:
-            continue
-        m = sum(1 for i, x in enumerate(sv.vector) if x and i in part_u)
-        if root > m or (root - m) % 2 != 0:
+    part_u = bp.part_of(u)
+    pool = facts.signed_vectors
+    if len(pool):
+        m = facts.signed_part_nnz[part_u]
+        bad = (pool[:, u] != 0) & ((root > m) | ((root - m) % 2 != 0))
+        vec = _first_row(pool, bad)
+        if vec is not None:
             return _vertex(rule, u, Verdict.RULED_OUT, route="signed-vector-nnz",
-                           vector=sv.vector, restricted_nnz=m, sqrt_n=root)
+                           vector=vec, restricted_nnz=sum(1 for i in part_u if vec[i]),
+                           sqrt_n=root)
     return _vertex(rule, u, Verdict.INCONCLUSIVE, sqrt_n=root, part_size=len(part_u))
+
+
+def _first_row(pool: np.ndarray, mask: np.ndarray) -> tuple[int, ...] | None:
+    """The first row of the pool where mask holds, as a tuple of ints."""
+    hit = np.flatnonzero(mask)
+    return tuple(pool[hit[0]].tolist()) if hit.size else None
 
 
 def cert_kernel_part_size(facts: GraphFacts, u: int) -> list[CertificateVerdict]:
@@ -406,11 +424,14 @@ def cert_kernel_part_size(facts: GraphFacts, u: int) -> list[CertificateVerdict]
         return []
     root = math.isqrt(facts.n)
     part_size = len(facts.bip.part_of(u))
-    hit = next((sv for sv in facts.signed_vectors if sv.vector[u] != 0), None)
-    if hit is None or not (root > part_size or (root - part_size) % 2 != 0):
+    if not (root > part_size or (root - part_size) % 2 != 0):
+        return []
+    pool = facts.signed_vectors
+    hit = _first_row(pool, pool[:, u] != 0) if len(pool) else None
+    if hit is None:
         return []
     return [_vertex("bipartite-kernel-part-size", u, Verdict.RULED_OUT,
-                    tier=Tier.PAPER_ASSERTED, vector=hit.vector, part_size=part_size,
+                    tier=Tier.PAPER_ASSERTED, vector=hit, part_size=part_size,
                     sqrt_n=root,
                     note="literal part-size form; known to fail on the 4-vertex star, "
                          "which admits uniform mixing - kept at the asserted tier")]
@@ -457,7 +478,7 @@ def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
 def cert_kernel_part_mod4(facts: GraphFacts) -> list[CertificateVerdict]:
     """Asserted tier: a singular bipartite graph with a signed kernel vector
     needs both part sizes congruent to 0 or to 2 mod 4."""
-    if not _bipartite_adjacency(facts) or not facts.signed_vectors:
+    if not _bipartite_adjacency(facts) or len(facts.signed_vectors) == 0:
         return []
     p1, p2 = len(facts.bip.b1) % 4, len(facts.bip.b2) % 4
     bad = not (p1 == p2 and p1 in (0, 2))

@@ -632,6 +632,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
     cut = _budget_cut(n, a_cap, subset_budget)
     last_a = a_cap if cut is None else cut[0]
     active = [x for x in range(n) if compat[x]]
+    rows = mat.tolist()  # the blocks read per candidate are tiny: plain floats beat numpy
     witnesses: list[TwinSubgraphWitness] = []
     for a in range(1, last_a + 1):
         for gs in combinations(active, a):
@@ -644,7 +645,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
             for hs in combinations(_partner_pool(compat, gs), a):
                 if hs_cut is not None and hs >= hs_cut:
                     break
-                witnesses.extend(_classify_subset_pair(mat, compat, gs, hs))
+                witnesses.extend(_classify_subset_pair(rows, compat, gs, hs))
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=cut is not None)
 
 
@@ -713,7 +714,9 @@ def _partner_pool(compat, gs) -> list[int]:
             return []
 
 
-def _classify_subset_pair(mat, compat, gs, hs) -> list[TwinSubgraphWitness]:
+def _classify_subset_pair(rows, compat, gs, hs) -> list[TwinSubgraphWitness]:
+    """The witnesses on the candidate (gs, hs); rows is the adjacency matrix
+    as nested lists."""
     inside = frozenset(gs) | frozenset(hs)
     partners = []
     for x in gs:
@@ -726,7 +729,7 @@ def _classify_subset_pair(mat, compat, gs, hs) -> list[TwinSubgraphWitness]:
 
     if a == 1:
         x, y = gs[0], hs[0]
-        w_cross = mat[x, y]
+        w_cross = rows[x][y]
         kind = TwinKind.TRUE if w_cross != 0 else TwinKind.FALSE
         return [TwinSubgraphWitness(
             kind=kind, g_vertices=gs, h_vertices=hs, bijection=((x, y),),
@@ -734,28 +737,25 @@ def _classify_subset_pair(mat, compat, gs, hs) -> list[TwinSubgraphWitness]:
             valency_cross=_as_weight(w_cross) if kind is TwinKind.TRUE else None)]
 
     out: list[TwinSubgraphWitness] = []
-    sub_g = mat[np.ix_(gs, gs)]
-    sub_h = mat[np.ix_(hs, hs)]
-    cross = mat[np.ix_(gs, hs)]
-    if not cross.any():
-        f = _false_twin_bijection(sub_g, sub_h, partners, gs, hs)
+    if not any(rows[x][y] for x in gs for y in hs):
+        f = _false_twin_bijection(rows, partners, gs, hs)
         if f is not None:
             out.append(TwinSubgraphWitness(
                 kind=TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
                 bijection=tuple(sorted(f.items()))))
 
-    in_g = sub_g.sum(axis=1)
-    in_h = sub_h.sum(axis=1)
-    if in_g.max() == in_g.min() == in_h.max() == in_h.min():
-        cross_g = cross.sum(axis=1)
-        cross_h = cross.sum(axis=0)
-        if cross_g.max() == cross_g.min() == cross_h.max() == cross_h.min():
+    valency_in = {sum(rows[x][z] for z in part) for part in (gs, hs) for x in part}
+    if len(valency_in) == 1:
+        cross = ({sum(rows[x][y] for y in hs) for x in gs}
+                 | {sum(rows[x][y] for x in gs) for y in hs})
+        if len(cross) == 1:
             f = _first_pairing(partners, gs, hs)
             if f is not None:
                 out.append(TwinSubgraphWitness(
                     kind=TwinKind.TRUE, g_vertices=gs, h_vertices=hs,
                     bijection=tuple(sorted(f.items())),
-                    valency_in=_as_weight(in_g[0]), valency_cross=_as_weight(cross_g[0])))
+                    valency_in=_as_weight(valency_in.pop()),
+                    valency_cross=_as_weight(cross.pop())))
     return out
 
 
@@ -764,22 +764,15 @@ def _as_weight(x) -> Weight:
     return int(f) if f.is_integer() else f
 
 
-def _false_twin_bijection(sub_g, sub_h, partners, gs, hs) -> dict[int, int] | None:
+def _false_twin_bijection(rows, partners, gs, hs) -> dict[int, int] | None:
     """Weight-preserving isomorphism between the parts whose pairs also agree
     externally; brute force over permutations (part sizes <= 4)."""
     a = len(gs)
     for perm in permutations(range(a)):
         if any(hs[perm[i]] not in partners[i] for i in range(a)):
             continue
-        ok = True
-        for i in range(a):
-            for j in range(i + 1, a):
-                if sub_g[i, j] != sub_h[perm[i], perm[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(rows[gs[i]][gs[j]] == rows[hs[perm[i]]][hs[perm[j]]]
+               for i in range(a) for j in range(i + 1, a)):
             return {gs[i]: hs[perm[i]] for i in range(a)}
     return None
 

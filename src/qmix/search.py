@@ -97,18 +97,25 @@ def _polish(f, t: float, h: float) -> tuple[float, float]:
     return t, f0
 
 
-def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float | None,
-          tol: Tolerances) -> MixingReport:
+def _check_grid(t_max: float, step: float) -> None:
+    """Raise GridError unless the window [0, t_max] at this step is a usable
+    grid: both positive and finite, and at most MAX_GRID_POINTS points.
+    Called before anything of the grid's size is allocated."""
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise GridError("scan window must be positive and finite")
-    if step is None:
-        step = default_step(dec)
     if not (math.isfinite(step) and step > 0.0):
         raise GridError("grid step must be positive and finite")
     points = (t_max + step / 2.0) / step
     if points > MAX_GRID_POINTS:
         raise GridError(f"window {t_max:g} at step {step:g} gives a grid of {points:.3g} "
                         f"points, above the cap of {MAX_GRID_POINTS}")
+
+
+def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float | None,
+          tol: Tolerances) -> MixingReport:
+    if step is None:
+        step = default_step(dec)
+    _check_grid(t_max, step)
     ts = np.arange(0.0, t_max + step / 2.0, step)
     profile = deviation_profile(dec, ts, u)
 
@@ -180,10 +187,12 @@ def empirical_inf(dec: SpectralDecomposition, target: int | None, windows,
     """Grid infimum of the deviation over increasing windows at one grid
     density; the sequence is nonincreasing because the grids are nested."""
     ws = [float(w) for w in windows]
-    if any(b <= a for a, b in zip(ws, ws[1:])) or any(w <= 0 for w in ws):
-        raise ValueError("windows must be positive and strictly increasing")
     if step is None:
         step = default_step(dec)
+    for w in ws:
+        _check_grid(w, step)
+    if any(b <= a for a, b in zip(ws, ws[1:])):
+        raise ValueError("windows must be strictly increasing")
     out = []
     best = math.inf
     count_done = 0

@@ -6,8 +6,12 @@ spectra.
 Floating decompositions use LAPACK's symmetric eigensolver at every size and
 keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
 decomposition holds O(n^2) numbers.
-Exact kernels are computed with fraction-free rational elimination, so kernel
-facts carry no floating error at all.
+Exact kernels carry no floating error at all.  They take one of three
+routes: the Laplacian and signless Laplacian kernels in closed form
+(component indicators and bipartite two-colourings), the adjacency matrix
+through a rank test mod a prime that settles every nonsingular case, and
+only a singular adjacency matrix through elimination over the rationals
+(`Fraction`).  The signed kernel vectors form one read-only int8 array.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -246,85 +249,134 @@ def _primitive_integer(vec: list[Fraction]) -> tuple[int, ...]:
 
 def exact_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...]]:
     """Basis of the rational kernel of the chosen matrix as primitive integer
-    vectors (exact arithmetic; empty exactly when the matrix is nonsingular).
+    vectors with a positive lead (exact arithmetic; empty exactly when the
+    matrix is nonsingular).  The basis is the one Gaussian elimination in
+    the column order below gives.
 
-    On trees the elimination follows a leaf-peeling vertex order, which in
-    practice yields a raw basis with entries in {-1, 0, 1} for unit weights;
-    the property is verified by consumers per instance, never assumed.
+    Both Laplacians take their kernel in closed form.  The adjacency matrix
+    is first eliminated mod a prime: full rank there means full rank over Q.
+    Otherwise it is eliminated over Q, on trees in a leaf-peeling column
+    order, which in practice yields a raw basis with entries in {-1, 0, 1}
+    for unit weights; the property is verified by consumers per instance,
+    never assumed.
     """
-    m = rational_matrix(g, kind)
+    if not g.has_integer_weights():
+        raise ValueError("exact arithmetic requires integer edge weights")
+    if kind is not MatrixKind.ADJACENCY:
+        return _laplacian_kernel(g, kind)
+    if _full_rank_mod_p(g):
+        return []
     order = leaf_peel_order(g) if is_tree(g) else list(range(g.n))
-    basis = _rational_kernel(m, order)
-    return [_primitive_integer(v) for v in basis]
+    return [_primitive_integer(v) for v in _rational_kernel(rational_matrix(g, kind), order)]
 
 
-@dataclass(frozen=True)
-class SignedKernelVector:
-    """Exact kernel vector with entries in {-1, 0, 1}."""
+def _laplacian_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...]]:
+    """For positive weights x^T L x = sum w_uv (x_u - x_v)^2 and
+    x^T Q x = sum w_uv (x_u + x_v)^2.  So ker L is spanned by the component
+    indicators and ker Q by the +-1 two-colourings of the bipartite
+    components.  Within a component only the last column in elimination
+    order is free, so the basis lists the components by their last vertex
+    (on a tree the one component), each vector led by its smallest vertex."""
+    laplacian = kind is MatrixKind.LAPLACIAN
+    adj = adjacency_lists(g)
+    sign = [0] * g.n
+    found = []
+    for s in range(g.n):
+        if sign[s]:
+            continue
+        sign[s] = 1  # s is the smallest vertex of its component
+        comp, stack, bipartite = [s], [s], True
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not sign[y]:
+                    sign[y] = -sign[x]
+                    comp.append(y)
+                    stack.append(y)
+                elif sign[y] == sign[x]:
+                    bipartite = False
+        if laplacian or bipartite:
+            vec = [0] * g.n
+            for x in comp:
+                vec[x] = 1 if laplacian else sign[x]
+            found.append((max(comp), tuple(vec)))
+    return [vec for _, vec in sorted(found)]
 
-    vector: tuple[int, ...]
-    nnz: int
+
+_PRIME = 2 ** 31 - 1  # a product of two residues stays below 2^62, inside int64
+
+
+def _full_rank_mod_p(g: WeightedGraph) -> bool:
+    """Whether the integer adjacency matrix has full rank mod _PRIME; then it
+    is nonsingular over Q, because rank over GF(p) <= rank over Q."""
+    n = g.n
+    m = np.zeros((n, n), dtype=np.int64)
+    for u, v, w in g.edges:
+        m[u, v] = m[v, u] = w % _PRIME
+    for col in range(n):
+        nz = np.flatnonzero(m[col:, col])
+        if nz.size == 0:
+            return False
+        piv = col + int(nz[0])
+        m[[col, piv]] = m[[piv, col]]
+        m[col] = m[col] * pow(int(m[col, col]), _PRIME - 2, _PRIME) % _PRIME
+        m[col + 1:] = (m[col + 1:] - np.outer(m[col + 1:, col], m[col]) % _PRIME) % _PRIME
+    return True
 
 
 @dataclass(frozen=True)
 class SignedVectorResult:
-    vectors: tuple[SignedKernelVector, ...]
+    vectors: np.ndarray  # (k, n) int8, read-only, rows in lexicographic order
     truncated: bool
+
+
+_ENUM_ROWS = 32768       # most coefficient vectors per enumeration chunk
+_ENUM_BYTES = 4 << 20    # and at most this many bytes per int64 chunk array
 
 
 def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]], u: int | None = None,
                           max_dim: int = 12) -> SignedVectorResult:
     """Enumerate {-1, 0, 1}-coefficient combinations of the kernel basis and
     keep those whose entries all lie in {-1, 0, 1} (optionally with a nonzero
-    entry at u).  Kernels of dimension above max_dim are only sampled through
-    the basis vectors themselves and flagged as truncated."""
+    entry at u), each with a positive lead, as the distinct rows of an int8
+    array in lexicographic order.  Kernels of dimension above max_dim are
+    only sampled through the basis vectors themselves and flagged as
+    truncated."""
     dim = len(kernel_basis)
     if dim == 0:
-        return SignedVectorResult(vectors=(), truncated=False)
+        return SignedVectorResult(vectors=_read_only(np.zeros((0, 0), np.int8)), truncated=False)
     basis = np.array(kernel_basis, dtype=np.int64)
-    found: dict[tuple[int, ...], None] = {}
-
-    def _keep(vec: np.ndarray) -> None:
-        if np.abs(vec).max(initial=0) != 1:
-            return
-        if u is not None and vec[u] == 0:
-            return
-        lead = vec[np.nonzero(vec)[0][0]]
-        if lead < 0:
-            vec = -vec
-        found.setdefault(tuple(int(x) for x in vec))
-
     truncated = dim > max_dim
     if truncated:
-        for row in basis:
-            _keep(row.copy())
+        kept = [_signed_rows(basis, u)]
     else:
-        coeff_iter = product((-1, 0, 1), repeat=dim)
-        chunk: list[tuple[int, ...]] = []
-        for coeffs in coeff_iter:
-            if any(coeffs):
-                chunk.append(coeffs)
-            if len(chunk) == 32768:
-                _keep_chunk(np.array(chunk, dtype=np.int64), basis, u, found)
-                chunk = []
-        if chunk:
-            _keep_chunk(np.array(chunk, dtype=np.int64), basis, u, found)
-    vectors = tuple(SignedKernelVector(vector=v, nnz=sum(1 for x in v if x))
-                    for v in sorted(found))
-    return SignedVectorResult(vectors=vectors, truncated=truncated)
+        # c and -c give v and -v, so only coefficient vectors whose first
+        # nonzero entry is +1 are tried.  Read as balanced ternary digits they
+        # are the numbers 1 .. h with h = (3^dim - 1) / 2, and the digits of
+        # c + h in base 3, less one, are those of c.
+        total = 3 ** dim
+        powers = 3 ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        rows = max(1, min(_ENUM_ROWS, _ENUM_BYTES // (8 * basis.shape[1])))
+        kept = []
+        for start in range(total // 2 + 1, total, rows):
+            idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+            kept.append(_signed_rows((idx[:, None] // powers % 3 - 1) @ basis, u))
+    pool = np.concatenate(kept)
+    pool = pool[np.lexsort(pool.T[::-1])]
+    if len(pool) > 1:  # a dependent "basis" can give one vector twice
+        pool = pool[np.concatenate(([True], (pool[1:] != pool[:-1]).any(axis=1)))]
+    return SignedVectorResult(vectors=_read_only(pool), truncated=truncated)
 
 
-def _keep_chunk(coeffs: np.ndarray, basis: np.ndarray, u: int | None,
-                found: dict[tuple[int, ...], None]) -> None:
-    vecs = coeffs @ basis
+def _signed_rows(vecs: np.ndarray, u: int | None) -> np.ndarray:
+    """The rows of vecs with entries in {-1, 0, 1}, not all zero, and nonzero
+    at u when u is given, as int8 with a positive first nonzero entry."""
     ok = np.abs(vecs).max(axis=1) == 1
     if u is not None:
         ok &= vecs[:, u] != 0
-    for vec in vecs[ok]:
-        nz = np.nonzero(vec)[0]
-        if vec[nz[0]] < 0:
-            vec = -vec
-        found.setdefault(tuple(int(x) for x in vec))
+    rows = vecs[ok].astype(np.int8)
+    rows *= rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)][:, None]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,34 @@ def reference_twin_search(g: WeightedGraph, a_max: int = 4,
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=False)
 
 
+def reference_signed_vectors(kernel_basis, u=None, max_dim=12):
+    """The exhaustive enumeration of signed kernel vectors, kept as the
+    reference for the array-valued one: every {-1, 0, 1}-combination of the
+    basis (above max_dim only the basis rows themselves) whose entries all
+    lie in {-1, 0, 1} and, when u is given, are nonzero at u, negated to a
+    positive first nonzero entry.  Returns the distinct vectors as tuples in
+    the order found.  Self-contained: no qmix internals."""
+    from itertools import product
+
+    dim = len(kernel_basis)
+    if dim == 0:
+        return []
+    if dim > max_dim:
+        coeff_iter = (tuple(int(i == j) for i in range(dim)) for j in range(dim))
+    else:
+        coeff_iter = product((-1, 0, 1), repeat=dim)
+    found = {}
+    for coeffs in coeff_iter:
+        vec = [sum(c * b[i] for c, b in zip(coeffs, kernel_basis))
+               for i in range(len(kernel_basis[0]))]
+        if max(abs(x) for x in vec) != 1 or (u is not None and vec[u] == 0):
+            continue
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        found.setdefault(tuple(vec))
+    return list(found)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

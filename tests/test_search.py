@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qmix import (MatrixKind, decompose_graph, empirical_inf, golden_section,
                   matrix_uniform_deviation, mixing_deviation, scan_local, scan_uniform,
                   states_proportional)
+from qmix.search import GridError
 
 from conftest import complete, cube_q3, cycle, path, star
 
@@ -114,3 +116,18 @@ def test_empirical_inf_validates_windows():
     dec = dec_of(complete(2))
     with pytest.raises(ValueError):
         empirical_inf(dec, None, (2.0, 1.0))
+
+
+def test_empirical_inf_rejects_unusable_grids():
+    dec = dec_of(complete(2))
+    cases = [dict(windows=(1.0,), step=0.0), dict(windows=(1.0,), step=math.nan),
+             dict(windows=(math.nan,), step=None), dict(windows=(1e12,), step=0.01)]
+    for case in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError):
+                empirical_inf(dec, None, case["windows"], step=case["step"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, case

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmix import (MatrixKind, SpectrumKind, WeightClass, WeightedGraph, classify_spectrum,
                   decompose, decompose_graph, exact_kernel, matrix_of,
                   signed_kernel_vectors, support, vertex_support)
-from qmix.spectral import classify_values, leaf_peel_order
+from qmix.graphs import is_tree
+from qmix.spectral import (_full_rank_mod_p, _primitive_integer, _rational_kernel,
+                           classify_values, leaf_peel_order, rational_matrix)
 
 from conftest import (complete, complete_projectors, cycle, path, projectors_of,
-                      random_connected_graph, random_tree, star, star_projectors)
+                      random_connected_graph, random_tree, reference_signed_vectors, star,
+                      star_projectors)
 
 
 def test_decompose_k2():
@@ -148,6 +153,58 @@ def test_singular_tree_bases_are_signed(rng):
     assert seen_singular >= 5
 
 
+def _eliminated_kernel(g, kind):
+    """The kernel basis straight from rational elimination, with no shortcut."""
+    order = leaf_peel_order(g) if is_tree(g) else list(range(g.n))
+    return [_primitive_integer(v) for v in _rational_kernel(rational_matrix(g, kind), order)]
+
+
+def _random_union(rng):
+    """A seeded graph of up to four components under a random relabelling:
+    isolated vertices, trees, and trees with extra (often odd-cycle) edges,
+    with weights 1-4."""
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(1, 6))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, size)]
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)
+                 if (i, j) not in edges]
+        rng.shuffle(pairs)
+        parts.append((size, edges + pairs[:int(rng.integers(0, 3))]))
+    n = sum(size for size, _ in parts)
+    label = [int(x) for x in rng.permutation(n)]
+    edges, base = [], 0
+    for size, part in parts:
+        edges += [(label[base + i], label[base + j], int(rng.integers(1, 5))) for i, j in part]
+        base += size
+    return WeightedGraph.build(n, edges)
+
+
+def test_exact_kernel_matches_elimination(rng):
+    # closed-form L/Q kernels and the mod-p gate give the eliminated basis,
+    # vector for vector and in order
+    cases = [star(5), path(6), cycle(5), WeightedGraph.build(4, [(0, 3, 2)])]
+    cases += [_random_union(rng) for _ in range(150)]
+    cases += [random_tree(rng, int(rng.integers(2, 12))) for _ in range(20)]
+    disconnected = 0
+    for g in cases:
+        disconnected += not is_tree(g) and g.edge_count < g.n - 1
+        for kind in MatrixKind:
+            assert exact_kernel(g, kind) == _eliminated_kernel(g, kind), (g, kind)
+    assert disconnected >= 50
+
+
+def test_modular_gate_falls_back_at_the_prime():
+    # every weight is 0 mod 2^31 - 1, so only rational elimination can decide
+    p = 2 ** 31 - 1
+    k2 = WeightedGraph.build(2, [(0, 1, p)])
+    p3 = WeightedGraph.build(3, [(0, 1, p), (1, 2, p)])
+    for g, kernel in ((k2, []), (p3, [(1, 0, -1)])):
+        assert not _full_rank_mod_p(g)
+        assert exact_kernel(g, MatrixKind.ADJACENCY) == kernel == \
+            _eliminated_kernel(g, MatrixKind.ADJACENCY)
+
+
 def test_leaf_peel_order_covers_tree():
     g = star(6)
     order = leaf_peel_order(g)
@@ -162,18 +219,48 @@ def test_signed_vectors_star():
     basis = exact_kernel(star(4), MatrixKind.ADJACENCY)
     res = signed_kernel_vectors(basis, u=1)
     assert not res.truncated
-    assert (0, 1, -1, 0) in {sv.vector for sv in res.vectors}
-    assert all(sv.vector[1] != 0 for sv in res.vectors)
-    assert all(sv.nnz == sum(1 for x in sv.vector if x) for sv in res.vectors)
+    rows = res.vectors.tolist()
+    assert [0, 1, -1, 0] in rows
+    assert all(r[1] != 0 for r in rows)
+    assert res.vectors.dtype == np.int8 and not res.vectors.flags.writeable
 
 
 def test_signed_vectors_p3_center_empty():
     basis = exact_kernel(path(3), MatrixKind.ADJACENCY)
-    assert signed_kernel_vectors(basis, u=1).vectors == ()
+    assert len(signed_kernel_vectors(basis, u=1).vectors) == 0
 
 
 def test_signed_vectors_nonsingular_empty():
-    assert signed_kernel_vectors([], u=0).vectors == ()
+    assert len(signed_kernel_vectors([], u=0).vectors) == 0
+
+
+@pytest.mark.parametrize("dim", range(10))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_signed_vectors_match_reference_property(dim, data):
+    n = data.draw(st.integers(max(dim, 1), dim + 5), label="n")
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2))
+    basis = [tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(dim)]
+    u = data.draw(st.none() | st.integers(0, n - 1), label="u")
+    max_dim = data.draw(st.sampled_from((12, max(dim - 1, 0))), label="max_dim")
+    res = signed_kernel_vectors(basis, u=u, max_dim=max_dim)
+    assert res.truncated is (dim > max_dim)
+    assert [tuple(r) for r in res.vectors.tolist()] == \
+        sorted(reference_signed_vectors(basis, u=u, max_dim=max_dim))
+
+
+def test_signed_vectors_of_kernels_match_reference(rng):
+    dims = set()
+    for _ in range(60):
+        g = _random_union(rng)
+        for kind in MatrixKind:
+            basis = exact_kernel(g, kind)
+            dims.add(len(basis))
+            for u in (None, int(rng.integers(0, g.n))):
+                got = signed_kernel_vectors(basis, u=u).vectors.tolist()
+                want = sorted(reference_signed_vectors(basis, u=u))
+                assert [tuple(r) for r in got] == want, (g, kind, u)
+    assert {0, 1, 2, 3} <= dims
 
 
 def test_signed_vectors_truncation():
