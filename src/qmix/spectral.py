@@ -345,7 +345,10 @@ def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]], u: int | None = N
     dim = len(kernel_basis)
     if dim == 0:
         return SignedVectorResult(vectors=_read_only(np.zeros((0, 0), np.int8)), truncated=False)
-    basis = np.array(kernel_basis, dtype=np.int64)
+    # a combination's entries are at most dim * max |b_ij| in size; int64 holds
+    # them exactly below 2^63, larger weights fall back to Python ints
+    big = dim * max(abs(x) for row in kernel_basis for x in row) >= 2 ** 63
+    basis = np.array(kernel_basis, dtype=object if big else np.int64)
     truncated = dim > max_dim
     if truncated:
         kept = [_signed_rows(basis, u)]

@@ -242,6 +242,13 @@ def test_bad_weights_are_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_takes_integer_weights_beyond_int64(tmp_path, capsys):
+    p = tmp_path / "heavy.wel"
+    p.write_text("0 1 1e300\n1 2 1\n")  # the adjacency kernel holds 10^300
+    assert main(["certify", str(p)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_eigensolver_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
     def failing_eigh(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -263,6 +263,19 @@ def test_signed_vectors_of_kernels_match_reference(rng):
     assert {0, 1, 2, 3} <= dims
 
 
+def test_signed_vectors_exact_beyond_int64():
+    # (1, 1, 1, 1) gives first entry 2^64 - 1, which int64 would wrap to -1
+    firsts = (2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 - 1)
+    basis = [(x,) + tuple(int(i == j) for j in range(4)) for i, x in enumerate(firsts)]
+    rows = signed_kernel_vectors(basis).vectors.tolist()
+    assert [tuple(r) for r in rows] == sorted(reference_signed_vectors(basis))
+    assert [-1, 1, 1, 1, 1] not in rows and [1, -1, -1, -1, -1] not in rows
+    g = WeightedGraph.build(3, [(0, 1, 10 ** 30), (1, 2, 1)])
+    basis = exact_kernel(g, MatrixKind.ADJACENCY)
+    assert basis == [(1, 0, -10 ** 30)]
+    assert len(signed_kernel_vectors(basis).vectors) == 0
+
+
 def test_signed_vectors_truncation():
     basis = [tuple(1 if i == j else 0 for i in range(14)) for j in range(14)]
     res = signed_kernel_vectors(basis, max_dim=12)
