@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -234,10 +235,12 @@ def _cmd_batch(args) -> int:
     tol = _tolerances(args)
     tasks = [(path, lineno, line, args.matrix, args.tier, bool(args.assert_planar), tol)
              for path, lineno, line in payloads]
-    if args.jobs == 1:
+    # a pool starts all of its workers at once, so never more than can be busy
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         entries = [_batch_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_batch_one, tasks))
     rule_counts: dict[str, int] = {}
     errors = 0

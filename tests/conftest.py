@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qmix import WeightClass, WeightedGraph
+from qmix import MatrixKind, WeightClass, WeightedGraph
+from qmix.graphs import is_tree
+from qmix.spectral import leaf_peel_order
 
 
 def complete(n):
@@ -235,6 +239,76 @@ def reference_signed_vectors(kernel_basis, u=None, max_dim=12):
             vec = [-x for x in vec]
         found.setdefault(tuple(vec))
     return list(found)
+
+
+def rational_matrix(g: WeightedGraph, kind: MatrixKind) -> list[list[Fraction]]:
+    """The chosen matrix of an integer-weighted graph as `Fraction` rows."""
+    if not g.has_integer_weights():
+        raise ValueError("exact arithmetic requires integer edge weights")
+    n = g.n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, w in g.edges:
+        m[u][v] = m[v][u] = Fraction(w)
+    if kind is not MatrixKind.ADJACENCY:
+        sign = -1 if kind is MatrixKind.LAPLACIAN else 1
+        wdeg = [sum(m[u]) for u in range(n)]
+        m = [[Fraction(sign) * m[u][v] for v in range(n)] for u in range(n)]
+        for u in range(n):
+            m[u][u] += wdeg[u]
+    return m
+
+
+def _rational_kernel(m: list[list[Fraction]], column_order: list[int]) -> list[list[Fraction]]:
+    """Kernel basis of a rational matrix, eliminating columns in the given order."""
+    rows = [list(r) for r in m]
+    nrows, ncols = len(rows), len(column_order)
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for col in column_order:
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_of_col[col] = r
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in column_order if c not in pivot_of_col]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for col, prow in pivot_of_col.items():
+            vec[col] = -rows[prow][fc]
+        basis.append(vec)
+    return basis
+
+
+def _primitive_integer(vec: list[Fraction]) -> tuple[int, ...]:
+    scale = math.lcm(*(x.denominator for x in vec)) if vec else 1
+    ints = [int(x * scale) for x in vec]
+    content = math.gcd(*(abs(x) for x in ints)) if any(ints) else 1
+    if content > 1:
+        ints = [x // content for x in ints]
+    lead = next((x for x in ints if x != 0), 1)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def reference_exact_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...]]:
+    """The kernel basis straight from elimination over the rationals
+    (`Fraction`), with no closed form and no rank gate, kept as the
+    reference for `exact_kernel`: columns in leaf-peeling order on trees and
+    in vertex order otherwise, each vector primitive with a positive lead."""
+    order = leaf_peel_order(g) if is_tree(g) else list(range(g.n))
+    return [_primitive_integer(v) for v in _rational_kernel(rational_matrix(g, kind), order)]
 
 
 @pytest.fixture

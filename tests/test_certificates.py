@@ -12,8 +12,7 @@ from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, We
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
                   collect_facts, decompose_graph, search_twin_subgraphs, subdivide)
-from qmix.spectral import rational_matrix
-from conftest import (complete, complete_bipartite, cube_q3, cycle, path,
+from conftest import (complete, complete_bipartite, cube_q3, cycle, path, rational_matrix,
                       random_connected_graph, random_tree, star)
 
 

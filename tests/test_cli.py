@@ -233,6 +233,40 @@ def test_batch_empty_dir(tmp_path, capsys):
     assert aggregate["aggregate"]["graphs"] == 0
 
 
+def test_batch_jobs_capped_by_tasks_and_cores(tmp_path, capsys, monkeypatch):
+    # a pool starts max_workers processes at once; this fake starts none
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("qmix.cli.ProcessPoolExecutor", InlinePool)
+    assert main(["batch", str(tmp_path), "--jobs", "100000"]) == 0
+    assert json.loads(capsys.readouterr().out)["aggregate"]["graphs"] == 0
+    assert started == []
+    lines = [nx.to_graph6_bytes(nx.path_graph(n), header=False).decode().strip()
+             for n in (3, 4, 5)]
+    (tmp_path / "paths.g6").write_text("\n".join(lines) + "\n")
+    assert main(["batch", str(tmp_path)]) == 0
+    sequential = capsys.readouterr().out
+    for cores, expected in ((64, 3), (2, 2)):
+        monkeypatch.setattr("qmix.cli.os.cpu_count", lambda: cores)
+        assert main(["batch", str(tmp_path), "--jobs", "100000"]) == 0
+        assert capsys.readouterr().out == sequential
+        assert started[-1] == expected
+    assert len(started) == 2
+
+
 def test_bad_weights_are_input_errors(tmp_path, capsys):
     for weight in ("1e400", "1e-400"):
         p = tmp_path / "bad.wel"

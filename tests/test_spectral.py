@@ -10,12 +10,11 @@ from qmix import (MatrixKind, SpectrumKind, WeightClass, WeightedGraph, classify
                   decompose, decompose_graph, exact_kernel, matrix_of,
                   signed_kernel_vectors, support, vertex_support)
 from qmix.graphs import is_tree
-from qmix.spectral import (_full_rank_mod_p, _primitive_integer, _rational_kernel,
-                           classify_values, leaf_peel_order, rational_matrix)
+from qmix.spectral import _GATE_MIN_N, _full_rank_mod_p, classify_values, leaf_peel_order
 
 from conftest import (complete, complete_projectors, cycle, path, projectors_of,
-                      random_connected_graph, random_tree, reference_signed_vectors, star,
-                      star_projectors)
+                      random_connected_graph, random_tree, reference_exact_kernel,
+                      reference_signed_vectors, star, star_projectors)
 
 
 def test_decompose_k2():
@@ -153,12 +152,6 @@ def test_singular_tree_bases_are_signed(rng):
     assert seen_singular >= 5
 
 
-def _eliminated_kernel(g, kind):
-    """The kernel basis straight from rational elimination, with no shortcut."""
-    order = leaf_peel_order(g) if is_tree(g) else list(range(g.n))
-    return [_primitive_integer(v) for v in _rational_kernel(rational_matrix(g, kind), order)]
-
-
 def _random_union(rng):
     """A seeded graph of up to four components under a random relabelling:
     isolated vertices, trees, and trees with extra (often odd-cycle) edges,
@@ -180,29 +173,74 @@ def _random_union(rng):
     return WeightedGraph.build(n, edges)
 
 
+def _with_false_twin(g, v):
+    """g plus a new vertex with the neighbours and weights of v, so that
+    its adjacency row repeats row v and the matrix is singular."""
+    twin = [(g.n, b if a == v else a, w) for a, b, w in g.edges if v in (a, b)]
+    return WeightedGraph.build(g.n + 1, list(g.edges) + twin)
+
+
+def _disjoint_union(graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(base + u, base + v, w) for u, v, w in h.edges]
+        base += h.n
+    return WeightedGraph.build(base, edges)
+
+
 def test_exact_kernel_matches_elimination(rng):
-    # closed-form L/Q kernels and the mod-p gate give the eliminated basis,
-    # vector for vector and in order
+    # closed-form L/Q kernels, integer elimination and the mod-p gate give
+    # the rationally eliminated basis, vector for vector and in order
     cases = [star(5), path(6), cycle(5), WeightedGraph.build(4, [(0, 3, 2)])]
     cases += [_random_union(rng) for _ in range(150)]
     cases += [random_tree(rng, int(rng.integers(2, 12))) for _ in range(20)]
+    # singular non-trees on both sides of the gate's size switch
+    singular = []
+    for n in list(range(_GATE_MIN_N - 2, _GATE_MIN_N + 3)) + [24, 32, 40]:
+        base = random_connected_graph(rng, n - 1, WeightClass.INTEGER, extra_edges=n // 2)
+        singular.append(_with_false_twin(base, int(rng.integers(0, n - 1))))
+    singular += [_disjoint_union([_random_union(rng), _random_union(rng)]) for _ in range(6)]
+    # weights above 2^63, below and above the switch
+    for n in (_GATE_MIN_N - 1, _GATE_MIN_N + 4):
+        base = random_connected_graph(rng, n - 1, WeightClass.INTEGER, extra_edges=n)
+        big = WeightedGraph.build(base.n, [(u, v, w * 2 ** 64 + 1) for u, v, w in base.edges])
+        cases.append(big)
+        singular.append(_with_false_twin(big, 0))
+    assert min(g.n for g in singular) < _GATE_MIN_N <= max(g.n for g in singular)
+    assert max(w for g in cases for _, _, w in g.edges) > 2 ** 63
     disconnected = 0
-    for g in cases:
+    for g in cases + singular:
         disconnected += not is_tree(g) and g.edge_count < g.n - 1
         for kind in MatrixKind:
-            assert exact_kernel(g, kind) == _eliminated_kernel(g, kind), (g, kind)
+            assert exact_kernel(g, kind) == reference_exact_kernel(g, kind), (g, kind)
+    assert all(not is_tree(g) and exact_kernel(g, MatrixKind.ADJACENCY) for g in singular)
     assert disconnected >= 50
 
 
-def test_modular_gate_falls_back_at_the_prime():
-    # every weight is 0 mod 2^31 - 1, so only rational elimination can decide
+def test_modular_gate_falls_back_at_the_prime(monkeypatch):
+    # every weight is 0 mod 2^31 - 1, so only exact elimination can decide
     p = 2 ** 31 - 1
     k2 = WeightedGraph.build(2, [(0, 1, p)])
     p3 = WeightedGraph.build(3, [(0, 1, p), (1, 2, p)])
-    for g, kernel in ((k2, []), (p3, [(1, 0, -1)])):
+    # from _GATE_MIN_N vertices the gate runs first and must fall back:
+    # disjoint K2 are nonsingular over Q, and one P3 among them is not
+    pairs = _disjoint_union([k2] * ((_GATE_MIN_N + 1) // 2))
+    below = _disjoint_union([p3] + [k2] * ((_GATE_MIN_N - 4) // 2))
+    above = _disjoint_union([p3] + [k2] * ((_GATE_MIN_N + 1) // 2))
+    assert below.n < _GATE_MIN_N <= pairs.n < above.n
+    gated = []
+
+    def gate(g):
+        gated.append(g.n)
+        return _full_rank_mod_p(g)
+
+    monkeypatch.setattr("qmix.spectral._full_rank_mod_p", gate)
+    for g in (k2, p3, below, pairs, above):
+        kernel = [] if g in (k2, pairs) else [(1, 0, -1) + (0,) * (g.n - 3)]
         assert not _full_rank_mod_p(g)
         assert exact_kernel(g, MatrixKind.ADJACENCY) == kernel == \
-            _eliminated_kernel(g, MatrixKind.ADJACENCY)
+            reference_exact_kernel(g, MatrixKind.ADJACENCY)
+    assert gated == [pairs.n, above.n]
 
 
 def test_leaf_peel_order_covers_tree():
