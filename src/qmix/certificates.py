@@ -28,7 +28,7 @@ import numpy as np
 
 from .graphs import (Bipartition, CycleFlags, DegreeStats, MatrixKind, PendantPair,
                      TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
-                     adjacency_lists, bipartition, connected_components, cycle_flags,
+                     bipartition, connected_components, cycle_flags,
                      degree_stats, find_twin_pairs, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
@@ -614,11 +614,10 @@ def _pendant_tree_pattern(g: WeightedGraph, deg) -> list[int] | None:
     pendants = [v for v in range(n) if deg[v] == 1]
     if len(pendants) != n // 2:
         return None
-    adj = adjacency_lists(g)
     inner = [v for v in range(n) if deg[v] > 1]
     attached = set()
     for p in pendants:
-        host = adj[p][0]
+        host = next(iter(g.neighbourhoods[p]))
         if deg[host] == 1 or host in attached:
             return None
         attached.add(host)

@@ -53,28 +53,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="graph file (.g6 graph6, .wel weighted edge list)")
-        p.add_argument("--matrix", choices=sorted(_MATRIX), default="adjacency")
-        p.add_argument("--tol-group", type=float, default=None,
-                       help="eigenvalue grouping scale override")
-        p.add_argument("--tol-supp", type=float, default=None,
-                       help="support membership threshold override")
-        p.add_argument("--tol-detect", type=float, default=None,
-                       help="mixing detection threshold override")
+    analysis = _Parser(add_help=False)  # flags of every command
+    analysis.add_argument("--matrix", choices=sorted(_MATRIX), default="adjacency")
+    analysis.add_argument("--tol-group", type=_positive_float, default=None,
+                          help="eigenvalue grouping scale override")
+    analysis.add_argument("--tol-supp", type=_positive_float, default=None,
+                          help="support membership threshold override")
+    analysis.add_argument("--tol-detect", type=_positive_float, default=None,
+                          help="mixing detection threshold override")
+    certifying = _Parser(add_help=False)  # flags of certify and batch
+    certifying.add_argument("--tier", choices=["strict", "paper"], default="strict")
+    certifying.add_argument("--assert-planar", action="store_true",
+                            help="enable planar-family bounds (planarity is asserted, never tested)")
+    graph_file = "graph file (.g6 graph6, .wel weighted edge list)"
 
-    p = sub.add_parser("spectrum", help="eigenvalues, classification, periodicity")
-    common(p)
+    p = sub.add_parser("spectrum", parents=[analysis],
+                       help="eigenvalues, classification, periodicity")
+    p.add_argument("input", help=graph_file)
 
-    p = sub.add_parser("certify", help="run the rule-out certificates")
-    common(p)
+    p = sub.add_parser("certify", parents=[analysis, certifying],
+                       help="run the rule-out certificates")
+    p.add_argument("input", help=graph_file)
     p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--tier", choices=["strict", "paper"], default="strict")
-    p.add_argument("--assert-planar", action="store_true",
-                   help="enable planar-family bounds (planarity is asserted, never tested)")
 
-    p = sub.add_parser("search", help="scan for (local) uniform mixing")
-    common(p)
+    p = sub.add_parser("search", parents=[analysis], help="scan for (local) uniform mixing")
+    p.add_argument("input", help=graph_file)
     p.add_argument("--vertex", type=int, default=None,
                    help="scan one column; omit for the graph-wide scan")
     p.add_argument("--tmax", type=_positive_float, default=10.0)
@@ -82,36 +85,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", type=str, default=None,
                    help="write the grid profile as CSV 't,delta'")
 
-    p = sub.add_parser("batch", help="certify every graph6 line under a directory")
+    p = sub.add_parser("batch", parents=[analysis, certifying],
+                       help="certify every graph6 line under a directory")
     p.add_argument("input", help="directory of .g6 files")
-    p.add_argument("--matrix", choices=sorted(_MATRIX), default="adjacency")
-    p.add_argument("--tier", choices=["strict", "paper"], default="strict")
-    p.add_argument("--assert-planar", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tol-group", type=float, default=None)
-    p.add_argument("--tol-supp", type=float, default=None)
-    p.add_argument("--tol-detect", type=float, default=None)
     return parser
 
 
 def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOLERANCES
     overrides = {}
-    if getattr(args, "tol_group", None) is not None:
+    if args.tol_group is not None:
         overrides["group_scale"] = args.tol_group
-    if getattr(args, "tol_supp", None) is not None:
+    if args.tol_supp is not None:
         overrides["supp"] = args.tol_supp
-    if getattr(args, "tol_detect", None) is not None:
+    if args.tol_detect is not None:
         overrides["detect"] = args.tol_detect
-    return replace(tol, **overrides) if overrides else tol
+    return replace(DEFAULT_TOLERANCES, **overrides) if overrides else DEFAULT_TOLERANCES
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file is an
+    input error that names the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> WeightedGraph:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    text = _read_text(p)
     suffix = p.suffix.lower()
     try:
         if suffix == ".g6":
@@ -143,7 +146,7 @@ def _cmd_spectrum(args) -> int:
 def _certify_options(args) -> CertifyOptions:
     return CertifyOptions(
         tier=Tier.PAPER_ASSERTED if args.tier == "paper" else Tier.STRICT,
-        assert_planar=bool(getattr(args, "assert_planar", False)))
+        assert_planar=args.assert_planar)
 
 
 def _cmd_certify(args) -> int:
@@ -200,21 +203,18 @@ def _batch_payloads(directory: str):
         raise GraphFormatError(f"{directory}: not a directory")
     payloads = []
     for path in sorted(root.glob("*.g6")):
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             if line.strip():
                 payloads.append((str(path), lineno, line.strip()))
     return payloads
 
 
 def _batch_one(task) -> dict:
-    path, lineno, line, matrix, tier, assert_planar, tol = task
-    kind = _MATRIX[matrix]
+    path, lineno, line, kind, opts, tol = task
     entry: dict = {"file": path, "line": lineno}
     try:
         g = parse_graph6(line)
         dec = decompose_graph(g, kind, tol)
-        opts = CertifyOptions(tier=Tier.PAPER_ASSERTED if tier == "paper" else Tier.STRICT,
-                              assert_planar=assert_planar)
         report = certify_graph(g, dec, kind, opts, tol)
         entry["n"] = g.n
         entry["edge_count"] = g.edge_count
@@ -232,9 +232,8 @@ def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     payloads = _batch_payloads(args.input)
-    tol = _tolerances(args)
-    tasks = [(path, lineno, line, args.matrix, args.tier, bool(args.assert_planar), tol)
-             for path, lineno, line in payloads]
+    shared = (_MATRIX[args.matrix], _certify_options(args), _tolerances(args))
+    tasks = [(path, lineno, line, *shared) for path, lineno, line in payloads]
     # a pool starts all of its workers at once, so never more than can be busy
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:

@@ -5,16 +5,21 @@ subdivision and pendant-attachment constructions.
 Vertices are dense integers 0..n-1.  Graphs are simple, loopless and
 undirected with strictly positive edge weights.  Values are immutable, so
 every operation here is a pure function and safe for concurrent use.
+
+A graph derives its weighted neighbourhoods and one traversal (components,
+bipartite flags, a +-1 colouring) once, on first use, and the functions
+here read them; neither is larger than O(n + m).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,6 +113,56 @@ class WeightedGraph:
 
     def has_integer_weights(self) -> bool:
         return self.weight_class in (WeightClass.UNIT, WeightClass.INTEGER)
+
+    @cached_property
+    def neighbourhoods(self) -> tuple[MappingProxyType, ...]:
+        """The exact weighted neighbourhood of each vertex, read-only, with
+        its neighbours in ascending order."""
+        rows: list[dict[int, Weight]] = [{} for _ in range(self.n)]
+        for u, v, w in self.edges:
+            rows[u][v] = w
+            rows[v][u] = w
+        return tuple(MappingProxyType(dict(sorted(row.items()))) for row in rows)
+
+    @cached_property
+    def traversal(self) -> "Traversal":
+        """Components, bipartite flags and +-1 colouring from one search."""
+        nbrs = self.neighbourhoods
+        colour = [0] * self.n
+        components, bipartite = [], []
+        for s in range(self.n):
+            if colour[s]:
+                continue
+            colour[s] = 1  # s is the smallest vertex of its component
+            comp, stack, two_colourable = [s], [s], True
+            while stack:
+                x = stack.pop()
+                for y in nbrs[x]:
+                    if not colour[y]:
+                        colour[y] = -colour[x]
+                        comp.append(y)
+                        stack.append(y)
+                    elif colour[y] == colour[x]:
+                        two_colourable = False
+            components.append(tuple(sorted(comp)))
+            bipartite.append(two_colourable)
+        return Traversal(components=tuple(components), bipartite=tuple(bipartite),
+                         colour=tuple(colour))
+
+    def __getstate__(self):  # the cached members are rebuilt on demand, never pickled
+        return {"n": self.n, "edges": self.edges, "weight_class": self.weight_class}
+
+
+@dataclass(frozen=True)
+class Traversal:
+    """The components of a graph, each sorted and listed by its smallest
+    vertex; whether each is bipartite; and a +-1 colouring with +1 at each
+    component's smallest vertex, a proper 2-colouring of every bipartite
+    component."""
+
+    components: tuple[tuple[int, ...], ...]
+    bipartite: tuple[bool, ...]
+    colour: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +270,6 @@ def parse_weighted_edgelist(text: str) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # Matrices and basic statistics
 
-def adjacency_lists(g: WeightedGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
-    return adj
-
-
-def weight_map(g: WeightedGraph) -> dict[tuple[int, int], Weight]:
-    """Symmetric lookup of edge weights; missing pairs mean non-adjacency."""
-    m: dict[tuple[int, int], Weight] = {}
-    for u, v, w in g.edges:
-        m[(u, v)] = w
-        m[(v, u)] = w
-    return m
-
-
 def adjacency_matrix(g: WeightedGraph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
@@ -255,20 +291,13 @@ def matrix_of(g: WeightedGraph, kind: MatrixKind) -> np.ndarray:
 
 
 def degrees(g: WeightedGraph) -> list[int]:
-    """Combinatorial degrees (incident edge counts, ignoring weights)."""
-    deg = [0] * g.n
-    for u, v, _ in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    """Combinatorial degrees (incident edge counts, ignoring weights), as a
+    fresh list the caller may change."""
+    return [len(row) for row in g.neighbourhoods]
 
 
 def weighted_degrees(g: WeightedGraph) -> list[Weight]:
-    deg: list[Weight] = [0] * g.n
-    for u, v, w in g.edges:
-        deg[u] += w
-        deg[v] += w
-    return deg
+    return [sum(row.values()) for row in g.neighbourhoods]
 
 
 @dataclass(frozen=True)
@@ -284,15 +313,14 @@ def common_neighbors(g: WeightedGraph, j: int, ell: int) -> int:
     """Number of common neighbors of two distinct vertices."""
     if j == ell:
         raise ValueError("common_neighbors requires two distinct vertices")
-    adj = adjacency_lists(g)
-    return len(set(adj[j]) & set(adj[ell]))
+    nbrs = g.neighbourhoods
+    return len(nbrs[j].keys() & nbrs[ell].keys())
 
 
 def degree_stats(g: WeightedGraph) -> DegreeStats:
     """Exact degree statistics; dist2_pairs counts vertex pairs at distance two."""
     deg = degrees(g)
-    adj = adjacency_lists(g)
-    nbr = [set(row) for row in adj]
+    nbr = [set(row) for row in g.neighbourhoods]
     q = 0
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -311,28 +339,12 @@ def degree_stats(g: WeightedGraph) -> DegreeStats:
 # Connectivity, bipartition, cycles
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
-    adj = adjacency_lists(g)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """Sorted components in order of their smallest vertex."""
+    return [list(comp) for comp in g.traversal.components]
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(g.traversal.components) == 1
 
 
 def is_tree(g: WeightedGraph) -> bool:
@@ -353,25 +365,13 @@ class Bipartition:
 
 
 def bipartition(g: WeightedGraph) -> Bipartition:
-    """BFS 2-coloring; part B1 is canonically the one containing vertex 0."""
-    adj = adjacency_lists(g)
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return Bipartition(present=False)
-    c0 = color[0]
-    b1 = tuple(v for v in range(g.n) if color[v] == c0)
-    b2 = tuple(v for v in range(g.n) if color[v] != c0)
+    """The 2-colouring of the traversal; part B1 holds the smallest vertex
+    of every component, vertex 0 among them."""
+    t = g.traversal
+    if not all(t.bipartite):
+        return Bipartition(present=False)
+    b1 = tuple(v for v in range(g.n) if t.colour[v] > 0)
+    b2 = tuple(v for v in range(g.n) if t.colour[v] < 0)
     return Bipartition(present=True, b1=b1, b2=b2)
 
 
@@ -388,8 +388,8 @@ def cycle_flags(g: WeightedGraph) -> CycleFlags:
     A 4-cycle exists exactly when some vertex pair has two or more common
     neighbors, so C4-freeness matches the common-neighbor bound c(j,l) <= 1.
     """
-    adj = adjacency_lists(g)
-    nbr = [set(row) for row in adj]
+    nbrs = g.neighbourhoods
+    nbr = [set(row) for row in nbrs]
     tri = any(nbr[u] & nbr[v] for u, v, _ in g.edges)
     c4 = False
     for u in range(g.n):
@@ -399,10 +399,10 @@ def cycle_flags(g: WeightedGraph) -> CycleFlags:
                 break
         if c4:
             break
-    return CycleFlags(has_triangle=tri, has_c4=c4, has_c5=_has_cycle5(adj, nbr))
+    return CycleFlags(has_triangle=tri, has_c4=c4, has_c5=_has_cycle5(nbrs))
 
 
-def _has_cycle5(adj, nbr) -> bool:
+def _has_cycle5(adj) -> bool:
     n = len(adj)
     for s in range(n):
         # paths s-a-b-c-d with all vertices > s, closed by an edge d-s
@@ -418,7 +418,7 @@ def _has_cycle5(adj, nbr) -> bool:
                     for d in adj[c]:
                         if d <= s or d in (a, b, c):
                             continue
-                        if d in nbr[s]:
+                        if d in adj[s]:
                             return True
     return False
 
@@ -522,8 +522,7 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
         raise ValueError("twin subgraph vertex sets must be disjoint and equal-sized")
     if any(not 0 <= v < g.n for v in gs + hs):
         raise ValueError("twin subgraph vertex id out of range")
-    wm = weight_map(g)
-    rows = [{v: wm[(u, v)] for v in range(g.n) if (u, v) in wm} for u in range(g.n)]
+    rows = g.neighbourhoods
     inside = set(gs) | set(hs)
     outside = [w for w in range(g.n) if w not in inside]
 
@@ -533,10 +532,8 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
             raise ValueError("false twin witness requires its isomorphism")
         if sorted(f) != sorted(gs) or sorted(f.values()) != sorted(hs):
             raise ValueError("bijection does not map the first part onto the second")
-        for x in gs:
-            for y in hs:
-                if (x, y) in wm:
-                    return False
+        if any(y in rows[x] for x in gs for y in hs):
+            return False
         for x1, x2 in combinations(gs, 2):
             if rows[x1].get(x2, 0) != rows[f[x1]].get(f[x2], 0):
                 return False
@@ -798,17 +795,15 @@ class PendantPair:
 
 def pendant_pairs_with_common_neighbor(g: WeightedGraph) -> list[PendantPair]:
     """All pairs of degree-1 vertices hanging off the same vertex."""
-    deg = degrees(g)
-    wm = weight_map(g)
-    adj = adjacency_lists(g)
+    nbrs = g.neighbourhoods
     by_support: dict[int, list[int]] = {}
-    for u in range(g.n):
-        if deg[u] == 1:
-            by_support.setdefault(adj[u][0], []).append(u)
+    for u, row in enumerate(nbrs):
+        if len(row) == 1:
+            by_support.setdefault(next(iter(row)), []).append(u)
     out = []
     for v, pend in sorted(by_support.items()):
-        for u, w in combinations(sorted(pend), 2):
-            out.append(PendantPair(u=u, w=w, v=v, alpha=wm[(u, v)], beta=wm[(w, v)]))
+        for u, w in combinations(pend, 2):
+            out.append(PendantPair(u=u, w=w, v=v, alpha=nbrs[v][u], beta=nbrs[v][w]))
     return out
 
 
@@ -825,6 +820,6 @@ def is_caterpillar(g: WeightedGraph) -> bool:
     if len(keep) <= 1:
         return True
     kset = set(keep)
-    adj = adjacency_lists(g)
-    inner_deg = [sum(1 for x in adj[v] if x in kset) for v in keep]
+    nbrs = g.neighbourhoods
+    inner_deg = [sum(1 for x in nbrs[v] if x in kset) for v in keep]
     return max(inner_deg) <= 2

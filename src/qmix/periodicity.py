@@ -65,18 +65,13 @@ def ratio_condition(eigenvalues, classification: SpectrumClassification,
     returned as the witness.
     """
     values = [float(x) for x in eigenvalues]
-    if len(values) <= 2:
-        # with at most one distinct difference the condition is vacuous
-        if classification.kind is SpectrumKind.ALL_INTEGER:
-            return RatioConditionResult(True, RatioMode.INTEGER_SPECTRUM)
-        if classification.kind is SpectrumKind.QUADRATIC_SURD:
-            return RatioConditionResult(True, RatioMode.QUADRATIC_SURD)
-        return RatioConditionResult(True, RatioMode.RATIONAL_RECONSTRUCTION)
     if classification.kind is SpectrumKind.ALL_INTEGER:
         return RatioConditionResult(True, RatioMode.INTEGER_SPECTRUM)
     if classification.kind is SpectrumKind.QUADRATIC_SURD:
         # differences are (b_i - b_j) * sqrt(delta) / 2, so ratios are rational
         return RatioConditionResult(True, RatioMode.QUADRATIC_SURD)
+    if len(values) <= 2:  # with at most one distinct difference the condition is vacuous
+        return RatioConditionResult(True, RatioMode.RATIONAL_RECONSTRUCTION)
     lo, hi = min(values), max(values)
     base = hi - lo
     for i, a in enumerate(values):

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import CertificateReport, CertificateVerdict
-from .graphs import (WeightedGraph, bipartition, connected_components, cycle_flags,
-                     degree_stats)
+from .graphs import WeightedGraph, bipartition, cycle_flags, degree_stats, is_connected
 from .periodicity import is_periodic_vertex
 from .search import Detection, MixingReport
 from .spectral import SpectralDecomposition, SpectrumClassification, classify_spectrum
@@ -84,20 +83,15 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# JSON string escapes: the five short forms, and \u00XX for every other
+# code point below 0x20; everything else is written as it is.
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
+                 ord("\r"): "\\r", ord("\t"): "\\t"})
 
 
 def _escape(text: str) -> str:
-    parts = ['"']
-    for ch in text:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+    return '"' + text.translate(_ESCAPES) + '"'
 
 
 def report_header(tol: Tolerances) -> dict:
@@ -109,9 +103,8 @@ def graph_summary(g: WeightedGraph) -> dict:
     stats = degree_stats(g)
     bip = bipartition(g)
     flags = cycle_flags(g)
-    comps = connected_components(g)
-    connected = len(comps) == 1
-    summary = {
+    connected = is_connected(g)
+    return {
         "n": g.n,
         "edge_count": g.edge_count,
         "weight_class": g.weight_class.value,
@@ -127,7 +120,6 @@ def graph_summary(g: WeightedGraph) -> dict:
         "has_c4": flags.has_c4,
         "has_c5": flags.has_c5,
     }
-    return summary
 
 
 def classification_dict(cls: SpectrumClassification) -> dict:

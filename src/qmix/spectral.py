@@ -7,10 +7,11 @@ Floating decompositions use LAPACK's symmetric eigensolver at every size and
 keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
 decomposition holds O(n^2) numbers.
 Exact kernels carry no floating error at all.  The Laplacian and signless
-Laplacian kernels are taken in closed form (component indicators and
-bipartite two-colourings).  The adjacency matrix is eliminated over the
-Python integers, fraction-free; from _GATE_MIN_N vertices a rank test mod a
-prime runs first and settles every nonsingular case without elimination.
+Laplacian kernels are taken in closed form from the graph's traversal
+(component indicators and bipartite two-colourings).  The adjacency matrix
+is eliminated over the Python integers, fraction-free; from _GATE_MIN_N
+vertices a rank test mod a prime runs first and settles every nonsingular
+case without elimination.
 The signed kernel vectors form one read-only int8 array.
 """
 
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import MatrixKind, WeightedGraph, adjacency_lists, degrees, is_tree, matrix_of
+from .graphs import MatrixKind, WeightedGraph, degrees, is_tree, matrix_of
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -132,9 +133,6 @@ class EigenvalueSupport:
     eigenvalues: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
-
 
 def support(dec: SpectralDecomposition, x, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenvalueSupport:
     """Eigenvalue support of a vector: eigenvalues with ||E x|| above the
@@ -167,7 +165,7 @@ def _support_of(dec: SpectralDecomposition, weights: np.ndarray,
 def leaf_peel_order(g: WeightedGraph) -> list[int]:
     """Vertex order produced by repeatedly removing current leaves of a tree."""
     deg = degrees(g)
-    adj = adjacency_lists(g)
+    nbrs = g.neighbourhoods
     removed = [False] * g.n
     order: list[int] = []
     queue = deque(sorted(v for v in range(g.n) if deg[v] <= 1))
@@ -177,7 +175,7 @@ def leaf_peel_order(g: WeightedGraph) -> list[int]:
             continue
         removed[u] = True
         order.append(u)
-        for v in adj[u]:
+        for v in nbrs[u]:
             if not removed[v]:
                 deg[v] -= 1
                 if deg[v] == 1:
@@ -266,29 +264,15 @@ def _laplacian_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...
     order is free, so the basis lists the components by their last vertex
     (on a tree the one component), each vector led by its smallest vertex."""
     laplacian = kind is MatrixKind.LAPLACIAN
-    adj = adjacency_lists(g)
-    sign = [0] * g.n
-    found = []
-    for s in range(g.n):
-        if sign[s]:
-            continue
-        sign[s] = 1  # s is the smallest vertex of its component
-        comp, stack, bipartite = [s], [s], True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not sign[y]:
-                    sign[y] = -sign[x]
-                    comp.append(y)
-                    stack.append(y)
-                elif sign[y] == sign[x]:
-                    bipartite = False
+    t = g.traversal
+    basis = []
+    for comp, bipartite in sorted(zip(t.components, t.bipartite), key=lambda c: c[0][-1]):
         if laplacian or bipartite:
             vec = [0] * g.n
             for x in comp:
-                vec[x] = 1 if laplacian else sign[x]
-            found.append((max(comp), tuple(vec)))
-    return [vec for _, vec in sorted(found)]
+                vec[x] = 1 if laplacian else t.colour[x]
+            basis.append(tuple(vec))
+    return basis
 
 
 _PRIME = 2 ** 31 - 1  # a product of two residues stays below 2^62, inside int64

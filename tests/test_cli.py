@@ -8,7 +8,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
-from qmix import DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
+from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
 from qmix.cli import _batch_one, main
 from qmix.walk import deviation_profile
@@ -139,6 +139,40 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["certify", str(bad)]) == 2
     assert main(["search", str(bad), "--tmax", "-1"]) == 1
     assert main([]) == 1  # missing subcommand is a usage error
+    capsys.readouterr()
+
+
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err, argv
+    return err
+
+
+def test_unreadable_or_undecodable_input_is_an_input_error(tmp_path, capsys):
+    for name in ("x.g6", "x.wel"):
+        bad = tmp_path / "files" / name
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(b"\xff\n")
+        for command in ("spectrum", "certify", "search"):
+            assert str(bad) in _assert_input_error(capsys, [command, str(bad)])
+    assert str(bad.with_name("x.g6")) in _assert_input_error(capsys, ["batch", str(bad.parent)])
+    (tmp_path / "dirs" / "d.g6").mkdir(parents=True)
+    assert "d.g6" in _assert_input_error(capsys, ["batch", str(tmp_path / "dirs")])
+    assert "d.g6" in _assert_input_error(capsys, ["certify", str(tmp_path / "dirs" / "d.g6")])
+
+
+def test_tolerance_flags_must_be_positive_and_finite(tmp_path, capsys):
+    p = write_star_g6(tmp_path)
+    for command in ("spectrum", "certify", "search", "batch"):
+        target = str(tmp_path if command == "batch" else p)
+        for flag in ("--tol-group", "--tol-supp", "--tol-detect"):
+            for value in ("nan", "inf", "0", "-1"):
+                assert main([command, target, flag, value]) == 1, (command, flag, value)
+                err = capsys.readouterr().err
+                assert err.startswith("qmix: usage error:") and flag in err, (command, flag)
+                assert "Traceback" not in err
+    assert main(["certify", str(p), "--tol-group", "1e-6"]) == 0
     capsys.readouterr()
 
 
@@ -301,7 +335,7 @@ def test_eigensolver_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
 
 def test_batch_entry_reports_truncation():
     line = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode().strip()
-    task = ("paths.g6", 1, line, "adjacency", "strict", False, DEFAULT_TOLERANCES)
+    task = ("paths.g6", 1, line, MatrixKind.ADJACENCY, CertifyOptions(), DEFAULT_TOLERANCES)
     entry = _batch_one(task)
     assert entry["twin_search_truncated"] is False
     assert entry["signed_enumeration_truncated"] is False

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +14,7 @@ from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, W
                   matrix_of, parse_graph6, parse_weighted_edgelist,
                   pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
                   verify_twin_subgraphs)
-from qmix.graphs import degrees
+from qmix.graphs import connected_components, degrees, is_tree, weighted_degrees
 
 from conftest import (complete, count_distance_two_pairs, cycle, naive_twin_subgraph_check,
                       path, random_connected_graph, reference_twin_search, star)
@@ -444,6 +445,96 @@ def test_is_caterpillar():
     assert not is_caterpillar(spider)
     with pytest.raises(ValueError):
         is_caterpillar(cycle(4))
+
+
+# ---------------------------------------------------------------------------
+# cached structure: neighbourhoods and the traversal
+
+@st.composite
+def _any_graph(draw):
+    """Graphs on 1-10 vertices, often disconnected, with unit, integer or
+    real weights."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = draw(st.sampled_from([st.just(1), st.integers(1, 4),
+                                   st.floats(0.25, 4.0, allow_nan=False)]))
+    return WeightedGraph.build(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+def _networkx(g):
+    gnx = nx.Graph()
+    gnx.add_nodes_from(range(g.n))
+    gnx.add_weighted_edges_from(g.edges)
+    return gnx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_graph())
+def test_structure_matches_networkx(g):
+    gnx = _networkx(g)
+    comps = sorted(sorted(c) for c in nx.connected_components(gnx))
+    assert connected_components(g) == comps
+    assert is_tree(g) == nx.is_tree(gnx)
+    assert degrees(g) == [gnx.degree(v) for v in range(g.n)]
+    assert weighted_degrees(g) == [gnx.degree(v, weight="weight") for v in range(g.n)]
+    for v in range(g.n):
+        row = g.neighbourhoods[v]
+        assert list(row) == sorted(gnx[v])
+        assert dict(row) == {x: gnx[v][x]["weight"] for x in gnx[v]}
+    bip = bipartition(g)
+    assert bip.present == nx.is_bipartite(gnx)
+    if bip.present:  # each component coloured from its smallest vertex
+        colour = {}
+        for comp in comps:
+            colour.update(nx.bipartite.color(gnx.subgraph(comp)))
+            if colour[comp[0]] == 1:
+                colour.update((v, 1 - colour[v]) for v in comp)
+        assert bip.b1 == tuple(v for v in range(g.n) if colour[v] == 0)
+        assert bip.b2 == tuple(v for v in range(g.n) if colour[v] == 1)
+
+
+def test_cached_structure_is_read_only():
+    g = WeightedGraph.build(4, [(0, 1, 2), (1, 2, 1)])
+    assert g.neighbourhoods is g.neighbourhoods and g.traversal is g.traversal
+    with pytest.raises(TypeError):
+        g.neighbourhoods[0][3] = 1
+    with pytest.raises(TypeError):
+        g.neighbourhoods[1][0] = 5
+    with pytest.raises(TypeError):
+        g.traversal.colour[0] = -1
+    with pytest.raises(AttributeError):
+        g.traversal.components = ()
+    assert g.traversal.components == ((0, 1, 2), (3,))
+    assert g.traversal.bipartite == (True, True)
+    copy = pickle.loads(pickle.dumps(g))  # the cached members are not pickled
+    assert copy == g and "neighbourhoods" not in vars(copy)
+    assert copy.neighbourhoods == g.neighbourhoods
+
+
+def test_degrees_returns_a_fresh_list():
+    g = star(4)
+    deg = degrees(g)
+    deg[0] = 0  # leaf_peel_order counts its own copy down in the same way
+    assert degrees(g) == [3, 1, 1, 1]
+    assert degrees(g) is not degrees(g)
+
+
+_EDGE_LIKE_LINE = st.one_of(
+    st.tuples(st.integers(-2, 12), st.integers(-2, 12),
+              st.sampled_from(["1", "2", "0", "-1", "0.5", "1e400", "1e-400", "nan", "inf",
+                               "1/2", "x", "3.0"])).map(lambda t: " ".join(map(str, t))),
+    st.sampled_from(["", "# comment", "0 1", "0 1 1 1", "a b c", "1 2 3 # tail"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.lists(_EDGE_LIKE_LINE).map("\n".join)))
+def test_edgelist_fuzz_gives_a_graph_or_a_format_error(text):
+    try:
+        g = parse_weighted_edgelist(text)
+    except GraphFormatError:
+        return
+    assert isinstance(g, WeightedGraph)
 
 
 # ---------------------------------------------------------------------------

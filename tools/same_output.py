@@ -1,0 +1,74 @@
+"""Check that two qmix checkouts print byte-identical output.
+
+    python3 tools/same_output.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a source checkout; its qmix is run from ROOT/src.  The inputs
+are made once, with perfbench/inputs.py of this checkout, in a temporary
+directory that both runs read, so the paths that `batch` prints agree.  The
+matrix of commands:
+
+- `batch` over the atlas corpus (every atlas graph with 2-7 vertices) under
+  each walk matrix, at both tiers;
+- `certify` on each mid-size input under each walk matrix, at both tiers;
+- `spectrum` on each mid-size input.
+
+Every command whose stdout or exit code differs between the roots is
+printed, and the exit status is 1 if any does, else 0.  Needs networkx,
+like the benchmark inputs.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
+
+SEED = 1
+MATRICES = ("adjacency", "laplacian", "signless")
+TIERS = ("strict", "paper")
+
+
+def command_matrix(work: Path) -> list[list[str]]:
+    atlas = inputs.generate(work, "atlas-batch", SEED)["atlas"]["dir"]
+    midsize = inputs.generate(work, "analyze-midsize", SEED)["midsize"]
+    argvs = [["batch", atlas, "--matrix", m, "--tier", t] for m in MATRICES for t in TIERS]
+    for item in midsize:
+        argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
+                  for m in MATRICES for t in TIERS]
+        argvs.append(["spectrum", item["file"]])
+    return argvs
+
+
+def run(root: Path, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "qmix.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_output.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = command_matrix(Path(tmp))
+        for cmd in argvs:
+            before, after = run(parent, cmd), run(change, cmd)
+            if before != after:
+                differ += 1
+                print(f"differs: qmix {' '.join(cmd)} (exit {before[0]} -> {after[0]}, "
+                      f"{len(before[1])} -> {len(after[1])} bytes)")
+    print(f"{len(argvs) - differ} of {len(argvs)} commands byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
