@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -32,7 +32,7 @@ from .graphs import (Bipartition, CycleFlags, DegreeStats, MatrixKind, PendantPa
                      degree_stats, find_twin_pairs, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
-from .spectral import SpectralDecomposition, exact_kernel, signed_kernel_vectors
+from .spectral import NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel, signed_kernel_vectors
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -105,7 +105,7 @@ class GraphFacts:
     pendant_pairs: list[PendantPair]
     twin_witnesses: tuple[TwinSubgraphWitness, ...]
     twin_search_truncated: bool
-    kernel_basis: list[tuple[int, ...]]          # exact; empty for real weights
+    kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
     signed_vectors: np.ndarray  # (k, n) int8 signed kernel vectors, sorted rows
     signed_truncated: bool
     _twin_checked: dict[TwinSubgraphWitness, list | None] = field(
@@ -159,9 +159,19 @@ class GraphFacts:
 def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                   opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES) -> GraphFacts:
-    """The facts every rule reads, for one graph under one walk matrix."""
-    basis = exact_kernel(g, kind) if g.has_integer_weights() else []
-    signed = signed_kernel_vectors(basis, max_dim=tol.signed_budget)
+    """The facts every rule reads, for one graph under one walk matrix.
+    Only the adjacency walk builds the exact kernel and its signed vectors:
+    under L and Q, E_0 e_u rules out every vertex a signed kernel vector
+    could (README, Certificate tiers), and the truncation flag still means
+    kernel dimension > signed_budget, read off the traversal."""
+    basis, signed = [], NO_SIGNED_VECTORS
+    if kind is MatrixKind.ADJACENCY:
+        basis = exact_kernel(g) if g.has_integer_weights() else []
+        signed = signed_kernel_vectors(basis, max_dim=tol.signed_budget)
+    elif g.has_integer_weights():
+        t = g.traversal
+        dim = len(t.components) if kind is MatrixKind.LAPLACIAN else sum(t.bipartite)
+        signed = replace(signed, truncated=dim > tol.signed_budget)
     tw = search_twin_subgraphs(g, a_max=TWIN_SUBGRAPH_SIZE, subset_budget=tol.subset_budget)
     return GraphFacts(
         g=g, kind=kind, dec=dec, opts=opts, tol=tol, stats=degree_stats(g),
@@ -189,9 +199,9 @@ def cert_connectivity(facts: GraphFacts) -> list[CertificateVerdict]:
 def cert_eigenvector_inequality(facts: GraphFacts, u: int) -> CertificateVerdict:
     """sqrt(n) |v_u| <= sum_j |v_j| must hold for every eigenvector v.
 
-    Exact signed kernel vectors are tested exactly; the canonical
-    per-eigenspace vectors E_lambda e_u are tested in floating point with the
-    safety margin.
+    Exact signed kernel vectors (adjacency walk only) are tested exactly;
+    the canonical per-eigenspace vectors E_lambda e_u are tested in floating
+    point with the safety margin.
     """
     rule = "eigenvector-inequality"
     dec, tol = facts.dec, facts.tol
@@ -333,7 +343,7 @@ def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tupl
     index = {v: i for i, v in enumerate(w.g_vertices)}
     inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
                                              if a in index and b in index])
-    basis = exact_kernel(inner, MatrixKind.ADJACENCY)
+    basis = exact_kernel(inner)
     vectors = [tuple(r) for r in signed_kernel_vectors(basis, max_dim=10).vectors.tolist()]
     vectors.extend(b for b in basis if b not in vectors)
     return vectors

@@ -198,12 +198,19 @@ def _cmd_search(args) -> int:
 
 
 def _batch_payloads(directory: str):
+    """(file, line number, graph6 line) per graph in file order; a .g6 entry
+    that is not readable UTF-8 text gives (file, 0, reason) in its place."""
     root = Path(directory)
     if not root.is_dir():
         raise GraphFormatError(f"{directory}: not a directory")
     payloads = []
     for path in sorted(root.glob("*.g6")):
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        try:
+            text = _read_text(path)
+        except GraphFormatError as exc:
+            payloads.append((str(path), 0, str(exc)))
+            continue
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip():
                 payloads.append((str(path), lineno, line.strip()))
     return payloads
@@ -213,6 +220,8 @@ def _batch_one(task) -> dict:
     path, lineno, line, kind, opts, tol = task
     entry: dict = {"file": path, "line": lineno}
     try:
+        if lineno == 0:  # the file could not be read, and line is the reason
+            raise GraphFormatError(line)
         g = parse_graph6(line)
         dec = decompose_graph(g, kind, tol)
         report = certify_graph(g, dec, kind, opts, tol)

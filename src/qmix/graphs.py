@@ -456,14 +456,20 @@ def attach_pendants(g: WeightedGraph) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # Twins and twin subgraphs
 
-def _row_differences(mat: np.ndarray, limit: int) -> list[dict[int, frozenset[int]]]:
-    """Where rows of mat differ: entry x maps each y != x whose row differs from
-    row x in at most `limit` positions to that position set D(x, y).
+def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
+    """Where rows of the adjacency matrix differ: entry x maps each y != x
+    whose row differs from row x in at most `limit` positions to that
+    position set D(x, y).  The rows hold an integer id per distinct exact
+    weight, because float64 would round integers above 2^53.
 
     Built one row at a time, so memory stays O(n^2); keys run in increasing y.
     """
+    ids: dict[Weight, int] = {}
+    mat = np.zeros((g.n, g.n), dtype=np.int32)
+    for u, v, w in g.edges:
+        mat[u, v] = mat[v, u] = ids.setdefault(w, len(ids) + 1)
     out = []
-    for x in range(mat.shape[0]):
+    for x in range(g.n):
         diff = mat[x] != mat
         near = np.nonzero(diff.sum(axis=1) <= limit)[0].tolist()
         out.append({y: frozenset(np.nonzero(diff[y])[0].tolist()) for y in near if y != x})
@@ -471,15 +477,16 @@ def _row_differences(mat: np.ndarray, limit: int) -> list[dict[int, frozenset[in
 
 
 def find_twin_pairs(g: WeightedGraph) -> list[tuple[int, int, TwinKind]]:
-    """All unordered twin pairs: equal weighted neighborhoods off {u, v}.
+    """All unordered twin pairs: equal weighted neighborhoods off {u, v},
+    compared exactly.  Adjacent twins are true twins."""
+    nbrs = g.neighbourhoods
+    return [(u, v, TwinKind.TRUE if v in nbrs[u] else TwinKind.FALSE)
+            for u, v in combinations(range(g.n), 2)
+            if len(nbrs[u]) == len(nbrs[v]) and _without(nbrs[u], v) == _without(nbrs[v], u)]
 
-    Rows u and v of the adjacency matrix then differ only inside {u, v}, and
-    they differ there exactly when u and v are adjacent (true twins).
-    """
-    mat = adjacency_matrix(g)
-    return [(u, v, TwinKind.TRUE if mat[u, v] else TwinKind.FALSE)
-            for u, near in enumerate(_row_differences(mat, 2))
-            for v, d in near.items() if v > u and d <= {u, v}]
+
+def _without(row, v: int) -> dict:
+    return {y: w for y, w in row.items() if y != v}
 
 
 @dataclass(frozen=True)
@@ -624,12 +631,12 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
     a_cap = min(a_max, n // 2)
     if a_cap < 1:
         return TwinSearchResult(witnesses=(), truncated=False)
-    mat = adjacency_matrix(g)
-    compat = _row_differences(mat, 2 * a_cap)
+    compat = _row_differences(g, 2 * a_cap)
     cut = _budget_cut(n, a_cap, subset_budget)
     last_a = a_cap if cut is None else cut[0]
     active = [x for x in range(n) if compat[x]]
-    rows = mat.tolist()  # the blocks read per candidate are tiny: plain floats beat numpy
+    # exact weights in nested lists: the blocks read per candidate are tiny
+    rows = [[row.get(z, 0) for z in range(n)] for row in g.neighbourhoods]
     witnesses: list[TwinSubgraphWitness] = []
     for a in range(1, last_a + 1):
         for gs in combinations(active, a):
@@ -713,7 +720,7 @@ def _partner_pool(compat, gs) -> list[int]:
 
 def _classify_subset_pair(rows, compat, gs, hs) -> list[TwinSubgraphWitness]:
     """The witnesses on the candidate (gs, hs); rows is the adjacency matrix
-    as nested lists."""
+    of exact weights as nested lists."""
     inside = frozenset(gs) | frozenset(hs)
     partners = []
     for x in gs:
@@ -756,9 +763,8 @@ def _classify_subset_pair(rows, compat, gs, hs) -> list[TwinSubgraphWitness]:
     return out
 
 
-def _as_weight(x) -> Weight:
-    f = float(x)
-    return int(f) if f.is_integer() else f
+def _as_weight(x: Weight) -> Weight:
+    return int(x) if isinstance(x, float) and x.is_integer() else x
 
 
 def _false_twin_bijection(rows, partners, gs, hs) -> dict[int, int] | None:

@@ -119,14 +119,12 @@ def _period_hint(classification: SpectrumClassification, values: list[float]) ->
 
 
 def is_periodic_vertex(dec: SpectralDecomposition, u: int,
-                       classification: SpectrumClassification | None = None,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> PeriodicityVerdict:
     """Decide periodicity of vertex u from the ratio condition on its
     eigenvalue support, with a numerically verified period hint when the
     support is exactly recognized."""
     supp = vertex_support(dec, u, tol)
-    if classification is None:
-        classification = classify_spectrum(dec, restrict_to=supp, tol=tol)
+    classification = classify_spectrum(dec, restrict_to=supp, tol=tol)
     values = list(supp.eigenvalues)
     cond = ratio_condition(values, classification, tol)
     if not cond.satisfied:

@@ -1,17 +1,16 @@
 """Symmetric eigendecomposition with eigenvalue grouping, eigenvalue
-supports, exact rational kernels of integer-weighted graph matrices, signed
-{-1, 0, 1} kernel vectors, and recognition of integer or quadratic-surd
-spectra.
+supports, exact rational kernels of integer-weighted adjacency matrices,
+signed {-1, 0, 1} kernel vectors, and recognition of integer or
+quadratic-surd spectra.
 
 Floating decompositions use LAPACK's symmetric eigensolver at every size and
 keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
 decomposition holds O(n^2) numbers.
-Exact kernels carry no floating error at all.  The Laplacian and signless
-Laplacian kernels are taken in closed form from the graph's traversal
-(component indicators and bipartite two-colourings).  The adjacency matrix
-is eliminated over the Python integers, fraction-free; from _GATE_MIN_N
+Exact kernels carry no floating error at all.  The adjacency matrix is
+eliminated over the Python integers, fraction-free; from _GATE_MIN_N
 vertices a rank test mod a prime runs first and settles every nonsingular
-case without elimination.
+case without elimination.  No rule reads an exact kernel of the Laplacian
+or signless Laplacian (see `certificates.collect_facts`), so none is built.
 The signed kernel vectors form one read-only int8 array.
 """
 
@@ -43,13 +42,12 @@ class SpectralDecomposition:
     """Distinct eigenvalues with multiplicities and orthonormal eigenvectors
     of one symmetric matrix.  The columns of `vectors` are grouped by
     distinct eigenvalue in ascending order; the eigenprojector of group k is
-    E_k = B_k B_k^T with B_k = bases[k]."""
+    E_k = B_k B_k^T with B_k the k-th group of columns."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
     vectors: np.ndarray                  # V, shape (n, n), from eigh
-    bases: tuple[np.ndarray, ...]        # B_k, column-slice views of V per eigenvalue
 
     @property
     def n(self) -> int:
@@ -111,12 +109,11 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
     gap = tol.group(float(np.abs(w).max(initial=0.0)))
     starts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > gap]
     stops = starts[1:] + [n]
-    v = _read_only(v)
     return SpectralDecomposition(
         matrix=_read_only(m),
         eigenvalues=_read_only(np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])),
         multiplicities=tuple(b - a for a, b in zip(starts, stops)),
-        vectors=v, bases=tuple(v[:, a:b] for a, b in zip(starts, stops)))
+        vectors=_read_only(v))
 
 
 def decompose_graph(g: WeightedGraph, kind: MatrixKind,
@@ -184,24 +181,22 @@ def leaf_peel_order(g: WeightedGraph) -> list[int]:
     return order
 
 
-def exact_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...]]:
-    """Basis of the rational kernel of the chosen matrix as primitive integer
-    vectors with a positive lead (exact arithmetic; empty exactly when the
-    matrix is nonsingular).  The basis is the one Gauss-Jordan elimination
-    in the column order below gives: a reduced row echelon form is unique,
-    so this basis does not depend on how the rows are scaled or combined.
+def exact_kernel(g: WeightedGraph) -> list[tuple[int, ...]]:
+    """Basis of the rational kernel of the adjacency matrix as primitive
+    integer vectors with a positive lead (exact arithmetic; empty exactly
+    when the matrix is nonsingular).  The basis is the one Gauss-Jordan
+    elimination in the column order below gives: a reduced row echelon form
+    is unique, so this basis does not depend on how the rows are scaled or
+    combined.
 
-    Both Laplacians take their kernel in closed form.  The adjacency matrix
-    is eliminated over the Python integers, on trees in a leaf-peeling
-    column order, which in practice yields a raw basis with entries in
-    {-1, 0, 1} for unit weights; the property is verified by consumers per
-    instance, never assumed.  From _GATE_MIN_N vertices a rank test mod a
-    prime runs first, and full rank there means full rank over Q.
+    The matrix is eliminated over the Python integers, on trees in a
+    leaf-peeling column order, which in practice yields a raw basis with
+    entries in {-1, 0, 1} for unit weights; the property is verified by
+    consumers per instance, never assumed.  From _GATE_MIN_N vertices a rank
+    test mod a prime runs first, and full rank there means full rank over Q.
     """
     if not g.has_integer_weights():
         raise ValueError("exact arithmetic requires integer edge weights")
-    if kind is not MatrixKind.ADJACENCY:
-        return _laplacian_kernel(g, kind)
     if g.n >= _GATE_MIN_N and _full_rank_mod_p(g):
         return []
     m = [[0] * g.n for _ in range(g.n)]
@@ -256,25 +251,6 @@ def _integer_kernel(m: list[list[int]], column_order: list[int]) -> list[tuple[i
     return basis
 
 
-def _laplacian_kernel(g: WeightedGraph, kind: MatrixKind) -> list[tuple[int, ...]]:
-    """For positive weights x^T L x = sum w_uv (x_u - x_v)^2 and
-    x^T Q x = sum w_uv (x_u + x_v)^2.  So ker L is spanned by the component
-    indicators and ker Q by the +-1 two-colourings of the bipartite
-    components.  Within a component only the last column in elimination
-    order is free, so the basis lists the components by their last vertex
-    (on a tree the one component), each vector led by its smallest vertex."""
-    laplacian = kind is MatrixKind.LAPLACIAN
-    t = g.traversal
-    basis = []
-    for comp, bipartite in sorted(zip(t.components, t.bipartite), key=lambda c: c[0][-1]):
-        if laplacian or bipartite:
-            vec = [0] * g.n
-            for x in comp:
-                vec[x] = 1 if laplacian else t.colour[x]
-            basis.append(tuple(vec))
-    return basis
-
-
 _PRIME = 2 ** 31 - 1  # a product of two residues stays below 2^62, inside int64
 # Below this many vertices integer elimination of a nonsingular matrix is
 # faster than the numpy rank test (about 0.4 against 0.5 ms at n = 14, and
@@ -307,28 +283,29 @@ class SignedVectorResult:
     truncated: bool
 
 
+NO_SIGNED_VECTORS = SignedVectorResult(_read_only(np.zeros((0, 0), np.int8)), truncated=False)
+
 _ENUM_ROWS = 32768       # most coefficient vectors per enumeration chunk
 _ENUM_BYTES = 4 << 20    # and at most this many bytes per int64 chunk array
 
 
-def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]], u: int | None = None,
+def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]],
                           max_dim: int = 12) -> SignedVectorResult:
     """Enumerate {-1, 0, 1}-coefficient combinations of the kernel basis and
-    keep those whose entries all lie in {-1, 0, 1} (optionally with a nonzero
-    entry at u), each with a positive lead, as the distinct rows of an int8
-    array in lexicographic order.  Kernels of dimension above max_dim are
-    only sampled through the basis vectors themselves and flagged as
-    truncated."""
+    keep those whose entries all lie in {-1, 0, 1}, each with a positive
+    lead, as the distinct rows of an int8 array in lexicographic order.
+    Kernels of dimension above max_dim are only sampled through the basis
+    vectors themselves and flagged as truncated."""
     dim = len(kernel_basis)
     if dim == 0:
-        return SignedVectorResult(vectors=_read_only(np.zeros((0, 0), np.int8)), truncated=False)
+        return NO_SIGNED_VECTORS
     # a combination's entries are at most dim * max |b_ij| in size; int64 holds
     # them exactly below 2^63, larger weights fall back to Python ints
     big = dim * max(abs(x) for row in kernel_basis for x in row) >= 2 ** 63
     basis = np.array(kernel_basis, dtype=object if big else np.int64)
     truncated = dim > max_dim
     if truncated:
-        kept = [_signed_rows(basis, u)]
+        kept = [_signed_rows(basis)]
     else:
         # c and -c give v and -v, so only coefficient vectors whose first
         # nonzero entry is +1 are tried.  Read as balanced ternary digits they
@@ -340,7 +317,7 @@ def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]], u: int | None = N
         kept = []
         for start in range(total // 2 + 1, total, rows):
             idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-            kept.append(_signed_rows((idx[:, None] // powers % 3 - 1) @ basis, u))
+            kept.append(_signed_rows((idx[:, None] // powers % 3 - 1) @ basis))
     pool = np.concatenate(kept)
     pool = pool[np.lexsort(pool.T[::-1])]
     if len(pool) > 1:  # a dependent "basis" can give one vector twice
@@ -348,13 +325,10 @@ def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]], u: int | None = N
     return SignedVectorResult(vectors=_read_only(pool), truncated=truncated)
 
 
-def _signed_rows(vecs: np.ndarray, u: int | None) -> np.ndarray:
-    """The rows of vecs with entries in {-1, 0, 1}, not all zero, and nonzero
-    at u when u is given, as int8 with a positive first nonzero entry."""
-    ok = np.abs(vecs).max(axis=1) == 1
-    if u is not None:
-        ok &= vecs[:, u] != 0
-    rows = vecs[ok].astype(np.int8)
+def _signed_rows(vecs: np.ndarray) -> np.ndarray:
+    """The rows of vecs with entries in {-1, 0, 1}, not all zero, as int8
+    with a positive first nonzero entry."""
+    rows = vecs[np.abs(vecs).max(axis=1) == 1].astype(np.int8)
     rows *= rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)][:, None]
     return rows
 

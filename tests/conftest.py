@@ -112,9 +112,15 @@ def complete_projectors(n):
     return {float(n - 1): j, -1.0: np.eye(n) - j}
 
 
+def group_bases(dec):
+    """The orthonormal basis B_k of each eigenspace: the columns of the
+    decomposition's eigenvector matrix, grouped by multiplicity."""
+    return np.split(dec.vectors, np.cumsum(dec.multiplicities)[:-1], axis=1)
+
+
 def projectors_of(dec):
     """Eigenprojectors B B^T of a decomposition, one per distinct eigenvalue."""
-    return [b @ b.T for b in dec.bases]
+    return [b @ b.T for b in group_bases(dec)]
 
 
 def naive_twin_subgraph_check(g: WeightedGraph, gs, hs, f, kind: str) -> bool:
@@ -150,17 +156,16 @@ def reference_twin_search(g: WeightedGraph, a_max: int = 4,
     from qmix.graphs import TwinKind, TwinSearchResult, TwinSubgraphWitness
 
     def as_weight(x):
-        f = float(x)
-        return int(f) if f.is_integer() else f
+        return int(x) if isinstance(x, float) and x.is_integer() else x
 
     n = g.n
     a_cap = min(a_max, n // 2)
     if a_cap < 1:
         return TwinSearchResult(witnesses=(), truncated=False)
-    mat = np.zeros((n, n))
+    mat = [[0] * n for _ in range(n)]  # exact weights: floats would round above 2^53
     for u, v, w in g.edges:
-        mat[u, v] = mat[v, u] = float(w)
-    diff = {(x, y): frozenset(np.nonzero(mat[x] != mat[y])[0].tolist())
+        mat[u][v] = mat[v][u] = w
+    diff = {(x, y): frozenset(i for i in range(n) if mat[x][i] != mat[y][i])
             for x in range(n) for y in range(n) if x != y}
 
     def classify(gs, hs):
@@ -171,25 +176,25 @@ def reference_twin_search(g: WeightedGraph, a_max: int = 4,
         a = len(gs)
         if a == 1:
             x, y = gs[0], hs[0]
-            true = mat[x, y] != 0
+            true = mat[x][y] != 0
             return [TwinSubgraphWitness(
                 kind=TwinKind.TRUE if true else TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
                 bijection=((x, y),), valency_in=0 if true else None,
-                valency_cross=as_weight(mat[x, y]) if true else None)]
+                valency_cross=as_weight(mat[x][y]) if true else None)]
         pairings = [p for p in permutations(range(a))
                     if all(hs[p[i]] in partners[i] for i in range(a))]
         out = []
-        if not any(mat[x, y] for x in gs for y in hs):
+        if not any(mat[x][y] for x in gs for y in hs):
             for p in pairings:
-                if all(mat[gs[i], gs[j]] == mat[hs[p[i]], hs[p[j]]]
+                if all(mat[gs[i]][gs[j]] == mat[hs[p[i]]][hs[p[j]]]
                        for i in range(a) for j in range(i + 1, a)):
                     out.append(TwinSubgraphWitness(
                         kind=TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
                         bijection=tuple(sorted((gs[i], hs[p[i]]) for i in range(a)))))
                     break
-        in_deg = {sum(mat[x, z] for z in part) for part in (gs, hs) for x in part}
-        cross = ({sum(mat[x, y] for y in hs) for x in gs}
-                 | {sum(mat[x, y] for x in gs) for y in hs})
+        in_deg = {sum(mat[x][z] for z in part) for part in (gs, hs) for x in part}
+        cross = ({sum(mat[x][y] for y in hs) for x in gs}
+                 | {sum(mat[x][y] for x in gs) for y in hs})
         if len(in_deg) == 1 and len(cross) == 1 and pairings:
             p = pairings[0]
             out.append(TwinSubgraphWitness(
@@ -213,13 +218,13 @@ def reference_twin_search(g: WeightedGraph, a_max: int = 4,
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=False)
 
 
-def reference_signed_vectors(kernel_basis, u=None, max_dim=12):
+def reference_signed_vectors(kernel_basis, max_dim=12):
     """The exhaustive enumeration of signed kernel vectors, kept as the
     reference for the array-valued one: every {-1, 0, 1}-combination of the
     basis (above max_dim only the basis rows themselves) whose entries all
-    lie in {-1, 0, 1} and, when u is given, are nonzero at u, negated to a
-    positive first nonzero entry.  Returns the distinct vectors as tuples in
-    the order found.  Self-contained: no qmix internals."""
+    lie in {-1, 0, 1}, negated to a positive first nonzero entry.  Returns
+    the distinct vectors as tuples in the order found.  Self-contained: no
+    qmix internals."""
     from itertools import product
 
     dim = len(kernel_basis)
@@ -233,7 +238,7 @@ def reference_signed_vectors(kernel_basis, u=None, max_dim=12):
     for coeffs in coeff_iter:
         vec = [sum(c * b[i] for c, b in zip(coeffs, kernel_basis))
                for i in range(len(kernel_basis[0]))]
-        if max(abs(x) for x in vec) != 1 or (u is not None and vec[u] == 0):
+        if max(abs(x) for x in vec) != 1:
             continue
         if next(x for x in vec if x) < 0:
             vec = [-x for x in vec]

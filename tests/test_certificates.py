@@ -1,9 +1,12 @@
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, WeightedGraph,
                   cert_bipartite_balance, cert_bipartite_global, cert_bipartite_parity,
@@ -11,9 +14,10 @@ from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, We
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                  collect_facts, decompose_graph, search_twin_subgraphs, subdivide)
+                  collect_facts, decompose_graph, search_twin_subgraphs,
+                  signed_kernel_vectors, subdivide)
 from conftest import (complete, complete_bipartite, cube_q3, cycle, path, rational_matrix,
-                      random_connected_graph, random_tree, star)
+                      random_connected_graph, random_tree, reference_exact_kernel, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -287,7 +291,7 @@ def test_kernel_vector_ten_vertex_spider():
                                  (0, 4, 1), (4, 5, 1), (5, 6, 1),
                                  (0, 7, 1), (7, 8, 1), (8, 9, 1)])
     from qmix import exact_kernel
-    basis = exact_kernel(g, MatrixKind.ADJACENCY)
+    basis = exact_kernel(g)
     assert basis  # singular
     u = next(u for u in range(10) if any(vec[u] for vec in basis))
     assert cert_kernel_vector(facts_of(g), u).verdict is Verdict.RULED_OUT
@@ -419,6 +423,94 @@ def test_strict_tier_silent_under_every_matrix():
     for kind in WALK_MATRICES[1:]:
         report = certify_graph(star(4), dec_of(star(4), kind), kind)
         assert 0 in report.surviving_vertices, (kind, report.verdicts_for(0))
+
+
+def _relabelled(g, perm):
+    return WeightedGraph.build(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+MIXING = (complete(2), complete(3), complete(4), cube_q3(), cycle(4), cycle(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_strict_tier_silent_on_mixing_instances_under_relabelling(data):
+    g = data.draw(st.sampled_from(MIXING + (star(4),)), label="graph")
+    perm = data.draw(st.permutations(range(g.n)), label="perm")
+    h = _relabelled(g, perm)
+    for kind in WALK_MATRICES:
+        report = certify_graph(h, dec_of(h, kind), kind)
+        if g in MIXING:
+            assert report.surviving_vertices == tuple(range(h.n)), (perm, kind)
+            assert not report.graph_ruled_out, (perm, kind, report.fired_rules())
+        else:  # the centre of the 4-star mixes under all three matrices
+            assert perm[0] in report.surviving_vertices, (perm, kind)
+
+
+@st.composite
+def _integer_union(draw):
+    """An integer-weighted graph of 1-6 components, each a random tree plus
+    a few edges, under a random labelling, with weights 1-4 or above 2^63."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6), label="sizes")
+    n = sum(sizes)
+    label = draw(st.permutations(range(n)), label="label")
+    weight = st.integers(1, 4) | st.integers(2 ** 63 + 1, 2 ** 63 + 4)
+    edges, start = [], 0
+    for size in sizes:
+        part = [(draw(st.integers(start, v - 1)), v) for v in range(start + 1, start + size)]
+        others = [(a, b) for a in range(start, start + size)
+                  for b in range(a + 1, start + size) if (a, b) not in part]
+        if others:
+            part += draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        edges += [(label[a], label[b], draw(weight)) for a, b in part]
+        start += size
+    return WeightedGraph.build(n, edges)
+
+
+def _with_exact_pool(g, dec, kind, opts, tol):
+    """The facts with an exact kernel and signed pool under every matrix,
+    the kernel from the rational elimination oracle."""
+    basis = reference_exact_kernel(g, kind)
+    signed = signed_kernel_vectors(basis, max_dim=tol.signed_budget)
+    return replace(collect_facts(g, dec, kind, opts, tol), kernel_basis=basis,
+                   signed_vectors=signed.vectors, signed_truncated=signed.truncated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_union())
+@example(WeightedGraph.build(4, []))
+@example(WeightedGraph.build(6, [(0, 5, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)]))
+def test_laplacian_kernels_decide_no_verdict(g):
+    # ker L and ker Q hold only component indicators and colourings, and
+    # wherever a signed one breaks the eigenvector inequality the canonical
+    # float vector of the zero eigenspace does too
+    for kind in WALK_MATRICES[1:]:
+        dec = dec_of(g, kind)
+        report = certify_graph(g, dec, kind)
+        with mock.patch("qmix.certificates.collect_facts", _with_exact_pool):
+            pooled = certify_graph(g, dec, kind)
+        for (u, vs), (_, pooled_vs) in zip(report.vertex_verdicts, pooled.vertex_verdicts):
+            assert fired(vs, "eigenvector-inequality") == \
+                fired(pooled_vs, "eigenvector-inequality"), (kind, u)
+        assert report.fired_rules() == pooled.fired_rules(), kind
+        assert report.surviving_vertices == pooled.surviving_vertices, kind
+        assert report.signed_enumeration_truncated == pooled.signed_enumeration_truncated
+
+
+def test_signed_truncation_under_the_laplacians_reads_the_kernel_dimension():
+    # thirteen K2 give 13 components, all bipartite; thirteen triangles
+    # give 13 components, none bipartite
+    k2s = WeightedGraph.build(26, [(2 * i, 2 * i + 1, 1) for i in range(13)])
+    triangles = WeightedGraph.build(39, [(3 * i + a, 3 * i + b, 1) for i in range(13)
+                                         for a, b in ((0, 1), (1, 2), (0, 2))])
+    for g, kind, truncated in ((k2s, MatrixKind.LAPLACIAN, True),
+                               (k2s, MatrixKind.SIGNLESS_LAPLACIAN, True),
+                               (triangles, MatrixKind.LAPLACIAN, True),
+                               (triangles, MatrixKind.SIGNLESS_LAPLACIAN, False)):
+        facts = facts_of(g, kind)
+        assert facts.signed_truncated is truncated, (g.n, kind)
+        assert facts.kernel_basis == [] and len(facts.signed_vectors) == 0
+        assert truncated is (len(reference_exact_kernel(g, kind)) > 12)
 
 
 def test_exact_kernel_witnesses_are_kernel_vectors():

@@ -3,10 +3,13 @@ matrix, against the committed pin in tests/data/certify_witness_pin.json.
 
 The atlas batch pin records only fired rules and survivors.  This one holds
 whole reports, so it also pins every witness: the signed kernel vector a
-rule quotes, and which of several qualifying vectors comes first.  The
-graphs are chosen so that the pin holds each route in ROUTES, and the test
-checks that it does.  Strings, integers and the document structure must be
-equal; floats within 1e-12, as in test_search_spectrum_pin.
+rule quotes under the adjacency walk, which of several qualifying vectors
+comes first, and the canonical float vector that rules out the isolated and
+small-component vertices of the disconnected graphs under L and Q, where no
+exact kernel is built.  The graphs are chosen so that the pin holds each
+route in ROUTES, and the test checks that it does.  Strings, integers and
+the document structure must be equal; floats within 1e-12, as in
+test_search_spectrum_pin.
 
 Run this file as a script to regenerate the pin after a deliberate change:
 `PYTHONPATH=src python tests/test_certify_witness_pin.py`.
@@ -39,10 +42,6 @@ MATRICES = ("adjacency", "laplacian", "signless")
 # (graph, matrix, rule, route): a fired vertex verdict the pin must hold
 ROUTES = (
     ("atlas-29", "adjacency", "eigenvector-inequality", "exact-kernel"),
-    ("atlas-2", "laplacian", "eigenvector-inequality", "exact-kernel"),
-    ("atlas-2", "signless", "eigenvector-inequality", "exact-kernel"),
-    ("atlas-67", "laplacian", "eigenvector-inequality", "exact-kernel"),
-    ("atlas-67", "signless", "eigenvector-inequality", "exact-kernel"),
     ("atlas-8", "adjacency", "bipartite-kernel-square", "signed-vector-nnz"),
     ("atlas-29", "adjacency", "twin-subgraph", "false-pair-eigenvector"),
     ("atlas-13", "adjacency", "bipartite-kernel-part-size", None),
@@ -73,6 +72,13 @@ def test_pin_holds_every_route():
     pinned = json.loads(PIN.read_text())
     for graph, matrix, rule, route in ROUTES:
         assert (rule, route) in _fired_routes(pinned[f"{graph} {matrix}"]), (graph, matrix, rule)
+
+
+def test_pin_holds_no_exact_kernel_route_under_the_laplacians():
+    pinned = json.loads(PIN.read_text())
+    for name, doc in pinned.items():
+        if not name.endswith(" adjacency"):
+            assert all(route != "exact-kernel" for _, route in _fired_routes(doc)), name
 
 
 def test_certify_matches_witness_pin(tmp_path):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import networkx as nx
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
@@ -156,10 +158,44 @@ def test_unreadable_or_undecodable_input_is_an_input_error(tmp_path, capsys):
         bad.write_bytes(b"\xff\n")
         for command in ("spectrum", "certify", "search"):
             assert str(bad) in _assert_input_error(capsys, [command, str(bad)])
-    assert str(bad.with_name("x.g6")) in _assert_input_error(capsys, ["batch", str(bad.parent)])
     (tmp_path / "dirs" / "d.g6").mkdir(parents=True)
-    assert "d.g6" in _assert_input_error(capsys, ["batch", str(tmp_path / "dirs")])
     assert "d.g6" in _assert_input_error(capsys, ["certify", str(tmp_path / "dirs" / "d.g6")])
+    # batch gives the file one error entry at line 0 instead
+    for directory, name in ((bad.parent, "x.g6"), (tmp_path / "dirs", "d.g6")):
+        code, entries, aggregate = _batch_documents(capsys, ["batch", str(directory)])
+        assert code == 0
+        assert [(e["file"], e["line"]) for e in entries] == [(str(directory / name), 0)]
+        assert str(directory / name) in entries[0]["error"]
+        assert aggregate["errors"] == 1
+
+
+def _batch_documents(capsys, argv):
+    """Exit code, entries and aggregate of one `qmix batch` run."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.out.splitlines()
+    start = lines.index("{")  # entries are single-line; the aggregate is pretty-printed
+    return (code, [json.loads(line) for line in lines[:start]],
+            json.loads("\n".join(lines[start:]))["aggregate"])
+
+
+def test_batch_keeps_going_past_unreadable_files(tmp_path, capsys):
+    (tmp_path / "a.g6").write_text("A_\n")
+    (tmp_path / "b.g6").write_bytes(b"\xff\n")
+    (tmp_path / "c.g6").mkdir()
+    (tmp_path / "d.g6").write_text("Bw\nA\x01\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["batch", str(tmp_path), "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    code, entries, aggregate = _batch_documents(capsys, ["batch", str(tmp_path)])
+    assert code == 0
+    assert [(Path(e["file"]).name, e["line"], "error" in e) for e in entries] == [
+        ("a.g6", 1, False), ("b.g6", 0, True), ("c.g6", 0, True),
+        ("d.g6", 1, False), ("d.g6", 2, True)]
+    assert aggregate["graphs"] == 5 and aggregate["errors"] == 3
 
 
 def test_tolerance_flags_must_be_positive_and_finite(tmp_path, capsys):
@@ -259,6 +295,26 @@ def test_batch_outputs_and_jobs_equivalence(tmp_path, capsys):
     assert aggregate["aggregate"]["ruled_out"] == 3
 
 
+_ATLAS_LINES = [nx.to_graph6_bytes(g, header=False).decode().strip()
+                for g in nx.graph_atlas_g()[1:60]]
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=st.lists(st.lists(st.sampled_from(_ATLAS_LINES + ["A\x01", "?"]), max_size=6),
+                      min_size=1, max_size=3),
+       matrix=st.sampled_from(("adjacency", "laplacian", "signless")))
+def test_batch_jobs_2_matches_jobs_1(tmp_path_factory, capsys, files, matrix):
+    directory = tmp_path_factory.mktemp("batch")
+    for i, lines in enumerate(files):
+        (directory / f"{i}.g6").write_text("".join(line + "\n" for line in lines))
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["batch", str(directory), "--jobs", jobs, "--matrix", matrix]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_batch_empty_dir(tmp_path, capsys):
     code = main(["batch", str(tmp_path)])
     out = capsys.readouterr().out
@@ -315,6 +371,23 @@ def test_certify_takes_integer_weights_beyond_int64(tmp_path, capsys):
     p.write_text("0 1 1e300\n1 2 1\n")  # the adjacency kernel holds 10^300
     assert main(["certify", str(p)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_weights_above_2_53_are_not_rounded_into_twins(tmp_path, capsys):
+    # 2^53 + 1 and 2^70 + k have no float64 value of their own
+    big = 2 ** 70
+    k2 = tmp_path / "k2.wel"
+    k2.write_text(f"0 1 {2 ** 53 + 1}\n")
+    star = tmp_path / "star.wel"
+    star.write_text("".join(f"0 {i} {big + k}\n" for i, k in ((1, 1), (2, 0), (3, 2), (4, 3))))
+    for matrix in ("adjacency", "laplacian", "signless"):
+        code, doc = run_json(capsys, ["certify", str(k2), "--matrix", matrix])
+        assert code == 0 and doc["certificates"]["surviving_vertices"] == [0, 1], matrix
+        code, doc = run_json(capsys, ["certify", str(star), "--matrix", matrix])
+        assert code == 0, matrix
+        assert not any(v["rule"] == "twin-vertex" and v["verdict"] == "ruled-out"
+                       for e in doc["certificates"]["vertex_verdicts"]
+                       for v in e["verdicts"]), matrix
 
 
 def test_eigensolver_failure_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -60,6 +60,22 @@ def test_graph6_matches_networkx_on_random_graphs(rng):
         assert {(u, v) for u, v, _ in g.edges} == {tuple(sorted(e)) for e in gnx.edges()}
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_graph6_round_trip_against_networkx(data):
+    # from n = 63 on, graph6 writes the vertex count in four characters
+    n = data.draw(st.integers(1, 70) | st.sampled_from((62, 63, 64)), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = data.draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)), label="density")
+    edges = {p for p in pairs if data.draw(st.floats(0, 1), label="coin") < density} \
+        if n <= 12 else set(data.draw(st.lists(st.sampled_from(pairs), max_size=200)))
+    gnx = nx.empty_graph(n)
+    gnx.add_edges_from(edges)
+    g = parse_graph6(nx.to_graph6_bytes(gnx, nodes=range(n), header=False).decode())
+    assert g.n == n
+    assert g.edges == tuple((u, v, 1) for u, v in sorted(edges))
+
+
 def test_graph6_header_and_long_form():
     g = parse_graph6(">>graph6<<A_")
     assert g.n == 2
@@ -263,6 +279,18 @@ def test_twin_pairs_respect_weights():
     assert find_twin_pairs(g) == []  # unequal weights break the twin relation
 
 
+def test_twins_compare_weights_above_2_53_exactly():
+    big = 2 ** 70  # big + 1, big + 2 and big + 3 all round to big as floats
+    g = WeightedGraph.build(5, [(0, 1, big + 1), (0, 2, big), (0, 3, big + 2), (0, 4, big + 3)])
+    assert find_twin_pairs(g) == []
+    assert search_twin_subgraphs(g, a_max=2).witnesses == ()
+    g = WeightedGraph.build(4, [(0, 1, big + 1), (0, 2, big), (0, 3, big + 1)])
+    assert find_twin_pairs(g) == [(1, 3, TwinKind.FALSE)]
+    k2 = WeightedGraph.build(2, [(0, 1, 2 ** 53 + 1)])
+    (w,) = search_twin_subgraphs(k2).witnesses
+    assert w.valency_cross == 2 ** 53 + 1 and verify_twin_subgraphs(k2, w)
+
+
 FII = WeightedGraph.build(7, [(3, 1, 1), (1, 2, 1), (2, 0, 1),
                               (5, 4, 1), (4, 6, 1), (3, 5, 1)])
 FI = WeightedGraph.build(5, [(2, 1, 1), (1, 0, 1), (3, 4, 1), (2, 3, 1)])
@@ -391,9 +419,10 @@ def _graph_search_case(draw):
     n = draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    weighted = draw(st.booleans())
-    g = WeightedGraph.build(n, [(u, v, draw(st.integers(1, 2)) if weighted else 1)
-                                for u, v in chosen])
+    # the last two weight sets each round to one float64 value
+    weights = draw(st.sampled_from(
+        ((1,), (1, 2), (2 ** 53, 2 ** 53 + 1), (2 ** 70 + 1, 2 ** 70 + 3))))
+    g = WeightedGraph.build(n, [(u, v, draw(st.sampled_from(weights))) for u, v in chosen])
     a_max = draw(st.integers(1, 4))
     budget = draw(st.integers(0, _candidates(n, a_max) + 1))
     return g, a_max, budget
@@ -405,6 +434,9 @@ def test_search_matches_reference_property(case):
     g, a_max, budget = case
     assert (search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
             == reference_twin_search(g, a_max=a_max, subset_budget=budget))
+    # the singleton witnesses are exactly the twin pairs
+    assert find_twin_pairs(g) == [(w.g_vertices[0], w.h_vertices[0], w.kind)
+                                  for w in reference_twin_search(g, a_max=1).witnesses]
 
 
 def test_search_truncation_follows_the_candidate_count(rng):

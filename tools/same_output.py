@@ -10,7 +10,9 @@ matrix of commands:
 - `batch` over the atlas corpus (every atlas graph with 2-7 vertices) under
   each walk matrix, at both tiers;
 - `certify` on each mid-size input under each walk matrix, at both tiers;
-- `spectrum` on each mid-size input.
+- `spectrum` on each mid-size input;
+- `search` on each input of the search-small and search-large workloads,
+  graph-wide and at the local vertex, with the benchmark's flags.
 
 Every command whose stdout or exit code differs between the roots is
 printed, and the exit status is 1 if any does, else 0.  Needs networkx,
@@ -41,6 +43,11 @@ def command_matrix(work: Path) -> list[list[str]]:
         argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
                   for m in MATRICES for t in TIERS]
         argvs.append(["spectrum", item["file"]])
+    for workload in ("search-small", "search-large"):
+        for item in inputs.generate(work, workload, SEED)["ladder"]:
+            argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
+            if item["vertex"] is not None:
+                argvs[-1] += ["--vertex", str(item["vertex"])]
     return argvs
 
 
