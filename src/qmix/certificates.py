@@ -29,7 +29,7 @@ import numpy as np
 from .graphs import (Bipartition, CycleFlags, DegreeStats, MatrixKind, PendantPair,
                      TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
                      bipartition, connected_components, cycle_flags,
-                     degree_stats, find_twin_pairs, is_caterpillar,
+                     degree_stats, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
 from .spectral import NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel, signed_kernel_vectors
@@ -176,7 +176,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
     return GraphFacts(
         g=g, kind=kind, dec=dec, opts=opts, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
-        flags=cycle_flags(g), twins=find_twin_pairs(g),
+        flags=cycle_flags(g), twins=tw.twin_pairs,
         pendant_pairs=pendant_pairs_with_common_neighbor(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
         kernel_basis=basis, signed_vectors=signed.vectors, signed_truncated=signed.truncated)
@@ -766,11 +766,13 @@ def certify_vertex(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Ma
 
 def certify_graph(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                   opts: CertifyOptions = CertifyOptions(),
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> CertificateReport:
+                  tol: Tolerances = DEFAULT_TOLERANCES,
+                  facts: GraphFacts | None = None) -> CertificateReport:
     """Run every applicable certificate at every vertex plus the graph-level
     rules, and aggregate: graph-wide mixing needs mixing at every vertex, so
     any strict vertex firing rules the whole graph out."""
-    facts = collect_facts(g, dec, kind, opts, tol)
+    if facts is None:
+        facts = collect_facts(g, dec, kind, opts, tol)
     vertex_verdicts = []
     surviving = []
     for u in range(g.n):

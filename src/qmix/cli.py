@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .certificates import CertifyOptions, Tier, certify_graph
+from .certificates import CertifyOptions, Tier, certify_graph, collect_facts
 from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, parse_weighted_edgelist
 from .report import (certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
@@ -156,10 +156,12 @@ def _cmd_certify(args) -> int:
         raise GraphFormatError(f"vertex {args.vertex} out of range for n={g.n}")
     kind = _MATRIX[args.matrix]
     dec = decompose_graph(g, kind, tol)
-    report = certify_graph(g, dec, kind, _certify_options(args), tol)
+    facts = collect_facts(g, dec, kind, _certify_options(args), tol)
+    report = certify_graph(g, dec, kind, facts.opts, tol, facts)
     doc = report_header(tol)
     doc["command"] = "certify"
-    doc["graph"] = graph_summary(g)
+    doc["graph"] = graph_summary(g, facts)
+    del facts  # frees the signed pool before the report is rendered
     doc["certificates"] = certificate_report_dict(report, only_vertex=args.vertex)
     print(render_json(doc))
     return 0

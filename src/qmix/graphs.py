@@ -605,40 +605,55 @@ class TwinSearchResult:
     witnesses: tuple[TwinSubgraphWitness, ...]
     truncated: bool
 
+    @property
+    def twin_pairs(self) -> list[tuple[int, int, TwinKind]]:
+        """The twin pairs, as :func:`find_twin_pairs` lists them."""
+        return [(w.g_vertices[0], w.h_vertices[0], w.kind) for w in self.witnesses
+                if w.size == 1]
+
 
 def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
                           subset_budget: int = 1_000_000) -> TwinSearchResult:
-    """Twin-subgraph search over part sizes 1..a_max.
+    """Twin subgraphs with part sizes 1..a_max, where the size bound can decide.
 
-    The search is defined by an exhaustive order: part sizes a ascending,
-    then first parts gs and second parts hs as sorted tuples in lexicographic
-    order, over every pair of disjoint a-subsets with min(gs) < min(hs).  Its
-    first `subset_budget` candidates are examined.  `truncated` means the
-    budget cut that order: witnesses past the cut are not reported, so on
-    large graphs the result is incomplete.  The position of the cut is
-    computed from the block sizes of the order, without enumerating it.
+    A true pair of part size a rules its vertices out iff n > 4a^2 (the
+    paper's sqrt(n) bound).  The witnesses are every twin pair, as a
+    singleton of its twin kind in the order of :func:`find_twin_pairs`, then
+    every true pair with 2 <= a and 4a^2 < n.  False pairs with a >= 2 are
+    not searched: at a = 2 one rules out only vertices that have a twin
+    (README, Certificate tiers).
+
+    Candidates follow an exhaustive order: a ascending, then first parts gs
+    and second parts hs as sorted tuples in lexicographic order, over every
+    pair of disjoint a-subsets with min(gs) < min(hs).  `truncated` means
+    the order holds more than `subset_budget` candidates, and pairs with
+    a >= 2 past the cut are not reported; the twin pairs are complete
+    whatever the budget.  The cut is computed from the block sizes of the
+    order, without enumerating it.
 
     Before the cut, only candidates that meet a necessary condition are
     examined.  A witness pairs every x in gs with a y in hs whose adjacency
     row differs from row x only inside gs | hs.  So gs draws from vertices
     with such near rows, and hs from a pool of partners whose difference
-    sets fit into a part of size a (see :func:`_partner_pool`).  Singleton
-    pairs are reported with their twin kind (false when non-adjacent);
-    larger pairs may satisfy both definitions and then one witness per kind
-    is returned.  Weights compare exactly.
+    sets fit into a part of size a (see :func:`_partner_pool`).  Weights
+    compare exactly.
     """
     n = g.n
     a_cap = min(a_max, n // 2)
     if a_cap < 1:
         return TwinSearchResult(witnesses=(), truncated=False)
-    compat = _row_differences(g, 2 * a_cap)
+    nbrs = g.neighbourhoods
+    witnesses = [_twin_witness(u, v, kind, nbrs[u].get(v, 0))
+                 for u, v, kind in find_twin_pairs(g)]
     cut = _budget_cut(n, a_cap, subset_budget)
     last_a = a_cap if cut is None else cut[0]
-    active = [x for x in range(n) if compat[x]]
-    # exact weights in nested lists: the blocks read per candidate are tiny
-    rows = [[row.get(z, 0) for z in range(n)] for row in g.neighbourhoods]
-    witnesses: list[TwinSubgraphWitness] = []
-    for a in range(1, last_a + 1):
+    sizes = [a for a in range(2, last_a + 1) if 4 * a * a < n]
+    if sizes:
+        compat = _row_differences(g, 2 * sizes[-1])
+        active = [x for x in range(n) if compat[x]]
+        # exact weights in nested lists: the blocks read per candidate are tiny
+        rows = [[row.get(z, 0) for z in range(n)] for row in nbrs]
+    for a in sizes:
         for gs in combinations(active, a):
             hs_cut = None
             if cut is not None and a == last_a:
@@ -649,8 +664,18 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
             for hs in combinations(_partner_pool(compat, gs), a):
                 if hs_cut is not None and hs >= hs_cut:
                     break
-                witnesses.extend(_classify_subset_pair(rows, compat, gs, hs))
+                w = _true_pair(rows, compat, gs, hs)
+                if w is not None:
+                    witnesses.append(w)
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=cut is not None)
+
+
+def _twin_witness(u: int, v: int, kind: TwinKind, weight: Weight) -> TwinSubgraphWitness:
+    """The singleton witness of the twin pair (u, v) joined by `weight`."""
+    true = kind is TwinKind.TRUE
+    return TwinSubgraphWitness(
+        kind=kind, g_vertices=(u,), h_vertices=(v,), bijection=((u, v),),
+        valency_in=0 if true else None, valency_cross=_as_weight(weight) if true else None)
 
 
 def _budget_cut(n: int, a_cap: int, budget: int) -> tuple[int, tuple, tuple] | None:
@@ -718,73 +743,32 @@ def _partner_pool(compat, gs) -> list[int]:
             return []
 
 
-def _classify_subset_pair(rows, compat, gs, hs) -> list[TwinSubgraphWitness]:
-    """The witnesses on the candidate (gs, hs); rows is the adjacency matrix
-    of exact weights as nested lists."""
-    inside = frozenset(gs) | frozenset(hs)
-    partners = []
-    for x in gs:
-        options = {y for y in hs
-                   if (d := compat[x].get(y)) is not None and d <= inside}
-        if not options:
-            return []
-        partners.append(options)
-    a = len(gs)
-
-    if a == 1:
-        x, y = gs[0], hs[0]
-        w_cross = rows[x][y]
-        kind = TwinKind.TRUE if w_cross != 0 else TwinKind.FALSE
-        return [TwinSubgraphWitness(
-            kind=kind, g_vertices=gs, h_vertices=hs, bijection=((x, y),),
-            valency_in=0 if kind is TwinKind.TRUE else None,
-            valency_cross=_as_weight(w_cross) if kind is TwinKind.TRUE else None)]
-
-    out: list[TwinSubgraphWitness] = []
-    if not any(rows[x][y] for x in gs for y in hs):
-        f = _false_twin_bijection(rows, partners, gs, hs)
-        if f is not None:
-            out.append(TwinSubgraphWitness(
-                kind=TwinKind.FALSE, g_vertices=gs, h_vertices=hs,
-                bijection=tuple(sorted(f.items()))))
-
+def _true_pair(rows, compat, gs, hs) -> TwinSubgraphWitness | None:
+    """The true witness on the candidate (gs, hs), if any: both parts regular
+    with one valency, a regular cross graph, and a pairing whose rows differ
+    only inside gs | hs.  rows is the adjacency matrix of exact weights as
+    nested lists."""
     valency_in = {sum(rows[x][z] for z in part) for part in (gs, hs) for x in part}
-    if len(valency_in) == 1:
-        cross = ({sum(rows[x][y] for y in hs) for x in gs}
-                 | {sum(rows[x][y] for x in gs) for y in hs})
-        if len(cross) == 1:
-            f = _first_pairing(partners, gs, hs)
-            if f is not None:
-                out.append(TwinSubgraphWitness(
-                    kind=TwinKind.TRUE, g_vertices=gs, h_vertices=hs,
-                    bijection=tuple(sorted(f.items())),
-                    valency_in=_as_weight(valency_in.pop()),
-                    valency_cross=_as_weight(cross.pop())))
-    return out
+    if len(valency_in) != 1:
+        return None
+    cross = ({sum(rows[x][y] for y in hs) for x in gs}
+             | {sum(rows[x][y] for x in gs) for y in hs})
+    if len(cross) != 1:
+        return None
+    inside = frozenset(gs) | frozenset(hs)
+    partners = [{y for y in hs if (d := compat[x].get(y)) is not None and d <= inside}
+                for x in gs]
+    for perm in permutations(range(len(gs))):
+        if all(hs[perm[i]] in partners[i] for i in range(len(gs))):
+            return TwinSubgraphWitness(
+                kind=TwinKind.TRUE, g_vertices=gs, h_vertices=hs,
+                bijection=tuple(sorted(zip(gs, (hs[i] for i in perm)))),
+                valency_in=_as_weight(valency_in.pop()), valency_cross=_as_weight(cross.pop()))
+    return None
 
 
 def _as_weight(x: Weight) -> Weight:
     return int(x) if isinstance(x, float) and x.is_integer() else x
-
-
-def _false_twin_bijection(rows, partners, gs, hs) -> dict[int, int] | None:
-    """Weight-preserving isomorphism between the parts whose pairs also agree
-    externally; brute force over permutations (part sizes <= 4)."""
-    a = len(gs)
-    for perm in permutations(range(a)):
-        if any(hs[perm[i]] not in partners[i] for i in range(a)):
-            continue
-        if all(rows[gs[i]][gs[j]] == rows[hs[perm[i]]][hs[perm[j]]]
-               for i in range(a) for j in range(i + 1, a)):
-            return {gs[i]: hs[perm[i]] for i in range(a)}
-    return None
-
-
-def _first_pairing(partners, gs, hs) -> dict[int, int] | None:
-    for perm in permutations(range(len(gs))):
-        if all(hs[perm[i]] in partners[i] for i in range(len(gs))):
-            return {gs[i]: hs[perm[i]] for i in range(len(gs))}
-    return None
 
 
 # ---------------------------------------------------------------------------

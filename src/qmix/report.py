@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .certificates import CertificateReport, CertificateVerdict
+from .certificates import CertificateReport, CertificateVerdict, GraphFacts
 from .graphs import WeightedGraph, bipartition, cycle_flags, degree_stats, is_connected
 from .periodicity import is_periodic_vertex
 from .search import Detection, MixingReport
@@ -99,10 +99,13 @@ def report_header(tol: Tolerances) -> dict:
             "tolerances": tol.as_dict()}
 
 
-def graph_summary(g: WeightedGraph) -> dict:
-    stats = degree_stats(g)
-    bip = bipartition(g)
-    flags = cycle_flags(g)
+def graph_summary(g: WeightedGraph, facts: GraphFacts | None = None) -> dict:
+    """The structure of g; certificate facts of g, when given, supply the
+    degree statistics, bipartition and cycle flags they already hold."""
+    if facts is None:
+        stats, bip, flags = degree_stats(g), bipartition(g), cycle_flags(g)
+    else:
+        stats, bip, flags = facts.stats, facts.bip, facts.flags
     connected = is_connected(g)
     return {
         "n": g.n,

@@ -100,8 +100,21 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
         raise ValueError("decompose expects a square matrix")
     if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))):
         raise ValueError("decompose expects a symmetric matrix")
-    m = (m + m.T) / 2.0
+    return _decompose_symmetric((m + m.T) / 2.0, tol)
+
+
+def decompose_graph(g: WeightedGraph, kind: MatrixKind,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
+    """The decomposition of a walk matrix of g.  matrix_of builds it exactly
+    symmetric, so this skips the symmetry check and the symmetrisation of
+    :func:`decompose`; (x + x) / 2 == x for every entry below 2^1023."""
+    return _decompose_symmetric(matrix_of(g, kind), tol)
+
+
+def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
     n = m.shape[0]
+    if not np.isfinite(m).all():  # a weighted degree can overflow to inf
+        raise SpectralError("eigensolver failed: the matrix has a non-finite entry")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -114,11 +127,6 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
         eigenvalues=_read_only(np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])),
         multiplicities=tuple(b - a for a, b in zip(starts, stops)),
         vectors=_read_only(v))
-
-
-def decompose_graph(g: WeightedGraph, kind: MatrixKind,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
-    return decompose(matrix_of(g, kind), tol)
 
 
 @dataclass(frozen=True)

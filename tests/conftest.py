@@ -44,6 +44,73 @@ def complete_bipartite(p, q):
     return WeightedGraph.build(p + q, [(i, p + j, 1) for i in range(p) for j in range(q)])
 
 
+def cartesian_product(*factors):
+    """The Cartesian product of graphs: tuples of vertices, adjacent when they
+    differ in one coordinate, by an edge of that factor (mixed radix labels)."""
+    sizes = [f.n for f in factors]
+    n = math.prod(sizes)
+
+    def digits(v):
+        out = []
+        for size in reversed(sizes):
+            v, d = divmod(v, size)
+            out.append(d)
+        return out[::-1]
+
+    edges = []
+    for v in range(n):
+        dv = digits(v)
+        stride = n
+        for i, f in enumerate(factors):
+            stride //= sizes[i]
+            for a, b, w in f.edges:
+                if dv[i] == a:
+                    edges.append((v, v + (b - a) * stride, w))
+    return WeightedGraph.build(n, edges)
+
+
+def hypercube(d):
+    return cartesian_product(*[complete(2)] * d)
+
+
+def planted_true_pair(rng, n, weights=(1,)):
+    """A random graph on n >= 5 vertices holding a planted true twin pair of
+    part size 2: two edges {x1, x2} and {y1, y2} of one weight, joined by
+    nothing or by the matching x1y1, x2y2 of one weight, where x_i and y_i
+    share one random neighbourhood N_i off the pair.  Vertex 0 of the rest
+    lies in N_1 and not in N_2, so no vertex of the pair has a twin.
+    Returns the randomly relabelled graph and its planted vertices."""
+    m = n - 4
+
+    def weight():
+        return int(rng.choice(weights))
+
+    edges = [(u, v, weight()) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.3]
+    x1, x2, y1, y2 = range(m, n)
+    for x, y, first in ((x1, y1, True), (x2, y2, False)):
+        for z in range(m):
+            if (first if z == 0 else rng.random() < 0.3):
+                w = weight()
+                edges += [(x, z, w), (y, z, w)]
+    inner = weight()
+    edges += [(x1, x2, inner), (y1, y2, inner)]
+    if rng.random() < 0.5:
+        cross = weight()
+        edges += [(x1, y1, cross), (x2, y2, cross)]
+    label = rng.permutation(n).tolist()
+    g = WeightedGraph.build(n, [(label[u], label[v], w) for u, v, w in edges])
+    return g, tuple(label[v] for v in (x1, x2, y1, y2))
+
+
+def big_fi(extra_path=13):
+    """The true twin pair {0, 1}, {4, 3} of two edges joined through vertex 2,
+    with a path of extra_path vertices hanging off vertex 2: n = 5 + extra_path,
+    and no vertex of the pair has a twin."""
+    edges = [(2, 1, 1), (1, 0, 1), (3, 4, 1), (2, 3, 1), (2, 5, 1)]
+    edges += [(5 + i, 6 + i, 1) for i in range(extra_path - 1)]
+    return WeightedGraph.build(5 + extra_path, edges)
+
+
 def random_tree(rng, n):
     edges = [(int(rng.integers(0, v)), v, 1) for v in range(1, n)]
     return WeightedGraph.build(n, edges)

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, Verdict, WeightedGraph,
-                  cert_bipartite_balance, cert_bipartite_global, cert_bipartite_parity,
-                  cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
+from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, TwinSubgraphWitness,
+                  Verdict, WeightedGraph, cert_bipartite_balance, cert_bipartite_global,
+                  cert_bipartite_parity, cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
                   collect_facts, decompose_graph, search_twin_subgraphs,
                   signed_kernel_vectors, subdivide)
-from conftest import (complete, complete_bipartite, cube_q3, cycle, path, rational_matrix,
+from qmix.graphs import TwinSearchResult
+from conftest import (big_fi, cartesian_product, complete, complete_bipartite, cube_q3, cycle,
+                      hypercube, path, planted_true_pair, rational_matrix,
                       random_connected_graph, random_tree, reference_exact_kernel, star)
 
 
@@ -185,15 +187,6 @@ def test_twins_certificate():
     assert cert_twins(facts_of(path(4)), 1).verdict is Verdict.INCONCLUSIVE  # no twins
 
 
-FI = WeightedGraph.build(5, [(2, 1, 1), (1, 0, 1), (3, 4, 1), (2, 3, 1)])
-
-
-def big_fi(extra_path=13):
-    edges = list(FI.edges) + [(2, 5, 1)]
-    edges += [(5 + i, 6 + i, 1) for i in range(extra_path - 1)]
-    return WeightedGraph.build(5 + extra_path, edges)
-
-
 def big_fii(extra_path=11):
     base = [(3, 1, 1), (1, 2, 1), (2, 0, 1), (5, 4, 1), (4, 6, 1), (3, 5, 1)]
     edges = base + [(3, 7, 1)] + [(7 + i, 8 + i, 1) for i in range(extra_path - 1)]
@@ -208,8 +201,13 @@ def test_twin_subgraphs_true_pair_fires():
 
 
 def test_twin_subgraphs_false_pair_eigenvector():
-    g = big_fii()  # n = 18 > 16, inner path kernel vector (1, -1, 0)
-    facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=3).witnesses)
+    # n = 18: the paths 0-2-1 and 6-4-5 hang off 3 and 5 alike, with inner
+    # kernel vector (1, -1, 0) over (0, 1, 2); the pipeline searches no false
+    # pair of this size, so the witness is given
+    g = big_fii()
+    w = TwinSubgraphWitness(kind=TwinKind.FALSE, g_vertices=(0, 1, 2), h_vertices=(4, 5, 6),
+                            bijection=((0, 6), (1, 5), (2, 4)))
+    facts = replace(facts_of(g), twin_witnesses=(w,))
     for u in (0, 1, 5, 6):
         v = cert_twin_subgraphs(facts, u)
         assert v.verdict is Verdict.RULED_OUT, u
@@ -217,6 +215,21 @@ def test_twin_subgraphs_false_pair_eigenvector():
     # the inner-path centers carry a zero entry, so they are not ruled out
     v = cert_twin_subgraphs(facts, 2)
     assert v.verdict is Verdict.INCONCLUSIVE
+
+
+def test_twin_subgraphs_planted_true_pairs_fire(rng):
+    # part size 2 rules out from n = 17 on, at vertices no twin pair covers
+    for i, n in enumerate(range(17, 26)):
+        for weights in ((1,), (1, 2, 3)):
+            g, planted = planted_true_pair(rng, n, weights)
+            kind = WALK_MATRICES[i % 3]
+            facts = facts_of(g, kind)
+            assert not {v for a, b, _ in facts.twins for v in (a, b)} & set(planted)
+            for u in planted:
+                v = cert_twin_subgraphs(facts, u)
+                assert v.verdict is Verdict.RULED_OUT, (n, weights, kind, u)
+                assert dict(v.witness)["route"] == "true-pair-size"
+                assert dict(v.witness)["part_size"] == 2
 
 
 def test_twin_subgraphs_small_graph_inconclusive():
@@ -227,7 +240,6 @@ def test_twin_subgraphs_small_graph_inconclusive():
 
 
 def test_twin_subgraphs_rejects_bad_witness():
-    from qmix import TwinSubgraphWitness
     bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(2,))
     facts = replace(facts_of(path(4)), twin_witnesses=(bad,))
     with pytest.raises(ValueError):
@@ -423,6 +435,29 @@ def test_strict_tier_silent_under_every_matrix():
     for kind in WALK_MATRICES[1:]:
         report = certify_graph(star(4), dec_of(star(4), kind), kind)
         assert 0 in report.surviving_vertices, (kind, report.verdicts_for(0))
+
+
+# regular graphs that mix under A (at pi/4 or 2 pi/9), so under L and Q too
+LARGE_MIXING = {
+    "Q4": hypercube(4), "Q5": hypercube(5), "Q6": hypercube(6),
+    "K3xK3": cartesian_product(complete(3), complete(3)),
+    "K4xK4": cartesian_product(complete(4), complete(4)),
+    "K3xK3xK3": cartesian_product(complete(3), complete(3), complete(3)),
+    "K4xK4xK2": cartesian_product(complete(4), complete(4), complete(2)),
+}
+
+
+def test_strict_tier_silent_on_large_mixing_instances():
+    for name, g in LARGE_MIXING.items():
+        for kind in WALK_MATRICES:
+            report = certify_graph(g, dec_of(g, kind), kind)
+            assert report.surviving_vertices == tuple(range(g.n)), (name, kind,
+                                                                    report.fired_rules())
+    # n = 27..32: the part-size-2 search runs in full, and a true pair would
+    # contradict the sqrt(n) theorem on a mixing graph
+    for name in ("Q5", "K3xK3xK3", "K4xK4xK2"):
+        res = search_twin_subgraphs(LARGE_MIXING[name], a_max=2)
+        assert res == TwinSearchResult(witnesses=(), truncated=False), name
 
 
 def _relabelled(g, perm):

@@ -2,14 +2,17 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qmix.graphs
 from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
 from qmix.cli import _batch_one, main
@@ -404,6 +407,40 @@ def test_eigensolver_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
     entries = [json.loads(line) for line in lines[:agg_start]]
     assert len(entries) == 1 and "eigensolver failed" in entries[0]["error"]
     assert json.loads("\n".join(lines[agg_start:]))["aggregate"]["errors"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_weighted_degree_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "huge.wel"
+    p.write_text("0 1 1e308\n1 2 1e308\n")  # the middle vertex has degree 2e308 = inf
+    assert main(["spectrum", str(p), "--matrix", "adjacency"]) == 0
+    capsys.readouterr()
+    for matrix in ("laplacian", "signless"):
+        assert main(["spectrum", str(p), "--matrix", matrix]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err, matrix
+
+
+def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
+    gnx = nx.gnp_random_graph(64, 0.15, seed=64)
+    p = tmp_path / "gnp-64.g6"
+    p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
+    calls = Counter()
+    for name in ("degree_stats", "bipartition", "cycle_flags"):
+        original = getattr(qmix.graphs, name)
+
+        def counted(g, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(g)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qmix"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for matrix in ("adjacency", "laplacian"):
+        calls.clear()
+        assert main(["certify", str(p), "--matrix", matrix]) == 0
+        assert calls == {"degree_stats": 1, "bipartition": 1, "cycle_flags": 1}, matrix
+    capsys.readouterr()
 
 
 def test_batch_entry_reports_truncation():

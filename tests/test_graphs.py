@@ -14,10 +14,12 @@ from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, W
                   matrix_of, parse_graph6, parse_weighted_edgelist,
                   pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
                   verify_twin_subgraphs)
-from qmix.graphs import connected_components, degrees, is_tree, weighted_degrees
+from qmix.graphs import (TwinSearchResult, connected_components, degrees, is_tree,
+                         weighted_degrees)
 
-from conftest import (complete, count_distance_two_pairs, cycle, naive_twin_subgraph_check,
-                      path, random_connected_graph, reference_twin_search, star)
+from conftest import (big_fi, complete, count_distance_two_pairs, cycle,
+                      naive_twin_subgraph_check, path, planted_true_pair,
+                      random_connected_graph, reference_twin_search, star)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +335,12 @@ def test_search_star_singletons():
 
 
 def test_search_figure_true_pair():
-    res = search_twin_subgraphs(FI, a_max=2)
-    assert any(w.kind is TwinKind.TRUE and set(w.g_vertices) == {0, 1}
-               and set(w.h_vertices) == {3, 4} for w in res.witnesses)
+    def pair_found(g):
+        return any(w.kind is TwinKind.TRUE and set(w.g_vertices) == {0, 1}
+                   and set(w.h_vertices) == {3, 4} for w in search_twin_subgraphs(g, 2).witnesses)
+
+    assert pair_found(big_fi())  # n = 18 > 4a^2 = 16
+    assert not pair_found(FI)    # n = 5: the pair cannot rule anything out, so it is not searched
 
 
 def test_search_path4_empty_vs_exhaustive_oracle():
@@ -355,9 +360,8 @@ def test_search_path4_empty_vs_exhaustive_oracle():
 
 
 def test_search_emits_verified_witnesses(rng):
-    from conftest import random_connected_graph
     for _ in range(15):
-        g = random_connected_graph(rng, int(rng.integers(2, 9)))
+        g = random_connected_graph(rng, int(rng.integers(2, 21)))
         res = search_twin_subgraphs(g, a_max=2)
         for w in res.witnesses:
             assert verify_twin_subgraphs(g, w)
@@ -373,6 +377,19 @@ def _candidates(n, a_max):
     return sum(comb(n, a) * comb(n - a, a) // 2 for a in range(1, min(a_max, n // 2) + 1))
 
 
+def expected_search(g, a_max, subset_budget=1_000_000):
+    """The search contract on the exhaustive reference: every twin pair (the
+    reference's singletons, uncut), then the reference's true witnesses with
+    2 <= a and 4a^2 < n, cut at the same candidate."""
+    ref = reference_twin_search(g, a_max=a_max, subset_budget=subset_budget)
+    if min(a_max, g.n // 2) < 1:
+        return ref
+    pairs = reference_twin_search(g, a_max=1, subset_budget=comb(g.n, 2)).witnesses
+    true = tuple(w for w in ref.witnesses
+                 if w.kind is TwinKind.TRUE and w.size >= 2 and 4 * w.size ** 2 < g.n)
+    return TwinSearchResult(witnesses=pairs + true, truncated=ref.truncated)
+
+
 def test_search_matches_reference_on_atlas():
     for gnx in nx.graph_atlas_g():
         n = gnx.number_of_nodes()
@@ -380,10 +397,10 @@ def test_search_matches_reference_on_atlas():
             continue
         g = WeightedGraph.build(n, [(u, v, 1) for u, v in gnx.edges()])
         for a_max in (1, 2, 3):
-            assert search_twin_subgraphs(g, a_max=a_max) == reference_twin_search(g, a_max=a_max)
+            assert search_twin_subgraphs(g, a_max=a_max) == expected_search(g, a_max)
 
 
-@pytest.mark.parametrize("n", [4, 7, 10, 12, 16, 20, 24])
+@pytest.mark.parametrize("n", [4, 7, 10, 12, 16, 17, 20, 24])
 def test_search_matches_reference_on_random_graphs(n, rng):
     pairs = n * (n - 1) // 2
     graphs = []
@@ -401,6 +418,8 @@ def test_search_matches_reference_on_random_graphs(n, rng):
             for (u, v), w in wm.items() if u in copy or v in copy]
         label = rng.permutation(n).tolist()
         graphs.append(WeightedGraph.build(n, [(label[u], label[v], w) for (u, v), w in edges]))
+        if n >= 5:
+            graphs.append(planted_true_pair(rng, n, weights)[0])
     for g in graphs:
         for a_max in (1, 2, 3, 4) if n <= 12 else (1, 2):
             total = _candidates(n, a_max)
@@ -409,21 +428,22 @@ def test_search_matches_reference_on_random_graphs(n, rng):
                        int(rng.integers(0, total + 1))}
             for budget in sorted(budgets):
                 res = search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
-                assert res == reference_twin_search(g, a_max=a_max, subset_budget=budget)
+                assert res == expected_search(g, a_max, budget)
                 assert res.truncated == (total > budget)
-                assert budget > 0 or not res.witnesses
+                assert res.twin_pairs == find_twin_pairs(g)  # complete whatever the budget
 
 
 @st.composite
 def _graph_search_case(draw):
-    n = draw(st.integers(2, 9))
+    # a third of the examples pass the n >= 17 gate of the part-size-2 search
+    n = draw(st.one_of(st.integers(2, 9), st.integers(2, 9), st.integers(17, 18)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
     # the last two weight sets each round to one float64 value
     weights = draw(st.sampled_from(
         ((1,), (1, 2), (2 ** 53, 2 ** 53 + 1), (2 ** 70 + 1, 2 ** 70 + 3))))
     g = WeightedGraph.build(n, [(u, v, draw(st.sampled_from(weights))) for u, v in chosen])
-    a_max = draw(st.integers(1, 4))
+    a_max = draw(st.integers(1, 4 if n <= 9 else 2))  # the reference enumerates every candidate
     budget = draw(st.integers(0, _candidates(n, a_max) + 1))
     return g, a_max, budget
 
@@ -433,7 +453,7 @@ def _graph_search_case(draw):
 def test_search_matches_reference_property(case):
     g, a_max, budget = case
     assert (search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
-            == reference_twin_search(g, a_max=a_max, subset_budget=budget))
+            == expected_search(g, a_max, budget))
     # the singleton witnesses are exactly the twin pairs
     assert find_twin_pairs(g) == [(w.g_vertices[0], w.h_vertices[0], w.kind)
                                   for w in reference_twin_search(g, a_max=1).witnesses]

@@ -45,9 +45,26 @@ def test_decompose_k4_matches_closed_form():
     assert np.abs(projectors_of(dec)[0] - oracle[-1.0]).max() < 1e-12
 
 
-def test_decompose_rejects_nonsymmetric():
+def test_decompose_rejects_nonsymmetric(rng):
     with pytest.raises(ValueError):
         decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    m = matrix_of(random_connected_graph(rng, 12, WeightClass.REAL), MatrixKind.LAPLACIAN)
+    m[3, 7] += 1e-3  # the graph path skips this check; the public entry point keeps it
+    with pytest.raises(ValueError, match="symmetric"):
+        decompose(m)
+
+
+def test_decompose_graph_equals_decompose_bitwise(rng):
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 30)), wc)
+              for wc in (WeightClass.UNIT, WeightClass.INTEGER, WeightClass.REAL)
+              for _ in range(4)]
+    for g in graphs:
+        for kind in MatrixKind:
+            got, want = decompose_graph(g, kind), decompose(matrix_of(g, kind))
+            assert got.multiplicities == want.multiplicities
+            for name in ("matrix", "eigenvalues", "vectors"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, kind, name)
 
 
 def test_projector_algebra_random(rng):
