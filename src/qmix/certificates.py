@@ -1,5 +1,4 @@
-"""Sound rule-out certificates for local uniform-in-the-limit mixing,
-composed into per-vertex and graph-level pipelines.
+"""Sound rule-out certificates for local uniform-in-the-limit mixing.
 
 Every rule is a necessary condition for mixing, so firing it *rules out*
 mixing; nothing here ever certifies that mixing occurs.  Rules come in two
@@ -10,18 +9,19 @@ statements whose full generality conflicts with a verified mixing instance
 (the 4-vertex star); they are reported only on request, with the tension
 noted in the witness.
 
-Each rule reads the `GraphFacts` of one (graph, matrix) pair, and the
-`RULES` table is the one place where a rule, its scope, its tier and its
-output position are declared.
+Each rule reads the `GraphFacts` of one (graph, matrix) pair, runs once per
+graph and returns all of its verdicts, each scoped to the graph or to one
+vertex: the paper states most conditions per vertex, but each is a function
+of the whole graph and one matrix.  The `RULES` table is the one place where
+a rule, its tier and its output position are declared.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -108,8 +108,6 @@ class GraphFacts:
     kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
     signed_vectors: np.ndarray  # (k, n) int8 signed kernel vectors, sorted rows
     signed_truncated: bool
-    _twin_checked: dict[TwinSubgraphWitness, list | None] = field(
-        default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -118,42 +116,6 @@ class GraphFacts:
     @property
     def connected(self) -> bool:
         return len(self.components) == 1
-
-    def twin_check(self, w: TwinSubgraphWitness) -> list[tuple[int, ...]] | None:
-        """Verify a twin witness and return the exact kernel vectors of its
-        inner part when it is a false pair under the integer adjacency walk
-        (None otherwise); both are computed once per witness and graph."""
-        if w not in self._twin_checked:
-            if not verify_twin_subgraphs(self.g, w):
-                raise ValueError(f"twin-subgraph witness failed verification: {w}")
-            false_pair = w.kind is TwinKind.FALSE and self.kind is MatrixKind.ADJACENCY
-            self._twin_checked[w] = _inner_kernel_vectors(self.g, w) \
-                if false_pair and self.g.has_integer_weights() else None
-        return self._twin_checked[w]
-
-    @cached_property
-    def signed_nnz(self) -> np.ndarray:
-        """Nonzero count of each signed kernel vector."""
-        return np.count_nonzero(self.signed_vectors, axis=1)
-
-    @cached_property
-    def signed_part_nnz(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Nonzero count of each signed kernel vector inside each bipartition part."""
-        return {part: np.count_nonzero(self.signed_vectors[:, list(part)], axis=1)
-                for part in (self.bip.b1, self.bip.b2)}
-
-    @cached_property
-    def graph_row_verdicts(self) -> tuple[dict[tuple, list[CertificateVerdict]], ...]:
-        """The verdicts of each graph-scope row of RULES, grouped by scope and
-        evaluated once per graph (empty for the other rows)."""
-        out = []
-        for row in RULES:
-            grouped: dict[tuple, list[CertificateVerdict]] = {}
-            if row.scope == GRAPH_SCOPE and row.runs_at(self.opts.tier):
-                for v in row.run(self):
-                    grouped.setdefault(v.scope, []).append(v)
-            out.append(grouped)
-        return tuple(out)
 
 
 def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
@@ -185,6 +147,27 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
 # ---------------------------------------------------------------------------
 # Individual certificates
 
+def _not_applicable(rule: str, n: int, note: str) -> list[CertificateVerdict]:
+    return [_vertex(rule, u, Verdict.NOT_APPLICABLE, note=note) for u in range(n)]
+
+
+def _degree_bound(rule: str, deg, bound: Fraction, **witness) -> list[CertificateVerdict]:
+    """Every vertex's degree against one bound: ruled out above it."""
+    return [_vertex(rule, u, Verdict.RULED_OUT if d > bound else Verdict.INCONCLUSIVE,
+                    degree=d, bound=bound, **witness) for u, d in enumerate(deg)]
+
+
+def _first_rows(pool: np.ndarray, rows: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Each vertex's first row, of the given pool rows, that is nonzero at
+    it, as a tuple of ints; a vertex with no such row is left out."""
+    if not len(rows):
+        return {}
+    hit = pool[rows] != 0
+    first = hit.argmax(axis=0)
+    return {u: tuple(pool[rows[i]].tolist())
+            for u, i in enumerate(first.tolist()) if hit[i, u]}
+
+
 def cert_connectivity(facts: GraphFacts) -> list[CertificateVerdict]:
     """Disconnected graphs cannot mix at any vertex (block-diagonal walk)."""
     comps = facts.components
@@ -196,145 +179,166 @@ def cert_connectivity(facts: GraphFacts) -> list[CertificateVerdict]:
             for u in range(facts.n)]
 
 
-def cert_eigenvector_inequality(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
     """sqrt(n) |v_u| <= sum_j |v_j| must hold for every eigenvector v.
 
     Exact signed kernel vectors (adjacency walk only) are tested exactly;
     the canonical per-eigenspace vectors E_lambda e_u are tested in floating
-    point with the safety margin.
+    point with the safety margin, the first eigenvalue that breaks it being
+    the witness.
     """
     rule = "eigenvector-inequality"
-    dec, tol = facts.dec, facts.tol
-    n = facts.n
+    dec, n = facts.dec, facts.n
     pool = facts.signed_vectors
-    if len(pool):
-        # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
-        vec = _first_row(pool, (pool[:, u] != 0) & (n > facts.signed_nnz ** 2))
+    # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
+    nnz = np.count_nonzero(pool, axis=1)
+    exact = _first_rows(pool, np.flatnonzero(n > nnz * nnz))
+    if dec is not None:
+        # (n, d) tables over vertices u and eigenvalue groups k of both sides
+        # on the unit vector E_k e_u / ||E_k e_u||, with ||E_k e_u|| = ||B_k[u]||
+        # (the support cut of vertex_support); rhs is inf off the support
+        norms = dec.vertex_norms(np.arange(n))
+        groups = np.split(dec.vectors, np.cumsum(dec.multiplicities)[:-1], axis=1)
+        sums = np.column_stack([np.abs(b @ b.T).sum(axis=1) for b in groups])
+        rhs = np.divide(sums, norms, out=np.full_like(norms, math.inf),
+                        where=norms > facts.tol.supp)
+        lhs = math.sqrt(n) * norms
+        margin = facts.tol.safety(n)
+        fires = lhs > rhs + margin
+        first = np.where(fires.any(axis=1), fires.argmax(axis=1), -1)
+        gap = lhs - rhs
+        best, best_idx = np.full(n, -math.inf), np.full(n, -1)
+        for k in range(len(groups)):  # near-ties keep the lowest eigenvalue
+            better = gap[:, k] > best + 1e-12
+            best[better], best_idx[better] = gap[better, k], k
+    out = []
+    for u in range(n):
+        vec = exact.get(u)
         if vec is not None:
-            return _vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel",
-                           vector=vec, lhs_squared=n * vec[u] * vec[u],
-                           rhs=sum(abs(x) for x in vec))
-    if dec is None:
-        return _vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied")
-    margin = tol.safety(n)
-    best = -math.inf
-    best_idx = None
-    for i, vec in enumerate(dec.projector_rows(u)):  # E e_u, read as row u (E is symmetric)
-        norm = float(np.linalg.norm(vec))
-        if norm <= tol.supp:
-            continue
-        vec = vec / norm
-        lhs = math.sqrt(n) * abs(float(vec[u]))
-        rhs = float(np.abs(vec).sum())
-        if lhs - rhs > best + 1e-12:  # near-ties keep the lowest eigenvalue
-            best = lhs - rhs
-            best_idx = i
-        if lhs > rhs + margin:
-            return _vertex(rule, u, Verdict.RULED_OUT, route="canonical-float",
-                           eigenvalue=float(dec.eigenvalues[i]), lhs=lhs, rhs=rhs,
-                           margin=margin)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, best_gap=best,
-                   best_eigenvalue=None if best_idx is None
-                   else float(dec.eigenvalues[best_idx]))
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel",
+                               vector=vec, lhs_squared=n * vec[u] * vec[u],
+                               rhs=sum(abs(x) for x in vec)))
+        elif dec is None:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied"))
+        elif first[u] >= 0:
+            k = first[u]
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="canonical-float",
+                               eigenvalue=float(dec.eigenvalues[k]), lhs=float(lhs[u, k]),
+                               rhs=float(rhs[u, k]), margin=margin))
+        else:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, best_gap=float(best[u]),
+                               best_eigenvalue=None if best_idx[u] < 0
+                               else float(dec.eigenvalues[best_idx[u]])))
+    return out
 
 
-def cert_degree_LQ(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_degree_LQ(facts: GraphFacts) -> list[CertificateVerdict]:
     """Laplacian walks: deg u <= twice the average degree (unit weights)."""
     rule = "degree-vs-average-LQ"
     g, st = facts.g, facts.stats
     if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="requires a Laplacian walk on a unit-weight graph")
-    deg = st.deg[u]
-    bound = Fraction(4 * st.edge_count, g.n)
-    if deg > bound:
-        return _vertex(rule, u, Verdict.RULED_OUT, degree=deg, bound=bound)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, degree=deg, bound=bound)
+        return _not_applicable(rule, g.n, "requires a Laplacian walk on a unit-weight graph")
+    return _degree_bound(rule, st.deg, Fraction(4 * st.edge_count, g.n))
 
 
-def cert_degree_A_c4free(facts: GraphFacts, u: int) -> list[CertificateVerdict]:
+def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
     """Adjacency walks on C4-free graphs: deg u <= 2(|E| + q)/n, with the
     unicyclic-with-C4 and asserted-planar variants."""
-    out = []
     g, st, fl = facts.g, facts.stats, facts.flags
     applicable = facts.kind is MatrixKind.ADJACENCY and g.weight_class is WeightClass.UNIT
     n, q = g.n, st.dist2_pairs
-    deg = st.deg[u] if applicable else None
 
     rule = "degree-common-neighbors-A"
     if not applicable or fl.has_c4:
-        out.append(_vertex(rule, u, Verdict.NOT_APPLICABLE,
-                           note="requires a unit-weight C4-free graph under the adjacency walk"))
+        out = _not_applicable(
+            rule, n, "requires a unit-weight C4-free graph under the adjacency walk")
     else:
-        bound = Fraction(2 * (st.edge_count + q), n)
-        verdict = Verdict.RULED_OUT if deg > bound else Verdict.INCONCLUSIVE
-        out.append(_vertex(rule, u, verdict, degree=deg, bound=bound, dist2_pairs=q))
+        out = _degree_bound(rule, st.deg, Fraction(2 * (st.edge_count + q), n), dist2_pairs=q)
 
     rule = "degree-unicyclic-c4-A"
     unicyclic = facts.connected and g.edge_count == n
     if applicable and unicyclic and fl.has_c4:
-        bound = Fraction(2 * (n + q + 2), n)
-        verdict = Verdict.RULED_OUT if deg > bound else Verdict.INCONCLUSIVE
-        out.append(_vertex(rule, u, verdict, degree=deg, bound=bound, dist2_pairs=q))
+        out += _degree_bound(rule, st.deg, Fraction(2 * (n + q + 2), n), dist2_pairs=q)
     else:
-        out.append(_vertex(rule, u, Verdict.NOT_APPLICABLE,
-                           note="requires a unicyclic graph whose cycle is a C4"))
+        out += _not_applicable(rule, n, "requires a unicyclic graph whose cycle is a C4")
 
     rule = "degree-c4free-planar-A"
     if applicable and facts.opts.assert_planar and not fl.has_c4 and n >= 4:
-        bound = Fraction(30 * (n - 2) + 14 * q, 7 * n)
-        verdict = Verdict.RULED_OUT if deg > bound else Verdict.INCONCLUSIVE
-        out.append(_vertex(rule, u, verdict, degree=deg, bound=bound, dist2_pairs=q))
+        out += _degree_bound(rule, st.deg, Fraction(30 * (n - 2) + 14 * q, 7 * n),
+                             dist2_pairs=q)
     else:
-        out.append(_vertex(rule, u, Verdict.NOT_APPLICABLE,
-                           note="requires --assert-planar and a C4-free graph on >= 4 vertices"))
+        out += _not_applicable(
+            rule, n, "requires --assert-planar and a C4-free graph on >= 4 vertices")
     return out
 
 
-def cert_twins(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_twins(facts: GraphFacts) -> list[CertificateVerdict]:
     """A vertex with a twin cannot mix once the graph has five vertices."""
     rule = "twin-vertex"
-    partner = None
-    kind = None
+    n = facts.n
+    twin: dict[int, tuple[int, TwinKind]] = {}  # each vertex's first twin pair
     for a, b, k in facts.twins:
-        if a == u or b == u:
-            partner = b if a == u else a
-            kind = k
-            break
-    if partner is None:
-        return _vertex(rule, u, Verdict.INCONCLUSIVE, note="no twin")
-    if facts.n >= 5:
-        return _vertex(rule, u, Verdict.RULED_OUT, twin=partner, twin_kind=kind.value,
-                       n=facts.n)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, twin=partner, twin_kind=kind.value,
-                   note="order at most four")
+        twin.setdefault(a, (b, k))
+        twin.setdefault(b, (a, k))
+    out = []
+    for u in range(n):
+        if u not in twin:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, note="no twin"))
+        elif n >= 5:
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, twin=twin[u][0],
+                               twin_kind=twin[u][1].value, n=n))
+        else:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, twin=twin[u][0],
+                               twin_kind=twin[u][1].value, note="order at most four"))
+    return out
 
 
-def cert_twin_subgraphs(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
     """Twin-subgraph bounds: true pairs force n <= 4a^2 (any walk matrix);
     false pairs feed exact eigenvectors of the inner part through the
-    doubled eigenvector inequality (adjacency walk only)."""
+    doubled eigenvector inequality (adjacency walk only).  A vertex's
+    verdict comes from the first of its witnesses that fires, and a witness
+    is verified once, when it reaches a vertex no earlier witness decided."""
     rule = "twin-subgraph"
-    n = facts.n
-    relevant = [w for w in facts.twin_witnesses if w.contains(u)]
-    if not relevant:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE, note="no witness contains the vertex")
-    for w in relevant:
-        inner = facts.twin_check(w)
+    g, n = facts.g, facts.n
+    exact_false = facts.kind is MatrixKind.ADJACENCY and g.has_integer_weights()
+    fired: dict[int, CertificateVerdict] = {}
+    count = [0] * n  # witnesses containing each vertex
+    for w in facts.twin_witnesses:
+        members = w.g_vertices + w.h_vertices
+        for u in members:
+            count[u] += 1
+        undecided = [u for u in members if u not in fired]
+        if not undecided:
+            continue
+        if not verify_twin_subgraphs(g, w):
+            raise ValueError(f"twin-subgraph witness failed verification: {w}")
         a = w.size
         if w.kind is TwinKind.TRUE:
             if n > 4 * a * a:
-                return _vertex(rule, u, Verdict.RULED_OUT, route="true-pair-size",
-                               part_size=a, bound=4 * a * a, n=n,
-                               g_vertices=w.g_vertices, h_vertices=w.h_vertices)
-        elif inner is not None:
-            hit = _false_twin_violation(n, u, w, inner)
-            if hit is not None:
-                vec, lhs_sq, rhs = hit
-                return _vertex(rule, u, Verdict.RULED_OUT, route="false-pair-eigenvector",
-                               inner_vector=vec, lhs_squared=lhs_sq, rhs_doubled=rhs,
-                               g_vertices=w.g_vertices, h_vertices=w.h_vertices)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, witnesses=len(relevant))
+                fired.update((u, _vertex(rule, u, Verdict.RULED_OUT, route="true-pair-size",
+                                         part_size=a, bound=4 * a * a, n=n,
+                                         g_vertices=w.g_vertices, h_vertices=w.h_vertices))
+                             for u in undecided)
+        elif exact_false:
+            # exact kernel vectors x of the inner part, lifted to (x, -x, 0),
+            # must satisfy n x_u^2 <= (2 sum |x_j|)^2
+            inner = _inner_kernel_vectors(g, w)
+            pos = {v: i for i, v in enumerate(w.g_vertices)}
+            pos.update((h, pos[gv]) for gv, h in (w.mapping() or {}).items())
+            for u in undecided:
+                vec = next((x for x in inner if u in pos
+                            and n * x[pos[u]] ** 2 > (2 * sum(map(abs, x))) ** 2), None)
+                if vec is not None:
+                    fired[u] = _vertex(rule, u, Verdict.RULED_OUT,
+                                       route="false-pair-eigenvector", inner_vector=vec,
+                                       lhs_squared=n * vec[pos[u]] ** 2,
+                                       rhs_doubled=2 * sum(map(abs, vec)),
+                                       g_vertices=w.g_vertices, h_vertices=w.h_vertices)
+    return [fired[u] if u in fired
+            else _vertex(rule, u, Verdict.INCONCLUSIVE, witnesses=count[u]) if count[u]
+            else _vertex(rule, u, Verdict.NOT_APPLICABLE, note="no witness contains the vertex")
+            for u in range(n)]
 
 
 def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tuple[int, ...]]:
@@ -349,102 +353,86 @@ def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tupl
     return vectors
 
 
-def _false_twin_violation(n: int, u: int, w: TwinSubgraphWitness, vectors):
-    """Exact kernel vectors x of the inner part, lifted to (x, -x, 0), must
-    satisfy n x_u^2 <= (2 sum |x_j|)^2."""
-    pos = {v: i for i, v in enumerate(w.g_vertices)}
-    pos.update((h, pos[gv]) for gv, h in (w.mapping() or {}).items())
-    if u not in pos:
-        return None
-    for vec in vectors:
-        xu = vec[pos[u]]
-        if xu == 0:
-            continue
-        lhs_sq = n * xu * xu
-        rhs = 2 * sum(abs(x) for x in vec)
-        if lhs_sq > rhs * rhs:
-            return vec, lhs_sq, rhs
-    return None
-
-
-def cert_bipartite_parity(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_bipartite_parity(facts: GraphFacts) -> list[CertificateVerdict]:
     """Bipartite adjacency walks force n * deg u even, and tie the parity of
     the count of vertices with degree 2 or 3 (mod 4) to the parity of
     |E| - n deg(u) / 2."""
     rule = "bipartite-degree-parity"
     g, st = facts.g, facts.stats
+    n = g.n
     if facts.kind is not MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT \
             or not facts.bip.present:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="requires a unit-weight bipartite graph under the adjacency walk")
-    deg = st.deg[u]
-    if (g.n * deg) % 2 == 1:
-        return _vertex(rule, u, Verdict.RULED_OUT, route="odd-order-degree",
-                       n=g.n, degree=deg)
+        return _not_applicable(
+            rule, n, "requires a unit-weight bipartite graph under the adjacency walk")
     count23 = sum(1 for d in st.deg if d % 4 in (2, 3))
     even_count = count23 % 2 == 0
-    same_parity = (st.edge_count % 2) == ((g.n * deg // 2) % 2)
-    if even_count != same_parity:
-        return _vertex(rule, u, Verdict.RULED_OUT, route="count-parity",
-                       count_deg_2_3_mod4=count23, edge_count=st.edge_count,
-                       half_n_deg=g.n * deg // 2)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, count_deg_2_3_mod4=count23)
+    out = []
+    for u, deg in enumerate(st.deg):
+        if (n * deg) % 2 == 1:
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="odd-order-degree",
+                               n=n, degree=deg))
+        elif even_count != ((st.edge_count % 2) == ((n * deg // 2) % 2)):
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="count-parity",
+                               count_deg_2_3_mod4=count23, edge_count=st.edge_count,
+                               half_n_deg=n * deg // 2))
+        else:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, count_deg_2_3_mod4=count23))
+    return out
 
 
-def cert_kernel_vector(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_kernel_vector(facts: GraphFacts) -> list[CertificateVerdict]:
     """Singular bipartite adjacency walks with a kernel component at u: the
     order must be a perfect square, and each signed kernel vector restricted
     to u's part must have sqrt(n) <= nnz with matching parity."""
     rule = "bipartite-kernel-square"
     g, bp = facts.g, facts.bip
-    if facts.kind is not MatrixKind.ADJACENCY or not g.has_integer_weights() or not bp.present:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="requires an integer-weight bipartite graph under the adjacency walk")
-    if not any(vec[u] != 0 for vec in facts.kernel_basis):
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="no kernel component at the vertex")
     n = g.n
+    if facts.kind is not MatrixKind.ADJACENCY or not g.has_integer_weights() or not bp.present:
+        return _not_applicable(
+            rule, n, "requires an integer-weight bipartite graph under the adjacency walk")
+    in_kernel = {u for vec in facts.kernel_basis for u, x in enumerate(vec) if x}
     root = math.isqrt(n)
-    if root * root != n:
-        return _vertex(rule, u, Verdict.RULED_OUT, route="not-a-square", n=n)
-    part_u = bp.part_of(u)
     pool = facts.signed_vectors
-    if len(pool):
-        m = facts.signed_part_nnz[part_u]
-        bad = (pool[:, u] != 0) & ((root > m) | ((root - m) % 2 != 0))
-        vec = _first_row(pool, bad)
-        if vec is not None:
-            return _vertex(rule, u, Verdict.RULED_OUT, route="signed-vector-nnz",
-                           vector=vec, restricted_nnz=sum(1 for i in part_u if vec[i]),
-                           sqrt_n=root)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, sqrt_n=root, part_size=len(part_u))
+    bad: dict[int, tuple[int, ...]] = {}
+    if root * root == n and len(pool):
+        for part in (bp.b1, bp.b2):
+            m = np.count_nonzero(pool[:, list(part)], axis=1)
+            hits = _first_rows(pool, np.flatnonzero((root > m) | ((root - m) % 2 != 0)))
+            bad.update((u, hits[u]) for u in part if u in hits)
+    out = []
+    for u in range(n):
+        if u not in in_kernel:
+            out.append(_vertex(rule, u, Verdict.NOT_APPLICABLE,
+                               note="no kernel component at the vertex"))
+        elif root * root != n:
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="not-a-square", n=n))
+        elif u in bad:
+            vec = bad[u]
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="signed-vector-nnz",
+                               vector=vec, restricted_nnz=sum(1 for i in bp.part_of(u) if vec[i]),
+                               sqrt_n=root))
+        else:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, sqrt_n=root,
+                               part_size=len(bp.part_of(u))))
+    return out
 
 
-def _first_row(pool: np.ndarray, mask: np.ndarray) -> tuple[int, ...] | None:
-    """The first row of the pool where mask holds, as a tuple of ints."""
-    hit = np.flatnonzero(mask)
-    return tuple(pool[hit[0]].tolist()) if hit.size else None
-
-
-def cert_kernel_part_size(facts: GraphFacts, u: int) -> list[CertificateVerdict]:
+def cert_kernel_part_size(facts: GraphFacts) -> list[CertificateVerdict]:
     """Asserted tier: the literal phrasing of the kernel rule's bound, against
     |B1| itself, where the strict form is inconclusive.  It breaks on the
     4-vertex star, which provably mixes."""
-    if cert_kernel_vector(facts, u).verdict is not Verdict.INCONCLUSIVE:
-        return []
     root = math.isqrt(facts.n)
-    part_size = len(facts.bip.part_of(u))
-    if not (root > part_size or (root - part_size) % 2 != 0):
-        return []
+    size = {v.scope[1]: len(facts.bip.part_of(v.scope[1])) for v in cert_kernel_vector(facts)
+            if v.verdict is Verdict.INCONCLUSIVE}
+    candidates = [u for u, m in size.items() if root > m or (root - m) % 2 != 0]
     pool = facts.signed_vectors
-    hit = _first_row(pool, pool[:, u] != 0) if len(pool) else None
-    if hit is None:
-        return []
+    hits = _first_rows(pool, np.arange(len(pool))) if candidates else {}
     return [_vertex("bipartite-kernel-part-size", u, Verdict.RULED_OUT,
-                    tier=Tier.PAPER_ASSERTED, vector=hit, part_size=part_size,
+                    tier=Tier.PAPER_ASSERTED, vector=hits[u], part_size=size[u],
                     sqrt_n=root,
                     note="literal part-size form; known to fail on the 4-vertex star, "
-                         "which admits uniform mixing - kept at the asserted tier")]
+                         "which admits uniform mixing - kept at the asserted tier")
+            for u in candidates if u in hits]
 
 
 def _bipartite_adjacency(facts: GraphFacts) -> bool:
@@ -511,17 +499,15 @@ def cert_bipartite_balance(facts: GraphFacts) -> list[CertificateVerdict]:
                         "which admits uniform mixing - kept at the asserted tier")]
 
 
-def cert_planar_family(facts: GraphFacts, u: int) -> CertificateVerdict:
+def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
     """Degree bounds for Laplacian walks on sparse graph families: k-cyclic
     always, and planar / triangle-free / C4-free / C5-free under the
     --assert-planar flag.  All comparisons are exact rationals."""
     rule = "degree-planar-family-LQ"
     g, fl = facts.g, facts.flags
-    if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="requires a Laplacian walk on a unit-weight graph")
     n = g.n
-    deg = facts.stats.deg[u]
+    if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
+        return _not_applicable(rule, n, "requires a Laplacian walk on a unit-weight graph")
     bounds: list[tuple[str, Fraction]] = []
     if facts.connected:
         k = g.edge_count - n + 1
@@ -535,14 +521,18 @@ def cert_planar_family(facts: GraphFacts, u: int) -> CertificateVerdict:
         if not fl.has_c5 and n >= 11:
             bounds.append(("c5-free-planar", Fraction(4 * (12 * n - 33), 5 * n)))
     if not bounds:
-        return _vertex(rule, u, Verdict.NOT_APPLICABLE,
-                       note="no family bound applies (disconnected and not asserted planar)")
-    evaluated = tuple((name, b) for name, b in bounds)
-    for name, bound in bounds:
-        if deg > bound:
-            return _vertex(rule, u, Verdict.RULED_OUT, violated=name, degree=deg,
-                           bound=bound, bounds=evaluated)
-    return _vertex(rule, u, Verdict.INCONCLUSIVE, degree=deg, bounds=evaluated)
+        return _not_applicable(
+            rule, n, "no family bound applies (disconnected and not asserted planar)")
+    evaluated = tuple(bounds)
+    out = []
+    for u, deg in enumerate(facts.stats.deg):
+        violated = next(((name, b) for name, b in bounds if deg > b), None)
+        if violated is None:
+            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, degree=deg, bounds=evaluated))
+        else:
+            out.append(_vertex(rule, u, Verdict.RULED_OUT, violated=violated[0], degree=deg,
+                               bound=violated[1], bounds=evaluated))
+    return out
 
 
 def _unit_adjacency(facts: GraphFacts) -> bool:
@@ -672,47 +662,39 @@ def cert_pendant_pair(facts: GraphFacts) -> list[CertificateVerdict]:
 
 @dataclass(frozen=True)
 class Rule:
-    """One row of the rule table.  A vertex-scope evaluator takes
-    (facts, u); a graph-scope one takes facts, runs once per graph and may
-    also return verdicts scoped to single vertices."""
+    """One row of the rule table.  Its evaluator takes the facts, runs once
+    per graph and returns all of its verdicts, each scoped to the graph or
+    to one vertex."""
 
     ids: tuple[str, ...]
-    scope: str
     tier: Tier  # asserted rows run only for reports at the asserted tier
-    evaluate: Callable
-
-    def runs_at(self, tier: Tier) -> bool:
-        return self.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED
-
-    def run(self, facts: GraphFacts, *u: int) -> list[CertificateVerdict]:
-        out = self.evaluate(facts, *u)
-        return [out] if isinstance(out, CertificateVerdict) else out
+    evaluate: Callable[[GraphFacts], list[CertificateVerdict]]
 
 
 _S, _A = Tier.STRICT, Tier.PAPER_ASSERTED
 # Cheap exact rules first.  The row order is the order of the verdicts in
 # every report.
 RULES = (
-    Rule(("connectivity",), GRAPH_SCOPE, _S, cert_connectivity),
-    Rule(("twin-vertex",), VERTEX_SCOPE, _S, cert_twins),
-    Rule(("degree-vs-average-LQ",), VERTEX_SCOPE, _S, cert_degree_LQ),
+    Rule(("connectivity",), _S, cert_connectivity),
+    Rule(("twin-vertex",), _S, cert_twins),
+    Rule(("degree-vs-average-LQ",), _S, cert_degree_LQ),
     Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A", "degree-c4free-planar-A"),
-         VERTEX_SCOPE, _S, cert_degree_A_c4free),
-    Rule(("degree-planar-family-LQ",), VERTEX_SCOPE, _S, cert_planar_family),
-    Rule(("bipartite-degree-parity",), VERTEX_SCOPE, _S, cert_bipartite_parity),
-    Rule(("pendant-pair",), GRAPH_SCOPE, _S, cert_pendant_pair),
+         _S, cert_degree_A_c4free),
+    Rule(("degree-planar-family-LQ",), _S, cert_planar_family),
+    Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity),
+    Rule(("pendant-pair",), _S, cert_pendant_pair),
     Rule(("path-graph", "tree-degree-parity", "unicyclic-degree-parity",
           "caterpillar-pendant-parity", "tree-no-degree-two", "pendant-tree-pattern"),
-         GRAPH_SCOPE, _S, cert_tree_suite),
+         _S, cert_tree_suite),
     Rule(("subdivision-order", "bipartite-order-mod4", "bipartite-singular-square"),
-         GRAPH_SCOPE, _S, cert_bipartite_global),
-    Rule(("bipartite-kernel-square",), VERTEX_SCOPE, _S, cert_kernel_vector),
-    Rule(("twin-subgraph",), VERTEX_SCOPE, _S, cert_twin_subgraphs),
-    Rule(("eigenvector-inequality",), VERTEX_SCOPE, _S, cert_eigenvector_inequality),
-    Rule(("bipartite-kernel-part-size",), VERTEX_SCOPE, _A, cert_kernel_part_size),
-    Rule(("bipartite-kernel-part-mod4",), GRAPH_SCOPE, _A, cert_kernel_part_mod4),
-    Rule(("bipartite-balance",), GRAPH_SCOPE, _A, cert_bipartite_balance),
-    Rule(("tree-suite",), GRAPH_SCOPE, _S, cert_tree_suite_fallback),
+         _S, cert_bipartite_global),
+    Rule(("bipartite-kernel-square",), _S, cert_kernel_vector),
+    Rule(("twin-subgraph",), _S, cert_twin_subgraphs),
+    Rule(("eigenvector-inequality",), _S, cert_eigenvector_inequality),
+    Rule(("bipartite-kernel-part-size",), _A, cert_kernel_part_size),
+    Rule(("bipartite-kernel-part-mod4",), _A, cert_kernel_part_mod4),
+    Rule(("bipartite-balance",), _A, cert_bipartite_balance),
+    Rule(("tree-suite",), _S, cert_tree_suite_fallback),
 )
 
 
@@ -748,44 +730,47 @@ class CertificateReport:
         return sorted(fired)
 
 
+def verdicts_by_scope(facts: GraphFacts) -> dict[tuple, list[CertificateVerdict]]:
+    """Every verdict of the rows that run at the report's tier, one
+    evaluation per row, grouped by scope with each group in RULES order."""
+    grouped: dict[tuple, list[CertificateVerdict]] = {}
+    for row in RULES:
+        if row.tier is Tier.STRICT or facts.opts.tier is Tier.PAPER_ASSERTED:
+            for v in row.evaluate(facts):
+                grouped.setdefault(v.scope, []).append(v)
+    return grouped
+
+
 def certify_vertex(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                    u: int, opts: CertifyOptions = CertifyOptions(),
-                   tol: Tolerances = DEFAULT_TOLERANCES,
-                   facts: GraphFacts | None = None) -> tuple[CertificateVerdict, ...]:
-    """Every verdict at one vertex, in RULES order."""
-    if facts is None:
-        facts = collect_facts(g, dec, kind, opts, tol)
-    verdicts: list[CertificateVerdict] = []
-    for row, graph_out in zip(RULES, facts.graph_row_verdicts):
-        if row.scope == GRAPH_SCOPE:
-            verdicts.extend(graph_out.get((VERTEX_SCOPE, u), ()))
-        elif row.runs_at(facts.opts.tier):
-            verdicts.extend(row.run(facts, u))
-    return tuple(verdicts)
+                   tol: Tolerances = DEFAULT_TOLERANCES, facts: GraphFacts | None = None,
+                   verdicts: dict[tuple, list[CertificateVerdict]] | None = None
+                   ) -> tuple[CertificateVerdict, ...]:
+    """Every verdict at one vertex, in RULES order: a lookup into the
+    grouping of `verdicts_by_scope`, which is made here only when the
+    caller supplies none."""
+    if verdicts is None:
+        verdicts = verdicts_by_scope(facts or collect_facts(g, dec, kind, opts, tol))
+    return tuple(verdicts.get((VERTEX_SCOPE, u), ()))
 
 
 def certify_graph(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                   opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES,
                   facts: GraphFacts | None = None) -> CertificateReport:
-    """Run every applicable certificate at every vertex plus the graph-level
-    rules, and aggregate: graph-wide mixing needs mixing at every vertex, so
-    any strict vertex firing rules the whole graph out."""
+    """Run every applicable certificate once over the graph and aggregate:
+    graph-wide mixing needs mixing at every vertex, so any strict vertex
+    firing rules the whole graph out."""
     if facts is None:
         facts = collect_facts(g, dec, kind, opts, tol)
-    vertex_verdicts = []
-    surviving = []
-    for u in range(g.n):
-        vs = certify_vertex(g, dec, kind, u, opts, tol, facts)
-        vertex_verdicts.append((u, vs))
-        if not any(v.fired and v.tier is Tier.STRICT for v in vs):
-            surviving.append(u)
-    graph_verdicts = tuple(v for out in facts.graph_row_verdicts
-                           for v in out.get((GRAPH_SCOPE, None), ()))
+    grouped = verdicts_by_scope(facts)
+    vertex_verdicts = tuple((u, certify_vertex(g, dec, kind, u, opts, tol, facts, grouped))
+                            for u in range(g.n))
     return CertificateReport(
         n=g.n, kind=kind, tier=opts.tier,
-        vertex_verdicts=tuple(vertex_verdicts),
-        graph_verdicts=graph_verdicts,
-        surviving_vertices=tuple(surviving),
+        vertex_verdicts=vertex_verdicts,
+        graph_verdicts=tuple(grouped.get((GRAPH_SCOPE, None), ())),
+        surviving_vertices=tuple(u for u, vs in vertex_verdicts
+                                 if not any(v.fired and v.tier is Tier.STRICT for v in vs)),
         twin_search_truncated=facts.twin_search_truncated,
         signed_enumeration_truncated=facts.signed_truncated)

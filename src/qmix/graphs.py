@@ -281,12 +281,14 @@ def matrix_of(g: WeightedGraph, kind: MatrixKind) -> np.ndarray:
     """Adjacency, Laplacian (D - A) or signless Laplacian (D + A) of g.
 
     D holds weighted degrees (row sums of A), so the Laplacian rows sum to
-    zero and both Laplacians are positive semidefinite.
+    zero and both Laplacians are positive semidefinite.  A degree may
+    overflow to inf; the eigensolver reports that as an input error.
     """
     a = adjacency_matrix(g)
     if kind is MatrixKind.ADJACENCY:
         return a
-    d = np.diag(a.sum(axis=1))
+    with np.errstate(over="ignore"):
+        d = np.diag(a.sum(axis=1))
     return d - a if kind is MatrixKind.LAPLACIAN else d + a
 
 
@@ -501,9 +503,6 @@ class TwinSubgraphWitness:
     @property
     def size(self) -> int:
         return len(self.g_vertices)
-
-    def contains(self, u: int) -> bool:
-        return u in self.g_vertices or u in self.h_vertices
 
     def mapping(self) -> dict[int, int] | None:
         return dict(self.bijection) if self.bijection is not None else None

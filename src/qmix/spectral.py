@@ -73,12 +73,13 @@ class SpectralDecomposition:
         vec = np.asarray(x, dtype=complex).reshape(-1)
         return self._group_norms((vec.real @ self.vectors) ** 2 + (vec.imag @ self.vectors) ** 2)
 
-    def vertex_norms(self, u: int) -> np.ndarray:
-        """||E_k e_u|| for every group k, read as ||B_k[u]||."""
+    def vertex_norms(self, u) -> np.ndarray:
+        """||E_k e_u|| for every group k, read as ||B_k[u]||; one row per
+        vertex when u is an array of vertices."""
         return self._group_norms(self.vectors[u] ** 2)
 
     def _group_norms(self, squares: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.add.reduceat(squares, self._starts))
+        return np.sqrt(np.add.reduceat(squares, self._starts, axis=-1))
 
     def projector_rows(self, u: int) -> np.ndarray:
         """Row u of every eigenprojector, shape (d, n): row k is B_k B_k[u]."""

@@ -313,6 +313,51 @@ def reference_signed_vectors(kernel_basis, max_dim=12):
     return list(found)
 
 
+def at(verdicts, u):
+    """The verdicts of one rule that are scoped to vertex u, in order."""
+    return [v for v in verdicts if v.scope == ("vertex", u)]
+
+
+def reference_eigenvector_inequality(facts, u):
+    """The per-vertex loop of the eigenvector-inequality rule, kept as the
+    reference for its table: the first signed kernel vector nonzero at u
+    with n > nnz^2, else the row u of each eigenprojector in turn, scaled
+    to a unit vector, the first to break sqrt(n) |v_u| <= sum |v_j| by the
+    margin being the witness; near-ties for the best gap keep the lowest
+    eigenvalue.  Builds the verdict by hand, with no qmix rule code."""
+    from qmix import CertificateVerdict, Tier, Verdict
+
+    def verdict(kind, **witness):
+        return CertificateVerdict(rule_id="eigenvector-inequality", tier=Tier.STRICT,
+                                  verdict=kind, scope=("vertex", u),
+                                  witness=tuple(witness.items()))
+
+    dec, tol, n = facts.dec, facts.tol, facts.n
+    for row in facts.signed_vectors.tolist():
+        if row[u] != 0 and n > sum(x != 0 for x in row) ** 2:
+            return verdict(Verdict.RULED_OUT, route="exact-kernel", vector=tuple(row),
+                           lhs_squared=n * row[u] * row[u], rhs=sum(abs(x) for x in row))
+    if dec is None:
+        return verdict(Verdict.INCONCLUSIVE, note="no decomposition supplied")
+    margin = tol.safety(n)
+    best, best_idx = -math.inf, None
+    for i, proj in enumerate(projectors_of(dec)):
+        vec = proj[u]
+        norm = float(np.linalg.norm(vec))
+        if norm <= tol.supp:
+            continue
+        vec = vec / norm
+        lhs = math.sqrt(n) * abs(float(vec[u]))
+        rhs = float(np.abs(vec).sum())
+        if lhs - rhs > best + 1e-12:
+            best, best_idx = lhs - rhs, i
+        if lhs > rhs + margin:
+            return verdict(Verdict.RULED_OUT, route="canonical-float",
+                           eigenvalue=float(dec.eigenvalues[i]), lhs=lhs, rhs=rhs, margin=margin)
+    return verdict(Verdict.INCONCLUSIVE, best_gap=best,
+                   best_eigenvalue=None if best_idx is None else float(dec.eigenvalues[best_idx]))
+
+
 def rational_matrix(g: WeightedGraph, kind: MatrixKind) -> list[list[Fraction]]:
     """The chosen matrix of an integer-weighted graph as `Fraction` rows."""
     if not g.has_integer_weights():

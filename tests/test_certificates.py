@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qmix.certificates
 from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, TwinSubgraphWitness,
-                  Verdict, WeightedGraph, cert_bipartite_balance, cert_bipartite_global,
+                  Verdict, WeightClass, WeightedGraph, cert_bipartite_balance, cert_bipartite_global,
                   cert_bipartite_parity, cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
@@ -17,9 +19,10 @@ from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, TwinSubgrap
                   collect_facts, decompose_graph, search_twin_subgraphs,
                   signed_kernel_vectors, subdivide)
 from qmix.graphs import TwinSearchResult
-from conftest import (big_fi, cartesian_product, complete, complete_bipartite, cube_q3, cycle,
-                      hypercube, path, planted_true_pair, rational_matrix,
-                      random_connected_graph, random_tree, reference_exact_kernel, star)
+from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
+                      cycle, hypercube, path, planted_true_pair, rational_matrix,
+                      random_connected_graph, random_tree, reference_eigenvector_inequality,
+                      reference_exact_kernel, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -54,7 +57,7 @@ def test_eigenvector_inequality_pendant_pair_graph():
     # exact kernel vector and sqrt(6) > 2
     g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
                                 (0, 4, 1), (0, 5, 1)])
-    v = cert_eigenvector_inequality(facts_of(g, dec=dec_of(g)), 4)
+    v = at(cert_eigenvector_inequality(facts_of(g, dec=dec_of(g))), 4)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "exact-kernel"
 
@@ -63,12 +66,12 @@ def test_eigenvector_inequality_k4_inconclusive():
     g = complete(4)
     facts = facts_of(g, dec=dec_of(g))
     for u in range(4):
-        assert cert_eigenvector_inequality(facts, u).verdict is Verdict.INCONCLUSIVE
+        assert at(cert_eigenvector_inequality(facts), u)[0].verdict is Verdict.INCONCLUSIVE
 
 
 def test_eigenvector_inequality_star_center_inconclusive():
     g = star(4)
-    v = cert_eigenvector_inequality(facts_of(g, dec=dec_of(g)), 0)
+    v = at(cert_eigenvector_inequality(facts_of(g, dec=dec_of(g))), 0)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -81,8 +84,8 @@ def test_eigenvector_inequality_witness_survives_relabelling():
         h = WeightedGraph.build(g.n, [(perm[a], perm[b], w) for a, b, w in g.edges])
         fg, fh = facts_of(g, dec=dec_of(g)), facts_of(h, dec=dec_of(h))
         for u in range(g.n):
-            got = dict(cert_eigenvector_inequality(fh, perm[u]).witness)
-            want = dict(cert_eigenvector_inequality(fg, u).witness)
+            got = dict(at(cert_eigenvector_inequality(fh), perm[u])[0].witness)
+            want = dict(at(cert_eigenvector_inequality(fg), u)[0].witness)
             assert got["best_eigenvalue"] == pytest.approx(want["best_eigenvalue"], abs=1e-9)
 
 
@@ -90,36 +93,67 @@ def test_eigenvector_inequality_float_route():
     # center of the 5-star under the Laplacian: eigenvector (4,-1,-1,-1,-1)
     # violates sqrt(5)*4 <= 8, caught through the canonical float vectors
     g = star(5)
-    v = cert_eigenvector_inequality(
-        facts_of(g, MatrixKind.LAPLACIAN, dec_of(g, MatrixKind.LAPLACIAN)), 0)
+    v = at(cert_eigenvector_inequality(
+        facts_of(g, MatrixKind.LAPLACIAN, dec_of(g, MatrixKind.LAPLACIAN))), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "canonical-float"
 
 
 def test_eigenvector_inequality_float_disabled():
     g = star(5)
-    v = cert_eigenvector_inequality(facts_of(g, MatrixKind.LAPLACIAN), 0)
+    v = at(cert_eigenvector_inequality(facts_of(g, MatrixKind.LAPLACIAN)), 0)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
+
+
+def _inequality_cases():
+    """Graphs for the eigenvector-inequality table: the atlas up to six
+    vertices, seeded G(n, p) with unit, integer and real weights, and
+    eigenspaces of high multiplicity."""
+    for gnx in nx.graph_atlas_g():
+        if 2 <= gnx.number_of_nodes() <= 6:
+            yield WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+    rng = np.random.default_rng(12)
+    for n in range(8, 41, 4):
+        for wc in (WeightClass.UNIT, WeightClass.INTEGER, WeightClass.REAL):
+            yield random_connected_graph(rng, n, wc, extra_edges=int(0.2 * n * (n - 1) / 2))
+    yield from (complete(6), complete(9), hypercube(4), cartesian_product(complete(3), complete(3)))
+
+
+def test_eigenvector_inequality_table_matches_the_per_vertex_loop():
+    for g in _inequality_cases():
+        for kind in WALK_MATRICES:
+            facts = facts_of(g, kind, dec_of(g, kind))
+            for got in cert_eigenvector_inequality(facts):
+                want = reference_eigenvector_inequality(facts, got.scope[1])
+                assert (got.verdict, got.scope) == (want.verdict, want.scope)
+                got_w, want_w = dict(got.witness), dict(want.witness)
+                assert got_w.keys() == want_w.keys(), (g.edges, kind, got_w, want_w)
+                for key, value in want_w.items():
+                    if isinstance(value, float) and key not in ("eigenvalue", "best_eigenvalue"):
+                        assert got_w[key] == pytest.approx(value, rel=0, abs=1e-12), (
+                            g.edges, kind, key)
+                    else:
+                        assert got_w[key] == value, (g.edges, kind, key)
 
 
 # ---------------------------------------------------------------------------
 # degree bounds
 
 def test_degree_LQ():
-    v = cert_degree_LQ(facts_of(star(5), MatrixKind.LAPLACIAN), 0)
+    v = at(cert_degree_LQ(facts_of(star(5), MatrixKind.LAPLACIAN)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["bound"] == Fraction(16, 5)
-    v = cert_degree_LQ(facts_of(star(4), MatrixKind.LAPLACIAN), 0)
+    v = at(cert_degree_LQ(facts_of(star(4), MatrixKind.LAPLACIAN)), 0)[0]
     assert v.verdict is Verdict.INCONCLUSIVE  # boundary: 3 <= 3
-    v = cert_degree_LQ(facts_of(cycle(6), MatrixKind.SIGNLESS_LAPLACIAN), 2)
+    v = at(cert_degree_LQ(facts_of(cycle(6), MatrixKind.SIGNLESS_LAPLACIAN)), 2)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
-    v = cert_degree_LQ(facts_of(star(5)), 0)
+    v = at(cert_degree_LQ(facts_of(star(5))), 0)[0]
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
 def test_degree_A_c4free_star_boundary():
     g = star(7)  # q = 15, bound 2(6+15)/7 = 6
-    verdicts = cert_degree_A_c4free(facts_of(g), 0)
+    verdicts = at(cert_degree_A_c4free(facts_of(g)), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.INCONCLUSIVE
     assert dict(main.witness)["bound"] == 6
@@ -129,7 +163,7 @@ def test_degree_A_c4free_spider_fires():
     # 5-star with one leg subdivided: n = 7, q = 11, bound 34/7 < 5
     g = WeightedGraph.build(7, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1),
                                 (0, 5, 1), (5, 6, 1)])
-    verdicts = cert_degree_A_c4free(facts_of(g), 0)
+    verdicts = at(cert_degree_A_c4free(facts_of(g)), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.RULED_OUT
     assert dict(main.witness)["bound"] == Fraction(34, 7)
@@ -139,7 +173,7 @@ def test_degree_A_c4free_spider_fires():
 def test_degree_A_unicyclic_c4_variant():
     # a 4-cycle with one pendant: the adjusted bound applies
     g = WeightedGraph.build(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 4, 1)])
-    verdicts = cert_degree_A_c4free(facts_of(g), 0)
+    verdicts = at(cert_degree_A_c4free(facts_of(g)), 0)
     main = next(v for v in verdicts if v.rule_id == "degree-common-neighbors-A")
     assert main.verdict is Verdict.NOT_APPLICABLE  # graph has a C4
     var = next(v for v in verdicts if v.rule_id == "degree-unicyclic-c4-A")
@@ -150,19 +184,19 @@ def test_degree_A_unicyclic_c4_variant():
 
 def test_planar_family_tree_and_unicyclic():
     g = star(6)  # tree with a degree-5 center
-    v = cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN), 0)
+    v = at(cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT and dict(v.witness)["violated"] == "k-cyclic"
     # tree bound is deg <= 4 - 4/n, so degree 4 already fires
     g = star(5)
-    v = cert_planar_family(facts_of(g, MatrixKind.SIGNLESS_LAPLACIAN), 0)
+    v = at(cert_planar_family(facts_of(g, MatrixKind.SIGNLESS_LAPLACIAN)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     # unicyclic: degree 5 > 4 fires
     g = WeightedGraph.build(7, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1),
                                 (0, 4, 1), (0, 5, 1), (0, 6, 1)])
     facts = facts_of(g, MatrixKind.LAPLACIAN)
-    v = cert_planar_family(facts, 0)
+    v = at(cert_planar_family(facts), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
-    v = cert_planar_family(facts, 1)
+    v = at(cert_planar_family(facts), 1)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -171,10 +205,10 @@ def test_planar_family_asserted_planar():
     edges = [(0, i, 1) for i in range(1, 13)]
     edges += [(i, i + 1, 1) for i in range(13, 29)] + [(12, 13, 1)]
     g = WeightedGraph.build(30, edges)
-    v = cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN, assert_planar=True), 0)
+    v = at(cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN, assert_planar=True)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["violated"] in ("k-cyclic", "planar")
-    v = cert_planar_family(facts_of(g, assert_planar=True), 0)
+    v = at(cert_planar_family(facts_of(g, assert_planar=True)), 0)[0]
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -182,9 +216,9 @@ def test_planar_family_asserted_planar():
 # twins
 
 def test_twins_certificate():
-    assert cert_twins(facts_of(star(5)), 1).verdict is Verdict.RULED_OUT
-    assert cert_twins(facts_of(cycle(4)), 0).verdict is Verdict.INCONCLUSIVE  # n = 4
-    assert cert_twins(facts_of(path(4)), 1).verdict is Verdict.INCONCLUSIVE  # no twins
+    assert at(cert_twins(facts_of(star(5))), 1)[0].verdict is Verdict.RULED_OUT
+    assert at(cert_twins(facts_of(cycle(4))), 0)[0].verdict is Verdict.INCONCLUSIVE  # n = 4
+    assert at(cert_twins(facts_of(path(4))), 1)[0].verdict is Verdict.INCONCLUSIVE  # no twins
 
 
 def big_fii(extra_path=11):
@@ -195,7 +229,7 @@ def big_fii(extra_path=11):
 
 def test_twin_subgraphs_true_pair_fires():
     g = big_fi()  # n = 18 > 16, found by the pipeline's search (a <= 2)
-    v = cert_twin_subgraphs(facts_of(g), 0)
+    v = at(cert_twin_subgraphs(facts_of(g)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "true-pair-size"
 
@@ -209,11 +243,11 @@ def test_twin_subgraphs_false_pair_eigenvector():
                             bijection=((0, 6), (1, 5), (2, 4)))
     facts = replace(facts_of(g), twin_witnesses=(w,))
     for u in (0, 1, 5, 6):
-        v = cert_twin_subgraphs(facts, u)
+        v = at(cert_twin_subgraphs(facts), u)[0]
         assert v.verdict is Verdict.RULED_OUT, u
         assert dict(v.witness)["route"] == "false-pair-eigenvector"
     # the inner-path centers carry a zero entry, so they are not ruled out
-    v = cert_twin_subgraphs(facts, 2)
+    v = at(cert_twin_subgraphs(facts), 2)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
@@ -226,7 +260,7 @@ def test_twin_subgraphs_planted_true_pairs_fire(rng):
             facts = facts_of(g, kind)
             assert not {v for a, b, _ in facts.twins for v in (a, b)} & set(planted)
             for u in planted:
-                v = cert_twin_subgraphs(facts, u)
+                v = at(cert_twin_subgraphs(facts), u)[0]
                 assert v.verdict is Verdict.RULED_OUT, (n, weights, kind, u)
                 assert dict(v.witness)["route"] == "true-pair-size"
                 assert dict(v.witness)["part_size"] == 2
@@ -235,7 +269,7 @@ def test_twin_subgraphs_planted_true_pairs_fire(rng):
 def test_twin_subgraphs_small_graph_inconclusive():
     g = complete(4)
     facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=1).witnesses)
-    v = cert_twin_subgraphs(facts, 0)
+    v = at(cert_twin_subgraphs(facts), 0)[0]
     assert v.verdict is Verdict.INCONCLUSIVE  # n = 4 <= 4
 
 
@@ -243,7 +277,7 @@ def test_twin_subgraphs_rejects_bad_witness():
     bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(2,))
     facts = replace(facts_of(path(4)), twin_witnesses=(bad,))
     with pytest.raises(ValueError):
-        cert_twin_subgraphs(facts, 0)
+        at(cert_twin_subgraphs(facts), 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +287,7 @@ def test_bipartite_parity_odd_tree():
     g = random_tree(np.random.default_rng(5), 7)
     for u in range(7):
         if sum(1 for a, b, _ in g.edges if u in (a, b)) == 1:
-            v = cert_bipartite_parity(facts_of(g), u)
+            v = at(cert_bipartite_parity(facts_of(g)), u)[0]
             assert v.verdict is Verdict.RULED_OUT
             assert dict(v.witness)["route"] == "odd-order-degree"
             break
@@ -262,7 +296,7 @@ def test_bipartite_parity_odd_tree():
 def test_bipartite_parity_p4_pendant_count_rule():
     g = path(4)
     for u in (0, 3):
-        v = cert_bipartite_parity(facts_of(g), u)
+        v = at(cert_bipartite_parity(facts_of(g)), u)[0]
         assert v.verdict is Verdict.RULED_OUT
         assert dict(v.witness)["route"] == "count-parity"
 
@@ -270,31 +304,31 @@ def test_bipartite_parity_p4_pendant_count_rule():
 def test_bipartite_parity_c6_consistent():
     g = cycle(6)
     for u in range(6):
-        assert cert_bipartite_parity(facts_of(g), u).verdict is Verdict.INCONCLUSIVE
+        assert at(cert_bipartite_parity(facts_of(g)), u)[0].verdict is Verdict.INCONCLUSIVE
 
 
 def test_kernel_vector_star_inconclusive():
     g = star(4)
-    assert cert_kernel_vector(facts_of(g), 1).verdict is Verdict.INCONCLUSIVE
+    assert at(cert_kernel_vector(facts_of(g)), 1)[0].verdict is Verdict.INCONCLUSIVE
 
 
 def test_kernel_vector_star_asserted_tier_reports_literal_form():
     g = star(4)
-    asserted = cert_kernel_part_size(facts_of(g), 1)
+    asserted = at(cert_kernel_part_size(facts_of(g)), 1)
     assert len(asserted) == 1 and asserted[0].verdict is Verdict.RULED_OUT
     assert asserted[0].tier is Tier.PAPER_ASSERTED
 
 
 def test_kernel_vector_p3_endpoint():
     g = path(3)
-    v = cert_kernel_vector(facts_of(g), 0)
+    v = at(cert_kernel_vector(facts_of(g)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "not-a-square"
 
 
 def test_kernel_vector_p3_center_not_applicable():
     g = path(3)
-    assert cert_kernel_vector(facts_of(g), 1).verdict is Verdict.NOT_APPLICABLE
+    assert at(cert_kernel_vector(facts_of(g)), 1)[0].verdict is Verdict.NOT_APPLICABLE
 
 
 def test_kernel_vector_ten_vertex_spider():
@@ -306,7 +340,7 @@ def test_kernel_vector_ten_vertex_spider():
     basis = exact_kernel(g)
     assert basis  # singular
     u = next(u for u in range(10) if any(vec[u] for vec in basis))
-    assert cert_kernel_vector(facts_of(g), u).verdict is Verdict.RULED_OUT
+    assert at(cert_kernel_vector(facts_of(g)), u)[0].verdict is Verdict.RULED_OUT
 
 
 def test_bipartite_global_k33():
@@ -575,6 +609,25 @@ def test_verdicts_follow_rule_table(rng):
             for vs in [report.graph_verdicts] + [vs for _, vs in report.vertex_verdicts]:
                 rows = [row_of[v.rule_id] for v in vs]
                 assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("tier", [Tier.STRICT, Tier.PAPER_ASSERTED])
+@pytest.mark.parametrize("kind", WALK_MATRICES)
+def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind, tier):
+    calls = Counter()
+
+    def counted(row):
+        def evaluate(*args):
+            calls[row.ids] += 1
+            return row.evaluate(*args)
+        return replace(row, evaluate=evaluate)
+
+    monkeypatch.setattr(qmix.certificates, "RULES", tuple(counted(row) for row in RULES))
+    g = random_tree(np.random.default_rng(9), 9)
+    report = certify_graph(g, dec_of(g, kind), kind, CertifyOptions(tier=tier))
+    assert len(report.vertex_verdicts) == 9
+    assert calls == {row.ids: 1 for row in RULES
+                     if row.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED}
 
 
 def test_certify_star5_pipeline():

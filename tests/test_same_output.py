@@ -1,0 +1,33 @@
+"""The JSON comparison of tools/same_output.py, which reports whether two
+differing stdouts are equal apart from their floats."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from same_output import compare_json, documents, float_gap  # noqa: E402
+
+
+def test_documents_reads_one_document_or_a_sequence():
+    assert documents(b'{"a": 1}\n') == [{"a": 1}]
+    batch = b'{"file": "x", "line": 1}\n{"file": "x", "line": 2}\n{\n  "aggregate": {}\n}\n'
+    assert documents(batch) == [{"file": "x", "line": 1}, {"file": "x", "line": 2},
+                                {"aggregate": {}}]
+
+
+def test_float_gap_separates_float_digits_from_real_differences():
+    a = {"verdict": "ruled-out", "lhs": 2.23606797749979, "n": 5, "ok": True}
+    assert float_gap(a, dict(a, lhs=2.236067977499789)) < 1e-14
+    assert float_gap([1.0, 2], [1, 2]) == 0.0  # "1" renders as an int
+    assert float_gap(a, dict(a, verdict="inconclusive")) is None
+    assert float_gap(a, dict(a, n=6)) is None
+    assert float_gap(a, dict(a, ok=1)) is None
+    assert float_gap([1.0], [1.0, 2.0]) is None
+    assert float_gap({"a": 1, "b": 2}, {"b": 2, "a": 1}) is None  # key order is output
+
+
+def test_compare_json_reports_both_cases():
+    assert compare_json(b'{"x": 0.5}', b'{"x": 0.5000000000000107}') == \
+        "equal apart from floats, largest gap 1.07e-14"
+    assert compare_json(b'{"x": "a"}', b'{"x": "b"}') == "differs beyond floats"
+    assert compare_json(b'{"x": 1}', b'not json') == "not JSON"

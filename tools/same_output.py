@@ -15,12 +15,16 @@ matrix of commands:
   graph-wide and at the local vertex, with the benchmark's flags.
 
 Every command whose stdout or exit code differs between the roots is
-printed, and the exit status is 1 if any does, else 0.  Needs networkx,
-like the benchmark inputs.
+printed, and the exit status is 1 if any does, else 0.  Where both stdouts
+parse as JSON (one document, or a sequence of them as `batch` prints), the
+line also says whether they are equal apart from their floats, and gives
+the largest float gap; that does not change the exit status.  Needs
+networkx, like the benchmark inputs.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -59,6 +63,52 @@ def run(root: Path, argv: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+def documents(out: bytes) -> list:
+    """The JSON documents of one stdout, in order; ValueError if it holds
+    anything else."""
+    text, docs, pos = out.decode(), [], 0
+    decoder = json.JSONDecoder()
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            return docs
+        doc, pos = decoder.raw_decode(text, pos)
+        docs.append(doc)
+
+
+def float_gap(a, b) -> float | None:
+    """The largest gap between the floats of two JSON values that are equal
+    apart from their floats, or None where they differ otherwise."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return 0.0 if a is b else None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if isinstance(a, float) or isinstance(b, float):
+            return abs(a - b)
+        return 0.0 if a == b else None
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return None
+        gaps = [float_gap(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        gaps = [float_gap(x, y) for x, y in zip(a, b)]
+    else:
+        return 0.0 if a == b else None
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def compare_json(before: bytes, after: bytes) -> str:
+    """How two differing stdouts compare as JSON."""
+    try:
+        gap = float_gap(documents(before), documents(after))
+    except ValueError:
+        return "not JSON"
+    return "differs beyond floats" if gap is None else \
+        f"equal apart from floats, largest gap {gap:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_output.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
@@ -72,7 +122,8 @@ def main(argv: list[str]) -> int:
             if before != after:
                 differ += 1
                 print(f"differs: qmix {' '.join(cmd)} (exit {before[0]} -> {after[0]}, "
-                      f"{len(before[1])} -> {len(after[1])} bytes)")
+                      f"{len(before[1])} -> {len(after[1])} bytes; "
+                      f"{compare_json(before[1], after[1])})")
     print(f"{len(argvs) - differ} of {len(argvs)} commands byte-identical")
     return 1 if differ else 0
 
