@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,9 @@ GRAPH_SCOPE = "graph"
 TWIN_SUBGRAPH_SIZE = 2  # part-size bound for the twin-subgraph search
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(NamedTuple):
+    """One verdict of one rule: an immutable tuple of these fields."""
+
     rule_id: str
     tier: Tier
     verdict: Verdict
@@ -68,14 +69,12 @@ class CertificateVerdict:
 
 def _vertex(rule: str, u: int, verdict: Verdict, tier: Tier = Tier.STRICT,
             **witness) -> CertificateVerdict:
-    return CertificateVerdict(rule_id=rule, tier=tier, verdict=verdict,
-                              scope=(VERTEX_SCOPE, u), witness=tuple(witness.items()))
+    return CertificateVerdict(rule, tier, verdict, (VERTEX_SCOPE, u), tuple(witness.items()))
 
 
 def _graph(rule: str, verdict: Verdict, tier: Tier = Tier.STRICT,
            **witness) -> CertificateVerdict:
-    return CertificateVerdict(rule_id=rule, tier=tier, verdict=verdict,
-                              scope=(GRAPH_SCOPE, None), witness=tuple(witness.items()))
+    return CertificateVerdict(rule, tier, verdict, (GRAPH_SCOPE, None), tuple(witness.items()))
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,9 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
 # Individual certificates
 
 def _not_applicable(rule: str, n: int, note: str) -> list[CertificateVerdict]:
-    return [_vertex(rule, u, Verdict.NOT_APPLICABLE, note=note) for u in range(n)]
+    witness = (("note", note),)
+    return [CertificateVerdict(rule, Tier.STRICT, Verdict.NOT_APPLICABLE, (VERTEX_SCOPE, u),
+                               witness) for u in range(n)]
 
 
 def _degree_bound(rule: str, deg, bound: Fraction, **witness) -> list[CertificateVerdict]:
@@ -190,27 +191,29 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
     rule = "eigenvector-inequality"
     dec, n = facts.dec, facts.n
     pool = facts.signed_vectors
-    # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
-    nnz = np.count_nonzero(pool, axis=1)
-    exact = _first_rows(pool, np.flatnonzero(n > nnz * nnz))
+    exact = {}
+    if len(pool):
+        # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
+        nnz = np.count_nonzero(pool, axis=1)
+        exact = _first_rows(pool, np.flatnonzero(n > nnz * nnz))
     if dec is not None:
         # (n, d) tables over vertices u and eigenvalue groups k of both sides
         # on the unit vector E_k e_u / ||E_k e_u||, with ||E_k e_u|| = ||B_k[u]||
         # (the support cut of vertex_support); rhs is inf off the support
         norms = dec.vertex_norms(np.arange(n))
-        groups = np.split(dec.vectors, np.cumsum(dec.multiplicities)[:-1], axis=1)
-        sums = np.column_stack([np.abs(b @ b.T).sum(axis=1) for b in groups])
+        sums = np.empty_like(norms)
+        stop = 0
+        for k, m in enumerate(dec.multiplicities):
+            b = dec.vectors[:, stop:stop + m]
+            sums[:, k] = np.abs(b @ b.T).sum(axis=1)
+            stop += m
         rhs = np.divide(sums, norms, out=np.full_like(norms, math.inf),
                         where=norms > facts.tol.supp)
         lhs = math.sqrt(n) * norms
         margin = facts.tol.safety(n)
-        fires = lhs > rhs + margin
-        first = np.where(fires.any(axis=1), fires.argmax(axis=1), -1)
-        gap = lhs - rhs
-        best, best_idx = np.full(n, -math.inf), np.full(n, -1)
-        for k in range(len(groups)):  # near-ties keep the lowest eigenvalue
-            better = gap[:, k] > best + 1e-12
-            best[better], best_idx[better] = gap[better, k], k
+        # the per-row tests below read the tables as Python floats, which
+        # compare and subtract exactly as float64 does
+        lhs, rhs, values = lhs.tolist(), rhs.tolist(), dec.eigenvalues.tolist()
     out = []
     for u in range(n):
         vec = exact.get(u)
@@ -218,17 +221,23 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
             out.append(_vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel",
                                vector=vec, lhs_squared=n * vec[u] * vec[u],
                                rhs=sum(abs(x) for x in vec)))
-        elif dec is None:
+            continue
+        if dec is None:
             out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied"))
-        elif first[u] >= 0:
-            k = first[u]
+            continue
+        row = tuple(zip(lhs[u], rhs[u]))
+        k = next((k for k, (left, right) in enumerate(row) if left > right + margin), None)
+        if k is not None:
             out.append(_vertex(rule, u, Verdict.RULED_OUT, route="canonical-float",
-                               eigenvalue=float(dec.eigenvalues[k]), lhs=float(lhs[u, k]),
-                               rhs=float(rhs[u, k]), margin=margin))
-        else:
-            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, best_gap=float(best[u]),
-                               best_eigenvalue=None if best_idx[u] < 0
-                               else float(dec.eigenvalues[best_idx[u]])))
+                               eigenvalue=values[k], lhs=row[k][0], rhs=row[k][1],
+                               margin=margin))
+            continue
+        best, best_k = -math.inf, None
+        for k, (left, right) in enumerate(row):  # near-ties keep the lowest eigenvalue
+            if left - right > best + 1e-12:
+                best, best_k = left - right, k
+        out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, best_gap=best,
+                           best_eigenvalue=None if best_k is None else values[best_k]))
     return out
 
 
@@ -344,6 +353,8 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
 def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tuple[int, ...]]:
     """Signed kernel vectors of the inner part's adjacency matrix, then the
     basis vectors not among them."""
+    if w.size == 1:  # graphs are loopless: one vertex has the zero 1 x 1 matrix
+        return [(1,)]
     index = {v: i for i, v in enumerate(w.g_vertices)}
     inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
                                              if a in index and b in index])
@@ -706,6 +717,10 @@ class CertificateReport:
     vertex_verdicts: tuple[tuple[int, tuple[CertificateVerdict, ...]], ...]
     graph_verdicts: tuple[CertificateVerdict, ...]
     surviving_vertices: tuple[int, ...]
+    # Strict graph-level rule-out: a graph-scope strict rule fired, or a
+    # strict rule fired at some vertex (mixing everywhere is required).
+    graph_ruled_out: bool
+    fired_rule_ids: tuple[str, ...]  # sorted ids of the rules that fired anywhere
     twin_search_truncated: bool = False
     signed_enumeration_truncated: bool = False
 
@@ -715,62 +730,70 @@ class CertificateReport:
                 return verdicts
         raise KeyError(u)
 
-    @property
-    def graph_ruled_out(self) -> bool:
-        """Strict graph-level rule-out: a graph-scope strict rule fired, or a
-        strict rule fired at some vertex (mixing everywhere is required)."""
-        if any(v.fired and v.tier is Tier.STRICT for v in self.graph_verdicts):
-            return True
-        return any(v.fired and v.tier is Tier.STRICT
-                   for _, vs in self.vertex_verdicts for v in vs)
-
     def fired_rules(self) -> list[str]:
-        fired = {v.rule_id for v in self.graph_verdicts if v.fired}
-        fired.update(v.rule_id for _, vs in self.vertex_verdicts for v in vs if v.fired)
-        return sorted(fired)
+        return list(self.fired_rule_ids)
 
 
-def verdicts_by_scope(facts: GraphFacts) -> dict[tuple, list[CertificateVerdict]]:
+# The verdicts of one graph: those scoped to the graph, then one list per vertex.
+Grouping = tuple[list[CertificateVerdict], list[list[CertificateVerdict]]]
+
+
+def verdicts_by_scope(facts: GraphFacts) -> Grouping:
     """Every verdict of the rows that run at the report's tier, one
     evaluation per row, grouped by scope with each group in RULES order."""
-    grouped: dict[tuple, list[CertificateVerdict]] = {}
+    graph: list[CertificateVerdict] = []
+    by_vertex: list[list[CertificateVerdict]] = [[] for _ in range(facts.n)]
     for row in RULES:
         if row.tier is Tier.STRICT or facts.opts.tier is Tier.PAPER_ASSERTED:
             for v in row.evaluate(facts):
-                grouped.setdefault(v.scope, []).append(v)
-    return grouped
+                u = v.scope[1]
+                (graph if u is None else by_vertex[u]).append(v)
+    return graph, by_vertex
 
 
 def certify_vertex(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                    u: int, opts: CertifyOptions = CertifyOptions(),
                    tol: Tolerances = DEFAULT_TOLERANCES, facts: GraphFacts | None = None,
-                   verdicts: dict[tuple, list[CertificateVerdict]] | None = None
-                   ) -> tuple[CertificateVerdict, ...]:
+                   verdicts: Grouping | None = None) -> tuple[CertificateVerdict, ...]:
     """Every verdict at one vertex, in RULES order: a lookup into the
     grouping of `verdicts_by_scope`, which is made here only when the
     caller supplies none."""
     if verdicts is None:
         verdicts = verdicts_by_scope(facts or collect_facts(g, dec, kind, opts, tol))
-    return tuple(verdicts.get((VERTEX_SCOPE, u), ()))
+    return tuple(verdicts[1][u])
 
 
 def certify_graph(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                   opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES,
                   facts: GraphFacts | None = None) -> CertificateReport:
-    """Run every applicable certificate once over the graph and aggregate:
-    graph-wide mixing needs mixing at every vertex, so any strict vertex
-    firing rules the whole graph out."""
+    """Run every applicable certificate once over the graph and aggregate in
+    one pass over the verdicts: graph-wide mixing needs mixing at every
+    vertex, so any strict vertex firing rules the whole graph out."""
     if facts is None:
         facts = collect_facts(g, dec, kind, opts, tol)
     grouped = verdicts_by_scope(facts)
-    vertex_verdicts = tuple((u, certify_vertex(g, dec, kind, u, opts, tol, facts, grouped))
-                            for u in range(g.n))
+    graph_verdicts = tuple(grouped[0])
+    fired = {v.rule_id for v in graph_verdicts if v.verdict is Verdict.RULED_OUT}
+    ruled_out = any(v.verdict is Verdict.RULED_OUT and v.tier is Tier.STRICT
+                    for v in graph_verdicts)
+    vertex_verdicts, survivors = [], []
+    for u in range(g.n):
+        vs = certify_vertex(g, dec, kind, u, opts, tol, facts, grouped)
+        vertex_verdicts.append((u, vs))
+        survives = True
+        for v in vs:
+            if v.verdict is Verdict.RULED_OUT:
+                fired.add(v.rule_id)
+                survives = survives and v.tier is not Tier.STRICT
+        if survives:
+            survivors.append(u)
     return CertificateReport(
         n=g.n, kind=kind, tier=opts.tier,
-        vertex_verdicts=vertex_verdicts,
-        graph_verdicts=tuple(grouped.get((GRAPH_SCOPE, None), ())),
-        surviving_vertices=tuple(u for u, vs in vertex_verdicts
-                                 if not any(v.fired and v.tier is Tier.STRICT for v in vs)),
+        vertex_verdicts=tuple(vertex_verdicts),
+        graph_verdicts=graph_verdicts,
+        surviving_vertices=tuple(survivors),
+        graph_ruled_out=ruled_out or len(survivors) < g.n,
+        fired_rule_ids=tuple(sorted(fired)),
         twin_search_truncated=facts.twin_search_truncated,
         signed_enumeration_truncated=facts.signed_truncated)

@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,6 +249,7 @@ def _cmd_batch(args) -> int:
     if workers <= 1:
         entries = [_batch_one(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costs start-up time; only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_batch_one, tasks))
     rule_counts: dict[str, int] = {}

@@ -203,20 +203,14 @@ def parse_graph6(text: str) -> WeightedGraph:
     if len(body) != need:
         raise GraphFormatError(
             f"graph6 payload has {len(body)} characters, expected {need} for n={n}")
-    bits = []
-    for v in body:
-        bits.extend(((v >> 5) & 1, (v >> 4) & 1, (v >> 3) & 1,
-                     (v >> 2) & 1, (v >> 1) & 1, v & 1))
-    if any(bits[nbits:]):
+    bits = "".join([format(v, "06b") for v in body])
+    if "1" in bits[nbits:]:
         raise GraphFormatError("graph6 padding bits must be zero")
-    edges = []
-    i = 0
-    for k in range(1, n):
-        for j in range(k):
-            if bits[i]:
-                edges.append((j, k, 1))
-            i += 1
-    return WeightedGraph.build(n, edges, WeightClass.UNIT)
+    # bit k(k-1)/2 + j is the pair j < k; the edges come out sorted and
+    # valid, as build would canonicalise them
+    edges = tuple((j, k, 1) for j in range(n) for k in range(j + 1, n)
+                  if bits[k * (k - 1) // 2 + j] == "1")
+    return WeightedGraph(n=n, edges=edges, weight_class=WeightClass.UNIT)
 
 
 def parse_weighted_edgelist(text: str) -> WeightedGraph:
@@ -458,23 +452,36 @@ def attach_pendants(g: WeightedGraph) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # Twins and twin subgraphs
 
+_DIFF_BLOCK_BYTES = 1 << 20  # most boolean entries _row_differences compares at once
+
+
 def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
     """Where rows of the adjacency matrix differ: entry x maps each y != x
     whose row differs from row x in at most `limit` positions to that
     position set D(x, y).  The rows hold an integer id per distinct exact
     weight, because float64 would round integers above 2^53.
 
-    Built one row at a time, so memory stays O(n^2); keys run in increasing y.
+    Built a block of rows x at a time, each block comparing at most
+    _DIFF_BLOCK_BYTES entries or one row, so memory stays O(n^2); keys run in
+    increasing y.
     """
+    n = g.n
     ids: dict[Weight, int] = {}
-    mat = np.zeros((g.n, g.n), dtype=np.int32)
+    mat = np.zeros((n, n), dtype=np.int32)
     for u, v, w in g.edges:
         mat[u, v] = mat[v, u] = ids.setdefault(w, len(ids) + 1)
-    out = []
-    for x in range(g.n):
-        diff = mat[x] != mat
-        near = np.nonzero(diff.sum(axis=1) <= limit)[0].tolist()
-        out.append({y: frozenset(np.nonzero(diff[y])[0].tolist()) for y in near if y != x})
+    out: list[dict[int, frozenset[int]]] = [{} for _ in range(n)]
+    step = max(1, _DIFF_BLOCK_BYTES // (n * n))
+    for start in range(0, n, step):
+        diff = mat[start:start + step, None] != mat  # diff[i, y, z]: row start + i vs row y at z
+        near = diff.sum(axis=2) <= limit
+        near[np.arange(len(near)), np.arange(start, start + len(near))] = False
+        xs, ys = np.nonzero(near)
+        positions: list[list[int]] = [[] for _ in range(len(xs))]
+        for i, z in zip(*(a.tolist() for a in np.nonzero(diff[xs, ys]))):
+            positions[i].append(z)
+        for x, y, pos in zip(xs.tolist(), ys.tolist(), positions):
+            out[start + x][y] = frozenset(pos)
     return out
 
 

@@ -34,7 +34,12 @@ def render_json(obj, indent: int = 2) -> str:
 def _render(obj, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
-    if obj is None:
+    kind = type(obj)
+    if kind is str:  # the commonest leaves first; bool is not int by type
+        out.append(_escape(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")

@@ -21,6 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class SpectralDecomposition:
     @cached_property
     def _starts(self) -> np.ndarray:
         """First column of each group in V."""
-        return _read_only(np.cumsum((0,) + self.multiplicities[:-1]))
+        return _read_only(np.array((0, *accumulate(self.multiplicities[:-1]))))
 
     def projection_norms(self, x) -> np.ndarray:
         """||E_k x|| for every group k, read as ||B_k^T x||."""
@@ -121,11 +122,15 @@ def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecompositio
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     gap = tol.group(float(np.abs(w).max(initial=0.0)))
-    starts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > gap]
+    ws = w.tolist()
+    starts = [0] + [i for i in range(1, n) if ws[i] - ws[i - 1] > gap]
     stops = starts[1:] + [n]
+    # each group's mean as np.mean takes it, without its Python wrapper
+    # (np.add.reduceat sums groups of three or more in another order)
+    means = [np.add.reduce(w[a:b]) / (b - a) for a, b in zip(starts, stops)]
     return SpectralDecomposition(
         matrix=_read_only(m),
-        eigenvalues=_read_only(np.array([float(np.mean(w[a:b])) for a, b in zip(starts, stops)])),
+        eigenvalues=_read_only(np.array(means)),
         multiplicities=tuple(b - a for a, b in zip(starts, stops)),
         vectors=_read_only(v))
 

@@ -358,6 +358,24 @@ def reference_eigenvector_inequality(facts, u):
                    best_eigenvalue=None if best_idx is None else float(dec.eigenvalues[best_idx]))
 
 
+def reference_report_summary(report):
+    """The three separate walks over a certificate report that its one-pass
+    summary replaces, kept as the reference: whether a strict rule fired at
+    graph scope or at some vertex, the sorted ids of every rule that fired
+    anywhere, and the vertices at which no strict rule fired."""
+    from qmix import Tier
+
+    def strict_fired(verdicts):
+        return any(v.fired and v.tier is Tier.STRICT for v in verdicts)
+
+    ruled_out = strict_fired(report.graph_verdicts) or any(
+        strict_fired(vs) for _, vs in report.vertex_verdicts)
+    fired = {v.rule_id for v in report.graph_verdicts if v.fired}
+    fired.update(v.rule_id for _, vs in report.vertex_verdicts for v in vs if v.fired)
+    survivors = tuple(u for u, vs in report.vertex_verdicts if not strict_fired(vs))
+    return ruled_out, sorted(fired), survivors
+
+
 def rational_matrix(g: WeightedGraph, kind: MatrixKind) -> list[list[Fraction]]:
     """The chosen matrix of an integer-weighted graph as `Fraction` rows."""
     if not g.has_integer_weights():

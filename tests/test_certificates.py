@@ -10,19 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmix.certificates
-from qmix import (RULES, CertifyOptions, MatrixKind, Tier, TwinKind, TwinSubgraphWitness,
+from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, TwinKind,
+                  TwinSubgraphWitness,
                   Verdict, WeightClass, WeightedGraph, cert_bipartite_balance, cert_bipartite_global,
                   cert_bipartite_parity, cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                  collect_facts, decompose_graph, search_twin_subgraphs,
+                  collect_facts, decompose_graph, exact_kernel, search_twin_subgraphs,
                   signed_kernel_vectors, subdivide)
+from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors
 from qmix.graphs import TwinSearchResult
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
                       random_connected_graph, random_tree, reference_eigenvector_inequality,
-                      reference_exact_kernel, star)
+                      reference_exact_kernel, reference_report_summary, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -271,6 +273,32 @@ def test_twin_subgraphs_small_graph_inconclusive():
     facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=1).witnesses)
     v = at(cert_twin_subgraphs(facts), 0)[0]
     assert v.verdict is Verdict.INCONCLUSIVE  # n = 4 <= 4
+
+
+def _atlas(max_n):
+    for gnx in nx.graph_atlas_g()[1:]:
+        if gnx.number_of_nodes() > max_n:
+            return
+        yield WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+
+
+def test_twin_pair_inner_kernel_is_closed_form():
+    # graphs are loopless, so the inner part of an a = 1 false witness is one
+    # vertex with the zero 1 x 1 matrix: the generic path gives (1,) too
+    checked = 0
+    for g in _atlas(7):
+        for w in search_twin_subgraphs(g, a_max=TWIN_SUBGRAPH_SIZE).witnesses:
+            if w.kind is not TwinKind.FALSE or w.size != 1:
+                continue
+            index = {v: i for i, v in enumerate(w.g_vertices)}
+            inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
+                                                     if a in index and b in index])
+            basis = exact_kernel(inner)
+            generic = [tuple(r) for r in signed_kernel_vectors(basis, max_dim=10).vectors.tolist()]
+            generic += [b for b in basis if b not in generic]
+            assert _inner_kernel_vectors(g, w) == generic == [(1,)]
+            checked += 1
+    assert checked > 800
 
 
 def test_twin_subgraphs_rejects_bad_witness():
@@ -628,6 +656,39 @@ def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind, tier):
     assert len(report.vertex_verdicts) == 9
     assert calls == {row.ids: 1 for row in RULES
                      if row.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED}
+
+
+def _summary_cases():
+    """The atlas up to six vertices, and seeded G(n, p), connected or not."""
+    yield from _atlas(6)
+    for n in range(8, 31, 2):
+        gnx = nx.gnp_random_graph(n, 0.2, seed=n)
+        yield WeightedGraph.build(n, [(u, v, 1) for u, v in gnx.edges()])
+
+
+def test_one_pass_summary_matches_the_three_walks():
+    for g in _summary_cases():
+        for kind in WALK_MATRICES:
+            dec = dec_of(g, kind)
+            for tier in (Tier.STRICT, Tier.PAPER_ASSERTED):
+                report = certify_graph(g, dec, kind, CertifyOptions(tier=tier))
+                assert (report.graph_ruled_out, report.fired_rules(),
+                        report.surviving_vertices) == reference_report_summary(report), (
+                    g.edges, kind, tier)
+
+
+def test_verdict_record_is_an_immutable_hashable_tuple():
+    fields = ("twin-vertex", Tier.STRICT, Verdict.RULED_OUT, ("vertex", 3), (("twin", 4),))
+    v = CertificateVerdict(rule_id="twin-vertex", tier=Tier.STRICT, verdict=Verdict.RULED_OUT,
+                           scope=("vertex", 3), witness=(("twin", 4),))
+    with pytest.raises(AttributeError):
+        v.verdict = Verdict.INCONCLUSIVE
+    same = CertificateVerdict(*fields)
+    assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+    assert v == fields and tuple(v) == fields
+    assert CertificateVerdict(*fields[:4]).witness == ()
+    for verdict in Verdict:
+        assert v._replace(verdict=verdict).fired is (verdict is Verdict.RULED_OUT)
 
 
 def test_certify_star5_pipeline():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -344,7 +346,7 @@ def test_batch_jobs_capped_by_tasks_and_cores(tmp_path, capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("qmix.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     assert main(["batch", str(tmp_path), "--jobs", "100000"]) == 0
     assert json.loads(capsys.readouterr().out)["aggregate"]["graphs"] == 0
     assert started == []
@@ -359,6 +361,22 @@ def test_batch_jobs_capped_by_tasks_and_cores(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == sequential
         assert started[-1] == expected
     assert len(started) == 2
+
+
+def test_import_loads_every_span_module_and_no_process_pool():
+    # the pool module is imported only for --jobs > 1; the benchmark's tracer
+    # wraps functions in every span module as soon as qmix.cli is imported
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join((
+        "import sys",
+        "import qmix.cli",
+        "pool = 'concurrent.futures' in sys.modules",
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})",
+        "from tracing import SPANS",
+        "print(pool, sorted({home for _, home, _, _ in SPANS} - set(sys.modules)))"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True).stdout
+    assert out.split() == ["False", "[]"]
 
 
 def test_bad_weights_are_input_errors(tmp_path, capsys):

@@ -67,6 +67,25 @@ def test_decompose_graph_equals_decompose_bitwise(rng):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, kind, name)
 
 
+def test_group_means_are_np_mean_bitwise(rng):
+    # clusters of up to 13 eigenvalues within the grouping tolerance
+    large = 0
+    for _ in range(200):
+        sizes = rng.integers(1, 14, size=int(rng.integers(1, 5)))
+        centres = np.cumsum(rng.uniform(0.5, 3.0, size=len(sizes))) - 4.0
+        values = np.concatenate([c + rng.uniform(-1e-10, 1e-10, size=k)
+                                 for c, k in zip(centres, sizes)])
+        q, _ = np.linalg.qr(rng.normal(size=(len(values), len(values))))
+        dec = decompose((q * values) @ q.T)
+        w = np.linalg.eigh(dec.matrix)[0]
+        stops = np.cumsum(dec.multiplicities)
+        assert dec.multiplicities == tuple(sizes)
+        for value, a, b in zip(dec.eigenvalues.tolist(), stops - dec.multiplicities, stops):
+            assert value == float(np.mean(w[a:b]))
+        large += int(max(sizes) >= 8)
+    assert large > 50
+
+
 def test_projector_algebra_random(rng):
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 20)), WeightClass.REAL)
