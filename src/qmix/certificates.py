@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import (Bipartition, CycleFlags, DegreeStats, MatrixKind, PendantPair,
-                     TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
+from .graphs import (MAX_VERTICES, Bipartition, CycleFlags, DegreeStats, MatrixKind,
+                     PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
                      bipartition, connected_components, cycle_flags,
                      degree_stats, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
-from .spectral import NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel, signed_kernel_vectors
+from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
+                       nonsingular_by_spectrum, signed_kernel_vectors)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -89,7 +91,8 @@ class CertifyOptions:
 
 @dataclass(frozen=True, eq=False)
 class GraphFacts:
-    """Everything a rule reads about one (graph, matrix) pair."""
+    """Everything a rule reads about one (graph, matrix) pair.  The signed
+    pool is built from the kernel basis the first time a rule reads it."""
 
     g: WeightedGraph
     kind: MatrixKind
@@ -105,8 +108,14 @@ class GraphFacts:
     twin_witnesses: tuple[TwinSubgraphWitness, ...]
     twin_search_truncated: bool
     kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
-    signed_vectors: np.ndarray  # (k, n) int8 signed kernel vectors, sorted rows
-    signed_truncated: bool
+    signed_truncated: bool  # kernel dimension > tol.signed_budget
+
+    @cached_property
+    def signed_vectors(self) -> np.ndarray:
+        """(k, n) int8 signed kernel vectors, sorted rows."""
+        if not self.kernel_basis:
+            return NO_SIGNED_VECTORS.vectors
+        return signed_kernel_vectors(self.kernel_basis, max_dim=self.tol.signed_budget).vectors
 
     @property
     def n(self) -> int:
@@ -120,19 +129,21 @@ class GraphFacts:
 def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
                   opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES) -> GraphFacts:
-    """The facts every rule reads, for one graph under one walk matrix.
-    Only the adjacency walk builds the exact kernel and its signed vectors:
-    under L and Q, E_0 e_u rules out every vertex a signed kernel vector
-    could (README, Certificate tiers), and the truncation flag still means
-    kernel dimension > signed_budget, read off the traversal."""
-    basis, signed = [], NO_SIGNED_VECTORS
+    """The facts every rule reads, for one graph under one walk matrix, of
+    which `dec`, when given, is the decomposition.  Only the adjacency walk
+    builds the exact kernel, and only where `dec` does not prove A
+    nonsingular; its signed vectors are built on first read.  Under L and Q, E_0 e_u rules out every vertex a
+    signed kernel vector could (README, Certificate tiers), and the
+    truncation flag still means kernel dimension > signed_budget, read off
+    the traversal."""
+    basis, dim = [], 0
     if kind is MatrixKind.ADJACENCY:
-        basis = exact_kernel(g) if g.has_integer_weights() else []
-        signed = signed_kernel_vectors(basis, max_dim=tol.signed_budget)
+        if g.has_integer_weights() and (dec is None or not nonsingular_by_spectrum(dec)):
+            basis = exact_kernel(g)
+        dim = len(basis)
     elif g.has_integer_weights():
         t = g.traversal
         dim = len(t.components) if kind is MatrixKind.LAPLACIAN else sum(t.bipartite)
-        signed = replace(signed, truncated=dim > tol.signed_budget)
     tw = search_twin_subgraphs(g, a_max=TWIN_SUBGRAPH_SIZE, subset_budget=tol.subset_budget)
     return GraphFacts(
         g=g, kind=kind, dec=dec, opts=opts, tol=tol, stats=degree_stats(g),
@@ -140,21 +151,37 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
         flags=cycle_flags(g), twins=tw.twin_pairs,
         pendant_pairs=pendant_pairs_with_common_neighbor(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
-        kernel_basis=basis, signed_vectors=signed.vectors, signed_truncated=signed.truncated)
+        kernel_basis=basis, signed_truncated=dim > tol.signed_budget)
 
 
 # ---------------------------------------------------------------------------
 # Individual certificates
 
-def _not_applicable(rule: str, n: int, note: str) -> list[CertificateVerdict]:
-    witness = (("note", note),)
-    return [CertificateVerdict(rule, Tier.STRICT, Verdict.NOT_APPLICABLE, (VERTEX_SCOPE, u),
-                               witness) for u in range(n)]
+# One row of strict verdicts per (rule, verdict, note) whose witness is only
+# the note, at vertices 0, 1, ...  Records are immutable, so every graph
+# shares a prefix of the row.
+_NOTED_ROWS: dict[tuple[str, Verdict, str], tuple[CertificateVerdict, ...]] = {}
+
+
+def _noted_row(rule: str, n: int, note: str,
+               verdict: Verdict = Verdict.NOT_APPLICABLE) -> tuple[CertificateVerdict, ...]:
+    """One verdict of one rule with one note at each vertex 0..n-1: a slice
+    of its shared row, which grows to the largest n seen up to MAX_VERTICES."""
+    key = (rule, verdict, note)
+    row = _NOTED_ROWS.get(key, ())
+    if len(row) < n:
+        witness = (("note", note),)
+        row += tuple(CertificateVerdict(rule, Tier.STRICT, verdict, (VERTEX_SCOPE, u), witness)
+                     for u in range(len(row), n))
+        if n <= MAX_VERTICES:
+            _NOTED_ROWS[key] = row
+    return row[:n]
 
 
 def _degree_bound(rule: str, deg, bound: Fraction, **witness) -> list[CertificateVerdict]:
     """Every vertex's degree against one bound: ruled out above it."""
-    return [_vertex(rule, u, Verdict.RULED_OUT if d > bound else Verdict.INCONCLUSIVE,
+    num, den = bound.numerator, bound.denominator  # d > bound iff d * den > num
+    return [_vertex(rule, u, Verdict.RULED_OUT if d * den > num else Verdict.INCONCLUSIVE,
                     degree=d, bound=bound, **witness) for u, d in enumerate(deg)]
 
 
@@ -183,61 +210,63 @@ def cert_connectivity(facts: GraphFacts) -> list[CertificateVerdict]:
 def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
     """sqrt(n) |v_u| <= sum_j |v_j| must hold for every eigenvector v.
 
-    Exact signed kernel vectors (adjacency walk only) are tested exactly;
-    the canonical per-eigenspace vectors E_lambda e_u are tested in floating
-    point with the safety margin, the first eigenvalue that breaks it being
-    the witness.
+    The canonical per-eigenspace vectors E_lambda e_u are tested first, in
+    floating point with the safety margin, the first eigenvalue that breaks
+    it being the witness.  At the vertices that leaves open, the exact
+    signed kernel vectors (adjacency walk only) are tested exactly; the pool
+    is read only if a kernel basis vector is nonzero at one of them.
     """
     rule = "eigenvector-inequality"
     dec, n = facts.dec, facts.n
-    pool = facts.signed_vectors
-    exact = {}
-    if len(pool):
-        # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
-        nnz = np.count_nonzero(pool, axis=1)
-        exact = _first_rows(pool, np.flatnonzero(n > nnz * nnz))
-    if dec is not None:
+    out: list[CertificateVerdict | None] = [None] * n
+    if dec is None:
+        open_rows = list(range(n))
+    else:
         # (n, d) tables over vertices u and eigenvalue groups k of both sides
-        # on the unit vector E_k e_u / ||E_k e_u||, with ||E_k e_u|| = ||B_k[u]||
-        # (the support cut of vertex_support); rhs is inf off the support
-        norms = dec.vertex_norms(np.arange(n))
-        sums = np.empty_like(norms)
-        stop = 0
-        for k, m in enumerate(dec.multiplicities):
-            b = dec.vectors[:, stop:stop + m]
-            sums[:, k] = np.abs(b @ b.T).sum(axis=1)
-            stop += m
+        # on the unit vector E_k e_u / ||E_k e_u||; rhs is inf off the support
+        # (the support cut of vertex_support)
+        norms, sums = dec.projector_row_norms()
         rhs = np.divide(sums, norms, out=np.full_like(norms, math.inf),
                         where=norms > facts.tol.supp)
         lhs = math.sqrt(n) * norms
         margin = facts.tol.safety(n)
-        # the per-row tests below read the tables as Python floats, which
-        # compare and subtract exactly as float64 does
+        breaks = lhs > rhs + margin
+        # the witnesses and the per-row scan below read the tables as Python
+        # floats, which compare and subtract exactly as float64 does
         lhs, rhs, values = lhs.tolist(), rhs.tolist(), dec.eigenvalues.tolist()
-    out = []
-    for u in range(n):
+        open_rows = []
+        for u, (k, broken) in enumerate(zip(breaks.argmax(axis=1).tolist(),
+                                            breaks.any(axis=1).tolist())):
+            if broken:
+                out[u] = CertificateVerdict(
+                    rule, Tier.STRICT, Verdict.RULED_OUT, (VERTEX_SCOPE, u),
+                    (("route", "canonical-float"), ("eigenvalue", values[k]),
+                     ("lhs", lhs[u][k]), ("rhs", rhs[u][k]), ("margin", margin)))
+            else:
+                open_rows.append(u)
+    exact = {}
+    basis = facts.kernel_basis
+    if any(vec[u] for vec in basis for u in open_rows):
+        pool = facts.signed_vectors
+        # a signed vector has |x_u| = 1 where it is nonzero, and sum |x_j| = nnz
+        nnz = np.count_nonzero(pool, axis=1)
+        exact = _first_rows(pool, np.flatnonzero(n > nnz * nnz))
+    for u in open_rows:
         vec = exact.get(u)
         if vec is not None:
-            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel",
-                               vector=vec, lhs_squared=n * vec[u] * vec[u],
-                               rhs=sum(abs(x) for x in vec)))
-            continue
-        if dec is None:
-            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied"))
-            continue
-        row = tuple(zip(lhs[u], rhs[u]))
-        k = next((k for k, (left, right) in enumerate(row) if left > right + margin), None)
-        if k is not None:
-            out.append(_vertex(rule, u, Verdict.RULED_OUT, route="canonical-float",
-                               eigenvalue=values[k], lhs=row[k][0], rhs=row[k][1],
-                               margin=margin))
-            continue
-        best, best_k = -math.inf, None
-        for k, (left, right) in enumerate(row):  # near-ties keep the lowest eigenvalue
-            if left - right > best + 1e-12:
-                best, best_k = left - right, k
-        out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, best_gap=best,
-                           best_eigenvalue=None if best_k is None else values[best_k]))
+            out[u] = _vertex(rule, u, Verdict.RULED_OUT, route="exact-kernel", vector=vec,
+                             lhs_squared=n * vec[u] * vec[u], rhs=sum(abs(x) for x in vec))
+        elif dec is None:
+            out[u] = _vertex(rule, u, Verdict.INCONCLUSIVE, note="no decomposition supplied")
+        else:
+            best, best_k = -math.inf, None
+            for k, (left, right) in enumerate(zip(lhs[u], rhs[u])):
+                if left - right > best + 1e-12:  # near-ties keep the lowest eigenvalue
+                    best, best_k = left - right, k
+            out[u] = CertificateVerdict(
+                rule, Tier.STRICT, Verdict.INCONCLUSIVE, (VERTEX_SCOPE, u),
+                (("best_gap", best),
+                 ("best_eigenvalue", None if best_k is None else values[best_k])))
     return out
 
 
@@ -246,7 +275,7 @@ def cert_degree_LQ(facts: GraphFacts) -> list[CertificateVerdict]:
     rule = "degree-vs-average-LQ"
     g, st = facts.g, facts.stats
     if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _not_applicable(rule, g.n, "requires a Laplacian walk on a unit-weight graph")
+        return _noted_row(rule, g.n, "requires a Laplacian walk on a unit-weight graph")
     return _degree_bound(rule, st.deg, Fraction(4 * st.edge_count, g.n))
 
 
@@ -259,8 +288,8 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
 
     rule = "degree-common-neighbors-A"
     if not applicable or fl.has_c4:
-        out = _not_applicable(
-            rule, n, "requires a unit-weight C4-free graph under the adjacency walk")
+        out = list(_noted_row(
+            rule, n, "requires a unit-weight C4-free graph under the adjacency walk"))
     else:
         out = _degree_bound(rule, st.deg, Fraction(2 * (st.edge_count + q), n), dist2_pairs=q)
 
@@ -269,14 +298,14 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
     if applicable and unicyclic and fl.has_c4:
         out += _degree_bound(rule, st.deg, Fraction(2 * (n + q + 2), n), dist2_pairs=q)
     else:
-        out += _not_applicable(rule, n, "requires a unicyclic graph whose cycle is a C4")
+        out += _noted_row(rule, n, "requires a unicyclic graph whose cycle is a C4")
 
     rule = "degree-c4free-planar-A"
     if applicable and facts.opts.assert_planar and not fl.has_c4 and n >= 4:
         out += _degree_bound(rule, st.deg, Fraction(30 * (n - 2) + 14 * q, 7 * n),
                              dist2_pairs=q)
     else:
-        out += _not_applicable(
+        out += _noted_row(
             rule, n, "requires --assert-planar and a C4-free graph on >= 4 vertices")
     return out
 
@@ -289,10 +318,11 @@ def cert_twins(facts: GraphFacts) -> list[CertificateVerdict]:
     for a, b, k in facts.twins:
         twin.setdefault(a, (b, k))
         twin.setdefault(b, (a, k))
+    no_twin = _noted_row(rule, n, "no twin", Verdict.INCONCLUSIVE)
     out = []
     for u in range(n):
         if u not in twin:
-            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, note="no twin"))
+            out.append(no_twin[u])
         elif n >= 5:
             out.append(_vertex(rule, u, Verdict.RULED_OUT, twin=twin[u][0],
                                twin_kind=twin[u][1].value, n=n))
@@ -313,6 +343,7 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
     exact_false = facts.kind is MatrixKind.ADJACENCY and g.has_integer_weights()
     fired: dict[int, CertificateVerdict] = {}
     count = [0] * n  # witnesses containing each vertex
+    unwitnessed = _noted_row(rule, n, "no witness contains the vertex")
     for w in facts.twin_witnesses:
         members = w.g_vertices + w.h_vertices
         for u in members:
@@ -325,9 +356,10 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
         a = w.size
         if w.kind is TwinKind.TRUE:
             if n > 4 * a * a:
-                fired.update((u, _vertex(rule, u, Verdict.RULED_OUT, route="true-pair-size",
-                                         part_size=a, bound=4 * a * a, n=n,
-                                         g_vertices=w.g_vertices, h_vertices=w.h_vertices))
+                witness = (("route", "true-pair-size"), ("part_size", a), ("bound", 4 * a * a),
+                           ("n", n), ("g_vertices", w.g_vertices), ("h_vertices", w.h_vertices))
+                fired.update((u, CertificateVerdict(rule, Tier.STRICT, Verdict.RULED_OUT,
+                                                    (VERTEX_SCOPE, u), witness))
                              for u in undecided)
         elif exact_false:
             # exact kernel vectors x of the inner part, lifted to (x, -x, 0),
@@ -346,7 +378,7 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
                                        g_vertices=w.g_vertices, h_vertices=w.h_vertices)
     return [fired[u] if u in fired
             else _vertex(rule, u, Verdict.INCONCLUSIVE, witnesses=count[u]) if count[u]
-            else _vertex(rule, u, Verdict.NOT_APPLICABLE, note="no witness contains the vertex")
+            else unwitnessed[u]
             for u in range(n)]
 
 
@@ -373,7 +405,7 @@ def cert_bipartite_parity(facts: GraphFacts) -> list[CertificateVerdict]:
     n = g.n
     if facts.kind is not MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT \
             or not facts.bip.present:
-        return _not_applicable(
+        return _noted_row(
             rule, n, "requires a unit-weight bipartite graph under the adjacency walk")
     count23 = sum(1 for d in st.deg if d % 4 in (2, 3))
     even_count = count23 % 2 == 0
@@ -399,22 +431,22 @@ def cert_kernel_vector(facts: GraphFacts) -> list[CertificateVerdict]:
     g, bp = facts.g, facts.bip
     n = g.n
     if facts.kind is not MatrixKind.ADJACENCY or not g.has_integer_weights() or not bp.present:
-        return _not_applicable(
+        return _noted_row(
             rule, n, "requires an integer-weight bipartite graph under the adjacency walk")
     in_kernel = {u for vec in facts.kernel_basis for u, x in enumerate(vec) if x}
     root = math.isqrt(n)
-    pool = facts.signed_vectors
     bad: dict[int, tuple[int, ...]] = {}
-    if root * root == n and len(pool):
+    if root * root == n and in_kernel:
+        pool = facts.signed_vectors
         for part in (bp.b1, bp.b2):
             m = np.count_nonzero(pool[:, list(part)], axis=1)
             hits = _first_rows(pool, np.flatnonzero((root > m) | ((root - m) % 2 != 0)))
             bad.update((u, hits[u]) for u in part if u in hits)
+    no_component = _noted_row(rule, n, "no kernel component at the vertex")
     out = []
     for u in range(n):
         if u not in in_kernel:
-            out.append(_vertex(rule, u, Verdict.NOT_APPLICABLE,
-                               note="no kernel component at the vertex"))
+            out.append(no_component[u])
         elif root * root != n:
             out.append(_vertex(rule, u, Verdict.RULED_OUT, route="not-a-square", n=n))
         elif u in bad:
@@ -436,8 +468,10 @@ def cert_kernel_part_size(facts: GraphFacts) -> list[CertificateVerdict]:
     size = {v.scope[1]: len(facts.bip.part_of(v.scope[1])) for v in cert_kernel_vector(facts)
             if v.verdict is Verdict.INCONCLUSIVE}
     candidates = [u for u, m in size.items() if root > m or (root - m) % 2 != 0]
-    pool = facts.signed_vectors
-    hits = _first_rows(pool, np.arange(len(pool))) if candidates else {}
+    hits = {}
+    if candidates:
+        pool = facts.signed_vectors
+        hits = _first_rows(pool, np.arange(len(pool)))
     return [_vertex("bipartite-kernel-part-size", u, Verdict.RULED_OUT,
                     tier=Tier.PAPER_ASSERTED, vector=hits[u], part_size=size[u],
                     sqrt_n=root,
@@ -518,7 +552,7 @@ def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
     g, fl = facts.g, facts.flags
     n = g.n
     if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _not_applicable(rule, n, "requires a Laplacian walk on a unit-weight graph")
+        return _noted_row(rule, n, "requires a Laplacian walk on a unit-weight graph")
     bounds: list[tuple[str, Fraction]] = []
     if facts.connected:
         k = g.edge_count - n + 1
@@ -532,7 +566,7 @@ def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
         if not fl.has_c5 and n >= 11:
             bounds.append(("c5-free-planar", Fraction(4 * (12 * n - 33), 5 * n)))
     if not bounds:
-        return _not_applicable(
+        return _noted_row(
             rule, n, "no family bound applies (disconnected and not asserted planar)")
     evaluated = tuple(bounds)
     out = []
@@ -657,8 +691,9 @@ def cert_pendant_pair(facts: GraphFacts) -> list[CertificateVerdict]:
             out.append(_graph(rule, Verdict.INCONCLUSIVE, pair=(pair.u, pair.w),
                               note="order at most four"))
             continue
-        alpha = Fraction(pair.alpha)
-        beta = Fraction(pair.beta)
+        alpha, beta = pair.alpha, pair.beta
+        if isinstance(alpha, float) or isinstance(beta, float):  # exact products
+            alpha, beta = Fraction(alpha), Fraction(beta)
         if n * beta * beta > (alpha + beta) ** 2:
             out.append(_vertex(rule, pair.u, Verdict.RULED_OUT, partner=pair.w,
                                support=pair.v, alpha=pair.alpha, beta=pair.beta))
@@ -679,7 +714,7 @@ class Rule:
 
     ids: tuple[str, ...]
     tier: Tier  # asserted rows run only for reports at the asserted tier
-    evaluate: Callable[[GraphFacts], list[CertificateVerdict]]
+    evaluate: Callable[[GraphFacts], Sequence[CertificateVerdict]]
 
 
 _S, _A = Tier.STRICT, Tier.PAPER_ASSERTED
@@ -743,8 +778,9 @@ def verdicts_by_scope(facts: GraphFacts) -> Grouping:
     evaluation per row, grouped by scope with each group in RULES order."""
     graph: list[CertificateVerdict] = []
     by_vertex: list[list[CertificateVerdict]] = [[] for _ in range(facts.n)]
+    all_tiers = facts.opts.tier is Tier.PAPER_ASSERTED
     for row in RULES:
-        if row.tier is Tier.STRICT or facts.opts.tier is Tier.PAPER_ASSERTED:
+        if all_tiers or row.tier is Tier.STRICT:
             for v in row.evaluate(facts):
                 u = v.scope[1]
                 (graph if u is None else by_vertex[u]).append(v)

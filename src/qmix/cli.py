@@ -2,8 +2,9 @@
 
 Exit codes: 0 = analysis completed (rule-out verdicts are data, not errors),
 1 = usage error, 2 = input error, which includes an eigensolver failure on
-the input.  Output is deterministic JSON; batch mode streams one JSON
-document per graph followed by an aggregate, and its output is
+the input.  A reader that closes stdout early is not an error: the command
+stops writing and exits 0.  Output is deterministic JSON; batch mode prints
+one JSON document per graph followed by an aggregate, and its output is
 byte-identical regardless of the worker count.
 """
 
@@ -27,6 +28,9 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _MATRIX = {"adjacency": MatrixKind.ADJACENCY,
            "laplacian": MatrixKind.LAPLACIAN,
            "signless": MatrixKind.SIGNLESS_LAPLACIAN}
+
+
+_LINES_PER_WRITE = 256  # batch entries per write to stdout
 
 
 class _UsageError(Exception):
@@ -256,7 +260,6 @@ def _cmd_batch(args) -> int:
     errors = 0
     ruled_out = 0
     for entry in entries:
-        print(render_json(entry, indent=0).replace("\n", " "))
         if "error" in entry:
             errors += 1
             continue
@@ -274,7 +277,11 @@ def _cmd_batch(args) -> int:
             "rule_counts": {k: rule_counts[k] for k in sorted(rule_counts)},
         },
     }
-    print(render_json(aggregate))
+    # a few large writes rather than one per line, each of a bounded size
+    for start in range(0, len(entries), _LINES_PER_WRITE):
+        sys.stdout.write("".join([render_json(entry, 0, " ") + "\n"
+                                  for entry in entries[start:start + _LINES_PER_WRITE]]))
+    sys.stdout.write(render_json(aggregate) + "\n")
     return 0
 
 
@@ -285,22 +292,33 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qmix: usage error: {exc}", file=sys.stderr)
         return 1
+    commands = {"spectrum": _cmd_spectrum, "certify": _cmd_certify,
+                "search": _cmd_search, "batch": _cmd_batch}
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`qmix batch DIR | head -n 1`), which is
+        # not an error: later writes, including the flush at exit, go nowhere
+        _stdout_to_devnull()
+        return 0
     except _UsageError as exc:
         print(f"qmix: usage error: {exc}", file=sys.stderr)
         return 1
     except (GraphFormatError, SpectralError) as exc:
         print(f"qmix: input error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+
+
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file, as under a capture
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

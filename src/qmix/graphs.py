@@ -316,12 +316,16 @@ def common_neighbors(g: WeightedGraph, j: int, ell: int) -> int:
 def degree_stats(g: WeightedGraph) -> DegreeStats:
     """Exact degree statistics; dist2_pairs counts vertex pairs at distance two."""
     deg = degrees(g)
-    nbr = [set(row) for row in g.neighbourhoods]
+    mask = [0] * g.n  # bit v of mask[u]: v is a neighbour of u
+    for u, v, _ in g.edges:
+        mask[u] |= 1 << v
+        mask[v] |= 1 << u
     q = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if v not in nbr[u] and nbr[u] & nbr[v]:
-                q += 1
+    for u, row in enumerate(g.neighbourhoods):
+        reach = 0  # the vertices with a common neighbour with u, u among them
+        for w in row:
+            reach |= mask[w]
+        q += ((reach & ~mask[u]) >> (u + 1)).bit_count()  # those above u, off u's row
     return DegreeStats(
         deg=tuple(deg),
         avg_degree=Fraction(2 * g.edge_count, g.n),
@@ -489,13 +493,13 @@ def find_twin_pairs(g: WeightedGraph) -> list[tuple[int, int, TwinKind]]:
     """All unordered twin pairs: equal weighted neighborhoods off {u, v},
     compared exactly.  Adjacent twins are true twins."""
     nbrs = g.neighbourhoods
+    items = [row.items() for row in nbrs]  # (neighbour, weight) pairs
+    # the rows differ in the pairs of items[u] ^ items[v]; an edge uv of
+    # weight w puts (v, w) and (u, w) there, and any other pair lies off {u, v}
     return [(u, v, TwinKind.TRUE if v in nbrs[u] else TwinKind.FALSE)
             for u, v in combinations(range(g.n), 2)
-            if len(nbrs[u]) == len(nbrs[v]) and _without(nbrs[u], v) == _without(nbrs[v], u)]
-
-
-def _without(row, v: int) -> dict:
-    return {y: w for y, w in row.items() if y != v}
+            if len(nbrs[u]) == len(nbrs[v])
+            and len(items[u] ^ items[v]) == (2 if v in nbrs[u] else 0)]
 
 
 @dataclass(frozen=True)
@@ -515,8 +519,10 @@ class TwinSubgraphWitness:
         return dict(self.bijection) if self.bijection is not None else None
 
 
-def _external_signature(row: dict[int, Weight], outside: list[int]) -> tuple:
-    return tuple(row.get(w, 0) for w in outside)
+def _external_signature(row: dict[int, Weight], inside: set[int]) -> frozenset:
+    """The weighted neighbourhood of a row off the vertices `inside`; weights
+    are positive, so two rows agree off `inside` iff their signatures do."""
+    return frozenset((y, w) for y, w in row.items() if y not in inside)
 
 
 def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> bool:
@@ -529,15 +535,15 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
     under some (or the given) pairing.
     """
     gs, hs = witness.g_vertices, witness.h_vertices
-    if set(gs) & set(hs):
+    gset, hset = set(gs), set(hs)
+    if gset & hset:
         raise ValueError("twin subgraph vertex sets overlap")
-    if len(gs) != len(hs) or len(set(gs)) != len(gs) or len(set(hs)) != len(hs):
+    if len(gs) != len(hs) or len(gset) != len(gs) or len(hset) != len(hs):
         raise ValueError("twin subgraph vertex sets must be disjoint and equal-sized")
     if any(not 0 <= v < g.n for v in gs + hs):
         raise ValueError("twin subgraph vertex id out of range")
     rows = g.neighbourhoods
-    inside = set(gs) | set(hs)
-    outside = [w for w in range(g.n) if w not in inside]
+    inside = gset | hset
 
     if witness.kind is TwinKind.FALSE:
         f = witness.mapping()
@@ -551,19 +557,14 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
             if rows[x1].get(x2, 0) != rows[f[x1]].get(f[x2], 0):
                 return False
         for x in gs:
-            if _external_signature(rows[x], outside) != _external_signature(rows[f[x]], outside):
+            if _external_signature(rows[x], inside) != _external_signature(rows[f[x]], inside):
                 return False
         return True
 
-    in_deg = {}
-    for part in (gs, hs):
-        pset = set(part)
-        for x in part:
-            in_deg[x] = sum(w for v, w in rows[x].items() if v in pset)
-    vals = {in_deg[x] for x in gs} | {in_deg[x] for x in hs}
+    vals = {sum(w for v, w in rows[x].items() if v in pset)
+            for part, pset in ((gs, gset), (hs, hset)) for x in part}
     if len(vals) != 1:
         return False
-    hset, gset = set(hs), set(gs)
     cross_g = [sum(w for v, w in rows[x].items() if v in hset) for x in gs]
     cross_h = [sum(w for v, w in rows[y].items() if v in gset) for y in hs]
     if len(set(cross_g) | set(cross_h)) != 1:
@@ -573,10 +574,10 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
         if sorted(f) != sorted(gs) or sorted(f.values()) != sorted(hs):
             raise ValueError("bijection does not map the first part onto the second")
         pairing_ok = all(
-            _external_signature(rows[x], outside) == _external_signature(rows[f[x]], outside)
+            _external_signature(rows[x], inside) == _external_signature(rows[f[x]], inside)
             for x in gs)
     else:
-        pairing_ok = _signature_pairing(rows, gs, hs, outside) is not None
+        pairing_ok = _signature_pairing(rows, gs, hs, inside) is not None
     if not pairing_ok:
         return False
     if witness.valency_in is not None and witness.valency_in != next(iter(vals)):
@@ -586,17 +587,17 @@ def verify_twin_subgraphs(g: WeightedGraph, witness: TwinSubgraphWitness) -> boo
     return True
 
 
-def _signature_pairing(rows, gs, hs, outside) -> dict[int, int] | None:
+def _signature_pairing(rows, gs, hs, inside) -> dict[int, int] | None:
     """Pair vertices across the parts so external neighborhoods match."""
-    by_sig: dict[tuple, list[int]] = {}
+    by_sig: dict[frozenset, list[int]] = {}
     for y in hs:
-        by_sig.setdefault(_external_signature(rows[y], outside), []).append(y)
+        by_sig.setdefault(_external_signature(rows[y], inside), []).append(y)
     for group in by_sig.values():
         group.sort()
     f = {}
-    taken: dict[tuple, int] = {}
+    taken: dict[frozenset, int] = {}
     for x in sorted(gs):
-        sig = _external_signature(rows[x], outside)
+        sig = _external_signature(rows[x], inside)
         group = by_sig.get(sig, [])
         k = taken.get(sig, 0)
         if k >= len(group):

@@ -9,6 +9,7 @@ schema version, the tool version and the full tolerance configuration.
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -24,16 +25,15 @@ from .tolerances import Tolerances
 SCHEMA_VERSION = 1
 
 
-def render_json(obj, indent: int = 2) -> str:
-    """Serialize nested dict/list data with fixed float formatting."""
+def render_json(obj, indent: int = 2, newline: str = "\n") -> str:
+    """Serialize nested dict/list data with fixed float formatting.  `batch`
+    prints each entry on one line as render_json(entry, 0, " ")."""
     pieces: list[str] = []
-    _render(obj, pieces, indent, 0)
+    _render(obj, pieces, indent, 0, newline)
     return "".join(pieces)
 
 
-def _render(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj, out: list[str], indent: int, level: int, newline: str) -> None:
     kind = type(obj)
     if kind is str:  # the commonest leaves first; bool is not int by type
         out.append(_escape(obj))
@@ -46,7 +46,7 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, enum.Enum):
-        _render(obj.value, out, indent, level)
+        _render(obj.value, out, indent, level, newline)
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -60,30 +60,30 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, str):
         out.append(_escape(obj))
     elif isinstance(obj, complex):
-        _render({"re": obj.real, "im": obj.imag}, out, indent, level)
+        _render({"re": obj.real, "im": obj.imag}, out, indent, level, newline)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(inner)
-            out.append(_escape(str(key)))
-            out.append(": ")
-            _render(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        inner = newline + " " * (indent * (level + 1))
+        out.append("{")
+        for key, value in obj.items():
+            out.append(inner + _escape(str(key)) + ": ")
+            _render(value, out, indent, level + 1, newline)
+            out.append(",")
+        out[-1] = newline + " " * (indent * level) + "}"  # the last comma
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = list(obj)
         if not items:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, value in enumerate(items):
+        inner = newline + " " * (indent * (level + 1))
+        out.append("[")
+        for value in items:
             out.append(inner)
-            _render(value, out, indent, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+            _render(value, out, indent, level + 1, newline)
+            out.append(",")
+        out[-1] = newline + " " * (indent * level) + "]"  # the last comma
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -95,6 +95,7 @@ _ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
                  ord("\r"): "\\r", ord("\t"): "\\t"})
 
 
+@functools.lru_cache(maxsize=4096)  # file names and rule ids repeat in every batch entry
 def _escape(text: str) -> str:
     return '"' + text.translate(_ESCAPES) + '"'
 

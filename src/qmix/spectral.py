@@ -9,9 +9,13 @@ decomposition holds O(n^2) numbers.
 Exact kernels carry no floating error at all.  The adjacency matrix is
 eliminated over the Python integers, fraction-free; from _GATE_MIN_N
 vertices a rank test mod a prime runs first and settles every nonsingular
-case without elimination.  No rule reads an exact kernel of the Laplacian
-or signless Laplacian (see `certificates.collect_facts`), so none is built.
-The signed kernel vectors form one read-only int8 array.
+case without elimination.  Beside that gate sits a second one that needs no
+arithmetic at all: `nonsingular_by_spectrum` proves nonsingularity from a
+floating decomposition of the same matrix whose eigenvalues all lie far
+enough from zero, and the certificates skip elimination then.  No rule
+reads an exact kernel of the Laplacian or signless Laplacian (see
+`certificates.collect_facts`), so none is built.  The signed kernel vectors
+form one read-only int8 array.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
     vectors: np.ndarray                  # V, shape (n, n), from eigh
+    group_gap: float                     # the grouping tolerance the groups were made with
 
     @property
     def n(self) -> int:
@@ -86,8 +91,25 @@ class SpectralDecomposition:
         """Row u of every eigenprojector, shape (d, n): row k is B_k B_k[u]."""
         return np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1).T
 
+    def projector_row_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, d) tables of ||E_k e_u|| and of sum_j |(E_k)_uj| over vertices
+        u and groups k.  Row u of every projector is one slice of the stack
+        reduceat(V[u] * V, starts) over the columns of V; the stack is built
+        for a block of rows at a time, of at most _STACK_BYTES or one row,
+        so memory stays O(n^2)."""
+        v, n = self.vectors, self.n
+        step = max(1, _STACK_BYTES // (8 * n * n))
+        sums = []
+        for r in range(0, n, step):
+            stack = np.add.reduceat(v[r:r + step, None, :] * v, self._starts, axis=2)
+            sums.append(np.abs(stack, out=stack).sum(axis=1))
+        return self._group_norms(v * v), sums[0] if len(sums) == 1 else np.concatenate(sums)
+
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.levels) @ self.vectors.T
+
+
+_STACK_BYTES = 1 << 20  # most bytes of one block of projector rows
 
 
 def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
@@ -121,18 +143,21 @@ def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecompositio
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    gap = tol.group(float(np.abs(w).max(initial=0.0)))
     ws = w.tolist()
+    gap = tol.group(max(map(abs, ws[:1] + ws[-1:]), default=0.0))  # w is ascending
     starts = [0] + [i for i in range(1, n) if ws[i] - ws[i - 1] > gap]
     stops = starts[1:] + [n]
     # each group's mean as np.mean takes it, without its Python wrapper
-    # (np.add.reduceat sums groups of three or more in another order)
-    means = [np.add.reduce(w[a:b]) / (b - a) for a, b in zip(starts, stops)]
+    # (np.add.reduceat sums groups of three or more in another order); a
+    # singleton's mean is its eigenvalue
+    means = [ws[a] if b - a == 1 else np.add.reduce(w[a:b]) / (b - a)
+             for a, b in zip(starts, stops)]
     return SpectralDecomposition(
         matrix=_read_only(m),
         eigenvalues=_read_only(np.array(means)),
         multiplicities=tuple(b - a for a, b in zip(starts, stops)),
-        vectors=_read_only(v))
+        vectors=_read_only(v),
+        group_gap=gap)
 
 
 @dataclass(frozen=True)
@@ -291,6 +316,32 @@ def _full_rank_mod_p(g: WeightedGraph) -> bool:
     return True
 
 
+def nonsingular_by_spectrum(dec: SpectralDecomposition) -> bool:
+    """Whether a floating decomposition proves its matrix nonsingular: every
+    group k has |lambda_k| > (m_k - 1) * gap + floor, with m_k its
+    multiplicity, gap the grouping tolerance `dec` was made with and floor =
+    _GATE_FLOOR * max(1, rho).  One-sided: False proves nothing, and a tiny
+    nonzero eigenvalue leaves the exact elimination to decide.
+
+    Sound for an integer adjacency matrix A of n <= MAX_VERTICES vertices,
+    whatever the grouping tolerance: the members of group k lie within
+    (m_k - 1) gaps of its mean, so every computed eigenvalue is more than
+    the floor away from zero.  By Weyl's inequality each exact eigenvalue
+    of A lies within the eigensolver's backward error, at most about
+    n * eps * rho <= 1e-12 rho, of a computed one.  Rounding weights above
+    2^53 to floats moves A by at most eps * rho more, because A is
+    entrywise nonnegative.  The floor is fixed, not read from the
+    tolerances, since a grouping tolerance below that backward error would
+    let a computed zero eigenvalue pass."""
+    floor = _GATE_FLOOR * max(1.0, dec.spectral_radius)
+    gap = dec.group_gap
+    return all(abs(x) > (m - 1) * gap + floor
+               for x, m in zip(dec.eigenvalues.tolist(), dec.multiplicities))
+
+
+_GATE_FLOOR = 1e-8  # times max(1, rho); the default grouping tolerance
+
+
 @dataclass(frozen=True)
 class SignedVectorResult:
     vectors: np.ndarray  # (k, n) int8, read-only, rows in lexicographic order
@@ -313,6 +364,13 @@ def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]],
     dim = len(kernel_basis)
     if dim == 0:
         return NO_SIGNED_VECTORS
+    if dim == 1:  # the only candidate is the basis vector itself
+        row = kernel_basis[0]
+        sign = next((x for x in row if x), 0)
+        kept = [[x * sign for x in row]] if max(map(abs, row)) == 1 else []
+        return SignedVectorResult(
+            vectors=_read_only(np.array(kept, dtype=np.int8).reshape(len(kept), len(row))),
+            truncated=dim > max_dim)
     # a combination's entries are at most dim * max |b_ij| in size; int64 holds
     # them exactly below 2^63, larger weights fall back to Python ints
     big = dim * max(abs(x) for row in kernel_basis for x in row) >= 2 ** 63

@@ -318,13 +318,27 @@ def at(verdicts, u):
     return [v for v in verdicts if v.scope == ("vertex", u)]
 
 
+def reference_inequality_tables(dec, tol):
+    """The (n, d) tables of the eigenvector-inequality rule built one
+    eigenvalue group at a time, as the rule once built them, kept as the
+    reference for `SpectralDecomposition.projector_row_norms`: lhs[u, k] =
+    sqrt(n) ||E_k e_u|| and rhs[u, k] = sum_j |(E_k)_uj| / ||E_k e_u||, inf
+    where ||E_k e_u|| <= tol.supp."""
+    n = dec.n
+    norms = np.sqrt(np.stack([(b ** 2).sum(axis=1) for b in group_bases(dec)], axis=1))
+    sums = np.stack([np.abs(b @ b.T).sum(axis=1) for b in group_bases(dec)], axis=1)
+    rhs = np.full_like(norms, math.inf)
+    np.divide(sums, norms, out=rhs, where=norms > tol.supp)
+    return math.sqrt(n) * norms, rhs
+
+
 def reference_eigenvector_inequality(facts, u):
     """The per-vertex loop of the eigenvector-inequality rule, kept as the
-    reference for its table: the first signed kernel vector nonzero at u
-    with n > nnz^2, else the row u of each eigenprojector in turn, scaled
+    reference for its table: row u of each eigenprojector in turn, scaled
     to a unit vector, the first to break sqrt(n) |v_u| <= sum |v_j| by the
-    margin being the witness; near-ties for the best gap keep the lowest
-    eigenvalue.  Builds the verdict by hand, with no qmix rule code."""
+    margin being the witness; where none does, the first signed kernel
+    vector nonzero at u with n > nnz^2; near-ties for the best gap keep the
+    lowest eigenvalue.  Builds the verdict by hand, with no qmix rule code."""
     from qmix import CertificateVerdict, Tier, Verdict
 
     def verdict(kind, **witness):
@@ -333,27 +347,29 @@ def reference_eigenvector_inequality(facts, u):
                                   witness=tuple(witness.items()))
 
     dec, tol, n = facts.dec, facts.tol, facts.n
+    best, best_idx = -math.inf, None
+    if dec is not None:
+        margin = tol.safety(n)
+        for i, proj in enumerate(projectors_of(dec)):
+            vec = proj[u]
+            norm = float(np.linalg.norm(vec))
+            if norm <= tol.supp:
+                continue
+            vec = vec / norm
+            lhs = math.sqrt(n) * abs(float(vec[u]))
+            rhs = float(np.abs(vec).sum())
+            if lhs - rhs > best + 1e-12:
+                best, best_idx = lhs - rhs, i
+            if lhs > rhs + margin:
+                return verdict(Verdict.RULED_OUT, route="canonical-float",
+                               eigenvalue=float(dec.eigenvalues[i]), lhs=lhs, rhs=rhs,
+                               margin=margin)
     for row in facts.signed_vectors.tolist():
         if row[u] != 0 and n > sum(x != 0 for x in row) ** 2:
             return verdict(Verdict.RULED_OUT, route="exact-kernel", vector=tuple(row),
                            lhs_squared=n * row[u] * row[u], rhs=sum(abs(x) for x in row))
     if dec is None:
         return verdict(Verdict.INCONCLUSIVE, note="no decomposition supplied")
-    margin = tol.safety(n)
-    best, best_idx = -math.inf, None
-    for i, proj in enumerate(projectors_of(dec)):
-        vec = proj[u]
-        norm = float(np.linalg.norm(vec))
-        if norm <= tol.supp:
-            continue
-        vec = vec / norm
-        lhs = math.sqrt(n) * abs(float(vec[u]))
-        rhs = float(np.abs(vec).sum())
-        if lhs - rhs > best + 1e-12:
-            best, best_idx = lhs - rhs, i
-        if lhs > rhs + margin:
-            return verdict(Verdict.RULED_OUT, route="canonical-float",
-                           eigenvalue=float(dec.eigenvalues[i]), lhs=lhs, rhs=rhs, margin=margin)
     return verdict(Verdict.INCONCLUSIVE, best_gap=best,
                    best_eigenvalue=None if best_idx is None else float(dec.eigenvalues[best_idx]))
 

@@ -17,8 +17,8 @@ from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, T
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                  collect_facts, decompose_graph, exact_kernel, search_twin_subgraphs,
-                  signed_kernel_vectors, subdivide)
+                  collect_facts, decompose_graph, exact_kernel, parse_graph6,
+                  search_twin_subgraphs, signed_kernel_vectors, subdivide)
 from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors
 from qmix.graphs import TwinSearchResult
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
@@ -56,12 +56,37 @@ def test_connectivity():
 
 def test_eigenvector_inequality_pendant_pair_graph():
     # two unit pendants on one vertex of a 6-vertex graph: e_u - e_w is an
-    # exact kernel vector and sqrt(6) > 2
+    # exact kernel vector and sqrt(6) > 2; E_0 e_u, which the float route
+    # tests first, breaks the inequality too
     g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
                                 (0, 4, 1), (0, 5, 1)])
-    v = at(cert_eigenvector_inequality(facts_of(g, dec=dec_of(g))), 4)[0]
+    facts = facts_of(g, dec=dec_of(g))
+    v = at(cert_eigenvector_inequality(facts), 4)[0]
+    assert v.verdict is Verdict.RULED_OUT
+    assert dict(v.witness)["route"] == "canonical-float"
+    assert dict(v.witness)["eigenvalue"] == pytest.approx(0, abs=1e-12)
+    v = at(cert_eigenvector_inequality(facts_of(g)), 4)[0]  # the exact route alone
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["route"] == "exact-kernel"
+    assert dict(v.witness)["vector"] == (0, 0, 0, 0, 1, -1)
+
+
+def test_eigenvector_inequality_exact_route_decides_where_floats_cannot():
+    # EtUg, a relabelled atlas graph: ker A is 2-dimensional and holds
+    # e_3 - e_5, with sqrt(6) > 2, but E_0 e_3 mixes that vector with a
+    # wider one, and no canonical vector breaks the inequality at 3 or 5
+    g = parse_graph6("EtUg")
+    dec = dec_of(g)
+    facts = facts_of(g, dec=dec)
+    floats_only = replace(facts, kernel_basis=[])
+    for u in (3, 5):
+        v = at(cert_eigenvector_inequality(facts), u)[0]
+        assert v.verdict is Verdict.RULED_OUT
+        assert dict(v.witness) == {"route": "exact-kernel", "vector": (0, 0, 0, 1, 0, -1),
+                                   "lhs_squared": 6, "rhs": 2}
+        assert at(cert_eigenvector_inequality(floats_only), u)[0].verdict is \
+            Verdict.INCONCLUSIVE
+    assert not fired(cert_eigenvector_inequality(floats_only), "eigenvector-inequality")
 
 
 def test_eigenvector_inequality_k4_inconclusive():
@@ -565,12 +590,11 @@ def _integer_union(draw):
 
 
 def _with_exact_pool(g, dec, kind, opts, tol):
-    """The facts with an exact kernel and signed pool under every matrix,
-    the kernel from the rational elimination oracle."""
+    """The facts with an exact kernel, and so a signed pool, under every
+    matrix, the kernel from the rational elimination oracle."""
     basis = reference_exact_kernel(g, kind)
-    signed = signed_kernel_vectors(basis, max_dim=tol.signed_budget)
     return replace(collect_facts(g, dec, kind, opts, tol), kernel_basis=basis,
-                   signed_vectors=signed.vectors, signed_truncated=signed.truncated)
+                   signed_truncated=len(basis) > tol.signed_budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -677,6 +701,75 @@ def test_one_pass_summary_matches_the_three_walks():
                     g.edges, kind, tier)
 
 
+def test_shared_noted_rows_equal_fresh_records(monkeypatch):
+    monkeypatch.setattr(qmix.certificates, "_NOTED_ROWS", {})
+    reports = []
+    for g in (star(5), path(7), complete(4), big_fi(), cycle(6)):
+        for kind in WALK_MATRICES:
+            reports.append(certify_graph(g, dec_of(g, kind), kind))
+    rows = qmix.certificates._NOTED_ROWS
+    assert len(rows) >= 8
+    for (rule, verdict, note), row in rows.items():
+        assert 0 < len(row) <= big_fi().n
+        assert row == tuple(CertificateVerdict(rule, Tier.STRICT, verdict, ("vertex", u),
+                                               (("note", note),)) for u in range(len(row)))
+    # the reports hold the shared records themselves, not copies
+    shared = {id(v) for row in rows.values() for v in row}
+    assert sum(id(v) in shared for r in reports for _, vs in r.vertex_verdicts for v in vs) > 100
+    # a row grows to the largest n seen and no further than MAX_VERTICES
+    from qmix.certificates import _noted_row
+    from qmix.graphs import MAX_VERTICES
+    row = _noted_row("degree-vs-average-LQ", MAX_VERTICES + 3, "a note")
+    assert len(row) == MAX_VERTICES + 3 and row[-1].scope == ("vertex", MAX_VERTICES + 2)
+    key = ("degree-vs-average-LQ", Verdict.NOT_APPLICABLE, "a note")
+    assert key not in rows
+    assert _noted_row("degree-vs-average-LQ", 3, "a note") == row[:3]
+    assert len(rows[key]) == 3
+    assert all(len(r) <= MAX_VERTICES for r in rows.values())
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_signed_pool_is_built_only_where_a_rule_reads_it(monkeypatch):
+    calls = _count_calls(monkeypatch, qmix.certificates, "signed_kernel_vectors")
+    # the pendants 4 and 5 fire on the float route, and ker A is spanned by
+    # e_4 - e_5, so no open vertex lies in its support
+    g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+                                (0, 4, 1), (0, 5, 1)])
+    report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
+    assert fired(report.verdicts_for(4), "eigenvector-inequality") and not calls
+    # EtUg: the exact route decides at 3 and 5, so it reads the pool, once
+    g = parse_graph6("EtUg")
+    certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
+    assert len(calls) == 1
+    # the star at square n: bipartite-kernel-square reads it
+    calls.clear()
+    certify_graph(star(4), dec_of(star(4)), MatrixKind.ADJACENCY)
+    assert len(calls) == 1
+
+
+def test_exact_kernel_is_skipped_where_the_spectrum_proves_a_nonsingular(monkeypatch):
+    calls = _count_calls(monkeypatch, qmix.certificates, "exact_kernel")
+    for g in (complete(4), cycle(5), path(4)):
+        facts = facts_of(g, dec=dec_of(g))
+        assert facts.kernel_basis == [] and not facts.signed_truncated
+    assert not calls
+    facts_of(complete(4))  # no decomposition: elimination decides
+    g = path(5)
+    assert facts_of(g, dec=dec_of(g)).kernel_basis == [(1, 0, -1, 0, 1)]
+    assert len(calls) == 2
+
+
 def test_verdict_record_is_an_immutable_hashable_tuple():
     fields = ("twin-vertex", Tier.STRICT, Verdict.RULED_OUT, ("vertex", 3), (("twin", 4),))
     v = CertificateVerdict(rule_id="twin-vertex", tier=Tier.STRICT, verdict=Verdict.RULED_OUT,
@@ -715,19 +808,33 @@ def test_certify_vertex_matches_graph_report():
 
 
 def test_exactness_float_rules_off_identical(rng):
-    # disabling the floating route must not change any exact-rule verdict
+    # disabling the floating route must not change any other rule's verdict,
+    # nor the exact route's verdict wherever the float route is inconclusive
     for _ in range(6):
         g = random_connected_graph(rng, int(rng.integers(2, 10)))
         dec = dec_of(g)
         with_floats = certify_graph(g, dec, MatrixKind.ADJACENCY)
         without = certify_graph(g, None, MatrixKind.ADJACENCY)
         for (u, vs1), (_, vs2) in zip(with_floats.vertex_verdicts, without.vertex_verdicts):
-            kept1 = [v for v in vs1 if v.rule_id != "eigenvector-inequality"
-                     or dict(v.witness).get("route") == "exact-kernel"]
-            kept2 = [v for v in vs2 if v.rule_id != "eigenvector-inequality"
-                     or dict(v.witness).get("route") == "exact-kernel"]
-            assert kept1 == kept2
+            other1 = [v for v in vs1 if v.rule_id != "eigenvector-inequality"]
+            other2 = [v for v in vs2 if v.rule_id != "eigenvector-inequality"]
+            assert other1 == other2
+            ineq1, = (v for v in vs1 if v.rule_id == "eigenvector-inequality")
+            ineq2, = (v for v in vs2 if v.rule_id == "eigenvector-inequality")
+            if dict(ineq1.witness).get("route") != "canonical-float":
+                assert (ineq1.verdict is Verdict.RULED_OUT) is (ineq2.verdict is Verdict.RULED_OUT)
+                if ineq1.fired:
+                    assert ineq1 == ineq2
         assert with_floats.graph_verdicts == without.graph_verdicts
+    # an atlas graph whose exact route decides alone at vertices 3 and 5
+    g = parse_graph6("EtUg")
+    with_floats = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
+    without = certify_graph(g, None, MatrixKind.ADJACENCY)
+    for u in (3, 5):
+        ineq = [v for v in with_floats.verdicts_for(u) if v.rule_id == "eigenvector-inequality"]
+        assert ineq == [v for v in without.verdicts_for(u)
+                        if v.rule_id == "eigenvector-inequality"]
+        assert ineq[0].fired
 
 
 def test_monotone_aggregation(rng):

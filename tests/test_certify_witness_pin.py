@@ -7,7 +7,9 @@ rule quotes under the adjacency walk, which of several qualifying vectors
 comes first, and the canonical float vector that rules out the isolated and
 small-component vertices of the disconnected graphs under L and Q, where no
 exact kernel is built.  The graphs are chosen so that the pin holds each
-route in ROUTES, and the test checks that it does.  Strings, integers and
+route in ROUTES, and the test checks that it does.  The float route of
+`eigenvector-inequality` runs first, so its exact route is pinned on a
+graph where it alone decides.  Strings, integers and
 the document structure must be equal; floats within 1e-12, as in
 test_search_spectrum_pin.
 
@@ -36,12 +38,13 @@ GRAPHS = {  # name: graph6, all from networkx.graph_atlas_g()
     "atlas-13": "CF",    # the star K1,3
     "atlas-29": "D?{",   # the star K1,4
     "atlas-67": "EJA?",  # an edge {0, 5}, a triangle {1, 2, 3} and the isolated vertex 4
+    "atlas-173": "ElMg",  # ker A holds e_3 - e_5, and no canonical vector rules out 3 or 5
 }
 MATRICES = ("adjacency", "laplacian", "signless")
 
 # (graph, matrix, rule, route): a fired vertex verdict the pin must hold
 ROUTES = (
-    ("atlas-29", "adjacency", "eigenvector-inequality", "exact-kernel"),
+    ("atlas-173", "adjacency", "eigenvector-inequality", "exact-kernel"),
     ("atlas-8", "adjacency", "bipartite-kernel-square", "signed-vector-nnz"),
     ("atlas-29", "adjacency", "twin-subgraph", "false-pair-eigenvector"),
     ("atlas-13", "adjacency", "bipartite-kernel-part-size", None),

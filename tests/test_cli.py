@@ -218,6 +218,21 @@ def test_tolerance_flags_must_be_positive_and_finite(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tiny_group_tolerance_still_builds_the_exact_kernel(tmp_path, capsys):
+    # a computed zero eigenvalue (about 1e-16) lies above a grouping gap of
+    # 1e-20, so the spectral gate must not read its threshold off the gap
+    for name, gnx in (("p3", nx.path_graph(3)), ("p9", nx.path_graph(9))):
+        p = tmp_path / f"{name}.g6"
+        p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
+        docs = [run_json(capsys, ["certify", str(p), *flags])
+                for flags in ([], ["--tol-group", "1e-20"])]
+        assert [code for code, _ in docs] == [0, 0]
+        default, tiny = (doc["certificates"] for _, doc in docs)
+        assert tiny == default, name
+        assert ("bipartite-singular-square", "ruled-out") in {
+            (v["rule"], v["verdict"]) for v in default["graph_verdicts"]}, name
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -377,6 +392,31 @@ def test_import_loads_every_span_module_and_no_process_pool():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True).stdout
     assert out.split() == ["False", "[]"]
+
+
+def _qmix_process(argv, **kwargs):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED="1")
+    return subprocess.Popen([sys.executable, "-m", "qmix.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_batch_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `qmix batch DIR | head -n 1`: the reader takes one line of more than a
+    # pipe's buffer and leaves, or leaves before the first write
+    line = nx.to_graph6_bytes(nx.path_graph(3), header=False).decode().strip()
+    (tmp_path / ("x" * 200 + ".g6")).write_text((line + "\n") * 400)
+    for lines_read in (1, 0):
+        proc = _qmix_process(["batch", str(tmp_path)])
+        if lines_read:
+            assert proc.stdout.readline().startswith(b'{ "file": ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+        assert err == b"", err
+    proc = _qmix_process(["batch", str(tmp_path)])
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b"" and len(out) > 1 << 17
 
 
 def test_bad_weights_are_input_errors(tmp_path, capsys):

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from qmix import (MatrixKind, SpectrumKind, WeightClass, WeightedGraph, classify_spectrum,
                   decompose, decompose_graph, exact_kernel, matrix_of,
                   signed_kernel_vectors, support, vertex_support)
+import qmix.spectral
+from qmix import DEFAULT_TOLERANCES
+from qmix.tolerances import Tolerances
 from qmix.graphs import is_tree
-from qmix.spectral import _GATE_MIN_N, _full_rank_mod_p, classify_values, leaf_peel_order
+from qmix.spectral import (_GATE_MIN_N, _full_rank_mod_p, classify_values, leaf_peel_order,
+                           nonsingular_by_spectrum)
 
 from conftest import (complete, complete_projectors, cycle, path, projectors_of,
                       random_connected_graph, random_tree, reference_exact_kernel,
-                      reference_signed_vectors, star, star_projectors)
+                      reference_inequality_tables, reference_signed_vectors, star,
+                      star_projectors)
 
 
 def test_decompose_k2():
@@ -105,6 +110,59 @@ def test_projector_algebra_random(rng):
 
 # ---------------------------------------------------------------------------
 # supports
+
+def _clustered(rng, n):
+    """A random symmetric n x n matrix whose spectrum holds clusters of up to
+    five eigenvalues within 1e-10, which decompose groups."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 6)), n - sum(sizes)))
+    centres = np.cumsum(rng.uniform(0.5, 3.0, size=len(sizes))) - 2.0 * len(sizes)
+    values = np.concatenate([c + rng.uniform(-1e-10, 1e-10, size=k)
+                             for c, k in zip(centres, sizes)])
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * values) @ q.T
+
+
+def _inequality_hits(lhs, rhs, n):
+    breaks = lhs > rhs + DEFAULT_TOLERANCES.safety(n)
+    return breaks.any(axis=1).tolist(), breaks.argmax(axis=1).tolist()
+
+
+def _table_cases(rng):
+    for n in (2, 5, 12, 40):
+        yield decompose(_clustered(rng, n))
+    for n in (6, 9, 17, 30):  # graphs give eigenvectors that break the inequality
+        g = random_connected_graph(rng, n, extra_edges=n // 3)
+        for kind in MatrixKind:
+            yield decompose_graph(g, kind)
+    yield decompose_graph(star(7), MatrixKind.LAPLACIAN)
+
+
+def test_projector_row_norms_match_the_per_group_table(rng, monkeypatch):
+    # one block of rows, blocks of two rows at n = 40, and the 1 MiB blocks
+    # of a 200 x 200 matrix, which hold three rows each
+    assert qmix.spectral._STACK_BYTES // (8 * 200 * 200) == 3
+    hits = 0
+    for stack_bytes in (qmix.spectral._STACK_BYTES, 2 * 8 * 40 * 40):
+        monkeypatch.setattr(qmix.spectral, "_STACK_BYTES", stack_bytes)
+        for dec in list(_table_cases(rng)) + [decompose(_clustered(rng, 200))]:
+            n = dec.n
+            norms, sums = dec.projector_row_norms()
+            assert norms.shape == sums.shape == (n, len(dec.multiplicities))
+            rhs = np.full_like(norms, math.inf)
+            np.divide(sums, norms, out=rhs, where=norms > DEFAULT_TOLERANCES.supp)
+            lhs = math.sqrt(n) * norms
+            want_lhs, want_rhs = reference_inequality_tables(dec, DEFAULT_TOLERANCES)
+            np.testing.assert_allclose(lhs, want_lhs, rtol=0, atol=1e-12)
+            assert (np.isinf(rhs) == np.isinf(want_rhs)).all()
+            finite = np.isfinite(rhs)
+            np.testing.assert_allclose(rhs[finite], want_rhs[finite], rtol=0, atol=1e-12)
+            got, want = _inequality_hits(lhs, rhs, n), _inequality_hits(want_lhs, want_rhs, n)
+            assert got == want, n
+            hits += sum(got[0])
+    assert hits > 50
+
 
 def test_support_star_center_and_leaf():
     dec = decompose_graph(star(4), MatrixKind.ADJACENCY)
@@ -276,6 +334,50 @@ def test_modular_gate_falls_back_at_the_prime(monkeypatch):
     assert gated == [pairs.n, above.n]
 
 
+def test_spectral_gate_proves_only_nonsingular_matrices(rng):
+    # whenever the spectrum proves A nonsingular, the exact kernel is empty;
+    # the cases hold singular graphs (a false twin, unequal bipartite parts)
+    # and weights up to and above 2^53, where floats round them
+    proved = singular = 0
+    for i in range(60):
+        n = int(rng.integers(2, 41))
+        top = (3, 2 ** 53 - 1, 2 ** 53 + 7, 2 ** 70)[i % 4]
+        base = random_connected_graph(rng, n, WeightClass.INTEGER, extra_edges=2 * n)
+        weights = rng.integers(1, 4, size=base.edge_count).tolist()
+        g = WeightedGraph.build(n, [(u, v, top - w if top > 3 else w)
+                                    for (u, v, _), w in zip(base.edges, weights)])
+        for h in (g, _with_false_twin(g, int(rng.integers(0, n)))):
+            kernel = exact_kernel(h)
+            singular += bool(kernel)
+            if nonsingular_by_spectrum(decompose_graph(h, MatrixKind.ADJACENCY)):
+                proved += 1
+                assert kernel == [], (h.n, top)
+    assert singular >= 60 and proved >= 30
+
+
+def test_spectral_gate_is_one_sided():
+    # a tiny nonzero eigenvalue, or a zero one, proves nothing
+    small = WeightedGraph.build(3, [(0, 1, 1), (1, 2, 10 ** 9)])  # singular: x = (10^9, 0, -1)
+    assert not nonsingular_by_spectrum(decompose_graph(small, MatrixKind.ADJACENCY))
+    assert nonsingular_by_spectrum(decompose_graph(complete(4), MatrixKind.ADJACENCY))
+    near = np.diag([1.0, 2.0, 1e-9])  # |lambda| = 1e-9 is within the gap 2e-8
+    assert not nonsingular_by_spectrum(decompose(near))
+
+
+def test_spectral_gate_does_not_read_the_grouping_tolerance():
+    # P3 is singular, its zero eigenvalue computed to about 1e-16: a tiny
+    # grouping gap must not let it pass, nor a wide one that merges it with
+    # a nonzero eigenvalue into a group whose mean lies away from zero
+    p3 = path(3)
+    for scale in (1e-20, 1e-8):
+        assert not nonsingular_by_spectrum(
+            decompose_graph(p3, MatrixKind.ADJACENCY, Tolerances(group_scale=scale)))
+    wide = decompose(np.diag([0.0, 0.5, 3.0]), Tolerances(group_scale=0.2))
+    assert wide.multiplicities == (2, 1) and wide.eigenvalues[0] == 0.25
+    assert not nonsingular_by_spectrum(wide)
+    assert nonsingular_by_spectrum(decompose(np.diag([1.0, 1.5, 3.0]), Tolerances(group_scale=0.2)))
+
+
 def test_leaf_peel_order_covers_tree():
     g = star(6)
     order = leaf_peel_order(g)
@@ -316,6 +418,20 @@ def test_signed_vectors_match_reference_property(dim, data):
     assert res.truncated is (dim > max_dim)
     assert [tuple(r) for r in res.vectors.tolist()] == \
         sorted(reference_signed_vectors(basis, max_dim=max_dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.lists(st.sampled_from((0, 1, -1, 2, -2, 2 ** 70, -(2 ** 70))),
+                    min_size=1, max_size=8),
+       max_dim=st.sampled_from((0, 1, 12)))
+def test_one_dimensional_pool_is_closed_form(row, max_dim):
+    # any basis vector, zero, with a negative lead or with entries beyond int64
+    res = signed_kernel_vectors([tuple(row)], max_dim=max_dim)
+    assert res.truncated is (max_dim == 0)
+    assert res.vectors.dtype == np.int8 and not res.vectors.flags.writeable
+    assert res.vectors.shape[1] == len(row)
+    assert [tuple(r) for r in res.vectors.tolist()] == \
+        reference_signed_vectors([tuple(row)], max_dim=max_dim)
 
 
 def test_signed_vectors_of_kernels_match_reference(rng):
