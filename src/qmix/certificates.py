@@ -337,7 +337,9 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
     false pairs feed exact eigenvectors of the inner part through the
     doubled eigenvector inequality (adjacency walk only).  A vertex's
     verdict comes from the first of its witnesses that fires, and a witness
-    is verified once, when it reaches a vertex no earlier witness decided."""
+    with a >= 2 is verified once, when it reaches a vertex no earlier witness
+    decided.  A twin pair (a = 1) is not: find_twin_pairs built it from the
+    same exact row comparison that verify_twin_subgraphs makes."""
     rule = "twin-subgraph"
     g, n = facts.g, facts.n
     exact_false = facts.kind is MatrixKind.ADJACENCY and g.has_integer_weights()
@@ -351,7 +353,7 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
         undecided = [u for u in members if u not in fired]
         if not undecided:
             continue
-        if not verify_twin_subgraphs(g, w):
+        if w.size > 1 and not verify_twin_subgraphs(g, w):
             raise ValueError(f"twin-subgraph witness failed verification: {w}")
         a = w.size
         if w.kind is TwinKind.TRUE:

@@ -14,7 +14,7 @@ here read them; neither is larger than O(n + m).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
@@ -379,7 +379,12 @@ def bipartition(g: WeightedGraph) -> Bipartition:
 class CycleFlags:
     has_triangle: bool
     has_c4: bool
-    has_c5: bool
+    neighbourhoods: tuple[MappingProxyType, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def has_c5(self) -> bool:
+        """Searched on first read: few readers need it, and it costs the most."""
+        return _has_cycle5(self.neighbourhoods)
 
 
 def cycle_flags(g: WeightedGraph) -> CycleFlags:
@@ -399,7 +404,7 @@ def cycle_flags(g: WeightedGraph) -> CycleFlags:
                 break
         if c4:
             break
-    return CycleFlags(has_triangle=tri, has_c4=c4, has_c5=_has_cycle5(nbrs))
+    return CycleFlags(has_triangle=tri, has_c4=c4, neighbourhoods=nbrs)
 
 
 def _has_cycle5(adj) -> bool:

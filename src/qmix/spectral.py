@@ -53,6 +53,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
     vectors: np.ndarray                  # V, shape (n, n), from eigh
+    column_eigenvalues: np.ndarray       # eigh's n eigenvalues, one per column of V
     group_gap: float                     # the grouping tolerance the groups were made with
 
     @property
@@ -95,21 +96,21 @@ class SpectralDecomposition:
         """(n, d) tables of ||E_k e_u|| and of sum_j |(E_k)_uj| over vertices
         u and groups k.  Row u of every projector is one slice of the stack
         reduceat(V[u] * V, starts) over the columns of V; the stack is built
-        for a block of rows at a time, of at most _STACK_BYTES or one row,
-        so memory stays O(n^2)."""
-        v, n = self.vectors, self.n
-        step = max(1, _STACK_BYTES // (8 * n * n))
-        sums = []
-        for r in range(0, n, step):
-            stack = np.add.reduceat(v[r:r + step, None, :] * v, self._starts, axis=2)
-            sums.append(np.abs(stack, out=stack).sum(axis=1))
-        return self._group_norms(v * v), sums[0] if len(sums) == 1 else np.concatenate(sums)
+        for a block of r rows at a time, which holds an (r, n, n) product and
+        its (r, n, d) reduction, so memory stays O(n^2)."""
+        v, n, d = self.vectors, self.n, len(self.multiplicities)
+        step = max(1, WORK_BYTES // (8 * n * (n + d)))
+        sums = np.empty((n, d))
+        for r in range(0, n, step):  # one expression, so no block outlives its step
+            np.abs(np.add.reduceat(v[r:r + step, None, :] * v, self._starts, axis=2)
+                   ).sum(axis=1, out=sums[r:r + step])
+        return self._group_norms(v * v), sums
 
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.levels) @ self.vectors.T
 
 
-_STACK_BYTES = 1 << 20  # most bytes of one block of projector rows
+WORK_BYTES = 1 << 20  # most bytes that the arrays of one chunk of a stacked kernel hold at once
 
 
 def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
@@ -157,6 +158,7 @@ def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecompositio
         eigenvalues=_read_only(np.array(means)),
         multiplicities=tuple(b - a for a, b in zip(starts, stops)),
         vectors=_read_only(v),
+        column_eigenvalues=_read_only(w),
         group_gap=gap)
 
 

@@ -17,30 +17,30 @@ import numpy as np
 
 from .graphs import (Bipartition, MatrixKind, WeightClass, WeightedGraph, adjacency_matrix,
                      bipartition, weighted_degrees)
-from .spectral import (SpectralDecomposition, decompose_graph, support, vertex_support)
+from .spectral import (WORK_BYTES, SpectralDecomposition, decompose_graph, support,
+                       vertex_support)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-_CHUNK_BYTES = 1 << 22  # size of each float array of one grid chunk, e.g. (chunk, n, n) |U(t)|^2
-
-
-def _chunk(n: int, u: int | None) -> int:
-    """Grid times per evaluation: a chunk holds n^2 floats per time for the
-    whole matrix and n for one column."""
-    return max(1, _CHUNK_BYTES // (8 * n * (n if u is None else 1)))
-
-
 def _propagator_parts(dec: SpectralDecomposition, ts, u: int | None = None):
-    """Real and imaginary parts of U(t) = V e^(it levels) V^T at every time in
-    ts.  Shape (len(ts), n, n), or (len(ts), n) holding column u (equal to row
-    u, since U(t) is symmetric) when a vertex u is given."""
-    phase = np.multiply.outer(np.asarray(ts, dtype=float), dec.levels)
+    """Real and imaginary parts of U(t) = V e^(itw) V^T at every time in ts,
+    with w the computed eigenvalues, not their group means: a group's members
+    differ by up to its gap, and the mean's phase error grows with t.  Shape
+    (len(ts), n, n), or (len(ts), n) holding column u (equal to row u, since
+    U(t) is symmetric) when a vertex u is given.  Either way at most three
+    arrays of that shape are live at once."""
+    phase = np.multiply.outer(np.asarray(ts, dtype=float), dec.column_eigenvalues)
     v = dec.vectors
     n = dec.n
     if u is None:  # one (len(ts) * n, n) x (n, n) product per part
         return tuple(((v * f(phase)[:, None, :]).reshape(-1, n) @ v.T).reshape(-1, n, n)
                      for f in (np.cos, np.sin))
-    return (np.cos(phase) * v[u]) @ v.T, (np.sin(phase) * v[u]) @ v.T
+    re = np.cos(phase)  # scaled in place, so only phase, re and im are live
+    re *= v[u]
+    re = re @ v.T
+    phase = np.sin(phase, out=phase)
+    phase *= v[u]
+    return re, phase @ v.T
 
 
 def _propagator(dec: SpectralDecomposition, ts, u: int | None = None) -> np.ndarray:
@@ -60,7 +60,7 @@ def _deviations(dec: SpectralDecomposition, ts, u: int | None) -> np.ndarray:
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) = sum_lambda e^(it lambda) E_lambda; unitary and symmetric."""
+    """U(t) = V e^(itw) V^T over the computed eigenpairs; unitary and symmetric."""
     return _propagator(dec, [t])[0]
 
 
@@ -76,10 +76,12 @@ def matrix_uniform_deviation(dec: SpectralDecomposition, t: float) -> float:
 
 def deviation_profile(dec: SpectralDecomposition, ts: np.ndarray,
                       u: int | None = None) -> np.ndarray:
-    """Vectorized deviation over a time grid; u=None takes the worst column."""
+    """Vectorized deviation over a time grid; u=None takes the worst column.
+    The grid is evaluated in chunks of c times, each holding three (c, n, n)
+    arrays, or three (c, n) for one column, within WORK_BYTES together."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape[0])
-    chunk = _chunk(dec.n, u)
+    chunk = max(1, WORK_BYTES // (3 * 8 * dec.n * (dec.n if u is None else 1)))
     for start in range(0, ts.shape[0], chunk):
         out[start:start + chunk] = _deviations(dec, ts[start:start + chunk], u)
     return out

@@ -20,7 +20,7 @@ from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, T
                   collect_facts, decompose_graph, exact_kernel, parse_graph6,
                   search_twin_subgraphs, signed_kernel_vectors, subdivide)
 from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors
-from qmix.graphs import TwinSearchResult
+from qmix.graphs import TwinSearchResult, verify_twin_subgraphs
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
                       random_connected_graph, random_tree, reference_eigenvector_inequality,
@@ -327,10 +327,28 @@ def test_twin_pair_inner_kernel_is_closed_form():
 
 
 def test_twin_subgraphs_rejects_bad_witness():
-    bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(2,))
+    # the cross edges of {0, 1} and {2, 3} in P4 are not regular
+    bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0, 1), h_vertices=(2, 3))
     facts = replace(facts_of(path(4)), twin_witnesses=(bad,))
     with pytest.raises(ValueError):
         at(cert_twin_subgraphs(facts), 0)[0]
+
+
+def test_every_atlas_twin_pair_passes_verification(rng):
+    """cert_twin_subgraphs verifies no twin pair (a = 1): each comes from
+    find_twin_pairs, whose row comparison the exact check repeats.  So every
+    one the search emits must pass it, unweighted and with integer or real
+    weights on the same edges."""
+    checked = 0
+    for g in _atlas(7):
+        for weights in ((1,), (1, 2), (0.5, 1.5)):
+            wg = g if weights == (1,) else WeightedGraph.build(
+                g.n, [(u, v, rng.choice(weights).item()) for u, v, _ in g.edges])
+            for w in search_twin_subgraphs(wg, a_max=TWIN_SUBGRAPH_SIZE).witnesses:
+                if w.size == 1:
+                    assert verify_twin_subgraphs(wg, w), (wg.edges, w)
+                    checked += 1
+    assert checked > 3000
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,48 @@ def test_search_csv_reuses_scan_profile(tmp_path, capsys, monkeypatch):
                         for t, d in zip(ts, want)]
 
 
+# Two weighted inputs on which the grouping gap 1e-8 rho merges the exact
+# eigenvalues 0 and 3 (input A), or 0 and 4 (input B), into one group.  The
+# walk must still give each computed eigenvalue its own phase.
+WIDE_WEIGHTS = {
+    # a triangle: L(-1, -1, 2) = 3(-1, -1, 2), so vertex 2 mixes at t = 2 pi / 9
+    "A": "0 1 1000000000000\n0 2 1\n1 2 1\n",
+    # K3 of weight 10^9 and vertex 3 joined to it by unit edges:
+    # L(-1, -1, -1, 3) = 4(-1, -1, -1, 3), so vertex 3 mixes at t = pi / 4
+    "B": "0 1 1000000000\n0 2 1000000000\n1 2 1000000000\n0 3 1\n1 3 1\n2 3 1\n",
+}
+
+
+def _wide_weight_search(tmp_path, capsys, name, vertex):
+    p = tmp_path / f"{name}.wel"
+    p.write_text(WIDE_WEIGHTS[name])
+    code, doc = run_json(capsys, ["search", str(p), "--matrix", "laplacian", "--tmax", "1",
+                                  "--step", "0.01", "--vertex", str(vertex)])
+    assert code == 0
+    return doc["mixing"]
+
+
+def test_search_detects_mixing_under_a_merged_group(tmp_path, capsys):
+    """Input A at vertex 2: every entry of U(2 pi / 9) e_2 has modulus
+    1/sqrt(3).  From the group means the deviation never fell below 0.8165."""
+    mixing = _wide_weight_search(tmp_path, capsys, "A", 2)
+    assert [d["time"] for d in mixing["detections"]] == [pytest.approx(2 * math.pi / 9, abs=1e-9)]
+    assert mixing["empirical_inf"] < 1e-9
+
+
+def test_search_finds_the_flat_column_under_a_merged_group(tmp_path, capsys):
+    """Input B at vertex 3: the column is flat at t = pi / 4, and the grid's
+    minimum lies there (0.866 from the group means).  It is no detection:
+    the threshold is 1e-8, and the eigensolver's error at rho ~ 3e9 is
+    about 1e-7."""
+    mixing = _wide_weight_search(tmp_path, capsys, "B", 3)
+    assert mixing["empirical_inf"] <= 1e-6
+    best = min(mixing["minima"], key=lambda m: m["deviation"])
+    assert best["deviation"] == mixing["empirical_inf"]
+    assert abs(best["time"] - math.pi / 4) <= 1e-6
+    assert mixing["detections"] == []
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.g6")]) == 2
     bad = tmp_path / "bad.g6"

@@ -1,6 +1,7 @@
 """The JSON comparison of tools/same_output.py, which reports whether two
 differing stdouts are equal apart from their floats."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,15 @@ def test_float_gap_separates_float_digits_from_real_differences():
     assert float_gap(a, dict(a, ok=1)) is None
     assert float_gap([1.0], [1.0, 2.0]) is None
     assert float_gap({"a": 1, "b": 2}, {"b": 2, "a": 1}) is None  # key order is output
+
+
+def test_float_gap_takes_target_state_phases_modulo_two_pi():
+    a = {"time": 1.0, "target_state_phases": [3.141592653589793, 0.5]}
+    flipped = {"time": 1.0, "target_state_phases": [-3.1415926535897927, 0.5]}
+    assert float_gap(a, flipped) < 1e-15
+    assert float_gap({"time": math.pi}, {"time": -math.pi}) == 2 * math.pi  # not a phase
+    assert float_gap(a, dict(a, target_state_phases=[3.0, 0.5])) == \
+        3.141592653589793 - 3.0
 
 
 def test_compare_json_reports_both_cases():

@@ -140,13 +140,16 @@ def _table_cases(rng):
 
 
 def test_projector_row_norms_match_the_per_group_table(rng, monkeypatch):
-    # one block of rows, blocks of two rows at n = 40, and the 1 MiB blocks
-    # of a 200 x 200 matrix, which hold three rows each
-    assert qmix.spectral._STACK_BYTES // (8 * 200 * 200) == 3
+    # one block of rows, blocks of two or three rows at n = 40, and the
+    # WORK_BYTES blocks of a 200 x 200 matrix, each row of which holds an
+    # (n, n) product and its (n, d) reduction: two rows of about 67 groups
+    clustered = decompose(_clustered(rng, 200))
+    d = len(clustered.multiplicities)
+    assert qmix.spectral.WORK_BYTES // (8 * 200 * (200 + d)) == 2
     hits = 0
-    for stack_bytes in (qmix.spectral._STACK_BYTES, 2 * 8 * 40 * 40):
-        monkeypatch.setattr(qmix.spectral, "_STACK_BYTES", stack_bytes)
-        for dec in list(_table_cases(rng)) + [decompose(_clustered(rng, 200))]:
+    for work_bytes in (qmix.spectral.WORK_BYTES, 2 * 8 * 40 * 80):
+        monkeypatch.setattr(qmix.spectral, "WORK_BYTES", work_bytes)
+        for dec in list(_table_cases(rng)) + [clustered]:
             n = dec.n
             norms, sums = dec.projector_row_norms()
             assert norms.shape == sums.shape == (n, len(dec.multiplicities))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from qmix import (HadamardKind, MatrixKind, TargetStateCandidate, WeightClass, W
                   hadamard_classify, matrix_of,
                   matrix_uniform_deviation, mixing_deviation, regular_equivalence_check,
                   states_proportional, transition_matrix, verify_target_state)
-from qmix.walk import _chunk, deviation_profile
+from qmix.spectral import WORK_BYTES
+from qmix.walk import deviation_profile
 
-from conftest import complete, cube_q3, cycle, path, projectors_of, random_connected_graph, star
+from conftest import complete, cube_q3, cycle, path, random_connected_graph, star
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -123,26 +125,46 @@ def test_evaluator_matches_ungrouped_eigh(rng, n):
 
 
 def test_chunked_profile_matches_pointwise_at_128(rng):
-    """A grid over more than three byte-sized chunks equals the per-time
-    objectives, for one column and for the worst column."""
+    """A grid over more than three chunks of WORK_BYTES, each holding three
+    arrays of one float per time and matrix entry (or column entry), equals
+    the per-time objectives, for one column and for the worst column."""
     g = random_connected_graph(rng, 128, WeightClass.REAL, extra_edges=300)
     dec = dec_of(g)
     for u, pointwise in ((5, lambda t: mixing_deviation(dec, 5, t)),
                          (None, lambda t: matrix_uniform_deviation(dec, t))):
-        ts = np.linspace(0.0, 4.0, 3 * _chunk(dec.n, u) + 7)
+        chunk = WORK_BYTES // (3 * 8 * 128 * (128 if u is None else 1))
+        ts = np.linspace(0.0, 4.0, 3 * chunk + 7)
         want = [pointwise(float(t)) for t in ts]
         assert np.abs(deviation_profile(dec, ts, u) - want).max() < 1e-12
 
 
-def test_grouped_near_degenerate_pair_uses_the_group_mean(rng):
-    """Two eigenvalues closer than the grouping gap form one group whose
-    phase is their mean: U(t) = sum over groups of e^(it mean) B B^T."""
+@pytest.mark.parametrize("u", [None, 3])
+def test_profile_stays_within_the_work_budget(rng, u):
+    """Evaluating a 1000-time grid at n = 128, graph-wide or for one column,
+    allocates at most WORK_BYTES beyond the profile itself and O(n) floats
+    of phases and sums."""
+    dec = dec_of(random_connected_graph(rng, 128, WeightClass.REAL, extra_edges=300))
+    ts = np.linspace(0.0, 2.0, 1000)
+    deviation_profile(dec, ts[:2], u)  # lazy imports and caches are not the grid's
+    tracemalloc.start()
+    try:
+        deviation_profile(dec, ts, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WORK_BYTES + 8 * ts.size + 64 * 8 * dec.n
+
+
+def test_grouped_near_degenerate_pair_keeps_its_own_phases(rng):
+    """Two eigenvalues closer than the grouping gap form one group, but U(t)
+    still gives each its own phase: U(t) = q e^(itw) q^T, where the group
+    mean would be off by t * 1.5e-9."""
     q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
     w = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 3e-9, 2.0, 3.0, 4.0])
     dec = decompose((q * w) @ q.T)
     assert 2 in dec.multiplicities and len(dec.eigenvalues) == 8
     for t in (0.3, 1.7, 25.0):
-        ref = sum(np.exp(1j * t * lam) * p for lam, p in zip(dec.eigenvalues, projectors_of(dec)))
+        ref = (q * np.exp(1j * t * w)) @ q.T
         assert np.abs(transition_matrix(dec, t) - ref).max() < 1e-12
 
 

@@ -18,13 +18,15 @@ Every command whose stdout or exit code differs between the roots is
 printed, and the exit status is 1 if any does, else 0.  Where both stdouts
 parse as JSON (one document, or a sequence of them as `batch` prints), the
 line also says whether they are equal apart from their floats, and gives
-the largest float gap; that does not change the exit status.  Needs
-networkx, like the benchmark inputs.
+the largest float gap, with target-state phases compared modulo 2 pi; that
+does not change the exit status.  Needs networkx, like the benchmark
+inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,23 +79,26 @@ def documents(out: bytes) -> list:
         docs.append(doc)
 
 
-def float_gap(a, b) -> float | None:
+def float_gap(a, b, key: str = "") -> float | None:
     """The largest gap between the floats of two JSON values that are equal
-    apart from their floats, or None where they differ otherwise."""
+    apart from their floats, or None where they differ otherwise.  key is
+    the name of the field that holds them; `target_state_phases` holds
+    angles, whose gap is taken modulo 2 pi, so pi and -pi agree."""
     if isinstance(a, bool) or isinstance(b, bool):
         return 0.0 if a is b else None
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if isinstance(a, float) or isinstance(b, float):
-            return abs(a - b)
+            gap = a - b
+            return abs(math.remainder(gap, 2.0 * math.pi) if key == "target_state_phases" else gap)
         return 0.0 if a == b else None
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             return None
-        gaps = [float_gap(a[k], b[k]) for k in a]
+        gaps = [float_gap(a[k], b[k], k) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        gaps = [float_gap(x, y) for x, y in zip(a, b)]
+        gaps = [float_gap(x, y, key) for x, y in zip(a, b)]
     else:
         return 0.0 if a == b else None
     return None if None in gaps else max(gaps, default=0.0)
