@@ -13,7 +13,9 @@ Each rule reads the `GraphFacts` of one (graph, matrix) pair, runs once per
 graph and returns all of its verdicts, each scoped to the graph or to one
 vertex: the paper states most conditions per vertex, but each is a function
 of the whole graph and one matrix.  The `RULES` table is the one place where
-a rule, its tier and its output position are declared.
+a rule, its tier, its output position and the walks, weights and
+bipartiteness it applies to are declared; elsewhere the table writes the
+rule's not-applicable verdicts, with a note generated from that declaration.
 """
 
 from __future__ import annotations
@@ -272,22 +274,18 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
 
 def cert_degree_LQ(facts: GraphFacts) -> list[CertificateVerdict]:
     """Laplacian walks: deg u <= twice the average degree (unit weights)."""
-    rule = "degree-vs-average-LQ"
-    g, st = facts.g, facts.stats
-    if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _noted_row(rule, g.n, "requires a Laplacian walk on a unit-weight graph")
-    return _degree_bound(rule, st.deg, Fraction(4 * st.edge_count, g.n))
+    st = facts.stats
+    return _degree_bound("degree-vs-average-LQ", st.deg, Fraction(4 * st.edge_count, facts.n))
 
 
 def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
     """Adjacency walks on C4-free graphs: deg u <= 2(|E| + q)/n, with the
     unicyclic-with-C4 and asserted-planar variants."""
     g, st, fl = facts.g, facts.stats, facts.flags
-    applicable = facts.kind is MatrixKind.ADJACENCY and g.weight_class is WeightClass.UNIT
     n, q = g.n, st.dist2_pairs
 
     rule = "degree-common-neighbors-A"
-    if not applicable or fl.has_c4:
+    if fl.has_c4:
         out = list(_noted_row(
             rule, n, "requires a unit-weight C4-free graph under the adjacency walk"))
     else:
@@ -295,13 +293,13 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
 
     rule = "degree-unicyclic-c4-A"
     unicyclic = facts.connected and g.edge_count == n
-    if applicable and unicyclic and fl.has_c4:
+    if unicyclic and fl.has_c4:
         out += _degree_bound(rule, st.deg, Fraction(2 * (n + q + 2), n), dist2_pairs=q)
     else:
         out += _noted_row(rule, n, "requires a unicyclic graph whose cycle is a C4")
 
     rule = "degree-c4free-planar-A"
-    if applicable and facts.opts.assert_planar and not fl.has_c4 and n >= 4:
+    if facts.opts.assert_planar and not fl.has_c4 and n >= 4:
         out += _degree_bound(rule, st.deg, Fraction(30 * (n - 2) + 14 * q, 7 * n),
                              dist2_pairs=q)
     else:
@@ -403,12 +401,7 @@ def cert_bipartite_parity(facts: GraphFacts) -> list[CertificateVerdict]:
     the count of vertices with degree 2 or 3 (mod 4) to the parity of
     |E| - n deg(u) / 2."""
     rule = "bipartite-degree-parity"
-    g, st = facts.g, facts.stats
-    n = g.n
-    if facts.kind is not MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT \
-            or not facts.bip.present:
-        return _noted_row(
-            rule, n, "requires a unit-weight bipartite graph under the adjacency walk")
+    n, st = facts.n, facts.stats
     count23 = sum(1 for d in st.deg if d % 4 in (2, 3))
     even_count = count23 % 2 == 0
     out = []
@@ -430,11 +423,7 @@ def cert_kernel_vector(facts: GraphFacts) -> list[CertificateVerdict]:
     order must be a perfect square, and each signed kernel vector restricted
     to u's part must have sqrt(n) <= nnz with matching parity."""
     rule = "bipartite-kernel-square"
-    g, bp = facts.g, facts.bip
-    n = g.n
-    if facts.kind is not MatrixKind.ADJACENCY or not g.has_integer_weights() or not bp.present:
-        return _noted_row(
-            rule, n, "requires an integer-weight bipartite graph under the adjacency walk")
+    n, bp = facts.n, facts.bip
     in_kernel = {u for vec in facts.kernel_basis for u, x in enumerate(vec) if x}
     root = math.isqrt(n)
     bad: dict[int, tuple[int, ...]] = {}
@@ -482,10 +471,6 @@ def cert_kernel_part_size(facts: GraphFacts) -> list[CertificateVerdict]:
             for u in candidates if u in hits]
 
 
-def _bipartite_adjacency(facts: GraphFacts) -> bool:
-    return facts.kind is MatrixKind.ADJACENCY and facts.bip.present
-
-
 def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
     """Graph-level bipartite obstructions for the adjacency walk.
 
@@ -494,9 +479,6 @@ def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
     order.  (Orders one and two are genuine exceptions: the single vertex
     and the weighted single edge both mix.)
     """
-    if not _bipartite_adjacency(facts):
-        return [_graph("bipartite-order-mod4", Verdict.NOT_APPLICABLE,
-                       note="requires a bipartite graph under the adjacency walk")]
     out: list[CertificateVerdict] = []
     n = facts.n
     if facts.opts.subdivision_preimage is not None:
@@ -523,7 +505,7 @@ def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
 def cert_kernel_part_mod4(facts: GraphFacts) -> list[CertificateVerdict]:
     """Asserted tier: a singular bipartite graph with a signed kernel vector
     needs both part sizes congruent to 0 or to 2 mod 4."""
-    if not _bipartite_adjacency(facts) or len(facts.signed_vectors) == 0:
+    if len(facts.signed_vectors) == 0:
         return []
     p1, p2 = len(facts.bip.b1) % 4, len(facts.bip.b2) % 4
     bad = not (p1 == p2 and p1 in (0, 2))
@@ -535,8 +517,6 @@ def cert_kernel_part_mod4(facts: GraphFacts) -> list[CertificateVerdict]:
 
 def cert_bipartite_balance(facts: GraphFacts) -> list[CertificateVerdict]:
     """Asserted tier: the balance bound min(|B1|, |B2|) >= sqrt(n/2)."""
-    if not _bipartite_adjacency(facts):
-        return []
     m = min(len(facts.bip.b1), len(facts.bip.b2))
     n = facts.n
     bad = 2 * m * m < n
@@ -553,8 +533,6 @@ def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
     rule = "degree-planar-family-LQ"
     g, fl = facts.g, facts.flags
     n = g.n
-    if facts.kind is MatrixKind.ADJACENCY or g.weight_class is not WeightClass.UNIT:
-        return _noted_row(rule, n, "requires a Laplacian walk on a unit-weight graph")
     bounds: list[tuple[str, Fraction]] = []
     if facts.connected:
         k = g.edge_count - n + 1
@@ -582,17 +560,13 @@ def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
     return out
 
 
-def _unit_adjacency(facts: GraphFacts) -> bool:
-    return facts.kind is MatrixKind.ADJACENCY and facts.g.weight_class is WeightClass.UNIT
-
-
 def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
     """Graph-level parity and pattern rules for connected unit-weight trees
-    and bipartite unicyclic graphs under the adjacency walk; empty when none
-    of them applies."""
+    and bipartite unicyclic graphs under the adjacency walk; where none of
+    them applies, one `tree-suite` verdict that says why."""
+    if not facts.connected:
+        return [_graph("tree-suite", Verdict.NOT_APPLICABLE, note="disconnected")]
     out: list[CertificateVerdict] = []
-    if not _unit_adjacency(facts) or not facts.connected:
-        return out
     g = facts.g
     tree = g.edge_count == g.n - 1
     unicyclic = g.edge_count == g.n
@@ -636,20 +610,8 @@ def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
             verdict = Verdict.RULED_OUT if all(d % 4 in (1, 2) for d in inner) \
                 else Verdict.INCONCLUSIVE
             out.append(_graph("pendant-tree-pattern", verdict, inner_degrees=tuple(sorted(inner))))
-    return out
-
-
-def cert_tree_suite_fallback(facts: GraphFacts) -> list[CertificateVerdict]:
-    """The tree-suite entry of a graph on which none of its rules applies,
-    with the reason."""
-    if not _unit_adjacency(facts):
-        return [_graph("tree-suite", Verdict.NOT_APPLICABLE,
-                       note="requires a unit-weight graph under the adjacency walk")]
-    if not facts.connected:
-        return [_graph("tree-suite", Verdict.NOT_APPLICABLE, note="disconnected")]
-    if cert_tree_suite(facts):
-        return []
-    return [_graph("tree-suite", Verdict.INCONCLUSIVE, note="no tree or unicyclic rule applies")]
+    return out or [_graph("tree-suite", Verdict.INCONCLUSIVE,
+                          note="no tree or unicyclic rule applies")]
 
 
 def _pendant_tree_pattern(g: WeightedGraph, deg) -> list[int] | None:
@@ -708,41 +670,75 @@ def cert_pendant_pair(facts: GraphFacts) -> list[CertificateVerdict]:
 # ---------------------------------------------------------------------------
 # Pipelines
 
+_ADJ = frozenset((MatrixKind.ADJACENCY,))
+_LQ = frozenset(MatrixKind) - _ADJ
+_WEIGHTS = tuple(WeightClass)  # unit < integer < real
+_WEIGHTED = ("a unit-weight ", "an integer-weight ", "a ")  # in _WEIGHTS order
+
+
 @dataclass(frozen=True)
 class Rule:
     """One row of the rule table.  Its evaluator takes the facts, runs once
     per graph and returns all of its verdicts, each scoped to the graph or
-    to one vertex."""
+    to one vertex.  It runs only on a walk in `walks`, weights no wider than
+    `weights` and, if `bipartite`, a bipartite graph; elsewhere a strict row
+    gives the not-applicable verdicts of `not_applicable`, an asserted row
+    none."""
 
     ids: tuple[str, ...]
     tier: Tier  # asserted rows run only for reports at the asserted tier
     evaluate: Callable[[GraphFacts], Sequence[CertificateVerdict]]
+    walks: frozenset[MatrixKind] = frozenset(MatrixKind)
+    weights: WeightClass = WeightClass.REAL  # the widest weight class the rule reads
+    bipartite: bool = False
+    scope: str = VERTEX_SCOPE  # one not-applicable verdict per id and vertex, or one in all
+
+    def admits(self, facts: GraphFacts) -> bool:
+        return (facts.kind in self.walks and (facts.bip.present or not self.bipartite)
+                and _WEIGHTS.index(facts.g.weight_class) <= _WEIGHTS.index(self.weights))
+
+    @property
+    def note(self) -> str:
+        """What the row requires, as its not-applicable verdicts say it."""
+        graph = _WEIGHTED[_WEIGHTS.index(self.weights)] + ("bipartite " if self.bipartite else "")
+        return (f"requires {graph}graph under the adjacency walk" if self.walks == _ADJ
+                else f"requires a Laplacian walk on {graph}graph")
+
+    def not_applicable(self, n: int) -> Sequence[CertificateVerdict]:
+        """The verdicts of a strict row on an input it does not admit; a
+        graph-scope row gives one, under ids[0]."""
+        if self.tier is not Tier.STRICT:
+            return ()
+        if self.scope == GRAPH_SCOPE:
+            return (_graph(self.ids[0], Verdict.NOT_APPLICABLE, note=self.note),)
+        return [v for rule in self.ids for v in _noted_row(rule, n, self.note)]
 
 
 _S, _A = Tier.STRICT, Tier.PAPER_ASSERTED
+_UNIT, _INT = WeightClass.UNIT, WeightClass.INTEGER
 # Cheap exact rules first.  The row order is the order of the verdicts in
 # every report.
 RULES = (
     Rule(("connectivity",), _S, cert_connectivity),
     Rule(("twin-vertex",), _S, cert_twins),
-    Rule(("degree-vs-average-LQ",), _S, cert_degree_LQ),
+    Rule(("degree-vs-average-LQ",), _S, cert_degree_LQ, _LQ, _UNIT),
     Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A", "degree-c4free-planar-A"),
-         _S, cert_degree_A_c4free),
-    Rule(("degree-planar-family-LQ",), _S, cert_planar_family),
-    Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity),
+         _S, cert_degree_A_c4free, _ADJ, _UNIT),
+    Rule(("degree-planar-family-LQ",), _S, cert_planar_family, _LQ, _UNIT),
+    Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
     Rule(("pendant-pair",), _S, cert_pendant_pair),
-    Rule(("path-graph", "tree-degree-parity", "unicyclic-degree-parity",
+    Rule(("tree-suite", "path-graph", "tree-degree-parity", "unicyclic-degree-parity",
           "caterpillar-pendant-parity", "tree-no-degree-two", "pendant-tree-pattern"),
-         _S, cert_tree_suite),
-    Rule(("subdivision-order", "bipartite-order-mod4", "bipartite-singular-square"),
-         _S, cert_bipartite_global),
-    Rule(("bipartite-kernel-square",), _S, cert_kernel_vector),
+         _S, cert_tree_suite, _ADJ, _UNIT, scope=GRAPH_SCOPE),
+    Rule(("bipartite-order-mod4", "subdivision-order", "bipartite-singular-square"),
+         _S, cert_bipartite_global, _ADJ, bipartite=True, scope=GRAPH_SCOPE),
+    Rule(("bipartite-kernel-square",), _S, cert_kernel_vector, _ADJ, _INT, bipartite=True),
     Rule(("twin-subgraph",), _S, cert_twin_subgraphs),
     Rule(("eigenvector-inequality",), _S, cert_eigenvector_inequality),
-    Rule(("bipartite-kernel-part-size",), _A, cert_kernel_part_size),
-    Rule(("bipartite-kernel-part-mod4",), _A, cert_kernel_part_mod4),
-    Rule(("bipartite-balance",), _A, cert_bipartite_balance),
-    Rule(("tree-suite",), _S, cert_tree_suite_fallback),
+    # calls cert_kernel_vector, so it reads what that row reads
+    Rule(("bipartite-kernel-part-size",), _A, cert_kernel_part_size, _ADJ, _INT, bipartite=True),
+    Rule(("bipartite-kernel-part-mod4",), _A, cert_kernel_part_mod4, _ADJ, bipartite=True),
+    Rule(("bipartite-balance",), _A, cert_bipartite_balance, _ADJ, bipartite=True),
 )
 
 
@@ -776,14 +772,14 @@ Grouping = tuple[list[CertificateVerdict], list[list[CertificateVerdict]]]
 
 
 def verdicts_by_scope(facts: GraphFacts) -> Grouping:
-    """Every verdict of the rows that run at the report's tier, one
+    """Every verdict of the rows that run at the report's tier, at most one
     evaluation per row, grouped by scope with each group in RULES order."""
     graph: list[CertificateVerdict] = []
     by_vertex: list[list[CertificateVerdict]] = [[] for _ in range(facts.n)]
     all_tiers = facts.opts.tier is Tier.PAPER_ASSERTED
     for row in RULES:
         if all_tiers or row.tier is Tier.STRICT:
-            for v in row.evaluate(facts):
+            for v in row.evaluate(facts) if row.admits(facts) else row.not_applicable(facts.n):
                 u = v.scope[1]
                 (graph if u is None else by_vertex[u]).append(v)
     return graph, by_vertex

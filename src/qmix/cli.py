@@ -247,42 +247,47 @@ def _cmd_batch(args) -> int:
         raise _UsageError("--jobs must be at least 1")
     payloads = _batch_payloads(args.input)
     shared = (_MATRIX[args.matrix], _certify_options(args), _tolerances(args))
-    tasks = [(path, lineno, line, *shared) for path, lineno, line in payloads]
+    tasks = ((path, lineno, line, *shared) for path, lineno, line in payloads)
     # a pool starts all of its workers at once, so never more than can be busy
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
-        entries = [_batch_one(t) for t in tasks]
+        _write_batch(map(_batch_one, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # costs start-up time; only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_batch_one, tasks))
+            _write_batch(pool.map(_batch_one, tasks))
+    return 0
+
+
+def _write_batch(entries) -> None:
+    """Print the entries in order as they come, then their aggregate: a few
+    large writes rather than one per line, each of a bounded size."""
     rule_counts: dict[str, int] = {}
-    errors = 0
-    ruled_out = 0
+    graphs = errors = ruled_out = 0
+    lines = []
     for entry in entries:
+        graphs += 1
         if "error" in entry:
             errors += 1
-            continue
-        if entry["graph_ruled_out"]:
-            ruled_out += 1
-        for rule in entry["fired_rules"]:
-            rule_counts[rule] = rule_counts.get(rule, 0) + 1
+        else:
+            ruled_out += entry["graph_ruled_out"]
+            for rule in entry["fired_rules"]:
+                rule_counts[rule] = rule_counts.get(rule, 0) + 1
+        lines.append(render_json(entry, 0, " ") + "\n")
+        if len(lines) == _LINES_PER_WRITE:
+            sys.stdout.write("".join(lines))
+            lines = []
     aggregate = {
         "schema": 1,
         "aggregate": {
-            "graphs": len(entries),
+            "graphs": graphs,
             "errors": errors,
             "ruled_out": ruled_out,
-            "survivors": len(entries) - errors - ruled_out,
+            "survivors": graphs - errors - ruled_out,
             "rule_counts": {k: rule_counts[k] for k in sorted(rule_counts)},
         },
     }
-    # a few large writes rather than one per line, each of a bounded size
-    for start in range(0, len(entries), _LINES_PER_WRITE):
-        sys.stdout.write("".join([render_json(entry, 0, " ") + "\n"
-                                  for entry in entries[start:start + _LINES_PER_WRITE]]))
-    sys.stdout.write(render_json(aggregate) + "\n")
-    return 0
+    sys.stdout.write("".join(lines) + render_json(aggregate) + "\n")
 
 
 def main(argv=None) -> int:

@@ -65,12 +65,6 @@ class SpectralDecomposition:
         return float(np.abs(self.eigenvalues).max())
 
     @cached_property
-    def levels(self) -> np.ndarray:
-        """Each eigenvector's group eigenvalue, so that
-        V diag(levels) V^T = sum_k lambda_k E_k."""
-        return _read_only(np.repeat(self.eigenvalues, self.multiplicities))
-
-    @cached_property
     def _starts(self) -> np.ndarray:
         """First column of each group in V."""
         return _read_only(np.array((0, *accumulate(self.multiplicities[:-1]))))
@@ -105,9 +99,6 @@ class SpectralDecomposition:
             np.abs(np.add.reduceat(v[r:r + step, None, :] * v, self._starts, axis=2)
                    ).sum(axis=1, out=sums[r:r + step])
         return self._group_norms(v * v), sums
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.levels) @ self.vectors.T
 
 
 WORK_BYTES = 1 << 20  # most bytes that the arrays of one chunk of a stacked kernel hold at once

@@ -190,6 +190,12 @@ def projectors_of(dec):
     return [b @ b.T for b in group_bases(dec)]
 
 
+def grouped_reconstruction(dec):
+    """sum_k lambda_k E_k over the groups: V diag(group eigenvalue) V^T."""
+    v = dec.vectors
+    return (v * np.repeat(dec.eigenvalues, dec.multiplicities)) @ v.T
+
+
 def naive_twin_subgraph_check(g: WeightedGraph, gs, hs, f, kind: str) -> bool:
     """Definition-level twin subgraph check, written independently of qmix."""
     a = np.zeros((g.n, g.n))

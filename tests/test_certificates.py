@@ -19,7 +19,7 @@ from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, T
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
                   collect_facts, decompose_graph, exact_kernel, parse_graph6,
                   search_twin_subgraphs, signed_kernel_vectors, subdivide)
-from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors
+from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors, verdicts_by_scope
 from qmix.graphs import TwinSearchResult, verify_twin_subgraphs
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
@@ -37,6 +37,17 @@ def facts_of(g, kind=MatrixKind.ADJACENCY, dec=None, **opts):
 
 def fired(verdicts, rule):
     return any(v.rule_id == rule and v.verdict is Verdict.RULED_OUT for v in verdicts)
+
+
+def table_verdicts(facts):
+    """Every verdict the rule table gives, graph scope first: evaluated where
+    a row admits the input, declared elsewhere."""
+    graph, by_vertex = verdicts_by_scope(facts)
+    return graph + [v for vs in by_vertex for v in vs]
+
+
+def through_table(facts, rule):
+    return [v for v in table_verdicts(facts) if v.rule_id == rule]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +185,7 @@ def test_degree_LQ():
     assert v.verdict is Verdict.INCONCLUSIVE  # boundary: 3 <= 3
     v = at(cert_degree_LQ(facts_of(cycle(6), MatrixKind.SIGNLESS_LAPLACIAN)), 2)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
-    v = at(cert_degree_LQ(facts_of(star(5))), 0)[0]
+    v = at(through_table(facts_of(star(5)), "degree-vs-average-LQ"), 0)[0]
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -235,7 +246,7 @@ def test_planar_family_asserted_planar():
     v = at(cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN, assert_planar=True)), 0)[0]
     assert v.verdict is Verdict.RULED_OUT
     assert dict(v.witness)["violated"] in ("k-cyclic", "planar")
-    v = at(cert_planar_family(facts_of(g, assert_planar=True)), 0)[0]
+    v = at(through_table(facts_of(g, assert_planar=True), "degree-planar-family-LQ"), 0)[0]
     assert v.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -693,11 +704,77 @@ def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind, tier):
         return replace(row, evaluate=evaluate)
 
     monkeypatch.setattr(qmix.certificates, "RULES", tuple(counted(row) for row in RULES))
-    g = random_tree(np.random.default_rng(9), 9)
+    g = random_tree(np.random.default_rng(9), 9)  # unit weights and bipartite
     report = certify_graph(g, dec_of(g, kind), kind, CertifyOptions(tier=tier))
     assert len(report.vertex_verdicts) == 9
-    assert calls == {row.ids: 1 for row in RULES
-                     if row.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED}
+    # so the walk alone decides which rows apply; the others are never evaluated
+    assert calls == {row.ids: 1 for row in RULES if kind in row.walks
+                     and (row.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED)}
+
+
+WEIGHT_CLASSES = (WeightClass.UNIT, WeightClass.INTEGER, WeightClass.REAL)
+
+
+def _weighted(n, edges, weights):
+    """The graph with its first edge weighted 1, 2 or 1.5 by weight class."""
+    first = {WeightClass.UNIT: 1, WeightClass.INTEGER: 2, WeightClass.REAL: 1.5}[weights]
+    return WeightedGraph.build(n, [(*edges[0][:2], first)] + list(edges[1:]))
+
+
+@pytest.mark.parametrize("row", RULES, ids=lambda row: row.ids[0])
+def test_rule_rows_run_only_where_declared(monkeypatch, row):
+    calls = []
+
+    def evaluate(facts):
+        calls.append(facts)
+        return row.evaluate(facts)
+
+    monkeypatch.setattr(qmix.certificates, "RULES", (replace(row, evaluate=evaluate),))
+    graphs = {True: (6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)]),  # P6
+              False: (5, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (0, 4, 1)])}
+    for kind in WALK_MATRICES:
+        for weights in WEIGHT_CLASSES:
+            for bip, (n, edges) in graphs.items():
+                g = _weighted(n, edges, weights)
+                facts = facts_of(g, kind, tier=Tier.PAPER_ASSERTED)
+                assert facts.bip.present is bip and g.weight_class is weights
+                admitted = (kind in row.walks and (bip or not row.bipartite)
+                            and WEIGHT_CLASSES.index(weights) <= WEIGHT_CLASSES.index(row.weights))
+                calls.clear()
+                verdicts = table_verdicts(facts)
+                case = (kind, weights, bip)
+                if admitted:
+                    assert calls == [facts], case
+                    continue
+                assert calls == [], case
+                assert all(v.verdict is Verdict.NOT_APPLICABLE
+                           and v.witness == (("note", row.note),) for v in verdicts), case
+                if row.tier is not Tier.STRICT:
+                    assert verdicts == [], case
+                elif row.scope == "graph":
+                    assert [(v.rule_id, v.scope) for v in verdicts] == \
+                        [(row.ids[0], ("graph", None))], case
+                else:
+                    assert sorted((v.rule_id, v.scope[1]) for v in verdicts) == \
+                        sorted((rule, u) for rule in row.ids for u in range(g.n)), case
+
+
+def test_generated_not_applicable_notes():
+    # the notes that the evaluators wrote before the table generated them
+    notes = {row.ids[0]: row.note for row in RULES
+             if row.tier is Tier.STRICT and (row.walks != set(MatrixKind) or row.bipartite
+                                             or row.weights is not WeightClass.REAL)}
+    assert notes == {
+        "degree-vs-average-LQ": "requires a Laplacian walk on a unit-weight graph",
+        "degree-common-neighbors-A": "requires a unit-weight graph under the adjacency walk",
+        "degree-planar-family-LQ": "requires a Laplacian walk on a unit-weight graph",
+        "bipartite-degree-parity":
+            "requires a unit-weight bipartite graph under the adjacency walk",
+        "tree-suite": "requires a unit-weight graph under the adjacency walk",
+        "bipartite-order-mod4": "requires a bipartite graph under the adjacency walk",
+        "bipartite-kernel-square":
+            "requires an integer-weight bipartite graph under the adjacency walk",
+    }
 
 
 def _summary_cases():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qmix.cli
 import qmix.graphs
 from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
@@ -418,6 +419,50 @@ def test_batch_jobs_capped_by_tasks_and_cores(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == sequential
         assert started[-1] == expected
     assert len(started) == 2
+
+
+def test_batch_writes_each_chunk_once_it_is_certified(tmp_path, monkeypatch):
+    # memory must not grow with the corpus: the first write comes after
+    # exactly one chunk of graphs, not after the last graph
+    per_write = qmix.cli._LINES_PER_WRITE
+    line = nx.to_graph6_bytes(nx.path_graph(3), header=False).decode().strip()
+    (tmp_path / "p3.g6").write_text((line + "\n") * (per_write + 5))
+    calls, writes = [], []
+
+    def counted(task):
+        calls.append(task)
+        return _batch_one(task)
+
+    class Stdout:
+        def write(self, text):
+            writes.append((len(calls), text.count("\n")))
+
+        def flush(self):
+            pass
+
+    class InlinePool:  # --jobs > 1 reads pool.map's results the same way
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(qmix.cli, "_batch_one", counted)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("qmix.cli.os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    for jobs in ("1", "2"):
+        calls.clear()
+        writes.clear()
+        assert main(["batch", str(tmp_path), "--jobs", jobs]) == 0
+        assert writes[0] == (per_write, per_write), jobs
+        assert len(calls) == per_write + 5
 
 
 def test_import_loads_every_span_module_and_no_process_pool():

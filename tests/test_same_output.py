@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from same_output import compare_json, documents, float_gap  # noqa: E402
+from same_output import compare_json, documents, first_difference, float_gap  # noqa: E402
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -39,5 +39,19 @@ def test_float_gap_takes_target_state_phases_modulo_two_pi():
 def test_compare_json_reports_both_cases():
     assert compare_json(b'{"x": 0.5}', b'{"x": 0.5000000000000107}') == \
         "equal apart from floats, largest gap 1.07e-14"
-    assert compare_json(b'{"x": "a"}', b'{"x": "b"}') == "differs beyond floats"
+    assert compare_json(b'{"x": "a"}', b'{"x": "b"}') == "differs beyond floats at x"
     assert compare_json(b'{"x": 1}', b'not json') == "not JSON"
+
+
+def test_compare_json_names_the_first_value_that_differs_beyond_floats():
+    before = {"certificates": {"graph_verdicts": [{"rule": "a", "lhs": 1.0}] * 8}}
+    after = {"certificates": {"graph_verdicts": [{"rule": "a", "lhs": 1.0 + 1e-15}] * 7
+                              + [{"rule": "b", "lhs": 2.0}]}}
+    assert first_difference(before, after) == "certificates.graph_verdicts[7].rule"
+    assert first_difference(before, before) is None
+    assert first_difference([1, {"a": 1}], [1, {"b": 1}]) == "[1]"  # the keys differ
+    assert first_difference([1.0], [1.0, 2.0]) == "(root)"
+    assert first_difference({"p": [0.5, "x"]}, {"p": [0.7, "y"]}) == "p[1]"
+    batch = b'{"line": 1, "fired": ["a"]}\n{"line": 2, "fired": ["a"]}\n'
+    assert compare_json(batch, batch.replace(b'2, "fired": ["a"]', b'2, "fired": ["c"]')) == \
+        "differs beyond floats at [1].fired[0]"

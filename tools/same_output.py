@@ -18,8 +18,9 @@ Every command whose stdout or exit code differs between the roots is
 printed, and the exit status is 1 if any does, else 0.  Where both stdouts
 parse as JSON (one document, or a sequence of them as `batch` prints), the
 line also says whether they are equal apart from their floats, and gives
-the largest float gap, with target-state phases compared modulo 2 pi; that
-does not change the exit status.  Needs networkx, like the benchmark
+the largest float gap, with target-state phases compared modulo 2 pi, or
+else the path of the first value that differs beyond floats; that does not
+change the exit status.  Needs networkx, like the benchmark
 inputs.
 """
 
@@ -104,14 +105,32 @@ def float_gap(a, b, key: str = "") -> float | None:
     return None if None in gaps else max(gaps, default=0.0)
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """The path, such as `certificates.graph_verdicts[7].rule`, of the first
+    value at which two JSON values differ beyond their floats; None where
+    float_gap gives a gap."""
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        pairs = ((f"{path}.{k}" if path else k, a[k], b[k]) for k in a)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
+    else:
+        return None if float_gap(a, b) is not None else path or "(root)"
+    return next(filter(None, (first_difference(x, y, p) for p, x, y in pairs)), None)
+
+
 def compare_json(before: bytes, after: bytes) -> str:
-    """How two differing stdouts compare as JSON."""
+    """How two differing stdouts compare as JSON; a document's path starts
+    with its index where a stdout holds more than one."""
     try:
-        gap = float_gap(documents(before), documents(after))
+        docs = documents(before), documents(after)
     except ValueError:
         return "not JSON"
-    return "differs beyond floats" if gap is None else \
-        f"equal apart from floats, largest gap {gap:.3g}"
+    gap = float_gap(*docs)
+    if gap is not None:
+        return f"equal apart from floats, largest gap {gap:.3g}"
+    if len(docs[0]) == len(docs[1]) == 1:
+        docs = docs[0][0], docs[1][0]
+    return f"differs beyond floats at {first_difference(*docs)}"
 
 
 def main(argv: list[str]) -> int:
