@@ -32,7 +32,7 @@ import numpy as np
 from .graphs import (MAX_VERTICES, Bipartition, CycleFlags, DegreeStats, MatrixKind,
                      PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
                      bipartition, connected_components, cycle_flags,
-                     degree_stats, is_caterpillar,
+                     degree_stats, find_twin_pairs, is_caterpillar,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs,
                      verify_twin_subgraphs)
 from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
@@ -85,7 +85,6 @@ def _graph(rule: str, verdict: Verdict, tier: Tier = Tier.STRICT,
 class CertifyOptions:
     tier: Tier = Tier.STRICT          # STRICT drops asserted-tier findings from reports
     assert_planar: bool = False       # planarity is a user assertion, never computed
-    subdivision_preimage: tuple[int, int] | None = None  # (n, |E|) of a known pre-image
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ class GraphFacts:
     flags: CycleFlags
     twins: list[tuple[int, int, TwinKind]]
     pendant_pairs: list[PendantPair]
-    twin_witnesses: tuple[TwinSubgraphWitness, ...]
+    twin_witnesses: tuple[TwinSubgraphWitness, ...]  # true pairs with part size >= 2
     twin_search_truncated: bool
     kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
     signed_truncated: bool  # kernel dimension > tol.signed_budget
@@ -150,7 +149,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
     return GraphFacts(
         g=g, kind=kind, dec=dec, opts=opts, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
-        flags=cycle_flags(g), twins=tw.twin_pairs,
+        flags=cycle_flags(g), twins=find_twin_pairs(g),
         pendant_pairs=pendant_pairs_with_common_neighbor(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
         kernel_basis=basis, signed_truncated=dim > tol.signed_budget)
@@ -331,16 +330,14 @@ def cert_twins(facts: GraphFacts) -> list[CertificateVerdict]:
 
 
 def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Twin-subgraph bounds: true pairs force n <= 4a^2 (any walk matrix);
-    false pairs feed exact eigenvectors of the inner part through the
-    doubled eigenvector inequality (adjacency walk only).  A vertex's
-    verdict comes from the first of its witnesses that fires, and a witness
-    with a >= 2 is verified once, when it reaches a vertex no earlier witness
-    decided.  A twin pair (a = 1) is not: find_twin_pairs built it from the
-    same exact row comparison that verify_twin_subgraphs makes."""
+    """Twin-subgraph bound: a true pair with parts of size a forces
+    n <= 4a^2, under any walk matrix.  The witnesses are true pairs with
+    a >= 2; twin pairs (a = 1) are left to `twin-vertex`, which rules out
+    their vertices wherever a twin pair would.  A vertex's verdict comes from
+    the first of its witnesses that fires, and a witness is verified once,
+    when it reaches a vertex no earlier witness decided."""
     rule = "twin-subgraph"
     g, n = facts.g, facts.n
-    exact_false = facts.kind is MatrixKind.ADJACENCY and g.has_integer_weights()
     fired: dict[int, CertificateVerdict] = {}
     count = [0] * n  # witnesses containing each vertex
     unwitnessed = _noted_row(rule, n, "no witness contains the vertex")
@@ -351,49 +348,19 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
         undecided = [u for u in members if u not in fired]
         if not undecided:
             continue
-        if w.size > 1 and not verify_twin_subgraphs(g, w):
-            raise ValueError(f"twin-subgraph witness failed verification: {w}")
+        if w.kind is not TwinKind.TRUE or not verify_twin_subgraphs(g, w):
+            raise ValueError(f"twin-subgraph witness is not a verified true pair: {w}")
         a = w.size
-        if w.kind is TwinKind.TRUE:
-            if n > 4 * a * a:
-                witness = (("route", "true-pair-size"), ("part_size", a), ("bound", 4 * a * a),
-                           ("n", n), ("g_vertices", w.g_vertices), ("h_vertices", w.h_vertices))
-                fired.update((u, CertificateVerdict(rule, Tier.STRICT, Verdict.RULED_OUT,
-                                                    (VERTEX_SCOPE, u), witness))
-                             for u in undecided)
-        elif exact_false:
-            # exact kernel vectors x of the inner part, lifted to (x, -x, 0),
-            # must satisfy n x_u^2 <= (2 sum |x_j|)^2
-            inner = _inner_kernel_vectors(g, w)
-            pos = {v: i for i, v in enumerate(w.g_vertices)}
-            pos.update((h, pos[gv]) for gv, h in (w.mapping() or {}).items())
-            for u in undecided:
-                vec = next((x for x in inner if u in pos
-                            and n * x[pos[u]] ** 2 > (2 * sum(map(abs, x))) ** 2), None)
-                if vec is not None:
-                    fired[u] = _vertex(rule, u, Verdict.RULED_OUT,
-                                       route="false-pair-eigenvector", inner_vector=vec,
-                                       lhs_squared=n * vec[pos[u]] ** 2,
-                                       rhs_doubled=2 * sum(map(abs, vec)),
-                                       g_vertices=w.g_vertices, h_vertices=w.h_vertices)
+        if n > 4 * a * a:
+            witness = (("route", "true-pair-size"), ("part_size", a), ("bound", 4 * a * a),
+                       ("n", n), ("g_vertices", w.g_vertices), ("h_vertices", w.h_vertices))
+            fired.update((u, CertificateVerdict(rule, Tier.STRICT, Verdict.RULED_OUT,
+                                                (VERTEX_SCOPE, u), witness))
+                         for u in undecided)
     return [fired[u] if u in fired
             else _vertex(rule, u, Verdict.INCONCLUSIVE, witnesses=count[u]) if count[u]
             else unwitnessed[u]
             for u in range(n)]
-
-
-def _inner_kernel_vectors(g: WeightedGraph, w: TwinSubgraphWitness) -> list[tuple[int, ...]]:
-    """Signed kernel vectors of the inner part's adjacency matrix, then the
-    basis vectors not among them."""
-    if w.size == 1:  # graphs are loopless: one vertex has the zero 1 x 1 matrix
-        return [(1,)]
-    index = {v: i for i, v in enumerate(w.g_vertices)}
-    inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
-                                             if a in index and b in index])
-    basis = exact_kernel(inner)
-    vectors = [tuple(r) for r in signed_kernel_vectors(basis, max_dim=10).vectors.tolist()]
-    vectors.extend(b for b in basis if b not in vectors)
-    return vectors
 
 
 def cert_bipartite_parity(facts: GraphFacts) -> list[CertificateVerdict]:
@@ -474,31 +441,24 @@ def cert_kernel_part_size(facts: GraphFacts) -> list[CertificateVerdict]:
 def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
     """Graph-level bipartite obstructions for the adjacency walk.
 
-    On more than two vertices the order must be divisible by four, and a
-    singular integer-weighted bipartite graph needs an even perfect square
-    order.  (Orders one and two are genuine exceptions: the single vertex
-    and the weighted single edge both mix.)
+    On more than two vertices the order must be divisible by four, and on
+    more than one a singular integer-weighted bipartite graph needs an even
+    perfect square order.  (Orders one and two are genuine exceptions: the
+    single vertex, which is singular, and the weighted single edge both mix.)
     """
-    out: list[CertificateVerdict] = []
     n = facts.n
-    if facts.opts.subdivision_preimage is not None:
-        ny, my = facts.opts.subdivision_preimage
-        if ny + my != n:
-            raise ValueError("subdivision pre-image does not match the graph order")
-        verdict = Verdict.RULED_OUT if (ny + my) % 4 != 0 else Verdict.INCONCLUSIVE
-        out.append(_graph("subdivision-order", verdict,
-                          preimage_vertices=ny, preimage_edges=my, n=n))
     if n > 2 and n % 4 != 0:
-        out.append(_graph("bipartite-order-mod4", Verdict.RULED_OUT, n=n, remainder=n % 4))
+        out = [_graph("bipartite-order-mod4", Verdict.RULED_OUT, n=n, remainder=n % 4)]
     else:
-        out.append(_graph("bipartite-order-mod4", Verdict.INCONCLUSIVE, n=n,
-                          note="orders one and two mix" if n <= 2 else None))
+        out = [_graph("bipartite-order-mod4", Verdict.INCONCLUSIVE, n=n,
+                      note="orders one and two mix" if n <= 2 else None)]
     if facts.kernel_basis:
         root = math.isqrt(n)
-        singular_ok = root * root == n and n % 2 == 0
+        singular_ok = n == 1 or (root * root == n and n % 2 == 0)
         out.append(_graph("bipartite-singular-square",
                           Verdict.INCONCLUSIVE if singular_ok else Verdict.RULED_OUT,
-                          n=n, kernel_dimension=len(facts.kernel_basis)))
+                          n=n, kernel_dimension=len(facts.kernel_basis),
+                          note="order one mixes" if n == 1 else None))
     return out
 
 
@@ -570,7 +530,6 @@ def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
     g = facts.g
     tree = g.edge_count == g.n - 1
     unicyclic = g.edge_count == g.n
-    twins = facts.twins
     n = g.n
     deg = facts.stats.deg
     count23 = sum(1 for d in deg if d % 4 in (2, 3))
@@ -590,19 +549,12 @@ def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
 
     if tree and n >= 5 and n % 2 == 0 and is_caterpillar(g):
         pendants = sum(1 for d in deg if d == 1)
-        if twins:
-            out.append(_graph("caterpillar-pendant-parity", Verdict.RULED_OUT,
-                              route="twins", twin_pair=(twins[0][0], twins[0][1])))
-        elif pendants % 2 == 0:
+        if pendants % 2 == 0:
             out.append(_graph("caterpillar-pendant-parity", Verdict.RULED_OUT,
                               route="even-pendants", pendants=pendants))
         else:
             out.append(_graph("caterpillar-pendant-parity", Verdict.INCONCLUSIVE,
                               pendants=pendants))
-
-    if tree and n >= 5 and all(d != 2 for d in deg):
-        out.append(_graph("tree-no-degree-two", Verdict.RULED_OUT, n=n,
-                          note="such a tree has twins, which forbid mixing at this order"))
 
     if tree:
         inner = _pendant_tree_pattern(g, deg)
@@ -728,9 +680,9 @@ RULES = (
     Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
     Rule(("pendant-pair",), _S, cert_pendant_pair),
     Rule(("tree-suite", "path-graph", "tree-degree-parity", "unicyclic-degree-parity",
-          "caterpillar-pendant-parity", "tree-no-degree-two", "pendant-tree-pattern"),
+          "caterpillar-pendant-parity", "pendant-tree-pattern"),
          _S, cert_tree_suite, _ADJ, _UNIT, scope=GRAPH_SCOPE),
-    Rule(("bipartite-order-mod4", "subdivision-order", "bipartite-singular-square"),
+    Rule(("bipartite-order-mod4", "bipartite-singular-square"),
          _S, cert_bipartite_global, _ADJ, bipartite=True, scope=GRAPH_SCOPE),
     Rule(("bipartite-kernel-square",), _S, cert_kernel_vector, _ADJ, _INT, bipartite=True),
     Rule(("twin-subgraph",), _S, cert_twin_subgraphs),

@@ -617,30 +617,25 @@ class TwinSearchResult:
     witnesses: tuple[TwinSubgraphWitness, ...]
     truncated: bool
 
-    @property
-    def twin_pairs(self) -> list[tuple[int, int, TwinKind]]:
-        """The twin pairs, as :func:`find_twin_pairs` lists them."""
-        return [(w.g_vertices[0], w.h_vertices[0], w.kind) for w in self.witnesses
-                if w.size == 1]
-
 
 def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
                           subset_budget: int = 1_000_000) -> TwinSearchResult:
-    """Twin subgraphs with part sizes 1..a_max, where the size bound can decide.
+    """True twin subgraphs with part sizes 2..a_max, where the size bound can decide.
 
     A true pair of part size a rules its vertices out iff n > 4a^2 (the
-    paper's sqrt(n) bound).  The witnesses are every twin pair, as a
-    singleton of its twin kind in the order of :func:`find_twin_pairs`, then
-    every true pair with 2 <= a and 4a^2 < n.  False pairs with a >= 2 are
-    not searched: at a = 2 one rules out only vertices that have a twin
-    (README, Certificate tiers).
+    paper's sqrt(n) bound).  The witnesses are every true pair with
+    2 <= a <= a_max and 4a^2 < n.  Twin pairs (a = 1, see
+    :func:`find_twin_pairs`) are not reported: from n = 5 on they rule out
+    only vertices that the twin-vertex rule rules out under every walk, and
+    below that nothing.  False pairs with a >= 2 are not searched: at a = 2
+    one rules out only vertices that have a twin (README, Twin subgraphs).
 
-    Candidates follow an exhaustive order: a ascending, then first parts gs
-    and second parts hs as sorted tuples in lexicographic order, over every
-    pair of disjoint a-subsets with min(gs) < min(hs).  `truncated` means
-    the order holds more than `subset_budget` candidates, and pairs with
-    a >= 2 past the cut are not reported; the twin pairs are complete
-    whatever the budget.  The cut is computed from the block sizes of the
+    Candidates follow an exhaustive order: a ascending from 1, then first
+    parts gs and second parts hs as sorted tuples in lexicographic order,
+    over every pair of disjoint a-subsets with min(gs) < min(hs).  The
+    a = 1 block is not searched but still counts.  `truncated` means the
+    order holds more than `subset_budget` candidates, and pairs past the cut
+    are not reported.  The cut is computed from the block sizes of the
     order, without enumerating it.
 
     Before the cut, only candidates that meet a necessary condition are
@@ -654,9 +649,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
     a_cap = min(a_max, n // 2)
     if a_cap < 1:
         return TwinSearchResult(witnesses=(), truncated=False)
-    nbrs = g.neighbourhoods
-    witnesses = [_twin_witness(u, v, kind, nbrs[u].get(v, 0))
-                 for u, v, kind in find_twin_pairs(g)]
+    witnesses = []
     cut = _budget_cut(n, a_cap, subset_budget)
     last_a = a_cap if cut is None else cut[0]
     sizes = [a for a in range(2, last_a + 1) if 4 * a * a < n]
@@ -664,7 +657,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
         compat = _row_differences(g, 2 * sizes[-1])
         active = [x for x in range(n) if compat[x]]
         # exact weights in nested lists: the blocks read per candidate are tiny
-        rows = [[row.get(z, 0) for z in range(n)] for row in nbrs]
+        rows = [[row.get(z, 0) for z in range(n)] for row in g.neighbourhoods]
     for a in sizes:
         for gs in combinations(active, a):
             hs_cut = None
@@ -680,14 +673,6 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
                 if w is not None:
                     witnesses.append(w)
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=cut is not None)
-
-
-def _twin_witness(u: int, v: int, kind: TwinKind, weight: Weight) -> TwinSubgraphWitness:
-    """The singleton witness of the twin pair (u, v) joined by `weight`."""
-    true = kind is TwinKind.TRUE
-    return TwinSubgraphWitness(
-        kind=kind, g_vertices=(u,), h_vertices=(v,), bijection=((u, v),),
-        valency_in=0 if true else None, valency_cross=_as_weight(weight) if true else None)
 
 
 def _budget_cut(n: int, a_cap: int, budget: int) -> tuple[int, tuple, tuple] | None:

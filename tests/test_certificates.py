@@ -17,10 +17,10 @@ from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, T
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
                   cert_pendant_pair, cert_planar_family, cert_tree_suite,
                   cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                  collect_facts, decompose_graph, exact_kernel, parse_graph6,
-                  search_twin_subgraphs, signed_kernel_vectors, subdivide)
-from qmix.certificates import TWIN_SUBGRAPH_SIZE, _inner_kernel_vectors, verdicts_by_scope
-from qmix.graphs import TwinSearchResult, verify_twin_subgraphs
+                  collect_facts, decompose_graph, find_twin_pairs, parse_graph6,
+                  search_twin_subgraphs, subdivide)
+from qmix.certificates import verdicts_by_scope
+from qmix.graphs import TwinSearchResult, degrees, is_tree, verify_twin_subgraphs
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
                       random_connected_graph, random_tree, reference_eigenvector_inequality,
@@ -272,23 +272,6 @@ def test_twin_subgraphs_true_pair_fires():
     assert dict(v.witness)["route"] == "true-pair-size"
 
 
-def test_twin_subgraphs_false_pair_eigenvector():
-    # n = 18: the paths 0-2-1 and 6-4-5 hang off 3 and 5 alike, with inner
-    # kernel vector (1, -1, 0) over (0, 1, 2); the pipeline searches no false
-    # pair of this size, so the witness is given
-    g = big_fii()
-    w = TwinSubgraphWitness(kind=TwinKind.FALSE, g_vertices=(0, 1, 2), h_vertices=(4, 5, 6),
-                            bijection=((0, 6), (1, 5), (2, 4)))
-    facts = replace(facts_of(g), twin_witnesses=(w,))
-    for u in (0, 1, 5, 6):
-        v = at(cert_twin_subgraphs(facts), u)[0]
-        assert v.verdict is Verdict.RULED_OUT, u
-        assert dict(v.witness)["route"] == "false-pair-eigenvector"
-    # the inner-path centers carry a zero entry, so they are not ruled out
-    v = at(cert_twin_subgraphs(facts), 2)[0]
-    assert v.verdict is Verdict.INCONCLUSIVE
-
-
 def test_twin_subgraphs_planted_true_pairs_fire(rng):
     # part size 2 rules out from n = 17 on, at vertices no twin pair covers
     for i, n in enumerate(range(17, 26)):
@@ -305,10 +288,12 @@ def test_twin_subgraphs_planted_true_pairs_fire(rng):
 
 
 def test_twin_subgraphs_small_graph_inconclusive():
+    # {0, 1} and {2, 3} are a true pair of K4, which the search does not report
     g = complete(4)
-    facts = replace(facts_of(g), twin_witnesses=search_twin_subgraphs(g, a_max=1).witnesses)
-    v = at(cert_twin_subgraphs(facts), 0)[0]
-    assert v.verdict is Verdict.INCONCLUSIVE  # n = 4 <= 4
+    assert search_twin_subgraphs(g, a_max=2).witnesses == ()
+    w = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0, 1), h_vertices=(2, 3))
+    v = at(cert_twin_subgraphs(replace(facts_of(g), twin_witnesses=(w,))), 0)[0]
+    assert v.verdict is Verdict.INCONCLUSIVE  # n = 4 <= 16
 
 
 def _atlas(max_n):
@@ -318,48 +303,73 @@ def _atlas(max_n):
         yield WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
 
 
-def test_twin_pair_inner_kernel_is_closed_form():
-    # graphs are loopless, so the inner part of an a = 1 false witness is one
-    # vertex with the zero 1 x 1 matrix: the generic path gives (1,) too
-    checked = 0
-    for g in _atlas(7):
-        for w in search_twin_subgraphs(g, a_max=TWIN_SUBGRAPH_SIZE).witnesses:
-            if w.kind is not TwinKind.FALSE or w.size != 1:
-                continue
-            index = {v: i for i, v in enumerate(w.g_vertices)}
-            inner = WeightedGraph.build(len(index), [(index[a], index[b], wt) for a, b, wt in g.edges
-                                                     if a in index and b in index])
-            basis = exact_kernel(inner)
-            generic = [tuple(r) for r in signed_kernel_vectors(basis, max_dim=10).vectors.tolist()]
-            generic += [b for b in basis if b not in generic]
-            assert _inner_kernel_vectors(g, w) == generic == [(1,)]
-            checked += 1
-    assert checked > 800
-
-
 def test_twin_subgraphs_rejects_bad_witness():
     # the cross edges of {0, 1} and {2, 3} in P4 are not regular
     bad = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0, 1), h_vertices=(2, 3))
     facts = replace(facts_of(path(4)), twin_witnesses=(bad,))
     with pytest.raises(ValueError):
         at(cert_twin_subgraphs(facts), 0)[0]
+    # a verified false pair is not a true pair: n = 18, the paths 0-2-1 and
+    # 6-4-5 hang off 3 and 5 alike
+    g = big_fii()
+    w = TwinSubgraphWitness(kind=TwinKind.FALSE, g_vertices=(0, 1, 2), h_vertices=(4, 5, 6),
+                            bijection=((0, 6), (1, 5), (2, 4)))
+    assert verify_twin_subgraphs(g, w)
+    with pytest.raises(ValueError):
+        cert_twin_subgraphs(replace(facts_of(g), twin_witnesses=(w,)))
 
 
 def test_every_atlas_twin_pair_passes_verification(rng):
-    """cert_twin_subgraphs verifies no twin pair (a = 1): each comes from
-    find_twin_pairs, whose row comparison the exact check repeats.  So every
-    one the search emits must pass it, unweighted and with integer or real
-    weights on the same edges."""
+    """Every twin pair of find_twin_pairs, as a singleton witness of its
+    kind, passes the exact twin-subgraph check, unweighted and with integer
+    or real weights on the same edges: `twin-vertex` reads the same pairs
+    that an a = 1 twin-subgraph witness would."""
     checked = 0
     for g in _atlas(7):
         for weights in ((1,), (1, 2), (0.5, 1.5)):
             wg = g if weights == (1,) else WeightedGraph.build(
                 g.n, [(u, v, rng.choice(weights).item()) for u, v, _ in g.edges])
-            for w in search_twin_subgraphs(wg, a_max=TWIN_SUBGRAPH_SIZE).witnesses:
-                if w.size == 1:
-                    assert verify_twin_subgraphs(wg, w), (wg.edges, w)
-                    checked += 1
+            for u, v, kind in find_twin_pairs(wg):
+                true = kind is TwinKind.TRUE
+                w = TwinSubgraphWitness(
+                    kind=kind, g_vertices=(u,), h_vertices=(v,), bijection=((u, v),),
+                    valency_in=0 if true else None,
+                    valency_cross=wg.neighbourhoods[u][v] if true else None)
+                assert verify_twin_subgraphs(wg, w), (wg.edges, w)
+                checked += 1
     assert checked > 3000
+
+
+def _has_fired(verdicts, rule, u):
+    return any(v.rule_id == rule and v.fired and v.scope[1] == u for v in verdicts)
+
+
+def test_twin_verdicts_are_left_to_twin_vertex():
+    """Seeded random graphs on 5-14 vertices with unit, integer and real
+    weights: both vertices of every twin pair fall to `twin-vertex`, which is
+    why `twin-subgraph` reports no a = 1 witness, and every `twin-subgraph`
+    verdict that fires quotes a part size of at least 2."""
+    rng = np.random.default_rng(18)
+    pairs = 0
+    for n in range(5, 15):
+        for weight_class in WEIGHT_CLASSES:
+            for extra in (0, n // 3, n):
+                g = random_connected_graph(rng, n, weight_class, extra_edges=extra)
+                if n >= 6 and rng.random() < 0.5:  # plant a twin of vertex 0
+                    row = g.neighbourhoods[0]
+                    g = WeightedGraph.build(n, [e for e in g.edges if n - 1 not in e[:2]]
+                                            + [(n - 1, y, w) for y, w in row.items()
+                                               if y != n - 1])
+                for kind in WALK_MATRICES:
+                    report = certify_graph(g, dec_of(g, kind), kind)
+                    verdicts = [v for _, vs in report.vertex_verdicts for v in vs]
+                    for u, w, _ in find_twin_pairs(g):
+                        pairs += 1
+                        assert _has_fired(verdicts, "twin-vertex", u), (g.edges, kind, u)
+                        assert _has_fired(verdicts, "twin-vertex", w), (g.edges, kind, w)
+                    assert all(dict(v.witness)["part_size"] >= 2 for v in verdicts
+                               if v.rule_id == "twin-subgraph" and v.fired)
+    assert pairs > 100
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +444,7 @@ def test_bipartite_global_subdivided_trees(rng):
     for _ in range(8):
         t = random_tree(rng, int(rng.integers(3, 13)))
         s = subdivide(t)
-        vs = cert_bipartite_global(facts_of(s, subdivision_preimage=(t.n, t.edge_count)))
-        assert any(v.rule_id == "subdivision-order" and v.fired for v in vs)
+        vs = cert_bipartite_global(facts_of(s))
         assert any(v.rule_id == "bipartite-order-mod4" and v.fired for v in vs)
 
 
@@ -496,13 +505,25 @@ def test_tree_suite_path6():
 
 
 def test_tree_suite_all_odd_degrees():
-    # the 8-vertex "double star": two degree-4 centers, six pendants
+    # the 8-vertex "double star": two degree-4 centers, six pendants.  A tree
+    # on n >= 5 vertices with no vertex of degree 2 has two leaves on one
+    # support vertex, so `twin-vertex` rules it out and the tree suite does
+    # not repeat it
     g = WeightedGraph.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
                                 (1, 4, 1), (1, 5, 1), (1, 6, 1), (0, 7, 1)])
-    deg = [sum(1 for a, b, _ in g.edges if u in (a, b)) for u in range(8)]
-    assert all(d != 2 for d in deg)
-    vs = cert_tree_suite(facts_of(g))
-    assert any(v.rule_id == "tree-no-degree-two" and v.fired for v in vs)
+    assert 2 not in degrees(g)
+    assert fired(cert_twins(facts_of(g)), "twin-vertex")
+    assert "tree-no-degree-two" not in {v.rule_id for v in cert_tree_suite(facts_of(g))}
+    rng = np.random.default_rng(2)
+    trees = [t for t in _atlas(7) if is_tree(t)] + [random_tree(rng, n) for n in range(5, 15)
+                                                     for _ in range(200)]
+    checked = 0
+    for t in trees:
+        if t.n >= 5 and 2 not in degrees(t):
+            assert any(fired(at(cert_twins(facts_of(t)), u), "twin-vertex")
+                       for u in range(t.n)), t.edges
+            checked += 1
+    assert checked > 30
 
 
 def test_tree_suite_pendant_tree_pattern():
@@ -542,7 +563,10 @@ WALK_MATRICES = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS
 
 def test_strict_tier_silent_under_every_matrix():
     # regular graphs: L = dI - A and Q = dI + A mix wherever A does
-    for g in (complete(2), complete(3), complete(4), cube_q3(), cycle(4), cycle(5)):
+    # and so do K1 and K2 with any edge weight
+    weighted_k2 = (WeightedGraph.build(2, [(0, 1, 3)]), WeightedGraph.build(2, [(0, 1, 2.5)]))
+    for g in (complete(1), complete(2), complete(3), complete(4), cube_q3(), cycle(4),
+              cycle(5)) + weighted_k2:
         for kind in WALK_MATRICES:
             report = certify_graph(g, dec_of(g, kind), kind)
             assert not report.graph_ruled_out, (g, kind, report.fired_rules())

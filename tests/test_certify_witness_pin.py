@@ -46,7 +46,6 @@ MATRICES = ("adjacency", "laplacian", "signless")
 ROUTES = (
     ("atlas-173", "adjacency", "eigenvector-inequality", "exact-kernel"),
     ("atlas-8", "adjacency", "bipartite-kernel-square", "signed-vector-nnz"),
-    ("atlas-29", "adjacency", "twin-subgraph", "false-pair-eigenvector"),
     ("atlas-13", "adjacency", "bipartite-kernel-part-size", None),
 )
 

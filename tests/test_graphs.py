@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -289,8 +290,11 @@ def test_twins_compare_weights_above_2_53_exactly():
     g = WeightedGraph.build(4, [(0, 1, big + 1), (0, 2, big), (0, 3, big + 1)])
     assert find_twin_pairs(g) == [(1, 3, TwinKind.FALSE)]
     k2 = WeightedGraph.build(2, [(0, 1, 2 ** 53 + 1)])
-    (w,) = search_twin_subgraphs(k2).witnesses
-    assert w.valency_cross == 2 ** 53 + 1 and verify_twin_subgraphs(k2, w)
+    assert find_twin_pairs(k2) == [(0, 1, TwinKind.TRUE)]
+    w = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(1,),
+                            valency_in=0, valency_cross=2 ** 53 + 1)
+    assert verify_twin_subgraphs(k2, w)
+    assert not verify_twin_subgraphs(k2, replace(w, valency_cross=2 ** 53))
 
 
 FII = WeightedGraph.build(7, [(3, 1, 1), (1, 2, 1), (2, 0, 1),
@@ -328,10 +332,11 @@ def test_verify_rejects_overlap():
 
 
 def test_search_star_singletons():
-    res = search_twin_subgraphs(star(5), a_max=1)
-    assert not res.truncated
-    assert len(res.witnesses) == 6
-    assert all(w.kind is TwinKind.FALSE and w.size == 1 for w in res.witnesses)
+    # the six leaf pairs of the 5-star are twins, not twin-subgraph witnesses
+    assert len(find_twin_pairs(star(5))) == 6
+    for a_max in (1, 2):
+        assert search_twin_subgraphs(star(5), a_max=a_max) == TwinSearchResult((), False)
+    assert search_twin_subgraphs(star(5), a_max=1, subset_budget=9).truncated  # 10 pairs
 
 
 def test_search_figure_true_pair():
@@ -378,16 +383,12 @@ def _candidates(n, a_max):
 
 
 def expected_search(g, a_max, subset_budget=1_000_000):
-    """The search contract on the exhaustive reference: every twin pair (the
-    reference's singletons, uncut), then the reference's true witnesses with
-    2 <= a and 4a^2 < n, cut at the same candidate."""
+    """The search contract on the exhaustive reference: the reference's true
+    witnesses with 2 <= a and 4a^2 < n, cut at the same candidate."""
     ref = reference_twin_search(g, a_max=a_max, subset_budget=subset_budget)
-    if min(a_max, g.n // 2) < 1:
-        return ref
-    pairs = reference_twin_search(g, a_max=1, subset_budget=comb(g.n, 2)).witnesses
     true = tuple(w for w in ref.witnesses
                  if w.kind is TwinKind.TRUE and w.size >= 2 and 4 * w.size ** 2 < g.n)
-    return TwinSearchResult(witnesses=pairs + true, truncated=ref.truncated)
+    return TwinSearchResult(witnesses=true, truncated=ref.truncated)
 
 
 def test_search_matches_reference_on_atlas():
@@ -430,7 +431,6 @@ def test_search_matches_reference_on_random_graphs(n, rng):
                 res = search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
                 assert res == expected_search(g, a_max, budget)
                 assert res.truncated == (total > budget)
-                assert res.twin_pairs == find_twin_pairs(g)  # complete whatever the budget
 
 
 @st.composite
@@ -454,7 +454,7 @@ def test_search_matches_reference_property(case):
     g, a_max, budget = case
     assert (search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
             == expected_search(g, a_max, budget))
-    # the singleton witnesses are exactly the twin pairs
+    # the reference's singleton witnesses are exactly the twin pairs
     assert find_twin_pairs(g) == [(w.g_vertices[0], w.h_vertices[0], w.kind)
                                   for w in reference_twin_search(g, a_max=1).witnesses]
 

@@ -1,12 +1,14 @@
 """The JSON comparison of tools/same_output.py, which reports whether two
 differing stdouts are equal apart from their floats."""
 
+import json
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from same_output import compare_json, documents, first_difference, float_gap  # noqa: E402
+from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
+                         verdict_values)
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -55,3 +57,26 @@ def test_compare_json_names_the_first_value_that_differs_beyond_floats():
     batch = b'{"line": 1, "fired": ["a"]}\n{"line": 2, "fired": ["a"]}\n'
     assert compare_json(batch, batch.replace(b'2, "fired": ["a"]', b'2, "fired": ["c"]')) == \
         "differs beyond floats at [1].fired[0]"
+
+
+def test_compare_json_says_whether_the_verdicts_moved():
+    cert = {"certificates": {"graph_ruled_out": True, "surviving_vertices": [2],
+                             "fired_rules": ["a", "b"]}}
+    fewer = {"certificates": dict(cert["certificates"], fired_rules=["a"])}
+    assert verdict_values(cert) == [("graph_ruled_out", True), ("surviving_vertices", [2])]
+    dumps = [json.dumps(d).encode() for d in (cert, fewer)]
+    assert compare_json(*dumps) == \
+        "differs beyond floats at certificates.fired_rules; verdicts equal"
+    moved = {"certificates": dict(fewer["certificates"], surviving_vertices=[])}
+    assert compare_json(dumps[0], json.dumps(moved).encode()) == \
+        "differs beyond floats at certificates.surviving_vertices; verdicts differ"
+    # batch: one entry per line, then the aggregate, which holds no verdicts
+    batch = b'{"line": 1, "graph_ruled_out": false, "surviving_vertices": [0, 1], ' \
+            b'"fired_rules": []}\n{"aggregate": {"ruled_out": 0}}\n'
+    assert compare_json(batch, batch.replace(b'"fired_rules": []', b'"fired_rules": ["x"]')) \
+        == "differs beyond floats at [0].fired_rules; verdicts equal"
+    assert compare_json(batch, batch.replace(b"false", b"true")).endswith("; verdicts differ")
+    assert compare_json(batch, batch.replace(b"}\n{", b"}\n" + batch[:-1] + b"\n{")) \
+        .endswith("; verdicts differ")  # one more entry
+    assert compare_json(b'{"x": 0.5}', b'{"x": 0.25}') == \
+        "equal apart from floats, largest gap 0.25"  # no verdicts, nothing said of them

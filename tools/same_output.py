@@ -19,9 +19,11 @@ printed, and the exit status is 1 if any does, else 0.  Where both stdouts
 parse as JSON (one document, or a sequence of them as `batch` prints), the
 line also says whether they are equal apart from their floats, and gives
 the largest float gap, with target-state phases compared modulo 2 pi, or
-else the path of the first value that differs beyond floats; that does not
-change the exit status.  Needs networkx, like the benchmark
-inputs.
+else the path of the first value that differs beyond floats.  Where the
+documents hold verdicts (`certify` and `batch`), it also says whether every
+`graph_ruled_out` and `surviving_vertices` value is equal, so a change that
+moves only witnesses or rule ids shows as such.  None of that changes the
+exit status.  Needs networkx, like the benchmark inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
 
 SEED = 1
+VERDICT_KEYS = ("graph_ruled_out", "surviving_vertices")
 MATRICES = ("adjacency", "laplacian", "signless")
 TIERS = ("strict", "paper")
 
@@ -118,19 +121,35 @@ def first_difference(a, b, path: str = "") -> str | None:
     return next(filter(None, (first_difference(x, y, p) for p, x, y in pairs)), None)
 
 
+def verdict_values(doc) -> list[tuple[str, object]]:
+    """Every (key, value) of a JSON value whose key is in VERDICT_KEYS, in
+    document order."""
+    if isinstance(doc, dict):
+        return [kv for k, v in doc.items()
+                for kv in ([(k, v)] if k in VERDICT_KEYS else verdict_values(v))]
+    if isinstance(doc, list):
+        return [kv for x in doc for kv in verdict_values(x)]
+    return []
+
+
 def compare_json(before: bytes, after: bytes) -> str:
     """How two differing stdouts compare as JSON; a document's path starts
-    with its index where a stdout holds more than one."""
+    with its index where a stdout holds more than one.  Where either holds
+    verdicts, it ends by saying whether they are all equal."""
     try:
         docs = documents(before), documents(after)
     except ValueError:
         return "not JSON"
+    verdicts = [verdict_values(d) for d in docs]
+    moved = ""
+    if verdicts != [[], []]:
+        moved = "; verdicts equal" if verdicts[0] == verdicts[1] else "; verdicts differ"
     gap = float_gap(*docs)
     if gap is not None:
-        return f"equal apart from floats, largest gap {gap:.3g}"
+        return f"equal apart from floats, largest gap {gap:.3g}{moved}"
     if len(docs[0]) == len(docs[1]) == 1:
         docs = docs[0][0], docs[1][0]
-    return f"differs beyond floats at {first_difference(*docs)}"
+    return f"differs beyond floats at {first_difference(*docs)}{moved}"
 
 
 def main(argv: list[str]) -> int:
