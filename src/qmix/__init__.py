@@ -12,8 +12,8 @@ from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, Mat
                      verify_twin_subgraphs)
 from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectralError,
                        SpectrumClassification, SpectrumKind, classify_spectrum, decompose,
-                       decompose_graph, exact_kernel, signed_kernel_vectors, support,
-                       vertex_support)
+                       decompose_graph, decompose_graphs, exact_kernel, signed_kernel_vectors,
+                       support, vertex_support)
 from .walk import (FeasibilityReport, HadamardClass, HadamardKind, TargetStateCandidate,
                    bipartite_block_check, hadamard_classify, matrix_uniform_deviation,
                    mixing_deviation, regular_equivalence_check, states_proportional,

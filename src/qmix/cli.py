@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, islice
 from pathlib import Path
 
 from .certificates import CertifyOptions, Tier, certify_graph, collect_facts
@@ -22,7 +23,7 @@ from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, p
 from .report import (certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
 from .search import GridError, scan_local, scan_uniform
-from .spectral import SpectralError, decompose_graph
+from .spectral import SpectralError, decompose_graph, decompose_graphs
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 _MATRIX = {"adjacency": MatrixKind.ADJACENCY,
@@ -30,7 +31,7 @@ _MATRIX = {"adjacency": MatrixKind.ADJACENCY,
            "signless": MatrixKind.SIGNLESS_LAPLACIAN}
 
 
-_LINES_PER_WRITE = 256  # batch entries per write to stdout
+_LINES_PER_WRITE = 128  # most graphs per batch chunk; lines per write to stdout
 
 
 class _UsageError(Exception):
@@ -202,79 +203,105 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _batch_payloads(directory: str):
-    """(file, line number, graph6 line) per graph in file order; a .g6 entry
-    that is not readable UTF-8 text gives (file, 0, reason) in its place."""
+def _batch_chunks(directory: str):
+    """(file, [(line number, graph6 line), ...]) per chunk of at most
+    _LINES_PER_WRITE graphs, file by file, in file order.  A file is read
+    whole before its first chunk; a .g6 entry that is not readable UTF-8
+    text gives the one chunk (file, [(0, reason)])."""
     root = Path(directory)
     if not root.is_dir():
         raise GraphFormatError(f"{directory}: not a directory")
-    payloads = []
     for path in sorted(root.glob("*.g6")):
         try:
             text = _read_text(path)
         except GraphFormatError as exc:
-            payloads.append((str(path), 0, str(exc)))
+            yield str(path), [(0, str(exc))]
             continue
+        chunk = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip():
-                payloads.append((str(path), lineno, line.strip()))
-    return payloads
+                chunk.append((lineno, line.strip()))
+                if len(chunk) == _LINES_PER_WRITE:
+                    yield str(path), chunk
+                    chunk = []
+        if chunk:
+            yield str(path), chunk
 
 
-def _batch_one(task) -> dict:
-    path, lineno, line, kind, opts, tol = task
-    entry: dict = {"file": path, "line": lineno}
-    try:
-        if lineno == 0:  # the file could not be read, and line is the reason
-            raise GraphFormatError(line)
-        g = parse_graph6(line)
-        dec = decompose_graph(g, kind, tol)
-        report = certify_graph(g, dec, kind, opts, tol)
-        entry["n"] = g.n
-        entry["edge_count"] = g.edge_count
-        entry["graph_ruled_out"] = report.graph_ruled_out
-        entry["surviving_vertices"] = list(report.surviving_vertices)
-        entry["fired_rules"] = report.fired_rules()
-        entry["twin_search_truncated"] = report.twin_search_truncated
-        entry["signed_enumeration_truncated"] = report.signed_enumeration_truncated
-    except (GraphFormatError, ValueError, SpectralError) as exc:
-        entry["error"] = str(exc)
-    return entry
+def _batch_chunk(task) -> list[dict]:
+    """The entries of one chunk, in line order.  Its graphs are decomposed
+    in stacks (`decompose_graphs`), and each is certified as its stack
+    comes back."""
+    path, lines, kind, opts, tol = task
+    entries = [{"file": path, "line": lineno} for lineno, _ in lines]
+    graphs, parsed = [], []
+    for entry, (lineno, line) in zip(entries, lines):
+        try:
+            if lineno == 0:  # the file could not be read, and line is the reason
+                raise GraphFormatError(line)
+            graphs.append(parse_graph6(line))
+            parsed.append(entry)
+        except ValueError as exc:  # GraphFormatError among them
+            entry["error"] = str(exc)
+    for i, dec in decompose_graphs(graphs, kind, tol):
+        entry, g = parsed[i], graphs[i]
+        try:
+            if isinstance(dec, SpectralError):
+                raise dec
+            report = certify_graph(g, dec, kind, opts, tol)
+            entry["n"] = g.n
+            entry["edge_count"] = g.edge_count
+            entry["graph_ruled_out"] = report.graph_ruled_out
+            entry["surviving_vertices"] = list(report.surviving_vertices)
+            entry["fired_rules"] = report.fired_rules()
+            entry["twin_search_truncated"] = report.twin_search_truncated
+            entry["signed_enumeration_truncated"] = report.signed_enumeration_truncated
+        except (ValueError, SpectralError) as exc:
+            entry["error"] = str(exc)
+        # the graph and its caches go now, and the stack before the next is built
+        graphs[i] = g = dec = None
+    return entries
 
 
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
-    payloads = _batch_payloads(args.input)
     shared = (_MATRIX[args.matrix], _certify_options(args), _tolerances(args))
-    tasks = ((path, lineno, line, *shared) for path, lineno, line in payloads)
+    tasks = ((path, lines, *shared) for path, lines in _batch_chunks(args.input))
     # a pool starts all of its workers at once, so never more than can be busy
-    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    ahead = list(islice(tasks, min(args.jobs, os.cpu_count() or 1)))
+    workers = len(ahead)
+    tasks = chain(ahead, tasks)
     if workers <= 1:
-        _write_batch(map(_batch_one, tasks))
+        _write_batch(map(_batch_chunk, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # costs start-up time; only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_batch(pool.map(_batch_one, tasks))
+            # pool.map submits all it is given at once, so it is given two
+            # chunks per worker at a time
+            windows = iter(lambda: list(islice(tasks, 2 * workers)), [])
+            _write_batch(chunk for window in windows for chunk in pool.map(_batch_chunk, window))
     return 0
 
 
-def _write_batch(entries) -> None:
-    """Print the entries in order as they come, then their aggregate: a few
-    large writes rather than one per line, each of a bounded size."""
+def _write_batch(chunks) -> None:
+    """Print the entries of each chunk in order as the chunks come, then
+    their aggregate: a write whenever _LINES_PER_WRITE lines are pending,
+    so each write is of a bounded size."""
     rule_counts: dict[str, int] = {}
     graphs = errors = ruled_out = 0
     lines = []
-    for entry in entries:
-        graphs += 1
-        if "error" in entry:
-            errors += 1
-        else:
-            ruled_out += entry["graph_ruled_out"]
-            for rule in entry["fired_rules"]:
-                rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        lines.append(render_json(entry, 0, " ") + "\n")
-        if len(lines) == _LINES_PER_WRITE:
+    for chunk in chunks:
+        for entry in chunk:
+            graphs += 1
+            if "error" in entry:
+                errors += 1
+            else:
+                ruled_out += entry["graph_ruled_out"]
+                for rule in entry["fired_rules"]:
+                    rule_counts[rule] = rule_counts.get(rule, 0) + 1
+            lines.append(render_json(entry, 0, " ") + "\n")
+        if len(lines) >= _LINES_PER_WRITE:
             sys.stdout.write("".join(lines))
             lines = []
     aggregate = {

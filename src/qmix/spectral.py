@@ -5,7 +5,9 @@ quadratic-surd spectra.
 
 Floating decompositions use LAPACK's symmetric eigensolver at every size and
 keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
-decomposition holds O(n^2) numbers.
+decomposition holds O(n^2) numbers.  `decompose_graphs` decomposes many
+graphs in stacks of one order, with one solver call per stack, and gives
+the same decompositions bit for bit.
 Exact kernels carry no floating error at all.  The adjacency matrix is
 eliminated over the Python integers, fraction-free; from _GATE_MIN_N
 vertices a rank test mod a prime runs first and settles every nonsingular
@@ -55,6 +57,7 @@ class SpectralDecomposition:
     vectors: np.ndarray                  # V, shape (n, n), from eigh
     column_eigenvalues: np.ndarray       # eigh's n eigenvalues, one per column of V
     group_gap: float                     # the grouping tolerance the groups were made with
+    row_tables: tuple[np.ndarray, np.ndarray] | None = None  # see projector_row_norms
 
     @property
     def n(self) -> int:
@@ -67,7 +70,7 @@ class SpectralDecomposition:
     @cached_property
     def _starts(self) -> np.ndarray:
         """First column of each group in V."""
-        return _read_only(np.array((0, *accumulate(self.multiplicities[:-1]))))
+        return _read_only(_group_starts(self.multiplicities))
 
     def projection_norms(self, x) -> np.ndarray:
         """||E_k x|| for every group k, read as ||B_k^T x||."""
@@ -88,17 +91,33 @@ class SpectralDecomposition:
 
     def projector_row_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, d) tables of ||E_k e_u|| and of sum_j |(E_k)_uj| over vertices
-        u and groups k.  Row u of every projector is one slice of the stack
-        reduceat(V[u] * V, starts) over the columns of V; the stack is built
-        for a block of r rows at a time, which holds an (r, n, n) product and
-        its (r, n, d) reduction, so memory stays O(n^2)."""
-        v, n, d = self.vectors, self.n, len(self.multiplicities)
-        step = max(1, WORK_BYTES // (8 * n * (n + d)))
-        sums = np.empty((n, d))
-        for r in range(0, n, step):  # one expression, so no block outlives its step
-            np.abs(np.add.reduceat(v[r:r + step, None, :] * v, self._starts, axis=2)
-                   ).sum(axis=1, out=sums[r:r + step])
-        return self._group_norms(v * v), sums
+        u and groups k: the tables `decompose_graphs` filled in, else those
+        of `_row_tables` over a stack of one."""
+        if self.row_tables is not None:
+            return self.row_tables
+        norms, sums = _row_tables(self.vectors[None], self._starts)
+        return norms[0], sums[0]
+
+
+def _group_starts(multiplicities: tuple[int, ...]) -> np.ndarray:
+    return np.array((0, *accumulate(multiplicities[:-1])))
+
+
+def _row_tables(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projector_row_norms tables, shape (s, n, d), of a stack of s
+    eigenvector matrices V, each (n, n), whose groups start at the same
+    columns.  Row u of every projector is one slice of reduceat(V[u] * V,
+    starts) over the columns of V; the stack is built for a block of r rows
+    of every matrix at a time, which holds an (s, r, n, n) product and its
+    (s, r, n, d) reduction, so memory stays within WORK_BYTES or one row."""
+    s, n, _ = v.shape
+    d = len(starts)
+    step = max(1, WORK_BYTES // (8 * s * n * (n + d)))
+    sums = np.empty((s, n, d))
+    for r in range(0, n, step):  # one expression, so no block outlives its step
+        np.abs(np.add.reduceat(v[:, r:r + step, None, :] * v[:, None], starts, axis=3)
+               ).sum(axis=2, out=sums[:, r:r + step])
+    return np.sqrt(np.add.reduceat(v * v, starts, axis=-1)), sums
 
 
 WORK_BYTES = 1 << 20  # most bytes that the arrays of one chunk of a stacked kernel hold at once
@@ -127,14 +146,79 @@ def decompose_graph(g: WeightedGraph, kind: MatrixKind,
     return _decompose_symmetric(matrix_of(g, kind), tol)
 
 
+def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
+                     tol: Tolerances = DEFAULT_TOLERANCES):
+    """Yield (i, the decomposition of a walk matrix of graphs[i]) for every
+    i, equal in every field to `decompose_graph`'s, or (i, SpectralError)
+    where that raises one.
+
+    Graphs of one order n are decomposed in stacks of k while k * 8n^2 <=
+    WORK_BYTES, each by one eigh call and one `_row_tables` kernel per set
+    of equal multiplicities; above that a stack holds one graph.  The
+    decompositions of a stack are yielded together, and the stack is
+    released once the caller drops them, before the next one is built.  A
+    stack whose eigh fails, or that holds a non-finite entry, is decomposed
+    graph by graph, so only the graph at fault gets the error.  graphs[i]
+    is not read once i is yielded, so the caller may drop it then."""
+    orders: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        orders.setdefault(g.n, []).append(i)
+    for n, members in orders.items():
+        size = max(1, WORK_BYTES // (8 * n * n))
+        for a in range(0, len(members), size):
+            stack = members[a:a + size]
+            decs = _decompose_stack([graphs[i] for i in stack], kind, tol)
+            if decs is None:
+                for i in stack:
+                    try:
+                        yield i, decompose_graph(graphs[i], kind, tol)
+                    except SpectralError as exc:
+                        yield i, exc
+            else:
+                yield from zip(stack, decs)
+            del decs  # before the next stack is built
+
+
+def _decompose_stack(graphs: list[WeightedGraph], kind: MatrixKind,
+                     tol: Tolerances) -> list[SpectralDecomposition] | None:
+    """The decompositions of graphs of one order from one eigh call, or
+    None where the stack holds one graph or a non-finite entry, or eigh
+    fails on it."""
+    if len(graphs) == 1:
+        return None
+    m = np.stack([matrix_of(g, kind) for g in graphs])
+    if not np.isfinite(m).all():
+        return None
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        return None
+    groups = [_groups(x, tol) for x in w]
+    alike: dict[tuple[int, ...], list[int]] = {}
+    for j, (_, mults, _) in enumerate(groups):
+        alike.setdefault(mults, []).append(j)
+    decs = [None] * len(graphs)
+    for mults, js in alike.items():
+        norms, sums = _row_tables(v[js], _group_starts(mults))
+        for t, j in enumerate(js):
+            decs[j] = _decomposition(m[j], w[j], v[j], groups[j], (norms[t], sums[t]))
+    return decs
+
+
 def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
-    n = m.shape[0]
     if not np.isfinite(m).all():  # a weighted degree can overflow to inf
         raise SpectralError("eigensolver failed: the matrix has a non-finite entry")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
+    return _decomposition(m, w, v, _groups(w, tol))
+
+
+def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """The group means, multiplicities and grouping tolerance of eigh's
+    ascending eigenvalues w."""
+    n = len(w)
     ws = w.tolist()
     gap = tol.group(max(map(abs, ws[:1] + ws[-1:]), default=0.0))  # w is ascending
     starts = [0] + [i for i in range(1, n) if ws[i] - ws[i - 1] > gap]
@@ -144,13 +228,15 @@ def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecompositio
     # singleton's mean is its eigenvalue
     means = [ws[a] if b - a == 1 else np.add.reduce(w[a:b]) / (b - a)
              for a, b in zip(starts, stops)]
+    return np.array(means), tuple(b - a for a, b in zip(starts, stops)), gap
+
+
+def _decomposition(m, w, v, groups, row_tables=None) -> SpectralDecomposition:
+    means, mults, gap = groups
     return SpectralDecomposition(
-        matrix=_read_only(m),
-        eigenvalues=_read_only(np.array(means)),
-        multiplicities=tuple(b - a for a, b in zip(starts, stops)),
-        vectors=_read_only(v),
-        column_eigenvalues=_read_only(w),
-        group_gap=gap)
+        matrix=_read_only(m), eigenvalues=_read_only(means), multiplicities=mults,
+        vectors=_read_only(v), column_eigenvalues=_read_only(w), group_gap=gap,
+        row_tables=None if row_tables is None else tuple(map(_read_only, row_tables)))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import qmix.cli
 import qmix.graphs
 from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
-from qmix.cli import _batch_one, main
+from qmix.cli import _batch_chunk, main
 from qmix.walk import deviation_profile
 
 from conftest import star
@@ -408,9 +411,9 @@ def test_batch_jobs_capped_by_tasks_and_cores(tmp_path, capsys, monkeypatch):
     assert main(["batch", str(tmp_path), "--jobs", "100000"]) == 0
     assert json.loads(capsys.readouterr().out)["aggregate"]["graphs"] == 0
     assert started == []
-    lines = [nx.to_graph6_bytes(nx.path_graph(n), header=False).decode().strip()
-             for n in (3, 4, 5)]
-    (tmp_path / "paths.g6").write_text("\n".join(lines) + "\n")
+    for n in (3, 4, 5):  # three files, so three chunks
+        line = nx.to_graph6_bytes(nx.path_graph(n), header=False).decode().strip()
+        (tmp_path / f"path{n}.g6").write_text(line + "\n")
     assert main(["batch", str(tmp_path)]) == 0
     sequential = capsys.readouterr().out
     for cores, expected in ((64, 3), (2, 2)):
@@ -428,10 +431,11 @@ def test_batch_writes_each_chunk_once_it_is_certified(tmp_path, monkeypatch):
     line = nx.to_graph6_bytes(nx.path_graph(3), header=False).decode().strip()
     (tmp_path / "p3.g6").write_text((line + "\n") * (per_write + 5))
     calls, writes = [], []
+    certify_graph = qmix.cli.certify_graph
 
-    def counted(task):
-        calls.append(task)
-        return _batch_one(task)
+    def counted(*args):
+        calls.append(args)
+        return certify_graph(*args)
 
     class Stdout:
         def write(self, text):
@@ -453,7 +457,7 @@ def test_batch_writes_each_chunk_once_it_is_certified(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(qmix.cli, "_batch_one", counted)
+    monkeypatch.setattr(qmix.cli, "certify_graph", counted)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr("qmix.cli.os.cpu_count", lambda: 2)
     monkeypatch.setattr(sys, "stdout", Stdout())
@@ -592,32 +596,82 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
 
 def test_batch_entry_reports_truncation():
     line = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode().strip()
-    task = ("paths.g6", 1, line, MatrixKind.ADJACENCY, CertifyOptions(), DEFAULT_TOLERANCES)
-    entry = _batch_one(task)
+    task = ("paths.g6", [(1, line)], MatrixKind.ADJACENCY, CertifyOptions(), DEFAULT_TOLERANCES)
+    [entry] = _batch_chunk(task)
     assert entry["twin_search_truncated"] is False
     assert entry["signed_enumeration_truncated"] is False
     small = replace(DEFAULT_TOLERANCES, subset_budget=3)
-    entry = _batch_one(task[:-1] + (small,))
+    [entry] = _batch_chunk(task[:-1] + (small,))
     assert entry["twin_search_truncated"] is True
+
+
+def test_batch_stack_keeps_going_past_a_failing_graph(tmp_path, capsys, monkeypatch):
+    # the four graphs of order 5 are one stack; eigh fails on K5 alone
+    graphs = [nx.path_graph(5), nx.complete_graph(5), nx.cycle_graph(5), nx.star_graph(4)]
+    lines = [nx.to_graph6_bytes(g, header=False).decode().strip() for g in graphs]
+    solo = []
+    for i, line in enumerate(lines):
+        directory = tmp_path / f"solo{i}"
+        directory.mkdir()
+        (directory / "g.g6").write_text(line + "\n")
+        solo.append(_batch_documents(capsys, ["batch", str(directory)])[1][0])
+    marked = np.ones((5, 5)) - np.eye(5)
+    eigh, shapes = np.linalg.eigh, []
+
+    def failing_eigh(m):
+        shapes.append(m.shape)
+        if any(np.array_equal(x, marked) for x in np.reshape(m, (-1, 5, 5))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    (tmp_path / "all.g6").write_text("".join(line + "\n" for line in lines))
+    code, entries, aggregate = _batch_documents(capsys, ["batch", str(tmp_path)])
+    assert code == 0 and aggregate["errors"] == 1
+    assert shapes == [(4, 5, 5)] + [(5, 5)] * 4
+    assert entries[1] == {"file": str(tmp_path / "all.g6"), "line": 2,
+                          "error": "eigensolver failed: Eigenvalues did not converge"}
+    for i in (0, 2, 3):
+        assert entries[i] == dict(solo[i], file=str(tmp_path / "all.g6"), line=i + 1)
 
 
 ATLAS6_PIN = Path(__file__).parent / "data" / "atlas6_batch.jsonl"
 
 
-def test_batch_matches_pinned_atlas6(tmp_path, capsys):
-    """Batch verdicts on every atlas graph with 2 <= n <= 6, under each walk
-    matrix, against the committed entries (each without `file`, tagged with
-    its matrix).  A deliberate verdict change regenerates the pin from the
-    corpus written here."""
+def atlas6_entries(directory: Path) -> list[dict]:
+    """`batch` entries on every atlas graph with 2 <= n <= 6, written to a
+    corpus in directory, under each walk matrix: each without `file` and
+    tagged with its matrix first, as the pin holds them."""
     lines = [nx.to_graph6_bytes(g, header=False).decode().strip()
              for g in nx.graph_atlas_g() if 2 <= g.number_of_nodes() <= 6]
-    (tmp_path / "atlas6.g6").write_text("\n".join(lines) + "\n")
-    pinned = [json.loads(line) for line in ATLAS6_PIN.read_text().splitlines()]
+    (directory / "atlas6.g6").write_text("\n".join(lines) + "\n")
+    entries = []
     for matrix in ("adjacency", "laplacian", "signless"):
-        assert main(["batch", str(tmp_path), "--matrix", matrix]) == 0
-        out = capsys.readouterr().out.splitlines()
-        got = [json.loads(line) for line in out[:out.index("{")]]
-        for entry in got:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["batch", str(directory), "--matrix", matrix]) == 0
+        docs = out.getvalue().splitlines()
+        for line in docs[:docs.index("{")]:
+            entry = json.loads(line)
             del entry["file"]
-            entry["matrix"] = matrix
-        assert got == [e for e in pinned if e["matrix"] == matrix], matrix
+            entries.append({"matrix": matrix, **entry})
+    return entries
+
+
+def test_batch_matches_pinned_atlas6(tmp_path):
+    """Batch verdicts on the atlas graphs with 2 <= n <= 6 against the
+    committed entries.  Run this file as a script to regenerate the pin
+    after a deliberate verdict change: `PYTHONPATH=src python
+    tests/test_cli.py`."""
+    pinned = [json.loads(line) for line in ATLAS6_PIN.read_text().splitlines()]
+    got = atlas6_entries(tmp_path)
+    for matrix in ("adjacency", "laplacian", "signless"):
+        assert [e for e in got if e["matrix"] == matrix] == \
+            [e for e in pinned if e["matrix"] == matrix], matrix
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = atlas6_entries(Path(tmp))
+    ATLAS6_PIN.write_text("".join(json.dumps(e) + "\n" for e in rows))
+    print(f"wrote {len(rows)} entries to {ATLAS6_PIN}", file=sys.stderr)

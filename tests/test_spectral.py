@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ import qmix.spectral
 from qmix import DEFAULT_TOLERANCES
 from qmix.tolerances import Tolerances
 from qmix.graphs import is_tree
-from qmix.spectral import (_GATE_MIN_N, _full_rank_mod_p, classify_values, leaf_peel_order,
-                           nonsingular_by_spectrum)
+from qmix.spectral import (_GATE_MIN_N, SpectralError, _full_rank_mod_p, classify_values,
+                           decompose_graphs, leaf_peel_order, nonsingular_by_spectrum)
 
 from conftest import (complete, complete_projectors, cycle, grouped_reconstruction, path,
                       projectors_of, random_connected_graph, random_tree, reference_exact_kernel,
@@ -70,6 +71,56 @@ def test_decompose_graph_equals_decompose_bitwise(rng):
             for name in ("matrix", "eigenvalues", "vectors"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, kind, name)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_decompose_graphs_equals_decompose_graph_bitwise(rng):
+    # every atlas graph, then seeded graphs of a few orders from 8 to 100
+    # with unit, integer and real weights, so that stacks mix weightings
+    graphs = [WeightedGraph.build(g.number_of_nodes(), [(u, v, 1) for u, v in g.edges()])
+              for g in nx.graph_atlas_g()[1:]]
+    graphs += [random_connected_graph(rng, int(rng.choice((8, 13, 40, 100))), wc)
+               for _ in range(8) for wc in WeightClass]
+    for kind in MatrixKind:
+        got = dict(decompose_graphs(graphs, kind))
+        assert sorted(got) == list(range(len(graphs)))
+        for i, g in enumerate(graphs):
+            a, b = got[i], decompose_graph(g, kind)
+            assert a.multiplicities == b.multiplicities and a.group_gap == b.group_gap
+            for name in ("matrix", "eigenvalues", "vectors", "column_eigenvalues"):
+                assert _same(getattr(a, name), getattr(b, name)), (i, kind, name)
+            assert all(map(_same, a.projector_row_norms(), b.projector_row_norms())), (i, kind)
+
+
+def test_decompose_graphs_stacks_fit_the_work_budget(rng, monkeypatch):
+    # 8 * 100^2 bytes fit 13 times in WORK_BYTES, 8 * 363^2 bytes not once
+    budget = qmix.spectral.WORK_BYTES
+    assert 8 * 363 ** 2 > budget >= 13 * 8 * 100 ** 2
+    eigh, shapes = np.linalg.eigh, []
+
+    def recording_eigh(m):
+        shapes.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    graphs = [random_tree(rng, n) for n in [100] * 30 + [5] * 40 + [363, 100, 363]]
+    assert sorted(i for i, _ in decompose_graphs(graphs, MatrixKind.ADJACENCY)) == \
+        list(range(len(graphs)))
+    assert sorted(shapes) == sorted([(40, 5, 5), (13, 100, 100), (13, 100, 100),
+                                     (5, 100, 100), (363, 363), (363, 363)])
+    for shape in shapes:
+        assert len(shape) == 2 or shape[0] * 8 * shape[1] ** 2 <= budget
+
+
+def test_decompose_graphs_yields_the_error_of_a_graph_it_cannot_decompose():
+    huge = WeightedGraph.build(3, [(0, 1, 1e308), (1, 2, 1e308)])  # degree 2e308 = inf
+    got = dict(decompose_graphs([path(3), huge, star(3)], MatrixKind.LAPLACIAN))
+    assert isinstance(got[1], SpectralError) and "non-finite" in str(got[1])
+    for i, g in ((0, path(3)), (2, star(3))):
+        assert _same(got[i].vectors, decompose_graph(g, MatrixKind.LAPLACIAN).vectors)
 
 
 def test_group_means_are_np_mean_bitwise(rng):

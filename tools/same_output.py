@@ -8,7 +8,9 @@ directory that both runs read, so the paths that `batch` prints agree.  The
 matrix of commands:
 
 - `batch` over the atlas corpus (every atlas graph with 2-7 vertices) under
-  each walk matrix, at both tiers;
+  each walk matrix, at both tiers, and once with `--jobs 2`;
+- `batch` over the mid-size graph6 inputs (five graphs, 23-64 vertices)
+  under each walk matrix;
 - `certify` on each mid-size input under each walk matrix, at both tiers;
 - `spectrum` on each mid-size input;
 - `search` on each input of the search-small and search-large workloads,
@@ -49,6 +51,8 @@ def command_matrix(work: Path) -> list[list[str]]:
     atlas = inputs.generate(work, "atlas-batch", SEED)["atlas"]["dir"]
     midsize = inputs.generate(work, "analyze-midsize", SEED)["midsize"]
     argvs = [["batch", atlas, "--matrix", m, "--tier", t] for m in MATRICES for t in TIERS]
+    argvs.append(["batch", atlas, "--jobs", "2"])
+    argvs += [["batch", str(Path(midsize[0]["file"]).parent), "--matrix", m] for m in MATRICES]
     for item in midsize:
         argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
                   for m in MATRICES for t in TIERS]
