@@ -26,6 +26,8 @@ import numpy as np
 # Largest vertex count either parser accepts.  A graph-wide search peaks near
 # 35 MiB + 6.5 * 8n^2 bytes, about 0.85 GiB at this cap (see the README).
 MAX_VERTICES = 4096
+# Most bytes that the arrays of one chunk of a blocked kernel hold at once.
+WORK_BYTES = 1 << 20
 
 
 class GraphFormatError(ValueError):
@@ -383,12 +385,13 @@ class CycleFlags:
 
     @cached_property
     def has_c5(self) -> bool:
-        """Searched on first read: few readers need it, and it costs the most."""
-        return _has_cycle5(self.neighbourhoods)
+        """Counted on first read: few readers need it, and it costs the most."""
+        return _cycle5_count(self.neighbourhoods) > 0
 
 
 def cycle_flags(g: WeightedGraph) -> CycleFlags:
-    """Exhaustive search for 3-, 4- and 5-cycles as subgraphs.
+    """Exhaustive search for 3- and 4-cycles as subgraphs, and an exact count
+    of 5-cycles (`_cycle5_count`).
 
     A 4-cycle exists exactly when some vertex pair has two or more common
     neighbors, so C4-freeness matches the common-neighbor bound c(j,l) <= 1.
@@ -407,25 +410,29 @@ def cycle_flags(g: WeightedGraph) -> CycleFlags:
     return CycleFlags(has_triangle=tri, has_c4=c4, neighbourhoods=nbrs)
 
 
-def _has_cycle5(adj) -> bool:
+def _cycle5_count(adj) -> int:
+    """The number of 5-cycles of the simple graph with neighbourhoods adj,
+    c5 = [tr(A^5) - 5 tr(A^3) - 5 sum_i (d_i - 2) (A^3)_ii] / 10 with A its
+    0/1 adjacency matrix and d_i its degrees.  A^2 and A^3 are built a block
+    of rows at a time, which holds WORK_BYTES or one row of each beside A.
+    Their entries are at most n^2, so float64 holds them and every partial
+    sum exactly, and so it holds the row sums of A^2 * A^3 that make
+    tr(A^5), at most n^4 each; their total, at most n^5 < 2^63, is taken in
+    int64."""
     n = len(adj)
-    for s in range(n):
-        # paths s-a-b-c-d with all vertices > s, closed by an edge d-s
-        for a in adj[s]:
-            if a <= s:
-                continue
-            for b in adj[a]:
-                if b <= s or b == a:
-                    continue
-                for c in adj[b]:
-                    if c <= s or c in (a, b):
-                        continue
-                    for d in adj[c]:
-                        if d <= s or d in (a, b, c):
-                            continue
-                        if d in adj[s]:
-                            return True
-    return False
+    deg = np.array([len(row) for row in adj], dtype=np.int64)
+    a = np.zeros((n, n))
+    a[np.repeat(np.arange(n), deg), [v for row in adj for v in row]] = 1.0
+    step = max(1, WORK_BYTES // (16 * n))
+    tr5 = tr3 = by_degree = 0
+    for r in range(0, n, step):
+        a2 = a[r:r + step] @ a
+        a3 = a2 @ a
+        d3 = np.diagonal(a3, r).astype(np.int64)  # (A^3)_ii for the block's rows i
+        tr5 += int(np.einsum("ij,ij->i", a2, a3).astype(np.int64).sum())
+        tr3 += int(d3.sum())
+        by_degree += int(((deg[r:r + step] - 2) * d3).sum())
+    return (tr5 - 5 * tr3 - 5 * by_degree) // 10
 
 
 def cyclomatic_index(g: WeightedGraph) -> int:
@@ -461,9 +468,6 @@ def attach_pendants(g: WeightedGraph) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # Twins and twin subgraphs
 
-_DIFF_BLOCK_BYTES = 1 << 20  # most boolean entries _row_differences compares at once
-
-
 def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
     """Where rows of the adjacency matrix differ: entry x maps each y != x
     whose row differs from row x in at most `limit` positions to that
@@ -471,7 +475,7 @@ def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[i
     weight, because float64 would round integers above 2^53.
 
     Built a block of rows x at a time, each block comparing at most
-    _DIFF_BLOCK_BYTES entries or one row, so memory stays O(n^2); keys run in
+    WORK_BYTES boolean entries or one row, so memory stays O(n^2); keys run in
     increasing y.
     """
     n = g.n
@@ -480,7 +484,7 @@ def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[i
     for u, v, w in g.edges:
         mat[u, v] = mat[v, u] = ids.setdefault(w, len(ids) + 1)
     out: list[dict[int, frozenset[int]]] = [{} for _ in range(n)]
-    step = max(1, _DIFF_BLOCK_BYTES // (n * n))
+    step = max(1, WORK_BYTES // (n * n))
     for start in range(0, n, step):
         diff = mat[start:start + step, None] != mat  # diff[i, y, z]: row start + i vs row y at z
         near = diff.sum(axis=2) <= limit

@@ -5,19 +5,17 @@ quadratic-surd spectra.
 
 Floating decompositions use LAPACK's symmetric eigensolver at every size and
 keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
-decomposition holds O(n^2) numbers.  `decompose_graphs` decomposes many
-graphs in stacks of one order, with one solver call per stack, and gives
-the same decompositions bit for bit.
+decomposition holds O(n^2) numbers.  One kernel makes every decomposition,
+with one solver call on a stack of matrices of one order:
+`decompose_graphs` hands it many graphs at once, `decompose` and
+`decompose_graph` a stack of one, and the results agree bit for bit.
 Exact kernels carry no floating error at all.  The adjacency matrix is
-eliminated over the Python integers, fraction-free; from _GATE_MIN_N
-vertices a rank test mod a prime runs first and settles every nonsingular
-case without elimination.  Beside that gate sits a second one that needs no
-arithmetic at all: `nonsingular_by_spectrum` proves nonsingularity from a
-floating decomposition of the same matrix whose eigenvalues all lie far
-enough from zero, and the certificates skip elimination then.  No rule
-reads an exact kernel of the Laplacian or signless Laplacian (see
-`certificates.collect_facts`), so none is built.  The signed kernel vectors
-form one read-only int8 array.
+eliminated over the Python integers, fraction-free.  The certificates skip
+elimination where `nonsingular_by_spectrum` proves the matrix nonsingular
+from a floating decomposition of it whose eigenvalues all lie far enough
+from zero.  No rule reads an exact kernel of the Laplacian or signless
+Laplacian (see `certificates.collect_facts`), so none is built.  The signed
+kernel vectors form one read-only int8 array.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graphs import MatrixKind, WeightedGraph, degrees, is_tree, matrix_of
+from .graphs import WORK_BYTES, MatrixKind, WeightedGraph, degrees, is_tree, matrix_of
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -120,9 +118,6 @@ def _row_tables(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.sqrt(np.add.reduceat(v * v, starts, axis=-1)), sums
 
 
-WORK_BYTES = 1 << 20  # most bytes that the arrays of one chunk of a stacked kernel hold at once
-
-
 def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the spectrum of a symmetric matrix into distinct eigenvalues.
 
@@ -135,7 +130,7 @@ def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spect
         raise ValueError("decompose expects a square matrix")
     if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))):
         raise ValueError("decompose expects a symmetric matrix")
-    return _decompose_symmetric((m + m.T) / 2.0, tol)
+    return _decompose_stack(((m + m.T) / 2.0)[None], tol)[0]
 
 
 def decompose_graph(g: WeightedGraph, kind: MatrixKind,
@@ -143,7 +138,7 @@ def decompose_graph(g: WeightedGraph, kind: MatrixKind,
     """The decomposition of a walk matrix of g.  matrix_of builds it exactly
     symmetric, so this skips the symmetry check and the symmetrisation of
     :func:`decompose`; (x + x) / 2 == x for every entry below 2^1023."""
-    return _decompose_symmetric(matrix_of(g, kind), tol)
+    return _decompose_stack(matrix_of(g, kind)[None], tol)[0]
 
 
 def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
@@ -153,13 +148,13 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
     where that raises one.
 
     Graphs of one order n are decomposed in stacks of k while k * 8n^2 <=
-    WORK_BYTES, each by one eigh call and one `_row_tables` kernel per set
-    of equal multiplicities; above that a stack holds one graph.  The
-    decompositions of a stack are yielded together, and the stack is
-    released once the caller drops them, before the next one is built.  A
-    stack whose eigh fails, or that holds a non-finite entry, is decomposed
-    graph by graph, so only the graph at fault gets the error.  graphs[i]
-    is not read once i is yielded, so the caller may drop it then."""
+    WORK_BYTES, each by `_decompose_stack`; above that a stack holds one
+    graph.  The decompositions of a stack are yielded together, and the
+    stack is released once the caller drops them, before the next one is
+    built.  A stack of one, or one that `_decompose_stack` fails on, is
+    decomposed graph by graph by `decompose_graph`, so only the graph at
+    fault gets the error.  graphs[i] is not read once i is yielded, so the
+    caller may drop it then."""
     orders: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         orders.setdefault(g.n, []).append(i)
@@ -167,52 +162,46 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
         size = max(1, WORK_BYTES // (8 * n * n))
         for a in range(0, len(members), size):
             stack = members[a:a + size]
-            decs = _decompose_stack([graphs[i] for i in stack], kind, tol)
-            if decs is None:
-                for i in stack:
-                    try:
-                        yield i, decompose_graph(graphs[i], kind, tol)
-                    except SpectralError as exc:
-                        yield i, exc
-            else:
-                yield from zip(stack, decs)
-            del decs  # before the next stack is built
+            if len(stack) > 1:
+                try:
+                    decs = _decompose_stack(np.stack([matrix_of(graphs[i], kind) for i in stack]),
+                                            tol)
+                except SpectralError:
+                    pass
+                else:
+                    yield from zip(stack, decs)
+                    del decs  # before the next stack is built
+                    continue
+            for i in stack:
+                try:
+                    yield i, decompose_graph(graphs[i], kind, tol)
+                except SpectralError as exc:
+                    yield i, exc
 
 
-def _decompose_stack(graphs: list[WeightedGraph], kind: MatrixKind,
-                     tol: Tolerances) -> list[SpectralDecomposition] | None:
-    """The decompositions of graphs of one order from one eigh call, or
-    None where the stack holds one graph or a non-finite entry, or eigh
-    fails on it."""
-    if len(graphs) == 1:
-        return None
-    m = np.stack([matrix_of(g, kind) for g in graphs])
-    if not np.isfinite(m).all():
-        return None
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        return None
-    groups = [_groups(x, tol) for x in w]
-    alike: dict[tuple[int, ...], list[int]] = {}
-    for j, (_, mults, _) in enumerate(groups):
-        alike.setdefault(mults, []).append(j)
-    decs = [None] * len(graphs)
-    for mults, js in alike.items():
-        norms, sums = _row_tables(v[js], _group_starts(mults))
-        for t, j in enumerate(js):
-            decs[j] = _decomposition(m[j], w[j], v[j], groups[j], (norms[t], sums[t]))
-    return decs
-
-
-def _decompose_symmetric(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
+def _decompose_stack(m: np.ndarray, tol: Tolerances) -> list[SpectralDecomposition]:
+    """The decompositions of a (k, n, n) stack of symmetric matrices from one
+    eigh call.  Where k >= 2 their projector row tables are filled in too,
+    by one `_row_tables` kernel per set of equal multiplicities; a single
+    decomposition leaves them to `projector_row_norms`, which builds them
+    only where a reader asks."""
     if not np.isfinite(m).all():  # a weighted degree can overflow to inf
         raise SpectralError("eigensolver failed: the matrix has a non-finite entry")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    return _decomposition(m, w, v, _groups(w, tol))
+    groups = [_groups(x, tol) for x in w]
+    tables = [None] * len(m)
+    if len(m) > 1:
+        alike: dict[tuple[int, ...], list[int]] = {}
+        for j, (_, mults, _) in enumerate(groups):
+            alike.setdefault(mults, []).append(j)
+        for mults, js in alike.items():
+            norms, sums = _row_tables(v[js], _group_starts(mults))
+            for t, j in enumerate(js):
+                tables[j] = norms[t], sums[t]
+    return [_decomposition(*args) for args in zip(m, w, v, groups, tables)]
 
 
 def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...], float]:
@@ -310,13 +299,10 @@ def exact_kernel(g: WeightedGraph) -> list[tuple[int, ...]]:
     The matrix is eliminated over the Python integers, on trees in a
     leaf-peeling column order, which in practice yields a raw basis with
     entries in {-1, 0, 1} for unit weights; the property is verified by
-    consumers per instance, never assumed.  From _GATE_MIN_N vertices a rank
-    test mod a prime runs first, and full rank there means full rank over Q.
+    consumers per instance, never assumed.
     """
     if not g.has_integer_weights():
         raise ValueError("exact arithmetic requires integer edge weights")
-    if g.n >= _GATE_MIN_N and _full_rank_mod_p(g):
-        return []
     m = [[0] * g.n for _ in range(g.n)]
     for u, v, w in g.edges:
         m[u][v] = m[v][u] = w
@@ -369,32 +355,6 @@ def _integer_kernel(m: list[list[int]], column_order: list[int]) -> list[tuple[i
     return basis
 
 
-_PRIME = 2 ** 31 - 1  # a product of two residues stays below 2^62, inside int64
-# Below this many vertices integer elimination of a nonsingular matrix is
-# faster than the numpy rank test (about 0.4 against 0.5 ms at n = 14, and
-# 1.2 against 0.7 ms at n = 20, on G(n, p), 2-core x86, Python 3.11), so the
-# test would only add time there.
-_GATE_MIN_N = 16
-
-
-def _full_rank_mod_p(g: WeightedGraph) -> bool:
-    """Whether the integer adjacency matrix has full rank mod _PRIME; then it
-    is nonsingular over Q, because rank over GF(p) <= rank over Q."""
-    n = g.n
-    m = np.zeros((n, n), dtype=np.int64)
-    for u, v, w in g.edges:
-        m[u, v] = m[v, u] = w % _PRIME
-    for col in range(n):
-        nz = np.flatnonzero(m[col:, col])
-        if nz.size == 0:
-            return False
-        piv = col + int(nz[0])
-        m[[col, piv]] = m[[piv, col]]
-        m[col] = m[col] * pow(int(m[col, col]), _PRIME - 2, _PRIME) % _PRIME
-        m[col + 1:] = (m[col + 1:] - np.outer(m[col + 1:, col], m[col]) % _PRIME) % _PRIME
-    return True
-
-
 def nonsingular_by_spectrum(dec: SpectralDecomposition) -> bool:
     """Whether a floating decomposition proves its matrix nonsingular: every
     group k has |lambda_k| > (m_k - 1) * gap + floor, with m_k its
@@ -429,9 +389,6 @@ class SignedVectorResult:
 
 NO_SIGNED_VECTORS = SignedVectorResult(_read_only(np.zeros((0, 0), np.int8)), truncated=False)
 
-_ENUM_ROWS = 32768       # most coefficient vectors per enumeration chunk
-_ENUM_BYTES = 4 << 20    # and at most this many bytes per int64 chunk array
-
 
 def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]],
                           max_dim: int = 12) -> SignedVectorResult:
@@ -464,7 +421,9 @@ def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]],
         # c + h in base 3, less one, are those of c.
         total = 3 ** dim
         powers = 3 ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        rows = max(1, min(_ENUM_ROWS, _ENUM_BYTES // (8 * basis.shape[1])))
+        # a chunk of r coefficient vectors holds r indices, their (r, dim)
+        # digits and the (r, n) combinations, within WORK_BYTES together
+        rows = max(1, WORK_BYTES // (8 * (basis.shape[1] + dim + 1)))
         kept = []
         for start in range(total // 2 + 1, total, rows):
             idx = np.arange(start, min(start + rows, total), dtype=np.int64)
@@ -538,19 +497,29 @@ def classify_values(values: list[float], tol: Tolerances = DEFAULT_TOLERANCES) -
         return SpectrumClassification(
             kind=SpectrumKind.ALL_INTEGER,
             pairs=tuple((2 * round(x), 0) for x in values))
-    candidates: set[int] = set()
-    for i, x in enumerate(values):
-        for y in values[i:]:
-            s = x + y
-            if abs(s - round(s)) <= 8 * tol.recog and abs(round(s)) <= tol.surd_offset_max:
-                candidates.add(round(s))
-    for a in sorted(candidates, key=lambda c: (abs(c), c)):
+    for a in sorted(_surd_offsets(values, tol), key=lambda c: (abs(c), c)):
         fit = _fit_surd_family(values, a, tol)
         if fit is not None:
             delta, pairs = fit
             return SpectrumClassification(
                 kind=SpectrumKind.QUADRATIC_SURD, delta=delta, half_offset=a, pairs=pairs)
     return SpectrumClassification(kind=SpectrumKind.IRREGULAR)
+
+
+def _surd_offsets(values: list[float], tol: Tolerances) -> set[int]:
+    """The candidate offsets a: every integer within 8 recog of a sum
+    x_i + x_j, i <= j, with |a| <= surd_offset_max.  The sums are taken a
+    block of rows i at a time; np.round rounds half to even, as round()
+    does."""
+    x = np.array(values, dtype=float)
+    step = max(1, WORK_BYTES // (24 * len(x)))
+    offsets: set[int] = set()
+    for r in range(0, len(x), step):
+        sums = x[r:r + step, None] + x[r:]
+        near = np.round(sums)
+        keep = (np.abs(sums - near) <= 8 * tol.recog) & (np.abs(near) <= tol.surd_offset_max)
+        offsets.update(map(int, near[keep].tolist()))
+    return offsets
 
 
 def _fit_surd_family(values, a, tol):

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Bipartition, MatrixKind, WeightClass, WeightedGraph, adjacency_matrix,
-                     bipartition, weighted_degrees)
-from .spectral import (WORK_BYTES, SpectralDecomposition, decompose_graph, support,
-                       vertex_support)
+from .graphs import (WORK_BYTES, Bipartition, MatrixKind, WeightClass, WeightedGraph,
+                     adjacency_matrix, bipartition, weighted_degrees)
+from .spectral import SpectralDecomposition, decompose_graph, support, vertex_support
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 

@@ -319,6 +319,43 @@ def reference_signed_vectors(kernel_basis, max_dim=12):
     return list(found)
 
 
+def reference_has_cycle5(g: WeightedGraph) -> bool:
+    """Depth-first search for a 5-cycle, kept as the reference for the
+    counting one: a path s-a-b-c-d through vertices above s, closed by an
+    edge d-s.  O(n d^4) on a graph of degree d."""
+    adj = g.neighbourhoods
+    for s in range(g.n):
+        for a in adj[s]:
+            if a <= s:
+                continue
+            for b in adj[a]:
+                if b <= s or b == a:
+                    continue
+                for c in adj[b]:
+                    if c <= s or c in (a, b):
+                        continue
+                    for d in adj[c]:
+                        if d <= s or d in (a, b, c):
+                            continue
+                        if d in adj[s]:
+                            return True
+    return False
+
+
+def reference_surd_offsets(values, tol):
+    """The pair loop that the candidate offsets of surd recognition came
+    from, kept as their reference: round(x + y) over every pair i <= j
+    whose sum lies within 8 recog of it, with |round(x + y)| at most
+    surd_offset_max."""
+    offsets = set()
+    for i, x in enumerate(values):
+        for y in values[i:]:
+            s = x + y
+            if abs(s - round(s)) <= 8 * tol.recog and abs(round(s)) <= tol.surd_offset_max:
+                offsets.add(round(s))
+    return offsets
+
+
 def at(verdicts, u):
     """The verdicts of one rule that are scoped to vertex u, in order."""
     return [v for v in verdicts if v.scope == ("vertex", u)]

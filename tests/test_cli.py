@@ -628,7 +628,7 @@ def test_batch_stack_keeps_going_past_a_failing_graph(tmp_path, capsys, monkeypa
     (tmp_path / "all.g6").write_text("".join(line + "\n" for line in lines))
     code, entries, aggregate = _batch_documents(capsys, ["batch", str(tmp_path)])
     assert code == 0 and aggregate["errors"] == 1
-    assert shapes == [(4, 5, 5)] + [(5, 5)] * 4
+    assert shapes == [(4, 5, 5)] + [(1, 5, 5)] * 4
     assert entries[1] == {"file": str(tmp_path / "all.g6"), "line": 2,
                           "error": "eigensolver failed: Eigenvalues did not converge"}
     for i in (0, 2, 3):

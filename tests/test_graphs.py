@@ -2,6 +2,7 @@ import pickle
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from time import perf_counter
 
 import networkx as nx
 import numpy as np
@@ -15,12 +16,14 @@ from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, W
                   matrix_of, parse_graph6, parse_weighted_edgelist,
                   pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
                   verify_twin_subgraphs)
-from qmix.graphs import (TwinSearchResult, connected_components, degrees, is_tree,
-                         weighted_degrees)
+import qmix.graphs
+from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, degrees,
+                         is_tree, weighted_degrees)
 
-from conftest import (big_fi, complete, count_distance_two_pairs, cycle,
+from conftest import (big_fi, complete, complete_bipartite, count_distance_two_pairs, cycle,
                       naive_twin_subgraph_check, path, planted_true_pair,
-                      random_connected_graph, reference_twin_search, star)
+                      random_connected_graph, reference_has_cycle5, reference_twin_search,
+                      star)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,49 @@ def test_cycle_flags_and_index():
         cyclomatic_index(disconnected)
 
 
+def test_cycle5_count_closed_forms(monkeypatch):
+    # C5 has one 5-cycle, K5 has 4!/2 = 12, K6 six times that, and the
+    # Petersen graph 12; bipartite graphs have none.  The default budget
+    # takes every graph in one block, a budget of 1 byte one row a block
+    petersen = nx.petersen_graph()
+    cases = [(cycle(5), 1), (complete(5), 12), (complete(6), 72), (cycle(6), 0),
+             (complete_bipartite(4, 5), 0), (path(1), 0),
+             (WeightedGraph.build(10, [(u, v, 1) for u, v in petersen.edges()]), 12)]
+    for work_bytes in (qmix.graphs.WORK_BYTES, 1):
+        monkeypatch.setattr(qmix.graphs, "WORK_BYTES", work_bytes)
+        for g, count in cases:
+            assert _cycle5_count(g.neighbourhoods) == count, (g, work_bytes)
+
+
+def test_has_c5_matches_the_search_oracle(rng):
+    graphs = [WeightedGraph.build(g.number_of_nodes(), [(u, v, 1) for u, v in g.edges()])
+              for g in nx.graph_atlas_g()[1:]]
+    for _ in range(100):
+        n = int(rng.integers(2, 41))
+        h = nx.gnp_random_graph(n, float(rng.uniform(0.03, 0.3)), seed=int(rng.integers(2 ** 31)))
+        graphs.append(WeightedGraph.build(n, [(u, v, int(rng.integers(1, 4)))
+                                              for u, v in h.edges()]))
+    found = [cycle_flags(g).has_c5 for g in graphs]
+    assert found == [reference_has_cycle5(g) for g in graphs]
+    assert 100 < sum(found) < len(graphs) - 100
+
+
+def _with_pendant(g, h):
+    """g and a copy of h on new vertices, joined by an edge from vertex 0 of
+    g to vertex 0 of h."""
+    edges = list(g.edges) + [(g.n + u, g.n + v, w) for u, v, w in h.edges]
+    return WeightedGraph.build(g.n + h.n, edges + [(0, g.n, 1)])
+
+
+def test_has_c5_is_fast_on_dense_c5_free_graphs():
+    # K60,60 with a pendant triangle has no 5-cycle, and a search for one
+    # walks some 60^5 paths; a pendant C5 gives one
+    small = _with_pendant(complete_bipartite(6, 6), complete(3))
+    assert cycle_flags(small).has_c5 is reference_has_cycle5(small) is False
+    start = perf_counter()
+    assert not cycle_flags(_with_pendant(complete_bipartite(60, 60), complete(3))).has_c5
+    assert cycle_flags(_with_pendant(complete_bipartite(60, 60), cycle(5))).has_c5
+    assert perf_counter() - start < 1.0
 # ---------------------------------------------------------------------------
 # constructions
 

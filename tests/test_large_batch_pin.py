@@ -3,9 +3,9 @@ walk matrix, against the committed pin in tests/data/large_batch.jsonl.
 
 The atlas pins stop at n = 7.  This corpus reaches the sizes where the
 twin-subgraph search examines true pairs of part size 2 (n >= 17), where
-the exact kernel is gated by the rank test mod a prime (n >= 16), and
-where square orders 25 and 36 let `bipartite-kernel-square` rule out
-through signed kernel vectors.  It holds random trees, G(n, p) with unit
+fraction-free elimination decides the exact kernels that the spectrum
+leaves open on larger matrices, and where square orders 25 and 36 let
+`bipartite-kernel-square` rule out through signed kernel vectors.  It holds random trees, G(n, p) with unit
 weights and with integer weights 1-3, random bipartite graphs at square n,
 and planted true twin pairs.  Each entry holds the fields a `batch` line
 prints, without `file` and `line`, tagged with its graph and matrix.

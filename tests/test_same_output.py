@@ -8,7 +8,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
-                         verdict_values)
+                         own_inputs, verdict_values)
+
+from qmix import bipartition, cycle_flags, exact_kernel, parse_weighted_edgelist  # noqa: E402
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -80,3 +82,11 @@ def test_compare_json_says_whether_the_verdicts_moved():
         .endswith("; verdicts differ")  # one more entry
     assert compare_json(b'{"x": 0.5}', b'{"x": 0.25}') == \
         "equal apart from floats, largest gap 0.25"  # no verdicts, nothing said of them
+
+
+def test_own_inputs_are_the_graphs_described(tmp_path):
+    dense, twinned = (parse_weighted_edgelist(Path(p).read_text()) for p in own_inputs(tmp_path))
+    assert (dense.n, dense.edge_count) == (63, 904)
+    assert not bipartition(dense).present and not cycle_flags(dense).has_c5
+    assert twinned.n == 30 and {w for _, _, w in twinned.edges} == {1, 2, 3}
+    assert exact_kernel(twinned)  # the false twin makes it singular

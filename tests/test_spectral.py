@@ -14,13 +14,13 @@ import qmix.spectral
 from qmix import DEFAULT_TOLERANCES
 from qmix.tolerances import Tolerances
 from qmix.graphs import is_tree
-from qmix.spectral import (_GATE_MIN_N, SpectralError, _full_rank_mod_p, classify_values,
-                           decompose_graphs, leaf_peel_order, nonsingular_by_spectrum)
+from qmix.spectral import (SpectralError, _surd_offsets, classify_values, decompose_graphs,
+                           leaf_peel_order, nonsingular_by_spectrum)
 
 from conftest import (complete, complete_projectors, cycle, grouped_reconstruction, path,
                       projectors_of, random_connected_graph, random_tree, reference_exact_kernel,
-                      reference_inequality_tables, reference_signed_vectors, star,
-                      star_projectors)
+                      reference_inequality_tables, reference_signed_vectors,
+                      reference_surd_offsets, star, star_projectors)
 
 
 def test_decompose_k2():
@@ -110,9 +110,9 @@ def test_decompose_graphs_stacks_fit_the_work_budget(rng, monkeypatch):
     assert sorted(i for i, _ in decompose_graphs(graphs, MatrixKind.ADJACENCY)) == \
         list(range(len(graphs)))
     assert sorted(shapes) == sorted([(40, 5, 5), (13, 100, 100), (13, 100, 100),
-                                     (5, 100, 100), (363, 363), (363, 363)])
+                                     (5, 100, 100), (1, 363, 363), (1, 363, 363)])
     for shape in shapes:
-        assert len(shape) == 2 or shape[0] * 8 * shape[1] ** 2 <= budget
+        assert shape[0] == 1 or shape[0] * 8 * shape[1] ** 2 <= budget
 
 
 def test_decompose_graphs_yields_the_error_of_a_graph_it_cannot_decompose():
@@ -336,24 +336,23 @@ def _disjoint_union(graphs):
 
 
 def test_exact_kernel_matches_elimination(rng):
-    # integer elimination and the mod-p gate give the rationally eliminated
-    # basis, vector for vector and in order
+    # integer elimination gives the rationally eliminated basis, vector for
+    # vector and in order
     cases = [star(5), path(6), cycle(5), WeightedGraph.build(4, [(0, 3, 2)])]
     cases += [_random_union(rng) for _ in range(150)]
     cases += [random_tree(rng, int(rng.integers(2, 12))) for _ in range(20)]
-    # singular non-trees on both sides of the gate's size switch
+    # singular non-trees
     singular = []
-    for n in list(range(_GATE_MIN_N - 2, _GATE_MIN_N + 3)) + [24, 32, 40]:
+    for n in list(range(14, 19)) + [24, 32, 40]:
         base = random_connected_graph(rng, n - 1, WeightClass.INTEGER, extra_edges=n // 2)
         singular.append(_with_false_twin(base, int(rng.integers(0, n - 1))))
     singular += [_disjoint_union([_random_union(rng), _random_union(rng)]) for _ in range(6)]
-    # weights above 2^63, below and above the switch
-    for n in (_GATE_MIN_N - 1, _GATE_MIN_N + 4):
+    # weights above 2^63
+    for n in (15, 20):
         base = random_connected_graph(rng, n - 1, WeightClass.INTEGER, extra_edges=n)
         big = WeightedGraph.build(base.n, [(u, v, w * 2 ** 64 + 1) for u, v, w in base.edges])
         cases.append(big)
         singular.append(_with_false_twin(big, 0))
-    assert min(g.n for g in singular) < _GATE_MIN_N <= max(g.n for g in singular)
     assert max(w for g in cases for _, _, w in g.edges) > 2 ** 63
     disconnected = 0
     for g in cases + singular:
@@ -363,29 +362,18 @@ def test_exact_kernel_matches_elimination(rng):
     assert disconnected >= 50
 
 
-def test_modular_gate_falls_back_at_the_prime(monkeypatch):
-    # every weight is 0 mod 2^31 - 1, so only exact elimination can decide
+def test_exact_kernel_of_weights_divisible_by_a_prime():
+    # every weight is 0 mod 2^31 - 1, so a rank test mod that prime would
+    # see a zero matrix: disjoint K2 are nonsingular over Q, and one P3
+    # among them is not
     p = 2 ** 31 - 1
     k2 = WeightedGraph.build(2, [(0, 1, p)])
     p3 = WeightedGraph.build(3, [(0, 1, p), (1, 2, p)])
-    # from _GATE_MIN_N vertices the gate runs first and must fall back:
-    # disjoint K2 are nonsingular over Q, and one P3 among them is not
-    pairs = _disjoint_union([k2] * ((_GATE_MIN_N + 1) // 2))
-    below = _disjoint_union([p3] + [k2] * ((_GATE_MIN_N - 4) // 2))
-    above = _disjoint_union([p3] + [k2] * ((_GATE_MIN_N + 1) // 2))
-    assert below.n < _GATE_MIN_N <= pairs.n < above.n
-    gated = []
-
-    def gate(g):
-        gated.append(g.n)
-        return _full_rank_mod_p(g)
-
-    monkeypatch.setattr("qmix.spectral._full_rank_mod_p", gate)
-    for g in (k2, p3, below, pairs, above):
+    pairs = _disjoint_union([k2] * 8)
+    mixed = [_disjoint_union([p3] + [k2] * k) for k in (6, 8)]  # 15 and 19 vertices
+    for g in (k2, p3, pairs, *mixed):
         kernel = [] if g in (k2, pairs) else [(1, 0, -1) + (0,) * (g.n - 3)]
-        assert not _full_rank_mod_p(g)
         assert exact_kernel(g) == kernel == reference_exact_kernel(g, MatrixKind.ADJACENCY)
-    assert gated == [pairs.n, above.n]
 
 
 def test_spectral_gate_proves_only_nonsingular_matrices(rng):
@@ -488,16 +476,22 @@ def test_one_dimensional_pool_is_closed_form(row, max_dim):
         reference_signed_vectors([tuple(row)], max_dim=max_dim)
 
 
-def test_signed_vectors_of_kernels_match_reference(rng):
-    dims = set()
-    for _ in range(60):
-        g = _random_union(rng)
-        for kind in MatrixKind:
-            basis = reference_exact_kernel(g, kind)
-            dims.add(len(basis))
+def test_signed_vectors_of_kernels_match_reference(rng, monkeypatch):
+    bases = [reference_exact_kernel(g, kind)
+             for g in (_random_union(rng) for _ in range(60)) for kind in MatrixKind]
+    assert {0, 1, 2, 3} <= {len(b) for b in bases}
+    # a comb: a path on 4 vertices with 3 leaves on each, of kernel dimension 8
+    comb = WeightedGraph.build(16, [(s, s + 1, 1) for s in range(3)]
+                               + [(s, 4 + 3 * s + t, 1) for s in range(4) for t in range(3)])
+    bases.append(reference_exact_kernel(comb, MatrixKind.ADJACENCY))
+    assert len(bases[-1]) == 8
+    want = [sorted(reference_signed_vectors(b)) for b in bases]
+    # the default budget, chunks of a few coefficient vectors, and one a chunk
+    for work_bytes in (qmix.spectral.WORK_BYTES, 1024, 1):
+        monkeypatch.setattr(qmix.spectral, "WORK_BYTES", work_bytes)
+        for basis, pool in zip(bases, want):
             got = signed_kernel_vectors(basis).vectors.tolist()
-            assert [tuple(r) for r in got] == sorted(reference_signed_vectors(basis)), (g, kind)
-    assert {0, 1, 2, 3} <= dims
+            assert [tuple(r) for r in got] == pool, (basis, work_bytes)
 
 
 def test_signed_vectors_exact_beyond_int64():
@@ -545,6 +539,32 @@ def test_classify_c5_golden_pair():
     # the full spectrum (with the Perron value 2) does not fit one surd family
     full = [eigs[0], eigs[2], eigs[4]]
     assert classify_values(full).kind is SpectrumKind.IRREGULAR
+
+
+def test_surd_offsets_match_the_pair_loop(rng, monkeypatch):
+    # halves (whose sums round half to even), surds of a few discriminants,
+    # offsets near the cap, and noise; the default budget takes each list in
+    # one block, a budget of 1 byte one row a block
+    cases = []
+    for _ in range(300):
+        values = []
+        for _ in range(int(rng.integers(1, 40))):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                values.append(int(rng.integers(-20, 21)) / 2)
+            elif kind == 1:
+                root = math.sqrt(int(rng.choice((2, 3, 5, 7))))
+                values.append((int(rng.integers(-10, 11)) + int(rng.integers(-5, 6)) * root) / 2)
+            elif kind == 2:
+                values.append(float(rng.uniform(-1001.0, 1001.0)))
+            else:
+                values.append(float(rng.uniform(-5.0, 5.0)))
+        cases.append(values)
+    want = [reference_surd_offsets(v, DEFAULT_TOLERANCES) for v in cases]
+    assert sum(map(len, want)) > 1000
+    for work_bytes in (qmix.spectral.WORK_BYTES, 1):
+        monkeypatch.setattr(qmix.spectral, "WORK_BYTES", work_bytes)
+        assert [_surd_offsets(v, DEFAULT_TOLERANCES) for v in cases] == want
 
 
 def test_classify_star_surd():

@@ -9,7 +9,7 @@ from qmix import (HadamardKind, MatrixKind, TargetStateCandidate, WeightClass, W
                   hadamard_classify, matrix_of,
                   matrix_uniform_deviation, mixing_deviation, regular_equivalence_check,
                   states_proportional, transition_matrix, verify_target_state)
-from qmix.spectral import WORK_BYTES
+from qmix.graphs import WORK_BYTES
 from qmix.walk import deviation_profile
 
 from conftest import complete, cube_q3, cycle, path, random_connected_graph, star

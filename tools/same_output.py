@@ -13,6 +13,8 @@ matrix of commands:
   under each walk matrix;
 - `certify` on each mid-size input under each walk matrix, at both tiers;
 - `spectrum` on each mid-size input;
+- `spectrum` and `certify --matrix adjacency` on two weighted edge lists
+  that this tool writes (see `own_inputs`);
 - `search` on each input of the search-small and search-large workloads,
   graph-wide and at the local vertex, with the benchmark's flags.
 
@@ -40,6 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
+import networkx as nx  # noqa: E402
 
 SEED = 1
 VERDICT_KEYS = ("graph_ruled_out", "surviving_vertices")
@@ -57,12 +60,41 @@ def command_matrix(work: Path) -> list[list[str]]:
         argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
                   for m in MATRICES for t in TIERS]
         argvs.append(["spectrum", item["file"]])
+    for path in own_inputs(work):
+        argvs += [["spectrum", path], ["certify", path, "--matrix", "adjacency"]]
     for workload in ("search-small", "search-large"):
         for item in inputs.generate(work, workload, SEED)["ladder"]:
             argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
             if item["vertex"] is not None:
                 argvs[-1] += ["--vertex", str(item["vertex"])]
     return argvs
+
+
+def own_inputs(work: Path) -> list[str]:
+    """Two weighted edge lists written to work: K30,30 with a pendant
+    triangle, dense and free of 5-cycles; and a singular graph on 30
+    vertices with weights 1-3, a subdivided binary tree of depth 3 with a
+    false twin of its root."""
+    dense = nx.complete_bipartite_graph(30, 30)
+    nx.add_cycle(dense, [60, 61, 62])
+    dense.add_edge(0, 60)
+    nx.set_edge_attributes(dense, 1, "weight")
+    tree = nx.balanced_tree(2, 3)
+    twinned = nx.Graph()
+    for i, (u, v) in enumerate(sorted(tree.edges())):
+        mid = tree.number_of_nodes() + i
+        twinned.add_edge(u, mid, weight=1 + i % 3)
+        twinned.add_edge(mid, v, weight=1 + (i + 1) % 3)
+    twin = twinned.number_of_nodes()
+    for v, data in list(twinned[0].items()):
+        twinned.add_edge(twin, v, weight=data["weight"])
+    paths = []
+    for name, g in (("k30-30-triangle", dense), ("twinned-tree-30", twinned)):
+        path = work / f"{name}.wel"
+        path.write_text("".join(f"{u} {v} {d['weight']}\n"
+                                for u, v, d in sorted(g.edges(data=True))))
+        paths.append(str(path))
+    return paths
 
 
 def run(root: Path, argv: list[str]) -> tuple[int, bytes]:
