@@ -22,7 +22,7 @@ from .search import (Detection, MixingReport, empirical_inf, golden_section, sca
                      scan_uniform)
 from .periodicity import (PeriodicityStatus, PeriodicityVerdict, RatioConditionResult,
                           RatioMode, check_real_target_period, classify_periodic_support,
-                          is_periodic_vertex, ratio_condition)
+                          is_periodic_vertex, ratio_condition, vertex_periodicity)
 from .certificates import (RULES, CertificateReport, CertificateVerdict, CertifyOptions,
                            GraphFacts, Tier, Verdict, cert_bipartite_balance,
                            cert_bipartite_global, cert_bipartite_parity, cert_connectivity,

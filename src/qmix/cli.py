@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .certificates import CertifyOptions, Tier, certify_graph, collect_facts
 from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, parse_weighted_edgelist
-from .report import (certificate_report_dict, graph_summary, mixing_report_dict,
+from .report import (SCHEMA_VERSION, certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
 from .search import GridError, scan_local, scan_uniform
 from .spectral import SpectralError, decompose_graph, decompose_graphs
@@ -305,7 +305,7 @@ def _write_batch(chunks) -> None:
             sys.stdout.write("".join(lines))
             lines = []
     aggregate = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "aggregate": {
             "graphs": graphs,
             "errors": errors,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isfinite
 from types import MappingProxyType
 
 import numpy as np
@@ -83,8 +83,9 @@ class WeightedGraph:
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if w <= 0:
-                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
+            # isfinite would overflow on a huge int; ints and Fractions are finite
+            if not (w > 0 and (isinstance(w, (int, Fraction)) or isfinite(w))):
+                raise ValueError(f"edge ({u}, {v}) has weight {w}, not a finite positive number")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")

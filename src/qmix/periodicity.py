@@ -3,9 +3,11 @@ supports, period estimation from recognized integer or quadratic-surd
 spectra, support-type classification for integer matrices, and the
 real-target shortcut that certifies periodicity at twice a mixing time.
 
-Period hints come only from exactly recognized spectra (gcds of integers);
-spectra that are recognized merely by floating rational reconstruction are
-flagged heuristic and never produce a numeric period claim.
+Whether a vertex is periodic depends only on its eigenvalue support, so
+`vertex_periodicity` decides each distinct support once.  Period hints come
+only from exactly recognized spectra (gcds of integers); a ratio condition
+met only by rational reconstruction (`RatioMode.RATIONAL_RECONSTRUCTION`) is
+heuristic and never produces a numeric period claim.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import MatrixKind, WeightClass
-from .spectral import (SpectralDecomposition, SpectrumClassification, SpectrumKind,
-                       classify_spectrum, vertex_support)
+from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectrumClassification,
+                       SpectrumKind, classify_spectrum, vertex_support)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .walk import TargetStateCandidate, _propagator
 
@@ -36,10 +38,6 @@ class RatioConditionResult:
     satisfied: bool
     mode: RatioMode
     witness: tuple[float, float, float, float] | None = None
-
-    @property
-    def heuristic(self) -> bool:
-        return self.mode is RatioMode.RATIONAL_RECONSTRUCTION
 
 
 def rational_reconstruct(x: float, max_den: int = 1_000_000) -> Fraction | None:
@@ -61,8 +59,8 @@ def ratio_condition(eigenvalues, classification: SpectrumClassification,
 
     Exact for recognized integer or single-surd spectra.  Otherwise every
     pairwise difference is compared against one base difference by rational
-    reconstruction; success is flagged heuristic, and a failing quadruple is
-    returned as the witness.
+    reconstruction; success there is heuristic (mode RATIONAL_RECONSTRUCTION),
+    and a failing quadruple is returned as the witness.
     """
     values = [float(x) for x in eigenvalues]
     if classification.kind is SpectrumKind.ALL_INTEGER:
@@ -92,54 +90,62 @@ class PeriodicityVerdict:
     status: PeriodicityStatus
     period_hint: float | None = None
     overlap: float | None = None  # |<e_u, U(hint) e_u>| at the hint
-    mode: RatioMode | None = None
 
 
 def _period_hint(classification: SpectrumClassification, values: list[float]) -> float | None:
-    if len(values) == 1:
-        return 1.0  # single-eigenvalue support: periodic at every time
-    if len(values) == 2:
-        # a two-point support is always periodic at the difference period
-        return 2.0 * math.pi / (max(values) - min(values))
+    if len(values) <= 2:  # one eigenvalue: periodic at every time; two: at their difference
+        return 1.0 if len(values) == 1 else 2.0 * math.pi / (max(values) - min(values))
     if classification.kind is SpectrumKind.ALL_INTEGER:
-        ints = sorted(round(x) for x in values)
-        g = 0
-        for x in ints[1:]:
-            g = math.gcd(g, x - ints[0])
-        return 2.0 * math.pi / g if g else None
-    if classification.kind is SpectrumKind.QUADRATIC_SURD:
-        bs = sorted(b for _, b in classification.pairs)
-        g = 0
-        for b in bs[1:]:
-            g = math.gcd(g, b - bs[0])
-        if g == 0 or classification.delta is None:
-            return None
-        return 4.0 * math.pi / (g * math.sqrt(classification.delta))
-    return None
+        ints, unit = [round(x) for x in values], 1.0
+    elif classification.kind is SpectrumKind.QUADRATIC_SURD:  # gaps (b_i - b_j) sqrt(delta) / 2
+        ints, unit = [b for _, b in classification.pairs], math.sqrt(classification.delta) / 2.0
+    else:
+        return None  # irregular: a ratio condition met only by rational reconstruction
+    g = math.gcd(*(x - ints[0] for x in ints))
+    return 2.0 * math.pi / (g * unit) if g else None
+
+
+def vertex_periodicity(dec: SpectralDecomposition,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> list[PeriodicityVerdict]:
+    """The verdict of every vertex, as `is_periodic_vertex` gives it, from
+    one decision per distinct eigenvalue support."""
+    decisions: dict[tuple[int, ...], PeriodicityVerdict] = {}
+    out = []
+    for u in range(dec.n):
+        supp = vertex_support(dec, u, tol)
+        if supp.indices not in decisions:
+            decisions[supp.indices] = _support_decision(dec, supp, tol)
+        out.append(_verdict_at(dec, u, decisions[supp.indices]))
+    return out
 
 
 def is_periodic_vertex(dec: SpectralDecomposition, u: int,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> PeriodicityVerdict:
     """Decide periodicity of vertex u from the ratio condition on its
-    eigenvalue support, with a numerically verified period hint when the
-    support is exactly recognized."""
-    supp = vertex_support(dec, u, tol)
+    eigenvalue support, and a period hint where one exists, verified at u."""
+    return _verdict_at(dec, u, _support_decision(dec, vertex_support(dec, u, tol), tol))
+
+
+def _support_decision(dec: SpectralDecomposition, supp: EigenvalueSupport,
+                      tol: Tolerances) -> PeriodicityVerdict:
+    """What a support decides for all its vertices: not periodic, or
+    unknown with the period hint that each vertex checks at its overlap."""
     classification = classify_spectrum(dec, restrict_to=supp, tol=tol)
     values = list(supp.eigenvalues)
-    cond = ratio_condition(values, classification, tol)
-    if not cond.satisfied:
-        return PeriodicityVerdict(status=PeriodicityStatus.NOT_PERIODIC, mode=cond.mode)
-    if cond.mode is RatioMode.RATIONAL_RECONSTRUCTION and len(values) > 2:
-        return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN, mode=cond.mode)
-    hint = _period_hint(classification, values)
+    if not ratio_condition(values, classification, tol).satisfied:
+        return PeriodicityVerdict(PeriodicityStatus.NOT_PERIODIC)
+    return PeriodicityVerdict(PeriodicityStatus.UNKNOWN, _period_hint(classification, values))
+
+
+def _verdict_at(dec: SpectralDecomposition, u: int,
+                decision: PeriodicityVerdict) -> PeriodicityVerdict:
+    """A support's decision at u: a hint holds where |<e_u, U(hint) e_u>| = 1."""
+    hint = decision.period_hint
     if hint is None:
-        return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN, mode=cond.mode)
+        return decision
     overlap = abs(complex(_propagator(dec, [hint], u)[0, u]))
-    if overlap > 1.0 - 1e-9:
-        return PeriodicityVerdict(status=PeriodicityStatus.PERIODIC, period_hint=hint,
-                                  overlap=overlap, mode=cond.mode)
-    return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN, period_hint=hint,
-                              overlap=overlap, mode=cond.mode)
+    status = PeriodicityStatus.PERIODIC if overlap > 1.0 - 1e-9 else PeriodicityStatus.UNKNOWN
+    return PeriodicityVerdict(status, hint, overlap)
 
 
 class SupportBranch(enum.Enum):

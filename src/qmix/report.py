@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .certificates import CertificateReport, CertificateVerdict, GraphFacts
 from .graphs import WeightedGraph, bipartition, cycle_flags, degree_stats, is_connected
-from .periodicity import is_periodic_vertex
+from .periodicity import vertex_periodicity
 from .search import Detection, MixingReport
 from .spectral import SpectralDecomposition, SpectrumClassification, classify_spectrum
 from .tolerances import Tolerances
@@ -145,12 +145,8 @@ def spectrum_summary(dec: SpectralDecomposition, tol: Tolerances) -> dict:
 
 
 def periodicity_summary(dec: SpectralDecomposition, tol: Tolerances) -> list[dict]:
-    out = []
-    for u in range(dec.n):
-        verdict = is_periodic_vertex(dec, u, tol=tol)
-        out.append({"vertex": u, "status": verdict.status.value,
-                    "period_hint": verdict.period_hint, "overlap": verdict.overlap})
-    return out
+    return [{"vertex": u, "status": v.status.value, "period_hint": v.period_hint,
+             "overlap": v.overlap} for u, v in enumerate(vertex_periodicity(dec, tol))]
 
 
 def verdict_dict(v: CertificateVerdict) -> dict:

@@ -257,10 +257,10 @@ def vertex_support(dec: SpectralDecomposition, u: int,
 
 def _support_of(dec: SpectralDecomposition, weights: np.ndarray,
                 cutoff: float) -> EigenvalueSupport:
-    idx = np.nonzero(weights > cutoff)[0]
-    return EigenvalueSupport(indices=tuple(int(i) for i in idx),
-                             eigenvalues=tuple(float(dec.eigenvalues[i]) for i in idx),
-                             weights=tuple(float(weights[i]) for i in idx))
+    idx = np.flatnonzero(weights > cutoff)
+    return EigenvalueSupport(indices=tuple(idx.tolist()),
+                             eigenvalues=tuple(dec.eigenvalues[idx].tolist()),
+                             weights=tuple(weights[idx].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ class SpectrumClassification:
     kind: SpectrumKind
     delta: int | None = None        # square-free discriminant (> 1)
     half_offset: int | None = None  # shared integer a in (a + b*sqrt(delta)) / 2
-    pairs: tuple[tuple[int, int], ...] = ()  # (a, b) per classified eigenvalue
+    pairs: tuple[tuple[int, int], ...] = ()  # (a, b) per surd-classified eigenvalue
 
 
 def _squarefree_split(c: int) -> tuple[int, int]:
@@ -483,20 +483,15 @@ def classify_spectrum(dec: SpectralDecomposition,
     """Recognise an all-integer spectrum or one of the form
     (a + b_j * sqrt(delta)) / 2 with a single integer a and square-free
     delta > 1; anything else is reported as irregular."""
-    if restrict_to is not None:
-        values = [float(dec.eigenvalues[i]) for i in restrict_to.indices]
-    else:
-        values = [float(x) for x in dec.eigenvalues]
-    return classify_values(values, tol)
+    return classify_values(dec.eigenvalues.tolist() if restrict_to is None
+                           else list(restrict_to.eigenvalues), tol)
 
 
 def classify_values(values: list[float], tol: Tolerances = DEFAULT_TOLERANCES) -> SpectrumClassification:
     if not values:
         return SpectrumClassification(kind=SpectrumKind.IRREGULAR)
     if all(abs(x - round(x)) <= tol.recog for x in values):
-        return SpectrumClassification(
-            kind=SpectrumKind.ALL_INTEGER,
-            pairs=tuple((2 * round(x), 0) for x in values))
+        return SpectrumClassification(kind=SpectrumKind.ALL_INTEGER)
     for a in sorted(_surd_offsets(values, tol), key=lambda c: (abs(c), c)):
         fit = _fit_surd_family(values, a, tol)
         if fit is not None:

@@ -356,6 +356,51 @@ def reference_surd_offsets(values, tol):
     return offsets
 
 
+def reference_is_periodic_vertex(dec, u, tol):
+    """The per-vertex decision that `vertex_periodicity` now makes once per
+    support, kept as its reference: the support of e_u read element by
+    element, its classification from the eigenvalues at its indices, the
+    ratio condition, the heuristic cut-off and the gcd loops of the period
+    hint, all redone at u, then the hint checked by the overlap."""
+    from qmix import (PeriodicityStatus, PeriodicityVerdict, RatioMode, SpectrumKind,
+                      ratio_condition)
+    from qmix.spectral import classify_values
+    from qmix.walk import _propagator
+
+    norms = dec.vertex_norms(u)
+    indices = [i for i in range(len(norms)) if norms[i] > tol.supp]
+    values = [float(dec.eigenvalues[i]) for i in indices]
+    classification = classify_values(values, tol)
+    cond = ratio_condition(values, classification, tol)
+    if not cond.satisfied:
+        return PeriodicityVerdict(status=PeriodicityStatus.NOT_PERIODIC)
+    if cond.mode is RatioMode.RATIONAL_RECONSTRUCTION and len(values) > 2:
+        return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN)
+    hint = None
+    if len(values) == 1:
+        hint = 1.0
+    elif len(values) == 2:
+        hint = 2.0 * math.pi / (max(values) - min(values))
+    elif classification.kind is SpectrumKind.ALL_INTEGER:
+        ints = sorted(round(x) for x in values)
+        g = 0
+        for x in ints[1:]:
+            g = math.gcd(g, x - ints[0])
+        hint = 2.0 * math.pi / g if g else None
+    elif classification.kind is SpectrumKind.QUADRATIC_SURD:
+        bs = sorted(b for _, b in classification.pairs)
+        g = 0
+        for b in bs[1:]:
+            g = math.gcd(g, b - bs[0])
+        if g != 0 and classification.delta is not None:
+            hint = 4.0 * math.pi / (g * math.sqrt(classification.delta))
+    if hint is None:
+        return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN)
+    overlap = abs(complex(_propagator(dec, [hint], u)[0, u]))
+    status = PeriodicityStatus.PERIODIC if overlap > 1.0 - 1e-9 else PeriodicityStatus.UNKNOWN
+    return PeriodicityVerdict(status=status, period_hint=hint, overlap=overlap)
+
+
 def at(verdicts, u):
     """The verdicts of one rule that are scoped to vertex u, in order."""
     return [v for v in verdicts if v.scope == ("vertex", u)]

@@ -186,6 +186,21 @@ def test_search_finds_the_flat_column_under_a_merged_group(tmp_path, capsys):
     assert mixing["detections"] == []
 
 
+@pytest.mark.xfail(strict=True, reason="spectral._groups merges the exact eigenvalues 0 and 3 "
+                   "(A) or 0 and 4 (B) into one group, and the strict eigenvector-inequality "
+                   "rule reads that group's projector as one eigenprojector")
+@pytest.mark.parametrize("name, vertex", [("A", 2), ("B", 3)])
+def test_certify_keeps_the_mixing_vertex_under_a_merged_group(tmp_path, capsys, name, vertex):
+    """The mixing vertex of each wide-weight input must survive the strict
+    tier under L; today `eigenvector-inequality` (route `canonical-float`)
+    rules it out."""
+    p = tmp_path / f"{name}.wel"
+    p.write_text(WIDE_WEIGHTS[name])
+    code, doc = run_json(capsys, ["certify", str(p), "--matrix", "laplacian"])
+    assert code == 0
+    assert vertex in doc["certificates"]["surviving_vertices"]
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "missing.g6")]) == 2
     bad = tmp_path / "bad.g6"

@@ -127,6 +127,15 @@ def test_edgelist_errors():
         parse_weighted_edgelist("# only comments\n")
 
 
+def test_build_rejects_non_finite_weights():
+    for w in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
+            WeightedGraph.build(2, [(0, 1, w)])
+    # a huge int is finite; its float overflow is the eigensolver's input error
+    g = WeightedGraph.build(2, [(0, 1, 10 ** 400)])
+    assert g.weight_class is WeightClass.INTEGER and g.edges == ((0, 1, 10 ** 400),)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 

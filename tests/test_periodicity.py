@@ -1,13 +1,19 @@
 import math
 
-from qmix import (MatrixKind, PeriodicityStatus, RatioMode, TargetStateCandidate, WeightClass,
-                  WeightedGraph, check_real_target_period, classify_periodic_support,
-                  decompose_graph, is_periodic_vertex, ratio_condition, scan_local,
-                  scan_uniform, transition_matrix)
+import networkx as nx
+
+import qmix.periodicity
+from qmix import (DEFAULT_TOLERANCES, MatrixKind, PeriodicityStatus, RatioMode,
+                  TargetStateCandidate, WeightClass, WeightedGraph, check_real_target_period,
+                  classify_periodic_support, decompose_graph, is_periodic_vertex,
+                  ratio_condition, scan_local, scan_uniform, transition_matrix,
+                  vertex_periodicity, vertex_support)
 from qmix.periodicity import SupportBranch, rational_reconstruct
+from qmix.report import periodicity_summary
 from qmix.spectral import classify_values
 
-from conftest import complete, cube_q3, cycle, path, star
+from conftest import (complete, cube_q3, cycle, hypercube, path, random_connected_graph,
+                      reference_is_periodic_vertex, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -105,6 +111,48 @@ def test_integer_spectrum_hint_verifies(rng):
             assert v.status is PeriodicityStatus.PERIODIC
             overlap = abs(complex(transition_matrix(dec, v.period_hint)[u, u]))
             assert overlap > 1 - 1e-9
+
+
+def _unit(gnx):
+    return WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+
+
+def test_vertex_periodicity_matches_the_per_vertex_reference(rng):
+    """One decision per support gives every vertex the verdict that the
+    per-vertex decision gives it, field by field and bit for bit."""
+    atlas = [_unit(gnx) for gnx in nx.graph_atlas_g()[1:]]
+    weighted = [random_connected_graph(rng, n, wc) for n in range(2, 13)
+                for wc in (WeightClass.INTEGER, WeightClass.REAL) for _ in range(3)]
+    tol = DEFAULT_TOLERANCES
+    statuses = set()
+    for kind in MatrixKind:
+        for dec in (decompose_graph(g, kind) for g in atlas + weighted):
+            got = vertex_periodicity(dec, tol)
+            want = [reference_is_periodic_vertex(dec, u, tol) for u in range(dec.n)]
+            assert got == want
+            assert [is_periodic_vertex(dec, u, tol) for u in range(dec.n)] == want
+            statuses.update(v.status for v in got)
+    assert statuses == set(PeriodicityStatus)
+
+
+def test_periodicity_summary_classifies_each_distinct_support_once(monkeypatch):
+    """A spy on the classification that the decisions call: one call per
+    distinct vertex support, not one per vertex."""
+    comb = nx.path_graph(11)
+    for i in range(11):  # a tooth of two vertices at every spine vertex
+        comb.add_edges_from([(i, 11 + 2 * i), (11 + 2 * i, 12 + 2 * i)])
+    graphs = {"q5": hypercube(5), "comb": _unit(comb),
+              "gnp": _unit(nx.gnp_random_graph(64, 0.1, seed=7))}
+    calls = []
+    original = qmix.periodicity.classify_spectrum
+    monkeypatch.setattr(qmix.periodicity, "classify_spectrum",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    for name, g in graphs.items():
+        dec = decompose_graph(g, MatrixKind.ADJACENCY)
+        calls.clear()
+        periodicity_summary(dec, DEFAULT_TOLERANCES)
+        distinct = {vertex_support(dec, u).indices for u in range(g.n)}
+        assert len(calls) == len(distinct) < g.n, name
 
 
 # ---------------------------------------------------------------------------

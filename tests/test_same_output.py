@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
                          own_inputs, verdict_values)
 
-from qmix import bipartition, cycle_flags, exact_kernel, parse_weighted_edgelist  # noqa: E402
+from qmix import (MatrixKind, WeightClass, bipartition, cycle_flags, decompose_graph,  # noqa: E402
+                  exact_kernel, parse_weighted_edgelist, vertex_support)
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -85,8 +86,14 @@ def test_compare_json_says_whether_the_verdicts_moved():
 
 
 def test_own_inputs_are_the_graphs_described(tmp_path):
-    dense, twinned = (parse_weighted_edgelist(Path(p).read_text()) for p in own_inputs(tmp_path))
+    dense, twinned, shared = (parse_weighted_edgelist(Path(p).read_text())
+                              for p in own_inputs(tmp_path))
     assert (dense.n, dense.edge_count) == (63, 904)
     assert not bipartition(dense).present and not cycle_flags(dense).has_c5
     assert twinned.n == 30 and {w for _, _, w in twinned.edges} == {1, 2, 3}
     assert exact_kernel(twinned)  # the false twin makes it singular
+    assert (shared.n, shared.edge_count, shared.weight_class) == (256, 1974, WeightClass.UNIT)
+    for kind in MatrixKind:  # every vertex has one support, of every eigenvalue
+        dec = decompose_graph(shared, kind)
+        assert {vertex_support(dec, u).indices for u in range(shared.n)} == \
+            {tuple(range(len(dec.eigenvalues)))}

@@ -12,9 +12,10 @@ matrix of commands:
 - `batch` over the mid-size graph6 inputs (five graphs, 23-64 vertices)
   under each walk matrix;
 - `certify` on each mid-size input under each walk matrix, at both tiers;
-- `spectrum` on each mid-size input;
-- `spectrum` and `certify --matrix adjacency` on two weighted edge lists
-  that this tool writes (see `own_inputs`);
+- `spectrum` on each mid-size input under each walk matrix;
+- `spectrum` under each walk matrix on three edge lists that this tool
+  writes (see `own_inputs`), and `certify --matrix adjacency` on the first
+  two;
 - `search` on each input of the search-small and search-large workloads,
   graph-wide and at the local vertex, with the benchmark's flags.
 
@@ -59,9 +60,11 @@ def command_matrix(work: Path) -> list[list[str]]:
     for item in midsize:
         argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
                   for m in MATRICES for t in TIERS]
-        argvs.append(["spectrum", item["file"]])
-    for path in own_inputs(work):
-        argvs += [["spectrum", path], ["certify", path, "--matrix", "adjacency"]]
+        argvs += spectra(item["file"])
+    dense, twinned, shared = own_inputs(work)
+    for path in (dense, twinned):
+        argvs += spectra(path) + [["certify", path, "--matrix", "adjacency"]]
+    argvs += spectra(shared)
     for workload in ("search-small", "search-large"):
         for item in inputs.generate(work, workload, SEED)["ladder"]:
             argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
@@ -70,11 +73,18 @@ def command_matrix(work: Path) -> list[list[str]]:
     return argvs
 
 
+def spectra(path: str) -> list[list[str]]:
+    """`spectrum` on one input under each walk matrix, the adjacency matrix
+    as the default."""
+    return [["spectrum", path]] + [["spectrum", path, "--matrix", m] for m in MATRICES[1:]]
+
+
 def own_inputs(work: Path) -> list[str]:
-    """Two weighted edge lists written to work: K30,30 with a pendant
-    triangle, dense and free of 5-cycles; and a singular graph on 30
-    vertices with weights 1-3, a subdivided binary tree of depth 3 with a
-    false twin of its root."""
+    """Three weighted edge lists written to work: K30,30 with a pendant
+    triangle, dense and free of 5-cycles; a singular graph on 30 vertices
+    with weights 1-3, a subdivided binary tree of depth 3 with a false twin
+    of its root; and G(256, 0.06) of networkx seed 7 with unit weights, at
+    whose vertices every walk matrix has one eigenvalue support."""
     dense = nx.complete_bipartite_graph(30, 30)
     nx.add_cycle(dense, [60, 61, 62])
     dense.add_edge(0, 60)
@@ -88,8 +98,11 @@ def own_inputs(work: Path) -> list[str]:
     twin = twinned.number_of_nodes()
     for v, data in list(twinned[0].items()):
         twinned.add_edge(twin, v, weight=data["weight"])
+    shared = nx.gnp_random_graph(256, 0.06, seed=7)
+    nx.set_edge_attributes(shared, 1, "weight")
     paths = []
-    for name, g in (("k30-30-triangle", dense), ("twinned-tree-30", twinned)):
+    for name, g in (("k30-30-triangle", dense), ("twinned-tree-30", twinned),
+                    ("gnp-256", shared)):
         path = work / f"{name}.wel"
         path.write_text("".join(f"{u} {v} {d['weight']}\n"
                                 for u, v, d in sorted(g.edges(data=True))))
