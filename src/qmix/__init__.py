@@ -28,7 +28,6 @@ from .certificates import (RULES, CertificateReport, CertificateVerdict, Certify
                            cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
                            cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
                            cert_kernel_part_mod4, cert_kernel_part_size, cert_kernel_vector,
-                           cert_pendant_pair, cert_planar_family, cert_tree_suite,
-                           cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                           collect_facts)
+                           cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs, cert_twins,
+                           certify_graph, certify_vertex, collect_facts)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

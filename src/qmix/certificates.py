@@ -83,8 +83,7 @@ def _graph(rule: str, verdict: Verdict, tier: Tier = Tier.STRICT,
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    tier: Tier = Tier.STRICT          # STRICT drops asserted-tier findings from reports
-    assert_planar: bool = False       # planarity is a user assertion, never computed
+    tier: Tier = Tier.STRICT  # STRICT drops asserted-tier findings from reports
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
                     best, best_k = left - right, k
             out[u] = CertificateVerdict(
                 rule, Tier.STRICT, Verdict.INCONCLUSIVE, (VERTEX_SCOPE, u),
-                (("best_gap", best),
+                (("best_gap", None if best_k is None else best),
                  ("best_eigenvalue", None if best_k is None else values[best_k])))
     return out
 
@@ -278,8 +277,9 @@ def cert_degree_LQ(facts: GraphFacts) -> list[CertificateVerdict]:
 
 
 def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Adjacency walks on C4-free graphs: deg u <= 2(|E| + q)/n, with the
-    unicyclic-with-C4 and asserted-planar variants."""
+    """Adjacency walks on C4-free graphs: deg u <= 2(|E| + q)/n, with q the
+    number of vertex pairs at distance two; and on unicyclic graphs whose
+    cycle is a C4, deg u <= 2(n + q + 2)/n."""
     g, st, fl = facts.g, facts.stats, facts.flags
     n, q = g.n, st.dist2_pairs
 
@@ -296,14 +296,6 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
         out += _degree_bound(rule, st.deg, Fraction(2 * (n + q + 2), n), dist2_pairs=q)
     else:
         out += _noted_row(rule, n, "requires a unicyclic graph whose cycle is a C4")
-
-    rule = "degree-c4free-planar-A"
-    if facts.opts.assert_planar and not fl.has_c4 and n >= 4:
-        out += _degree_bound(rule, st.deg, Fraction(30 * (n - 2) + 14 * q, 7 * n),
-                             dist2_pairs=q)
-    else:
-        out += _noted_row(
-            rule, n, "requires --assert-planar and a C4-free graph on >= 4 vertices")
     return out
 
 
@@ -486,40 +478,6 @@ def cert_bipartite_balance(facts: GraphFacts) -> list[CertificateVerdict]:
                         "which admits uniform mixing - kept at the asserted tier")]
 
 
-def cert_planar_family(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Degree bounds for Laplacian walks on sparse graph families: k-cyclic
-    always, and planar / triangle-free / C4-free / C5-free under the
-    --assert-planar flag.  All comparisons are exact rationals."""
-    rule = "degree-planar-family-LQ"
-    g, fl = facts.g, facts.flags
-    n = g.n
-    bounds: list[tuple[str, Fraction]] = []
-    if facts.connected:
-        k = g.edge_count - n + 1
-        bounds.append(("k-cyclic", Fraction(4 * n + 4 * (k - 1), n)))
-    if facts.opts.assert_planar:
-        bounds.append(("planar", Fraction(12 * n - 24, n)))
-        if not fl.has_triangle and n >= 3:
-            bounds.append(("triangle-free-planar", Fraction(8 * n - 16, n)))
-        if not fl.has_c4 and n >= 4:
-            bounds.append(("c4-free-planar", Fraction(60 * (n - 2), 7 * n)))
-        if not fl.has_c5 and n >= 11:
-            bounds.append(("c5-free-planar", Fraction(4 * (12 * n - 33), 5 * n)))
-    if not bounds:
-        return _noted_row(
-            rule, n, "no family bound applies (disconnected and not asserted planar)")
-    evaluated = tuple(bounds)
-    out = []
-    for u, deg in enumerate(facts.stats.deg):
-        violated = next(((name, b) for name, b in bounds if deg > b), None)
-        if violated is None:
-            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, degree=deg, bounds=evaluated))
-        else:
-            out.append(_vertex(rule, u, Verdict.RULED_OUT, violated=violated[0], degree=deg,
-                               bound=violated[1], bounds=evaluated))
-    return out
-
-
 def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
     """Graph-level parity and pattern rules for connected unit-weight trees
     and bipartite unicyclic graphs under the adjacency walk; where none of
@@ -674,9 +632,8 @@ RULES = (
     Rule(("connectivity",), _S, cert_connectivity),
     Rule(("twin-vertex",), _S, cert_twins),
     Rule(("degree-vs-average-LQ",), _S, cert_degree_LQ, _LQ, _UNIT),
-    Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A", "degree-c4free-planar-A"),
+    Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A"),
          _S, cert_degree_A_c4free, _ADJ, _UNIT),
-    Rule(("degree-planar-family-LQ",), _S, cert_planar_family, _LQ, _UNIT),
     Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
     Rule(("pendant-pair",), _S, cert_pendant_pair),
     Rule(("tree-suite", "path-graph", "tree-degree-parity", "unicyclic-degree-parity",

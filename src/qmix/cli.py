@@ -67,8 +67,6 @@ def _build_parser() -> _Parser:
                           help="mixing detection threshold override")
     certifying = _Parser(add_help=False)  # flags of certify and batch
     certifying.add_argument("--tier", choices=["strict", "paper"], default="strict")
-    certifying.add_argument("--assert-planar", action="store_true",
-                            help="enable planar-family bounds (planarity is asserted, never tested)")
     graph_file = "graph file (.g6 graph6, .wel weighted edge list)"
 
     p = sub.add_parser("spectrum", parents=[analysis],
@@ -148,9 +146,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _certify_options(args) -> CertifyOptions:
-    return CertifyOptions(
-        tier=Tier.PAPER_ASSERTED if args.tier == "paper" else Tier.STRICT,
-        assert_planar=args.assert_planar)
+    return CertifyOptions(tier=Tier.PAPER_ASSERTED if args.tier == "paper" else Tier.STRICT)
 
 
 def _cmd_certify(args) -> int:

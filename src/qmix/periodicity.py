@@ -93,7 +93,9 @@ class PeriodicityVerdict:
 
 
 def _period_hint(classification: SpectrumClassification, values: list[float]) -> float | None:
-    if len(values) <= 2:  # one eigenvalue: periodic at every time; two: at their difference
+    # one eigenvalue: periodic at every time; two: at their difference; an
+    # empty support is irregular, so it gives no hint
+    if 1 <= len(values) <= 2:
         return 1.0 if len(values) == 1 else 2.0 * math.pi / (max(values) - min(values))
     if classification.kind is SpectrumKind.ALL_INTEGER:
         ints, unit = [round(x) for x in values], 1.0

@@ -342,6 +342,41 @@ def reference_has_cycle5(g: WeightedGraph) -> bool:
     return False
 
 
+def reference_family_bounds(g: WeightedGraph, kind: MatrixKind) -> dict[str, Fraction]:
+    """The degree bounds of the deleted planar-family rules on a unit-weight
+    graph asserted planar, kept as the oracle for the proof that they
+    restate the exact-|E| rules: {family: bound}, and a vertex whose degree
+    exceeds a bound is ruled out.  Under L and Q each bound is 4m/n for an
+    upper bound m on |E|: n - 1 + k on a connected k-cyclic graph, 3n - 6
+    planar (no guard on n, as the rule had none), 2n - 4 triangle-free
+    (n >= 3), 15(n - 2)/7 C4-free (n >= 4) and (12n - 33)/5 C5-free
+    (n >= 11).  Under A it is 2(15(n - 2)/7 + q)/n on a C4-free graph with
+    n >= 4, q the pairs at distance two."""
+    n, m = g.n, g.edge_count
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v, _ in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    paths2 = adj @ adj
+    has_triangle = bool((paths2 * adj).any())
+    has_c4 = bool((paths2 - np.diag(np.diag(paths2)) >= 2).any())
+    if kind is MatrixKind.ADJACENCY:
+        if has_c4 or n < 4:
+            return {}
+        return {"c4-free-planar": Fraction(30 * (n - 2) + 14 * count_distance_two_pairs(g), 7 * n)}
+    bounds = {}
+    if min(bfs_distances(g, 0)) >= 0:  # connected
+        k = m - n + 1
+        bounds["k-cyclic"] = Fraction(4 * n + 4 * (k - 1), n)
+    bounds["planar"] = Fraction(12 * n - 24, n)
+    if not has_triangle and n >= 3:
+        bounds["triangle-free-planar"] = Fraction(8 * n - 16, n)
+    if not has_c4 and n >= 4:
+        bounds["c4-free-planar"] = Fraction(60 * (n - 2), 7 * n)
+    if not reference_has_cycle5(g) and n >= 11:
+        bounds["c5-free-planar"] = Fraction(4 * (12 * n - 33), 5 * n)
+    return bounds
+
+
 def reference_surd_offsets(values, tol):
     """The pair loop that the candidate offsets of surd recognition came
     from, kept as their reference: round(x + y) over every pair i <= j
@@ -458,7 +493,7 @@ def reference_eigenvector_inequality(facts, u):
                            lhs_squared=n * row[u] * row[u], rhs=sum(abs(x) for x in row))
     if dec is None:
         return verdict(Verdict.INCONCLUSIVE, note="no decomposition supplied")
-    return verdict(Verdict.INCONCLUSIVE, best_gap=best,
+    return verdict(Verdict.INCONCLUSIVE, best_gap=None if best_idx is None else best,
                    best_eigenvalue=None if best_idx is None else float(dec.eigenvalues[best_idx]))
 
 

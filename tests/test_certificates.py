@@ -1,6 +1,9 @@
+import enum
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
+from typing import get_type_hints
 from unittest import mock
 
 import networkx as nx
@@ -10,21 +13,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmix.certificates
-from qmix import (RULES, CertificateVerdict, CertifyOptions, MatrixKind, Tier, TwinKind,
-                  TwinSubgraphWitness,
-                  Verdict, WeightClass, WeightedGraph, cert_bipartite_balance, cert_bipartite_global,
-                  cert_bipartite_parity, cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
+from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, CertifyOptions, MatrixKind,
+                  Tier, TwinKind, TwinSubgraphWitness, Verdict, WeightClass, WeightedGraph,
+                  cert_bipartite_balance, cert_bipartite_global, cert_bipartite_parity,
+                  cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
                   cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
-                  cert_pendant_pair, cert_planar_family, cert_tree_suite,
-                  cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                  collect_facts, decompose_graph, find_twin_pairs, parse_graph6,
-                  search_twin_subgraphs, subdivide)
+                  cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs, cert_twins,
+                  certify_graph, certify_vertex, collect_facts, decompose_graph,
+                  find_twin_pairs, parse_graph6, search_twin_subgraphs, subdivide)
 from qmix.certificates import verdicts_by_scope
-from qmix.graphs import TwinSearchResult, degrees, is_tree, verify_twin_subgraphs
+from qmix.graphs import (TwinSearchResult, degrees, is_connected, is_tree,
+                         verify_twin_subgraphs)
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
                       random_connected_graph, random_tree, reference_eigenvector_inequality,
-                      reference_exact_kernel, reference_report_summary, star)
+                      reference_exact_kernel, reference_family_bounds, reference_report_summary,
+                      star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -157,6 +161,17 @@ def _inequality_cases():
     yield from (complete(6), complete(9), hypercube(4), cartesian_product(complete(3), complete(3)))
 
 
+def test_eigenvector_inequality_on_empty_supports_has_no_best_gap():
+    # a support cut above every ||E_k e_u|| (each is at most 1) leaves no group
+    g = complete(4)
+    facts = collect_facts(g, dec_of(g), MatrixKind.ADJACENCY,
+                          tol=replace(DEFAULT_TOLERANCES, supp=2.0))
+    for got in cert_eigenvector_inequality(facts):
+        assert got.verdict is Verdict.INCONCLUSIVE
+        assert got.witness == (("best_gap", None), ("best_eigenvalue", None))
+        assert got == reference_eigenvector_inequality(facts, got.scope[1])
+
+
 def test_eigenvector_inequality_table_matches_the_per_vertex_loop():
     for g in _inequality_cases():
         for kind in WALK_MATRICES:
@@ -187,6 +202,14 @@ def test_degree_LQ():
     assert v.verdict is Verdict.INCONCLUSIVE
     v = at(through_table(facts_of(star(5)), "degree-vs-average-LQ"), 0)[0]
     assert v.verdict is Verdict.NOT_APPLICABLE
+    # trees and unicyclic graphs: 4|E|/n is 4 - 4/n and 4
+    for g, kind in ((star(6), MatrixKind.LAPLACIAN), (star(5), MatrixKind.SIGNLESS_LAPLACIAN)):
+        assert at(cert_degree_LQ(facts_of(g, kind)), 0)[0].verdict is Verdict.RULED_OUT
+    g = WeightedGraph.build(7, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1),
+                                (0, 4, 1), (0, 5, 1), (0, 6, 1)])
+    verdicts = cert_degree_LQ(facts_of(g, MatrixKind.LAPLACIAN))
+    assert at(verdicts, 0)[0].verdict is Verdict.RULED_OUT  # degree 6 > 4
+    assert at(verdicts, 1)[0].verdict is Verdict.INCONCLUSIVE
 
 
 def test_degree_A_c4free_star_boundary():
@@ -220,34 +243,57 @@ def test_degree_A_unicyclic_c4_variant():
     assert dict(var.witness)["bound"] == Fraction(2 * (5 + stats_q + 2), 5)
 
 
-def test_planar_family_tree_and_unicyclic():
-    g = star(6)  # tree with a degree-5 center
-    v = at(cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN)), 0)[0]
-    assert v.verdict is Verdict.RULED_OUT and dict(v.witness)["violated"] == "k-cyclic"
-    # tree bound is deg <= 4 - 4/n, so degree 4 already fires
-    g = star(5)
-    v = at(cert_planar_family(facts_of(g, MatrixKind.SIGNLESS_LAPLACIAN)), 0)[0]
-    assert v.verdict is Verdict.RULED_OUT
-    # unicyclic: degree 5 > 4 fires
-    g = WeightedGraph.build(7, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1),
-                                (0, 4, 1), (0, 5, 1), (0, 6, 1)])
-    facts = facts_of(g, MatrixKind.LAPLACIAN)
-    v = at(cert_planar_family(facts), 0)[0]
-    assert v.verdict is Verdict.RULED_OUT
-    v = at(cert_planar_family(facts), 1)[0]
-    assert v.verdict is Verdict.INCONCLUSIVE
+def _planar_graphs():
+    """Every planar atlas graph, then seeded planar graphs with 3 <= n <= 60:
+    random trees, and random edge subsets of stacked triangulations."""
+    for gnx in nx.graph_atlas_g()[1:]:
+        if nx.check_planarity(gnx)[0]:
+            yield WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        yield random_tree(rng, int(rng.integers(3, 61)))
+    for _ in range(40):
+        n = int(rng.integers(3, 61))
+        edges, faces = {(0, 1), (0, 2), (1, 2)}, [(0, 1, 2)]
+        for v in range(3, n):  # a vertex put in a face keeps the graph a triangulation
+            a, b, c = faces.pop(int(rng.integers(len(faces))))
+            edges |= {(a, v), (b, v), (c, v)}
+            faces += [(a, b, v), (a, c, v), (b, c, v)]
+        keep = rng.uniform(0.3, 1.0)
+        yield WeightedGraph.build(n, [(u, v, 1) for u, v in sorted(edges) if rng.random() < keep])
 
 
-def test_planar_family_asserted_planar():
-    # n = 30 grid-ish graph: degree 12 > 12 - 24/30 under --assert-planar
-    edges = [(0, i, 1) for i in range(1, 13)]
-    edges += [(i, i + 1, 1) for i in range(13, 29)] + [(12, 13, 1)]
-    g = WeightedGraph.build(30, edges)
-    v = at(cert_planar_family(facts_of(g, MatrixKind.LAPLACIAN, assert_planar=True)), 0)[0]
-    assert v.verdict is Verdict.RULED_OUT
-    assert dict(v.witness)["violated"] in ("k-cyclic", "planar")
-    v = at(through_table(facts_of(g, assert_planar=True), "degree-planar-family-LQ"), 0)[0]
-    assert v.verdict is Verdict.NOT_APPLICABLE
+def test_family_degree_bounds_restate_the_exact_edge_count_rules():
+    """The deleted planar-family bounds put an upper bound on |E| where the
+    exact rules read |E| itself.  So on a planar graph with n >= 3, every
+    vertex they rule out the exact rule of the same walk rules out too,
+    and the k-cyclic bound is 4|E|/n itself."""
+    exact_ids = ("degree-vs-average-LQ", "degree-common-neighbors-A")
+    compared = 0
+    for g in _planar_graphs():
+        if g.n <= 2:
+            continue
+        deg = degrees(g)
+        for kind in WALK_MATRICES:
+            bounds = reference_family_bounds(g, kind)
+            if kind is not MatrixKind.ADJACENCY:
+                assert ("k-cyclic" in bounds) == is_connected(g), g.edges
+                if "k-cyclic" in bounds:
+                    assert bounds["k-cyclic"] == Fraction(4 * g.edge_count, g.n), g.edges
+            oracle = {u for u, d in enumerate(deg) if any(d > b for b in bounds.values())}
+            if not oracle:
+                continue
+            facts = facts_of(g, kind)
+            rule = cert_degree_LQ if kind is not MatrixKind.ADJACENCY else cert_degree_A_c4free
+            exact = {v.scope[1] for v in rule(facts) if v.fired and v.rule_id in exact_ids}
+            assert oracle <= exact, (g.edges, kind, oracle - exact)
+            compared += 1
+    assert compared > 100
+    # 3n - 6 bounds |E| only from n = 3 on: at K1 and K2, which mix under
+    # every walk, the planar bound rules out every vertex
+    for g in (complete(1), complete(2)):
+        for kind in WALK_MATRICES[1:]:
+            assert reference_family_bounds(g, kind)["planar"] < min(degrees(g))
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +607,35 @@ def test_soundness_regression_strict_tier():
 WALK_MATRICES = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN)
 
 
+def every_certify_options():
+    """CertifyOptions at every combination of its fields' values; a field of
+    a type with no listed values fails here, so no option escapes the
+    soundness tests."""
+    hints = get_type_hints(CertifyOptions)
+    names = [f.name for f in fields(CertifyOptions)]
+    values = []
+    for name in names:
+        kind = hints[name]
+        assert kind is bool or issubclass(kind, enum.Enum), (name, kind)
+        values.append((False, True) if kind is bool else tuple(kind))
+    return [CertifyOptions(**dict(zip(names, combo))) for combo in product(*values)]
+
+
 def test_strict_tier_silent_under_every_matrix():
     # regular graphs: L = dI - A and Q = dI + A mix wherever A does
-    # and so do K1 and K2 with any edge weight
+    # and so do K1 and K2 with any edge weight; under every option
     weighted_k2 = (WeightedGraph.build(2, [(0, 1, 3)]), WeightedGraph.build(2, [(0, 1, 2.5)]))
-    for g in (complete(1), complete(2), complete(3), complete(4), cube_q3(), cycle(4),
-              cycle(5)) + weighted_k2:
-        for kind in WALK_MATRICES:
-            report = certify_graph(g, dec_of(g, kind), kind)
-            assert not report.graph_ruled_out, (g, kind, report.fired_rules())
-            assert report.surviving_vertices == tuple(range(g.n))
-    # |U(pi/4) e_0| is flat at the 4-star centre under both Laplacians
-    for kind in WALK_MATRICES[1:]:
-        report = certify_graph(star(4), dec_of(star(4), kind), kind)
-        assert 0 in report.surviving_vertices, (kind, report.verdicts_for(0))
+    for opts in every_certify_options():
+        for g in (complete(1), complete(2), complete(3), complete(4), cube_q3(), cycle(4),
+                  cycle(5)) + weighted_k2:
+            for kind in WALK_MATRICES:
+                report = certify_graph(g, dec_of(g, kind), kind, opts)
+                assert not report.graph_ruled_out, (opts, g, kind, report.fired_rules())
+                assert report.surviving_vertices == tuple(range(g.n)), (opts, g, kind)
+        # |U(pi/4) e_0| is flat at the 4-star centre under both Laplacians
+        for kind in WALK_MATRICES[1:]:
+            report = certify_graph(star(4), dec_of(star(4), kind), kind, opts)
+            assert 0 in report.surviving_vertices, (opts, kind, report.verdicts_for(0))
 
 
 # regular graphs that mix under A (at pi/4 or 2 pi/9), so under L and Q too
@@ -791,7 +852,6 @@ def test_generated_not_applicable_notes():
     assert notes == {
         "degree-vs-average-LQ": "requires a Laplacian walk on a unit-weight graph",
         "degree-common-neighbors-A": "requires a unit-weight graph under the adjacency walk",
-        "degree-planar-family-LQ": "requires a Laplacian walk on a unit-weight graph",
         "bipartite-degree-parity":
             "requires a unit-weight bipartite graph under the adjacency walk",
         "tree-suite": "requires a unit-weight graph under the adjacency walk",

@@ -279,6 +279,38 @@ def test_tolerance_flags_must_be_positive_and_finite(tmp_path, capsys):
     capsys.readouterr()
 
 
+_TOLERANCE = st.floats(-300, 300).map(lambda e: 10.0 ** e)  # log-uniform in 1e-300..1e300
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(supp=_TOLERANCE, group=_TOLERANCE, detect=_TOLERANCE)
+def test_tolerance_flags_keep_the_exit_code_contract(tmp_path_factory, capsys,
+                                                      supp, group, detect):
+    # a support cut above every ||E_k e_u|| leaves a vertex an empty support
+    directory = tmp_path_factory.mktemp("graphs")
+    flags = ["--tol-supp", repr(supp), "--tol-group", repr(group), "--tol-detect", repr(detect)]
+    for name, gnx in (("k4", nx.complete_graph(4)), ("p3", nx.path_graph(3)),
+                      ("star4", nx.star_graph(3))):
+        p = directory / f"{name}.g6"
+        p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
+        for command in ("spectrum", "certify"):
+            for matrix in ("adjacency", "laplacian"):
+                argv = [command, str(p), "--matrix", matrix, *flags]
+                assert main(argv) in (0, 1, 2), argv
+                assert "Traceback" not in capsys.readouterr().err, argv
+
+
+def test_assert_planar_is_a_usage_error(tmp_path, capsys):
+    p = write_star_g6(tmp_path)
+    for command in ("certify", "batch"):
+        target = str(tmp_path if command == "batch" else p)
+        assert main([command, target, "--assert-planar"]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("qmix: usage error:") and "--assert-planar" in err, command
+        assert "Traceback" not in err
+
+
 def test_tiny_group_tolerance_still_builds_the_exact_kernel(tmp_path, capsys):
     # a computed zero eigenvalue (about 1e-16) lies above a grouping gap of
     # 1e-20, so the spectral gate must not read its threshold off the gap

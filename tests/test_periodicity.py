@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import networkx as nx
 
 import qmix.periodicity
-from qmix import (DEFAULT_TOLERANCES, MatrixKind, PeriodicityStatus, RatioMode,
-                  TargetStateCandidate, WeightClass, WeightedGraph, check_real_target_period,
-                  classify_periodic_support, decompose_graph, is_periodic_vertex,
-                  ratio_condition, scan_local, scan_uniform, transition_matrix,
-                  vertex_periodicity, vertex_support)
+from qmix import (DEFAULT_TOLERANCES, MatrixKind, PeriodicityStatus, PeriodicityVerdict,
+                  RatioMode, TargetStateCandidate, WeightClass, WeightedGraph,
+                  check_real_target_period, classify_periodic_support, decompose_graph,
+                  is_periodic_vertex, ratio_condition, scan_local, scan_uniform,
+                  transition_matrix, vertex_periodicity, vertex_support)
 from qmix.periodicity import SupportBranch, rational_reconstruct
 from qmix.report import periodicity_summary
 from qmix.spectral import classify_values
@@ -133,6 +134,16 @@ def test_vertex_periodicity_matches_the_per_vertex_reference(rng):
             assert [is_periodic_vertex(dec, u, tol) for u in range(dec.n)] == want
             statuses.update(v.status for v in got)
     assert statuses == set(PeriodicityStatus)
+
+
+def test_an_empty_support_is_unknown_without_a_hint():
+    # each ||E_k e_u|| is at most 1, so a support cut at 2 keeps no eigenvalue
+    tol = replace(DEFAULT_TOLERANCES, supp=2.0)
+    for g in (complete(4), path(3), star(4)):
+        dec = dec_of(g)
+        got = vertex_periodicity(dec, tol)
+        assert got == [PeriodicityVerdict(PeriodicityStatus.UNKNOWN)] * g.n
+        assert got == [reference_is_periodic_vertex(dec, u, tol) for u in range(g.n)]
 
 
 def test_periodicity_summary_classifies_each_distinct_support_once(monkeypatch):
