@@ -23,11 +23,10 @@ from .search import (Detection, MixingReport, empirical_inf, golden_section, sca
 from .periodicity import (PeriodicityStatus, PeriodicityVerdict, RatioConditionResult,
                           RatioMode, check_real_target_period, classify_periodic_support,
                           is_periodic_vertex, ratio_condition, vertex_periodicity)
-from .certificates import (RULES, CertificateReport, CertificateVerdict, CertifyOptions,
-                           GraphFacts, Tier, Verdict, cert_bipartite_balance,
+from .certificates import (RULES, CertificateReport, CertificateVerdict, GraphFacts, Verdict,
                            cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
                            cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
-                           cert_kernel_part_mod4, cert_kernel_part_size, cert_kernel_vector,
-                           cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs, cert_twins,
-                           certify_graph, certify_vertex, collect_facts)
+                           cert_kernel_vector, cert_pendant_pair, cert_tree_suite,
+                           cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
+                           collect_facts)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

@@ -1,19 +1,18 @@
 """Sound rule-out certificates for local uniform-in-the-limit mixing.
 
 Every rule is a necessary condition for mixing, so firing it *rules out*
-mixing; nothing here ever certifies that mixing occurs.  Rules come in two
-tiers.  Strict rules use exact integer/rational arithmetic, or floating
-inequalities padded by an explicit safety margin, and are regression-tested
-against the known mixing instances.  Asserted-tier rules are literal bound
-statements whose full generality conflicts with a verified mixing instance
-(the 4-vertex star); they are reported only on request, with the tension
-noted in the witness.
+mixing; nothing here ever certifies that mixing occurs.  Every rule is
+strict: it uses exact integer/rational arithmetic, or floating inequalities
+padded by an explicit safety margin, and is regression-tested against the
+known mixing instances.  The paper's literal part-size, part-congruence
+and balance statements for bipartite graphs are not rules: each one fires
+on the 4-vertex star, which mixes (README, Certificate tiers).
 
 Each rule reads the `GraphFacts` of one (graph, matrix) pair, runs once per
 graph and returns all of its verdicts, each scoped to the graph or to one
 vertex: the paper states most conditions per vertex, but each is a function
 of the whole graph and one matrix.  The `RULES` table is the one place where
-a rule, its tier, its output position and the walks, weights and
+a rule, its output position and the walks, weights and
 bipartiteness it applies to are declared; elsewhere the table writes the
 rule's not-applicable verdicts, with a note generated from that declaration.
 """
@@ -40,11 +39,6 @@ from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-class Tier(enum.Enum):
-    STRICT = "strict"
-    PAPER_ASSERTED = "asserted"
-
-
 class Verdict(enum.Enum):
     RULED_OUT = "ruled-out"
     INCONCLUSIVE = "inconclusive"
@@ -61,7 +55,6 @@ class CertificateVerdict(NamedTuple):
     """One verdict of one rule: an immutable tuple of these fields."""
 
     rule_id: str
-    tier: Tier
     verdict: Verdict
     scope: tuple[str, int | None]  # (VERTEX_SCOPE, u) or (GRAPH_SCOPE, None)
     witness: tuple[tuple[str, object], ...] = ()
@@ -71,19 +64,12 @@ class CertificateVerdict(NamedTuple):
         return self.verdict is Verdict.RULED_OUT
 
 
-def _vertex(rule: str, u: int, verdict: Verdict, tier: Tier = Tier.STRICT,
-            **witness) -> CertificateVerdict:
-    return CertificateVerdict(rule, tier, verdict, (VERTEX_SCOPE, u), tuple(witness.items()))
+def _vertex(rule: str, u: int, verdict: Verdict, **witness) -> CertificateVerdict:
+    return CertificateVerdict(rule, verdict, (VERTEX_SCOPE, u), tuple(witness.items()))
 
 
-def _graph(rule: str, verdict: Verdict, tier: Tier = Tier.STRICT,
-           **witness) -> CertificateVerdict:
-    return CertificateVerdict(rule, tier, verdict, (GRAPH_SCOPE, None), tuple(witness.items()))
-
-
-@dataclass(frozen=True)
-class CertifyOptions:
-    tier: Tier = Tier.STRICT  # STRICT drops asserted-tier findings from reports
+def _graph(rule: str, verdict: Verdict, **witness) -> CertificateVerdict:
+    return CertificateVerdict(rule, verdict, (GRAPH_SCOPE, None), tuple(witness.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +83,6 @@ class GraphFacts:
     g: WeightedGraph
     kind: MatrixKind
     dec: SpectralDecomposition | None  # None disables the floating route
-    opts: CertifyOptions
     tol: Tolerances
     stats: DegreeStats
     components: list[list[int]]
@@ -127,7 +112,6 @@ class GraphFacts:
 
 
 def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
-                  opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES) -> GraphFacts:
     """The facts every rule reads, for one graph under one walk matrix, of
     which `dec`, when given, is the decomposition.  Only the adjacency walk
@@ -146,7 +130,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
         dim = len(t.components) if kind is MatrixKind.LAPLACIAN else sum(t.bipartite)
     tw = search_twin_subgraphs(g, a_max=TWIN_SUBGRAPH_SIZE, subset_budget=tol.subset_budget)
     return GraphFacts(
-        g=g, kind=kind, dec=dec, opts=opts, tol=tol, stats=degree_stats(g),
+        g=g, kind=kind, dec=dec, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
         flags=cycle_flags(g), twins=find_twin_pairs(g),
         pendant_pairs=pendant_pairs_with_common_neighbor(g),
@@ -157,7 +141,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
 # ---------------------------------------------------------------------------
 # Individual certificates
 
-# One row of strict verdicts per (rule, verdict, note) whose witness is only
+# One row of verdicts per (rule, verdict, note) whose witness is only
 # the note, at vertices 0, 1, ...  Records are immutable, so every graph
 # shares a prefix of the row.
 _NOTED_ROWS: dict[tuple[str, Verdict, str], tuple[CertificateVerdict, ...]] = {}
@@ -171,7 +155,7 @@ def _noted_row(rule: str, n: int, note: str,
     row = _NOTED_ROWS.get(key, ())
     if len(row) < n:
         witness = (("note", note),)
-        row += tuple(CertificateVerdict(rule, Tier.STRICT, verdict, (VERTEX_SCOPE, u), witness)
+        row += tuple(CertificateVerdict(rule, verdict, (VERTEX_SCOPE, u), witness)
                      for u in range(len(row), n))
         if n <= MAX_VERTICES:
             _NOTED_ROWS[key] = row
@@ -239,7 +223,7 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
                                             breaks.any(axis=1).tolist())):
             if broken:
                 out[u] = CertificateVerdict(
-                    rule, Tier.STRICT, Verdict.RULED_OUT, (VERTEX_SCOPE, u),
+                    rule, Verdict.RULED_OUT, (VERTEX_SCOPE, u),
                     (("route", "canonical-float"), ("eigenvalue", values[k]),
                      ("lhs", lhs[u][k]), ("rhs", rhs[u][k]), ("margin", margin)))
             else:
@@ -264,7 +248,7 @@ def cert_eigenvector_inequality(facts: GraphFacts) -> list[CertificateVerdict]:
                 if left - right > best + 1e-12:  # near-ties keep the lowest eigenvalue
                     best, best_k = left - right, k
             out[u] = CertificateVerdict(
-                rule, Tier.STRICT, Verdict.INCONCLUSIVE, (VERTEX_SCOPE, u),
+                rule, Verdict.INCONCLUSIVE, (VERTEX_SCOPE, u),
                 (("best_gap", None if best_k is None else best),
                  ("best_eigenvalue", None if best_k is None else values[best_k])))
     return out
@@ -346,8 +330,8 @@ def cert_twin_subgraphs(facts: GraphFacts) -> list[CertificateVerdict]:
         if n > 4 * a * a:
             witness = (("route", "true-pair-size"), ("part_size", a), ("bound", 4 * a * a),
                        ("n", n), ("g_vertices", w.g_vertices), ("h_vertices", w.h_vertices))
-            fired.update((u, CertificateVerdict(rule, Tier.STRICT, Verdict.RULED_OUT,
-                                                (VERTEX_SCOPE, u), witness))
+            fired.update((u, CertificateVerdict(rule, Verdict.RULED_OUT, (VERTEX_SCOPE, u),
+                                                witness))
                          for u in undecided)
     return [fired[u] if u in fired
             else _vertex(rule, u, Verdict.INCONCLUSIVE, witnesses=count[u]) if count[u]
@@ -410,26 +394,6 @@ def cert_kernel_vector(facts: GraphFacts) -> list[CertificateVerdict]:
     return out
 
 
-def cert_kernel_part_size(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Asserted tier: the literal phrasing of the kernel rule's bound, against
-    |B1| itself, where the strict form is inconclusive.  It breaks on the
-    4-vertex star, which provably mixes."""
-    root = math.isqrt(facts.n)
-    size = {v.scope[1]: len(facts.bip.part_of(v.scope[1])) for v in cert_kernel_vector(facts)
-            if v.verdict is Verdict.INCONCLUSIVE}
-    candidates = [u for u, m in size.items() if root > m or (root - m) % 2 != 0]
-    hits = {}
-    if candidates:
-        pool = facts.signed_vectors
-        hits = _first_rows(pool, np.arange(len(pool)))
-    return [_vertex("bipartite-kernel-part-size", u, Verdict.RULED_OUT,
-                    tier=Tier.PAPER_ASSERTED, vector=hits[u], part_size=size[u],
-                    sqrt_n=root,
-                    note="literal part-size form; known to fail on the 4-vertex star, "
-                         "which admits uniform mixing - kept at the asserted tier")
-            for u in candidates if u in hits]
-
-
 def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
     """Graph-level bipartite obstructions for the adjacency walk.
 
@@ -452,30 +416,6 @@ def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
                           n=n, kernel_dimension=len(facts.kernel_basis),
                           note="order one mixes" if n == 1 else None))
     return out
-
-
-def cert_kernel_part_mod4(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Asserted tier: a singular bipartite graph with a signed kernel vector
-    needs both part sizes congruent to 0 or to 2 mod 4."""
-    if len(facts.signed_vectors) == 0:
-        return []
-    p1, p2 = len(facts.bip.b1) % 4, len(facts.bip.b2) % 4
-    bad = not (p1 == p2 and p1 in (0, 2))
-    return [_graph("bipartite-kernel-part-mod4",
-                   Verdict.RULED_OUT if bad else Verdict.INCONCLUSIVE,
-                   tier=Tier.PAPER_ASSERTED, part_sizes_mod4=(p1, p2),
-                   note="literal part-size congruence; asserted tier only")]
-
-
-def cert_bipartite_balance(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Asserted tier: the balance bound min(|B1|, |B2|) >= sqrt(n/2)."""
-    m = min(len(facts.bip.b1), len(facts.bip.b2))
-    n = facts.n
-    bad = 2 * m * m < n
-    return [_graph("bipartite-balance", Verdict.RULED_OUT if bad else Verdict.INCONCLUSIVE,
-                   tier=Tier.PAPER_ASSERTED, min_part=m, n=n,
-                   note="literal balance bound; fails on the 4-vertex star, "
-                        "which admits uniform mixing - kept at the asserted tier")]
 
 
 def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
@@ -591,12 +531,10 @@ class Rule:
     """One row of the rule table.  Its evaluator takes the facts, runs once
     per graph and returns all of its verdicts, each scoped to the graph or
     to one vertex.  It runs only on a walk in `walks`, weights no wider than
-    `weights` and, if `bipartite`, a bipartite graph; elsewhere a strict row
-    gives the not-applicable verdicts of `not_applicable`, an asserted row
-    none."""
+    `weights` and, if `bipartite`, a bipartite graph; elsewhere it gives the
+    not-applicable verdicts of `not_applicable`."""
 
     ids: tuple[str, ...]
-    tier: Tier  # asserted rows run only for reports at the asserted tier
     evaluate: Callable[[GraphFacts], Sequence[CertificateVerdict]]
     walks: frozenset[MatrixKind] = frozenset(MatrixKind)
     weights: WeightClass = WeightClass.REAL  # the widest weight class the rule reads
@@ -615,39 +553,32 @@ class Rule:
                 else f"requires a Laplacian walk on {graph}graph")
 
     def not_applicable(self, n: int) -> Sequence[CertificateVerdict]:
-        """The verdicts of a strict row on an input it does not admit; a
+        """The verdicts of the row on an input it does not admit; a
         graph-scope row gives one, under ids[0]."""
-        if self.tier is not Tier.STRICT:
-            return ()
         if self.scope == GRAPH_SCOPE:
             return (_graph(self.ids[0], Verdict.NOT_APPLICABLE, note=self.note),)
         return [v for rule in self.ids for v in _noted_row(rule, n, self.note)]
 
 
-_S, _A = Tier.STRICT, Tier.PAPER_ASSERTED
 _UNIT, _INT = WeightClass.UNIT, WeightClass.INTEGER
 # Cheap exact rules first.  The row order is the order of the verdicts in
 # every report.
 RULES = (
-    Rule(("connectivity",), _S, cert_connectivity),
-    Rule(("twin-vertex",), _S, cert_twins),
-    Rule(("degree-vs-average-LQ",), _S, cert_degree_LQ, _LQ, _UNIT),
+    Rule(("connectivity",), cert_connectivity),
+    Rule(("twin-vertex",), cert_twins),
+    Rule(("degree-vs-average-LQ",), cert_degree_LQ, _LQ, _UNIT),
     Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A"),
-         _S, cert_degree_A_c4free, _ADJ, _UNIT),
-    Rule(("bipartite-degree-parity",), _S, cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
-    Rule(("pendant-pair",), _S, cert_pendant_pair),
+         cert_degree_A_c4free, _ADJ, _UNIT),
+    Rule(("bipartite-degree-parity",), cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
+    Rule(("pendant-pair",), cert_pendant_pair),
     Rule(("tree-suite", "path-graph", "tree-degree-parity", "unicyclic-degree-parity",
           "caterpillar-pendant-parity", "pendant-tree-pattern"),
-         _S, cert_tree_suite, _ADJ, _UNIT, scope=GRAPH_SCOPE),
+         cert_tree_suite, _ADJ, _UNIT, scope=GRAPH_SCOPE),
     Rule(("bipartite-order-mod4", "bipartite-singular-square"),
-         _S, cert_bipartite_global, _ADJ, bipartite=True, scope=GRAPH_SCOPE),
-    Rule(("bipartite-kernel-square",), _S, cert_kernel_vector, _ADJ, _INT, bipartite=True),
-    Rule(("twin-subgraph",), _S, cert_twin_subgraphs),
-    Rule(("eigenvector-inequality",), _S, cert_eigenvector_inequality),
-    # calls cert_kernel_vector, so it reads what that row reads
-    Rule(("bipartite-kernel-part-size",), _A, cert_kernel_part_size, _ADJ, _INT, bipartite=True),
-    Rule(("bipartite-kernel-part-mod4",), _A, cert_kernel_part_mod4, _ADJ, bipartite=True),
-    Rule(("bipartite-balance",), _A, cert_bipartite_balance, _ADJ, bipartite=True),
+         cert_bipartite_global, _ADJ, bipartite=True, scope=GRAPH_SCOPE),
+    Rule(("bipartite-kernel-square",), cert_kernel_vector, _ADJ, _INT, bipartite=True),
+    Rule(("twin-subgraph",), cert_twin_subgraphs),
+    Rule(("eigenvector-inequality",), cert_eigenvector_inequality),
 )
 
 
@@ -655,12 +586,10 @@ RULES = (
 class CertificateReport:
     n: int
     kind: MatrixKind
-    tier: Tier
     vertex_verdicts: tuple[tuple[int, tuple[CertificateVerdict, ...]], ...]
     graph_verdicts: tuple[CertificateVerdict, ...]
     surviving_vertices: tuple[int, ...]
-    # Strict graph-level rule-out: a graph-scope strict rule fired, or a
-    # strict rule fired at some vertex (mixing everywhere is required).
+    # a rule fired at graph scope or at some vertex (mixing everywhere is required)
     graph_ruled_out: bool
     fired_rule_ids: tuple[str, ...]  # sorted ids of the rules that fired anywhere
     twin_search_truncated: bool = False
@@ -681,62 +610,54 @@ Grouping = tuple[list[CertificateVerdict], list[list[CertificateVerdict]]]
 
 
 def verdicts_by_scope(facts: GraphFacts) -> Grouping:
-    """Every verdict of the rows that run at the report's tier, at most one
-    evaluation per row, grouped by scope with each group in RULES order."""
+    """Every verdict of every row, one evaluation per admitting row, grouped
+    by scope with each group in RULES order."""
     graph: list[CertificateVerdict] = []
     by_vertex: list[list[CertificateVerdict]] = [[] for _ in range(facts.n)]
-    all_tiers = facts.opts.tier is Tier.PAPER_ASSERTED
     for row in RULES:
-        if all_tiers or row.tier is Tier.STRICT:
-            for v in row.evaluate(facts) if row.admits(facts) else row.not_applicable(facts.n):
-                u = v.scope[1]
-                (graph if u is None else by_vertex[u]).append(v)
+        for v in row.evaluate(facts) if row.admits(facts) else row.not_applicable(facts.n):
+            u = v.scope[1]
+            (graph if u is None else by_vertex[u]).append(v)
     return graph, by_vertex
 
 
 def certify_vertex(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
-                   u: int, opts: CertifyOptions = CertifyOptions(),
-                   tol: Tolerances = DEFAULT_TOLERANCES, facts: GraphFacts | None = None,
+                   u: int, tol: Tolerances = DEFAULT_TOLERANCES,
+                   facts: GraphFacts | None = None,
                    verdicts: Grouping | None = None) -> tuple[CertificateVerdict, ...]:
     """Every verdict at one vertex, in RULES order: a lookup into the
     grouping of `verdicts_by_scope`, which is made here only when the
     caller supplies none."""
     if verdicts is None:
-        verdicts = verdicts_by_scope(facts or collect_facts(g, dec, kind, opts, tol))
+        verdicts = verdicts_by_scope(facts or collect_facts(g, dec, kind, tol))
     return tuple(verdicts[1][u])
 
 
 def certify_graph(g: WeightedGraph, dec: SpectralDecomposition | None, kind: MatrixKind,
-                  opts: CertifyOptions = CertifyOptions(),
                   tol: Tolerances = DEFAULT_TOLERANCES,
                   facts: GraphFacts | None = None) -> CertificateReport:
     """Run every applicable certificate once over the graph and aggregate in
     one pass over the verdicts: graph-wide mixing needs mixing at every
-    vertex, so any strict vertex firing rules the whole graph out."""
+    vertex, so any verdict that fires rules the whole graph out."""
     if facts is None:
-        facts = collect_facts(g, dec, kind, opts, tol)
+        facts = collect_facts(g, dec, kind, tol)
     grouped = verdicts_by_scope(facts)
     graph_verdicts = tuple(grouped[0])
     fired = {v.rule_id for v in graph_verdicts if v.verdict is Verdict.RULED_OUT}
-    ruled_out = any(v.verdict is Verdict.RULED_OUT and v.tier is Tier.STRICT
-                    for v in graph_verdicts)
     vertex_verdicts, survivors = [], []
     for u in range(g.n):
-        vs = certify_vertex(g, dec, kind, u, opts, tol, facts, grouped)
+        vs = certify_vertex(g, dec, kind, u, tol, facts, grouped)
         vertex_verdicts.append((u, vs))
-        survives = True
-        for v in vs:
-            if v.verdict is Verdict.RULED_OUT:
-                fired.add(v.rule_id)
-                survives = survives and v.tier is not Tier.STRICT
-        if survives:
+        hit = {v.rule_id for v in vs if v.verdict is Verdict.RULED_OUT}
+        if not hit:
             survivors.append(u)
+        fired |= hit
     return CertificateReport(
-        n=g.n, kind=kind, tier=opts.tier,
+        n=g.n, kind=kind,
         vertex_verdicts=tuple(vertex_verdicts),
         graph_verdicts=graph_verdicts,
         surviving_vertices=tuple(survivors),
-        graph_ruled_out=ruled_out or len(survivors) < g.n,
+        graph_ruled_out=bool(fired),
         fired_rule_ids=tuple(sorted(fired)),
         twin_search_truncated=facts.twin_search_truncated,
         signed_enumeration_truncated=facts.signed_truncated)

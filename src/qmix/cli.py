@@ -18,7 +18,7 @@ from dataclasses import replace
 from itertools import chain, islice
 from pathlib import Path
 
-from .certificates import CertifyOptions, Tier, certify_graph, collect_facts
+from .certificates import certify_graph, collect_facts
 from .graphs import GraphFormatError, MatrixKind, WeightedGraph, parse_graph6, parse_weighted_edgelist
 from .report import (SCHEMA_VERSION, certificate_report_dict, graph_summary, mixing_report_dict,
                      periodicity_summary, render_json, report_header, spectrum_summary)
@@ -65,15 +65,13 @@ def _build_parser() -> _Parser:
                           help="support membership threshold override")
     analysis.add_argument("--tol-detect", type=_positive_float, default=None,
                           help="mixing detection threshold override")
-    certifying = _Parser(add_help=False)  # flags of certify and batch
-    certifying.add_argument("--tier", choices=["strict", "paper"], default="strict")
     graph_file = "graph file (.g6 graph6, .wel weighted edge list)"
 
     p = sub.add_parser("spectrum", parents=[analysis],
                        help="eigenvalues, classification, periodicity")
     p.add_argument("input", help=graph_file)
 
-    p = sub.add_parser("certify", parents=[analysis, certifying],
+    p = sub.add_parser("certify", parents=[analysis],
                        help="run the rule-out certificates")
     p.add_argument("input", help=graph_file)
     p.add_argument("--vertex", type=int, default=None)
@@ -87,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", type=str, default=None,
                    help="write the grid profile as CSV 't,delta'")
 
-    p = sub.add_parser("batch", parents=[analysis, certifying],
+    p = sub.add_parser("batch", parents=[analysis],
                        help="certify every graph6 line under a directory")
     p.add_argument("input", help="directory of .g6 files")
     p.add_argument("--jobs", type=int, default=1)
@@ -145,10 +143,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _certify_options(args) -> CertifyOptions:
-    return CertifyOptions(tier=Tier.PAPER_ASSERTED if args.tier == "paper" else Tier.STRICT)
-
-
 def _cmd_certify(args) -> int:
     tol = _tolerances(args)
     g = _load_graph(args.input)
@@ -156,8 +150,8 @@ def _cmd_certify(args) -> int:
         raise GraphFormatError(f"vertex {args.vertex} out of range for n={g.n}")
     kind = _MATRIX[args.matrix]
     dec = decompose_graph(g, kind, tol)
-    facts = collect_facts(g, dec, kind, _certify_options(args), tol)
-    report = certify_graph(g, dec, kind, facts.opts, tol, facts)
+    facts = collect_facts(g, dec, kind, tol)
+    report = certify_graph(g, dec, kind, tol, facts)
     doc = report_header(tol)
     doc["command"] = "certify"
     doc["graph"] = graph_summary(g, facts)
@@ -228,7 +222,7 @@ def _batch_chunk(task) -> list[dict]:
     """The entries of one chunk, in line order.  Its graphs are decomposed
     in stacks (`decompose_graphs`), and each is certified as its stack
     comes back."""
-    path, lines, kind, opts, tol = task
+    path, lines, kind, tol = task
     entries = [{"file": path, "line": lineno} for lineno, _ in lines]
     graphs, parsed = [], []
     for entry, (lineno, line) in zip(entries, lines):
@@ -244,7 +238,7 @@ def _batch_chunk(task) -> list[dict]:
         try:
             if isinstance(dec, SpectralError):
                 raise dec
-            report = certify_graph(g, dec, kind, opts, tol)
+            report = certify_graph(g, dec, kind, tol)
             entry["n"] = g.n
             entry["edge_count"] = g.edge_count
             entry["graph_ruled_out"] = report.graph_ruled_out
@@ -262,7 +256,7 @@ def _batch_chunk(task) -> list[dict]:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
-    shared = (_MATRIX[args.matrix], _certify_options(args), _tolerances(args))
+    shared = (_MATRIX[args.matrix], _tolerances(args))
     tasks = ((path, lines, *shared) for path, lines in _batch_chunks(args.input))
     # a pool starts all of its workers at once, so never more than can be busy
     ahead = list(islice(tasks, min(args.jobs, os.cpu_count() or 1)))

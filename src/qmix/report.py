@@ -157,7 +157,7 @@ def verdict_dict(v: CertificateVerdict) -> dict:
         witness[key] = value
     return {
         "rule": v.rule_id,
-        "tier": v.tier.value,
+        "tier": "strict",  # every rule is strict; kept so schema 1 and its bytes stay
         "verdict": v.verdict.value,
         "scope": {"kind": v.scope[0], "vertex": v.scope[1]},
         "witness": witness,
@@ -172,7 +172,7 @@ def certificate_report_dict(report: CertificateReport, only_vertex: int | None =
         vertices.append({"vertex": u, "verdicts": [verdict_dict(v) for v in verdicts]})
     return {
         "matrix": report.kind.value,
-        "tier": report.tier.value,
+        "tier": "strict",  # as in verdict_dict
         "graph_ruled_out": report.graph_ruled_out,
         "surviving_vertices": list(report.surviving_vertices),
         "fired_rules": report.fired_rules(),

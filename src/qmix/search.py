@@ -137,8 +137,11 @@ def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float |
     detections: list[Detection] = []
     seen_times: list[float] = []
     sqrt_n = math.sqrt(dec.n)
+    # a column with some p_v = 0 deviates by at least 1/sqrt(n(n-1)) > 1/n,
+    # so below the cap every entry is nonzero and the target phases exist
+    detect = min(tol.detect, 1.0 / dec.n)
     for t_star, d_star in minima:
-        if d_star >= tol.detect:
+        if d_star >= detect:
             continue
         if any(abs(t_star - t) < tol.time_dedupe for t in seen_times):
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -377,6 +378,46 @@ def reference_family_bounds(g: WeightedGraph, kind: MatrixKind) -> dict[str, Fra
     return bounds
 
 
+def reference_asserted_statements(g: WeightedGraph) -> dict[str, set[int]]:
+    """The paper's literal bipartite-kernel statements under the adjacency
+    walk, whose deleted asserted-tier rules read them; kept as the oracle
+    for the proof that none is sound: {statement: vertices it rules out},
+    a graph-level statement ruling out every vertex.  On a connected
+    bipartite graph with parts B1, B2 and x ranging over the signed kernel
+    vectors (entries in {-1, 0, 1}, found by brute force):
+
+    - part-size: a vertex u with some x_u != 0 needs sqrt(n) <= |B(u)| and
+      sqrt(n) = |B(u)| mod 2, for its part B(u) and square n;
+    - part-mod4: if some x exists, |B1| = |B2| mod 4, and both are 0 or 2;
+    - balance: min(|B1|, |B2|) >= sqrt(n/2)."""
+    n = g.n
+    assert n <= 10, "the signed vectors are enumerated over {-1, 0, 1}^n"
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v, w in g.edges:
+        adj[u, v] = adj[v, u] = w
+    dist = bfs_distances(g, 0)
+    assert min(dist) >= 0, "connected graphs only"
+    part = [d % 2 for d in dist]
+    assert all(part[u] != part[v] for u, v, _ in g.edges), "bipartite graphs only"
+    size = [part.count(0), part.count(1)]
+    signed = [x for x in itertools.product((-1, 0, 1), repeat=n)
+              if any(x) and not (adj @ np.array(x)).any()]
+    root = math.isqrt(n)
+    everyone = set(range(n))
+    statements = {"part-size": set(), "part-mod4": set(), "balance": set()}
+    if root * root == n:
+        for u in range(n):
+            m = size[part[u]]
+            if any(x[u] for x in signed) and (root > m or (root - m) % 2):
+                statements["part-size"].add(u)
+    p1, p2 = size[0] % 4, size[1] % 4
+    if signed and not (p1 == p2 and p1 in (0, 2)):
+        statements["part-mod4"] = everyone
+    if 2 * min(size) ** 2 < n:
+        statements["balance"] = everyone
+    return statements
+
+
 def reference_surd_offsets(values, tol):
     """The pair loop that the candidate offsets of surd recognition came
     from, kept as their reference: round(x + y) over every pair i <= j
@@ -462,10 +503,10 @@ def reference_eigenvector_inequality(facts, u):
     margin being the witness; where none does, the first signed kernel
     vector nonzero at u with n > nnz^2; near-ties for the best gap keep the
     lowest eigenvalue.  Builds the verdict by hand, with no qmix rule code."""
-    from qmix import CertificateVerdict, Tier, Verdict
+    from qmix import CertificateVerdict, Verdict
 
     def verdict(kind, **witness):
-        return CertificateVerdict(rule_id="eigenvector-inequality", tier=Tier.STRICT,
+        return CertificateVerdict(rule_id="eigenvector-inequality",
                                   verdict=kind, scope=("vertex", u),
                                   witness=tuple(witness.items()))
 
@@ -499,19 +540,18 @@ def reference_eigenvector_inequality(facts, u):
 
 def reference_report_summary(report):
     """The three separate walks over a certificate report that its one-pass
-    summary replaces, kept as the reference: whether a strict rule fired at
-    graph scope or at some vertex, the sorted ids of every rule that fired
-    anywhere, and the vertices at which no strict rule fired."""
-    from qmix import Tier
+    summary replaces, kept as the reference: whether a rule fired at graph
+    scope or at some vertex, the sorted ids of every rule that fired
+    anywhere, and the vertices at which no rule fired."""
 
-    def strict_fired(verdicts):
-        return any(v.fired and v.tier is Tier.STRICT for v in verdicts)
+    def any_fired(verdicts):
+        return any(v.fired for v in verdicts)
 
-    ruled_out = strict_fired(report.graph_verdicts) or any(
-        strict_fired(vs) for _, vs in report.vertex_verdicts)
+    ruled_out = any_fired(report.graph_verdicts) or any(
+        any_fired(vs) for _, vs in report.vertex_verdicts)
     fired = {v.rule_id for v in report.graph_verdicts if v.fired}
     fired.update(v.rule_id for _, vs in report.vertex_verdicts for v in vs if v.fired)
-    survivors = tuple(u for u, vs in report.vertex_verdicts if not strict_fired(vs))
+    survivors = tuple(u for u, vs in report.vertex_verdicts if not any_fired(vs))
     return ruled_out, sorted(fired), survivors
 
 

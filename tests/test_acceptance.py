@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
-from qmix import (HadamardKind, MatrixKind, Tier, WeightClass,
+from qmix import (HadamardKind, MatrixKind, WeightClass,
                   WeightedGraph, bipartition, cert_pendant_pair, certify_graph,
                   check_real_target_period, collect_facts, decompose_graph, empirical_inf,
                   hadamard_classify, is_periodic_vertex, mixing_deviation,
@@ -42,10 +42,9 @@ def dec_of(g, kind=MatrixKind.ADJACENCY):
 
 
 def strict_fired_anywhere(report):
-    if any(v.fired and v.tier is Tier.STRICT for v in report.graph_verdicts):
+    if any(v.fired for v in report.graph_verdicts):
         return True
-    return any(v.fired and v.tier is Tier.STRICT
-               for _, vs in report.vertex_verdicts for v in vs)
+    return any(v.fired for _, vs in report.vertex_verdicts for v in vs)
 
 
 def test_criterion_01_k2_uniform_mixing():

@@ -1,9 +1,7 @@
-import enum
+import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
-from typing import get_type_hints
 from unittest import mock
 
 import networkx as nx
@@ -13,30 +11,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmix.certificates
-from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, CertifyOptions, MatrixKind,
-                  Tier, TwinKind, TwinSubgraphWitness, Verdict, WeightClass, WeightedGraph,
-                  cert_bipartite_balance, cert_bipartite_global, cert_bipartite_parity,
-                  cert_connectivity, cert_degree_A_c4free, cert_degree_LQ,
-                  cert_eigenvector_inequality, cert_kernel_part_size, cert_kernel_vector,
-                  cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs, cert_twins,
-                  certify_graph, certify_vertex, collect_facts, decompose_graph,
-                  find_twin_pairs, parse_graph6, search_twin_subgraphs, subdivide)
+from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, MatrixKind, TwinKind,
+                  TwinSubgraphWitness, Verdict, WeightClass, WeightedGraph,
+                  cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
+                  cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
+                  cert_kernel_vector, cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs,
+                  cert_twins, certify_graph, certify_vertex, collect_facts, decompose_graph,
+                  find_twin_pairs, parse_graph6, scan_uniform, search_twin_subgraphs, subdivide)
 from qmix.certificates import verdicts_by_scope
 from qmix.graphs import (TwinSearchResult, degrees, is_connected, is_tree,
                          verify_twin_subgraphs)
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
                       cycle, hypercube, path, planted_true_pair, rational_matrix,
-                      random_connected_graph, random_tree, reference_eigenvector_inequality,
-                      reference_exact_kernel, reference_family_bounds, reference_report_summary,
-                      star)
+                      random_connected_graph, random_tree, reference_asserted_statements,
+                      reference_eigenvector_inequality, reference_exact_kernel,
+                      reference_family_bounds, reference_report_summary, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
     return decompose_graph(g, kind)
 
 
-def facts_of(g, kind=MatrixKind.ADJACENCY, dec=None, **opts):
-    return collect_facts(g, dec, kind, CertifyOptions(**opts))
+def facts_of(g, kind=MatrixKind.ADJACENCY, dec=None):
+    return collect_facts(g, dec, kind)
 
 
 def fired(verdicts, rule):
@@ -450,13 +447,6 @@ def test_kernel_vector_star_inconclusive():
     assert at(cert_kernel_vector(facts_of(g)), 1)[0].verdict is Verdict.INCONCLUSIVE
 
 
-def test_kernel_vector_star_asserted_tier_reports_literal_form():
-    g = star(4)
-    asserted = at(cert_kernel_part_size(facts_of(g)), 1)
-    assert len(asserted) == 1 and asserted[0].verdict is Verdict.RULED_OUT
-    assert asserted[0].tier is Tier.PAPER_ASSERTED
-
-
 def test_kernel_vector_p3_endpoint():
     g = path(3)
     v = at(cert_kernel_vector(facts_of(g)), 0)[0]
@@ -495,12 +485,23 @@ def test_bipartite_global_subdivided_trees(rng):
 
 
 def test_bipartite_global_star_strict_passes():
-    facts = facts_of(star(4))
-    strict = cert_bipartite_global(facts)
-    assert all(v.tier is Tier.STRICT and not v.fired for v in strict)
-    asserted = cert_bipartite_balance(facts)
-    assert all(v.tier is Tier.PAPER_ASSERTED for v in asserted)
-    assert any(v.rule_id == "bipartite-balance" and v.fired for v in asserted)
+    assert not any(v.fired for v in cert_bipartite_global(facts_of(star(4))))
+
+
+def test_asserted_statements_fire_on_the_mixing_star():
+    """Each literal part-size, part-congruence and balance statement rules
+    out vertices of K1,3 under A, which mixes at 2 pi/(3 sqrt 3); so none is
+    a rule, and the strict forms keep every vertex."""
+    g = star(4)
+    assert reference_asserted_statements(g) == {
+        "part-size": {1, 2, 3}, "part-mod4": {0, 1, 2, 3}, "balance": {0, 1, 2, 3}}
+    dec = dec_of(g)
+    [detection] = scan_uniform(dec, 2.0).detections
+    assert abs(detection.time - 2 * math.pi / (3 * math.sqrt(3))) < 1e-9
+    report = certify_graph(g, dec, MatrixKind.ADJACENCY)
+    assert report.surviving_vertices == (0, 1, 2, 3) and not report.graph_ruled_out
+    strict = ("bipartite-kernel-square", "bipartite-order-mod4", "bipartite-singular-square")
+    assert {v.rule_id for v in table_verdicts(facts_of(g, dec=dec))} >= set(strict)
 
 
 def test_bipartite_global_small_orders_exempt():
@@ -607,35 +608,22 @@ def test_soundness_regression_strict_tier():
 WALK_MATRICES = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN)
 
 
-def every_certify_options():
-    """CertifyOptions at every combination of its fields' values; a field of
-    a type with no listed values fails here, so no option escapes the
-    soundness tests."""
-    hints = get_type_hints(CertifyOptions)
-    names = [f.name for f in fields(CertifyOptions)]
-    values = []
-    for name in names:
-        kind = hints[name]
-        assert kind is bool or issubclass(kind, enum.Enum), (name, kind)
-        values.append((False, True) if kind is bool else tuple(kind))
-    return [CertifyOptions(**dict(zip(names, combo))) for combo in product(*values)]
-
-
 def test_strict_tier_silent_under_every_matrix():
     # regular graphs: L = dI - A and Q = dI + A mix wherever A does
-    # and so do K1 and K2 with any edge weight; under every option
+    # and so do K1 and K2 with any edge weight
     weighted_k2 = (WeightedGraph.build(2, [(0, 1, 3)]), WeightedGraph.build(2, [(0, 1, 2.5)]))
-    for opts in every_certify_options():
-        for g in (complete(1), complete(2), complete(3), complete(4), cube_q3(), cycle(4),
-                  cycle(5)) + weighted_k2:
-            for kind in WALK_MATRICES:
-                report = certify_graph(g, dec_of(g, kind), kind, opts)
-                assert not report.graph_ruled_out, (opts, g, kind, report.fired_rules())
-                assert report.surviving_vertices == tuple(range(g.n)), (opts, g, kind)
-        # |U(pi/4) e_0| is flat at the 4-star centre under both Laplacians
-        for kind in WALK_MATRICES[1:]:
-            report = certify_graph(star(4), dec_of(star(4), kind), kind, opts)
-            assert 0 in report.surviving_vertices, (opts, kind, report.verdicts_for(0))
+    for g in (complete(1), complete(2), complete(3), complete(4), cube_q3(), cycle(4),
+              cycle(5)) + weighted_k2:
+        for kind in WALK_MATRICES:
+            report = certify_graph(g, dec_of(g, kind), kind)
+            assert not report.graph_ruled_out, (g, kind, report.fired_rules())
+            assert report.surviving_vertices == tuple(range(g.n)), (g, kind)
+    # the 4-star mixes under A, and |U(pi/4) e_0| is flat at its centre
+    # under both Laplacians
+    for kind in WALK_MATRICES:
+        report = certify_graph(star(4), dec_of(star(4), kind), kind)
+        survivors = (0, 1, 2, 3) if kind is MatrixKind.ADJACENCY else (0,)
+        assert set(survivors) <= set(report.surviving_vertices), (kind, report.fired_rules())
 
 
 # regular graphs that mix under A (at pi/4 or 2 pi/9), so under L and Q too
@@ -703,11 +691,11 @@ def _integer_union(draw):
     return WeightedGraph.build(n, edges)
 
 
-def _with_exact_pool(g, dec, kind, opts, tol):
+def _with_exact_pool(g, dec, kind, tol):
     """The facts with an exact kernel, and so a signed pool, under every
     matrix, the kernel from the rational elimination oracle."""
     basis = reference_exact_kernel(g, kind)
-    return replace(collect_facts(g, dec, kind, opts, tol), kernel_basis=basis,
+    return replace(collect_facts(g, dec, kind, tol), kernel_basis=basis,
                    signed_truncated=len(basis) > tol.signed_budget)
 
 
@@ -770,16 +758,14 @@ def test_verdicts_follow_rule_table(rng):
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
         for kind in WALK_MATRICES:
-            report = certify_graph(g, dec_of(g, kind), kind,
-                                   CertifyOptions(tier=Tier.PAPER_ASSERTED))
+            report = certify_graph(g, dec_of(g, kind), kind)
             for vs in [report.graph_verdicts] + [vs for _, vs in report.vertex_verdicts]:
                 rows = [row_of[v.rule_id] for v in vs]
                 assert rows == sorted(rows)
 
 
-@pytest.mark.parametrize("tier", [Tier.STRICT, Tier.PAPER_ASSERTED])
 @pytest.mark.parametrize("kind", WALK_MATRICES)
-def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind, tier):
+def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind):
     calls = Counter()
 
     def counted(row):
@@ -790,11 +776,10 @@ def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind, tier):
 
     monkeypatch.setattr(qmix.certificates, "RULES", tuple(counted(row) for row in RULES))
     g = random_tree(np.random.default_rng(9), 9)  # unit weights and bipartite
-    report = certify_graph(g, dec_of(g, kind), kind, CertifyOptions(tier=tier))
+    report = certify_graph(g, dec_of(g, kind), kind)
     assert len(report.vertex_verdicts) == 9
     # so the walk alone decides which rows apply; the others are never evaluated
-    assert calls == {row.ids: 1 for row in RULES if kind in row.walks
-                     and (row.tier is Tier.STRICT or tier is Tier.PAPER_ASSERTED)}
+    assert calls == {row.ids: 1 for row in RULES if kind in row.walks}
 
 
 WEIGHT_CLASSES = (WeightClass.UNIT, WeightClass.INTEGER, WeightClass.REAL)
@@ -821,7 +806,7 @@ def test_rule_rows_run_only_where_declared(monkeypatch, row):
         for weights in WEIGHT_CLASSES:
             for bip, (n, edges) in graphs.items():
                 g = _weighted(n, edges, weights)
-                facts = facts_of(g, kind, tier=Tier.PAPER_ASSERTED)
+                facts = facts_of(g, kind)
                 assert facts.bip.present is bip and g.weight_class is weights
                 admitted = (kind in row.walks and (bip or not row.bipartite)
                             and WEIGHT_CLASSES.index(weights) <= WEIGHT_CLASSES.index(row.weights))
@@ -834,9 +819,7 @@ def test_rule_rows_run_only_where_declared(monkeypatch, row):
                 assert calls == [], case
                 assert all(v.verdict is Verdict.NOT_APPLICABLE
                            and v.witness == (("note", row.note),) for v in verdicts), case
-                if row.tier is not Tier.STRICT:
-                    assert verdicts == [], case
-                elif row.scope == "graph":
+                if row.scope == "graph":
                     assert [(v.rule_id, v.scope) for v in verdicts] == \
                         [(row.ids[0], ("graph", None))], case
                 else:
@@ -847,8 +830,8 @@ def test_rule_rows_run_only_where_declared(monkeypatch, row):
 def test_generated_not_applicable_notes():
     # the notes that the evaluators wrote before the table generated them
     notes = {row.ids[0]: row.note for row in RULES
-             if row.tier is Tier.STRICT and (row.walks != set(MatrixKind) or row.bipartite
-                                             or row.weights is not WeightClass.REAL)}
+             if row.walks != set(MatrixKind) or row.bipartite
+             or row.weights is not WeightClass.REAL}
     assert notes == {
         "degree-vs-average-LQ": "requires a Laplacian walk on a unit-weight graph",
         "degree-common-neighbors-A": "requires a unit-weight graph under the adjacency walk",
@@ -873,11 +856,10 @@ def test_one_pass_summary_matches_the_three_walks():
     for g in _summary_cases():
         for kind in WALK_MATRICES:
             dec = dec_of(g, kind)
-            for tier in (Tier.STRICT, Tier.PAPER_ASSERTED):
-                report = certify_graph(g, dec, kind, CertifyOptions(tier=tier))
-                assert (report.graph_ruled_out, report.fired_rules(),
-                        report.surviving_vertices) == reference_report_summary(report), (
-                    g.edges, kind, tier)
+            report = certify_graph(g, dec, kind)
+            assert (report.graph_ruled_out, report.fired_rules(),
+                    report.surviving_vertices) == reference_report_summary(report), (
+                g.edges, kind)
 
 
 def test_shared_noted_rows_equal_fresh_records(monkeypatch):
@@ -890,7 +872,7 @@ def test_shared_noted_rows_equal_fresh_records(monkeypatch):
     assert len(rows) >= 8
     for (rule, verdict, note), row in rows.items():
         assert 0 < len(row) <= big_fi().n
-        assert row == tuple(CertificateVerdict(rule, Tier.STRICT, verdict, ("vertex", u),
+        assert row == tuple(CertificateVerdict(rule, verdict, ("vertex", u),
                                                (("note", note),)) for u in range(len(row)))
     # the reports hold the shared records themselves, not copies
     shared = {id(v) for row in rows.values() for v in row}
@@ -950,15 +932,15 @@ def test_exact_kernel_is_skipped_where_the_spectrum_proves_a_nonsingular(monkeyp
 
 
 def test_verdict_record_is_an_immutable_hashable_tuple():
-    fields = ("twin-vertex", Tier.STRICT, Verdict.RULED_OUT, ("vertex", 3), (("twin", 4),))
-    v = CertificateVerdict(rule_id="twin-vertex", tier=Tier.STRICT, verdict=Verdict.RULED_OUT,
+    fields = ("twin-vertex", Verdict.RULED_OUT, ("vertex", 3), (("twin", 4),))
+    v = CertificateVerdict(rule_id="twin-vertex", verdict=Verdict.RULED_OUT,
                            scope=("vertex", 3), witness=(("twin", 4),))
     with pytest.raises(AttributeError):
         v.verdict = Verdict.INCONCLUSIVE
     same = CertificateVerdict(*fields)
     assert v == same and hash(v) == hash(same) and len({v, same}) == 1
     assert v == fields and tuple(v) == fields
-    assert CertificateVerdict(*fields[:4]).witness == ()
+    assert CertificateVerdict(*fields[:3]).witness == ()
     for verdict in Verdict:
         assert v._replace(verdict=verdict).fired is (verdict is Verdict.RULED_OUT)
 
@@ -1020,19 +1002,9 @@ def test_monotone_aggregation(rng):
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
         report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
-        vertex_fired = any(v.fired and v.tier is Tier.STRICT
-                           for _, vs in report.vertex_verdicts for v in vs)
+        vertex_fired = any(v.fired for _, vs in report.vertex_verdicts for v in vs)
         if vertex_fired:
             assert report.graph_ruled_out
-
-
-def test_paper_tier_included_on_request():
-    g = star(4)
-    report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY,
-                           CertifyOptions(tier=Tier.PAPER_ASSERTED))
-    assert any(v.tier is Tier.PAPER_ASSERTED for v in report.graph_verdicts)
-    strict_only = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
-    assert all(v.tier is Tier.STRICT for v in strict_only.graph_verdicts)
 
 
 def test_cross_rule_consistency_kernel_vs_eigenvector(rng):

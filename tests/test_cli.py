@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 import qmix.cli
 import qmix.graphs
-from qmix import CertifyOptions, DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
+from qmix import DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
 from qmix.cli import _batch_chunk, main
 from qmix.walk import deviation_profile
@@ -80,14 +82,6 @@ def test_certify_graph_level_p7(tmp_path, capsys):
     code, doc = run_json(capsys, ["certify", str(p)])
     assert code == 0
     assert doc["certificates"]["graph_ruled_out"] is True
-
-
-def test_certify_paper_tier_flag(tmp_path, capsys):
-    p = write_star_g6(tmp_path)
-    code, doc = run_json(capsys, ["certify", str(p), "--tier", "paper"])
-    assert code == 0
-    tiers = {v["tier"] for v in doc["certificates"]["graph_verdicts"]}
-    assert "asserted" in tiers
 
 
 def test_search_command(tmp_path, capsys):
@@ -290,15 +284,34 @@ def test_tolerance_flags_keep_the_exit_code_contract(tmp_path_factory, capsys,
     # a support cut above every ||E_k e_u|| leaves a vertex an empty support
     directory = tmp_path_factory.mktemp("graphs")
     flags = ["--tol-supp", repr(supp), "--tol-group", repr(group), "--tol-detect", repr(detect)]
+    commands = (["spectrum"], ["certify"], ["search", "--tmax", "2"],
+                ["search", "--tmax", "2", "--vertex", "0"])
     for name, gnx in (("k4", nx.complete_graph(4)), ("p3", nx.path_graph(3)),
-                      ("star4", nx.star_graph(3))):
+                      ("star4", nx.star_graph(3)), ("e2", nx.empty_graph(2))):
         p = directory / f"{name}.g6"
         p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
-        for command in ("spectrum", "certify"):
+        for command, *options in commands:
             for matrix in ("adjacency", "laplacian"):
-                argv = [command, str(p), "--matrix", matrix, *flags]
+                argv = [command, str(p), "--matrix", matrix, *options, *flags]
                 assert main(argv) in (0, 1, 2), argv
                 assert "Traceback" not in capsys.readouterr().err, argv
+
+
+def test_search_detects_only_below_one_over_n(tmp_path, capsys):
+    # the two isolated vertices never mix; a loose --tol-detect once took
+    # their minima for detections and failed on the zero column entries
+    p = tmp_path / "e2.g6"
+    p.write_text("A?\n")
+    for scope in ([], ["--vertex", "0"]):
+        code, doc = run_json(capsys, ["search", str(p), "--tol-detect", "10", *scope])
+        assert code == 0, scope
+        assert doc["mixing"]["detections"] == [] and doc["mixing"]["minima"], scope
+    # K2 mixes at pi/4, and its detection stays
+    p.write_text("A_\n")
+    code, doc = run_json(capsys, ["search", str(p), "--tol-detect", "10", "--tmax", "1"])
+    assert code == 0
+    assert [round(d["time"], 12) for d in doc["mixing"]["detections"]] == \
+        [round(math.pi / 4, 12)]
 
 
 def test_assert_planar_is_a_usage_error(tmp_path, capsys):
@@ -308,6 +321,16 @@ def test_assert_planar_is_a_usage_error(tmp_path, capsys):
         assert main([command, target, "--assert-planar"]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("qmix: usage error:") and "--assert-planar" in err, command
+        assert "Traceback" not in err
+
+
+def test_tier_is_a_usage_error(tmp_path, capsys):
+    # every rule is strict; the asserted tier and its flag are gone
+    p = write_star_g6(tmp_path)
+    for argv in (["certify", str(p), "--tier", "paper"], ["batch", str(tmp_path), "--tier", "strict"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("qmix: usage error:") and "--tier" in err, argv
         assert "Traceback" not in err
 
 
@@ -378,9 +401,9 @@ def test_usage_error_unknown_flag(capsys):
 
 def test_determinism_byte_identical(tmp_path, capsys):
     p = write_star_g6(tmp_path)
-    main(["certify", str(p), "--tier", "paper"])
+    main(["certify", str(p)])
     first = capsys.readouterr().out
-    main(["certify", str(p), "--tier", "paper"])
+    main(["certify", str(p)])
     second = capsys.readouterr().out
     assert first == second
 
@@ -643,7 +666,7 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
 
 def test_batch_entry_reports_truncation():
     line = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode().strip()
-    task = ("paths.g6", [(1, line)], MatrixKind.ADJACENCY, CertifyOptions(), DEFAULT_TOLERANCES)
+    task = ("paths.g6", [(1, line)], MatrixKind.ADJACENCY, DEFAULT_TOLERANCES)
     [entry] = _batch_chunk(task)
     assert entry["twin_search_truncated"] is False
     assert entry["signed_enumeration_truncated"] is False
@@ -722,3 +745,14 @@ if __name__ == "__main__":
         rows = atlas6_entries(Path(tmp))
     ATLAS6_PIN.write_text("".join(json.dumps(e) + "\n" for e in rows))
     print(f"wrote {len(rows)} entries to {ATLAS6_PIN}", file=sys.stderr)
+
+
+def test_readme_command_line_names_every_flag_and_no_other():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    [commands] = [a for a in qmix.cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for parser in commands.choices.values() for action in parser._actions
+             for s in action.option_strings if s.startswith("--")}
+    assert documented == flags - {"--help"}  # argparse adds --help to each command

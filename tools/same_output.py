@@ -8,10 +8,10 @@ directory that both runs read, so the paths that `batch` prints agree.  The
 matrix of commands:
 
 - `batch` over the atlas corpus (every atlas graph with 2-7 vertices) under
-  each walk matrix, at both tiers, and once with `--jobs 2`;
+  each walk matrix, and once with `--jobs 2`;
 - `batch` over the mid-size graph6 inputs (five graphs, 23-64 vertices)
   under each walk matrix;
-- `certify` on each mid-size input under each walk matrix, at both tiers;
+- `certify` on each mid-size input under each walk matrix;
 - `spectrum` on each mid-size input under each walk matrix;
 - `spectrum` under each walk matrix on three edge lists that this tool
   writes (see `own_inputs`), and `certify --matrix adjacency` on the first
@@ -48,18 +48,16 @@ import networkx as nx  # noqa: E402
 SEED = 1
 VERDICT_KEYS = ("graph_ruled_out", "surviving_vertices")
 MATRICES = ("adjacency", "laplacian", "signless")
-TIERS = ("strict", "paper")
 
 
 def command_matrix(work: Path) -> list[list[str]]:
     atlas = inputs.generate(work, "atlas-batch", SEED)["atlas"]["dir"]
     midsize = inputs.generate(work, "analyze-midsize", SEED)["midsize"]
-    argvs = [["batch", atlas, "--matrix", m, "--tier", t] for m in MATRICES for t in TIERS]
+    argvs = [["batch", atlas, "--matrix", m] for m in MATRICES]
     argvs.append(["batch", atlas, "--jobs", "2"])
     argvs += [["batch", str(Path(midsize[0]["file"]).parent), "--matrix", m] for m in MATRICES]
     for item in midsize:
-        argvs += [["certify", item["file"], "--matrix", m, "--tier", t]
-                  for m in MATRICES for t in TIERS]
+        argvs += [["certify", item["file"], "--matrix", m] for m in MATRICES]
         argvs += spectra(item["file"])
     dense, twinned, shared = own_inputs(work)
     for path in (dense, twinned):
