@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, MatrixKind,
                      PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
                      attach_pendants, bipartition, common_neighbors, cycle_flags,
-                     cyclomatic_index, degree_stats, find_twin_pairs, is_caterpillar,
-                     is_connected, is_tree, matrix_of, parse_graph6, parse_weighted_edgelist,
+                     cyclomatic_index, degree_stats, find_twin_pairs, is_connected,
+                     is_tree, matrix_of, parse_graph6, parse_weighted_edgelist,
                      pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
                      verify_twin_subgraphs)
 from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectralError,
@@ -26,7 +26,6 @@ from .periodicity import (PeriodicityStatus, PeriodicityVerdict, RatioConditionR
 from .certificates import (RULES, CertificateReport, CertificateVerdict, GraphFacts, Verdict,
                            cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
                            cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
-                           cert_kernel_vector, cert_pendant_pair, cert_tree_suite,
-                           cert_twin_subgraphs, cert_twins, certify_graph, certify_vertex,
-                           collect_facts)
+                           cert_kernel_vector, cert_pendant_pair, cert_twin_subgraphs,
+                           cert_twins, certify_graph, certify_vertex, collect_facts)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

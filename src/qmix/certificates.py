@@ -6,7 +6,11 @@ strict: it uses exact integer/rational arithmetic, or floating inequalities
 padded by an explicit safety margin, and is regression-tested against the
 known mixing instances.  The paper's literal part-size, part-congruence
 and balance statements for bipartite graphs are not rules: each one fires
-on the 4-vertex star, which mixes (README, Certificate tiers).
+on the 4-vertex star, which mixes.  Nor are its parity and pattern
+statements for paths, trees, caterpillars and bipartite unicyclic graphs,
+or its even-square order for singular bipartite graphs: each fires only
+where another rule of the same walk already does (README, Certificate
+tiers).
 
 Each rule reads the `GraphFacts` of one (graph, matrix) pair, runs once per
 graph and returns all of its verdicts, each scoped to the graph or to one
@@ -30,10 +34,9 @@ import numpy as np
 
 from .graphs import (MAX_VERTICES, Bipartition, CycleFlags, DegreeStats, MatrixKind,
                      PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
-                     bipartition, connected_components, cycle_flags,
-                     degree_stats, find_twin_pairs, is_caterpillar,
-                     pendant_pairs_with_common_neighbor, search_twin_subgraphs,
-                     verify_twin_subgraphs)
+                     bipartition, connected_components, cycle_flags, degree_stats,
+                     find_twin_pairs, pendant_pairs_with_common_neighbor,
+                     search_twin_subgraphs, verify_twin_subgraphs)
 from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
                        nonsingular_by_spectrum, signed_kernel_vectors)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -395,94 +398,17 @@ def cert_kernel_vector(facts: GraphFacts) -> list[CertificateVerdict]:
 
 
 def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Graph-level bipartite obstructions for the adjacency walk.
-
-    On more than two vertices the order must be divisible by four, and on
-    more than one a singular integer-weighted bipartite graph needs an even
-    perfect square order.  (Orders one and two are genuine exceptions: the
-    single vertex, which is singular, and the weighted single edge both mix.)
-    """
+    """A bipartite adjacency walk on more than two vertices needs an order
+    divisible by four.  (Orders one and two are genuine exceptions: the
+    single vertex and the weighted single edge both mix.)  The paper's
+    even-square order for singular bipartite graphs is not a rule: wherever
+    it fires, this rule, `connectivity` or `bipartite-kernel-square` does
+    (README, Certificate tiers)."""
     n = facts.n
     if n > 2 and n % 4 != 0:
-        out = [_graph("bipartite-order-mod4", Verdict.RULED_OUT, n=n, remainder=n % 4)]
-    else:
-        out = [_graph("bipartite-order-mod4", Verdict.INCONCLUSIVE, n=n,
-                      note="orders one and two mix" if n <= 2 else None)]
-    if facts.kernel_basis:
-        root = math.isqrt(n)
-        singular_ok = n == 1 or (root * root == n and n % 2 == 0)
-        out.append(_graph("bipartite-singular-square",
-                          Verdict.INCONCLUSIVE if singular_ok else Verdict.RULED_OUT,
-                          n=n, kernel_dimension=len(facts.kernel_basis),
-                          note="order one mixes" if n == 1 else None))
-    return out
-
-
-def cert_tree_suite(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Graph-level parity and pattern rules for connected unit-weight trees
-    and bipartite unicyclic graphs under the adjacency walk; where none of
-    them applies, one `tree-suite` verdict that says why."""
-    if not facts.connected:
-        return [_graph("tree-suite", Verdict.NOT_APPLICABLE, note="disconnected")]
-    out: list[CertificateVerdict] = []
-    g = facts.g
-    tree = g.edge_count == g.n - 1
-    unicyclic = g.edge_count == g.n
-    n = g.n
-    deg = facts.stats.deg
-    count23 = sum(1 for d in deg if d % 4 in (2, 3))
-
-    if tree and n >= 3 and sorted(deg) == [1, 1] + [2] * (n - 2):
-        out.append(_graph("path-graph", Verdict.RULED_OUT, n=n))
-
-    if tree and n >= 5 and n % 2 == 0:
-        verdict = Verdict.RULED_OUT if count23 % 2 == 0 else Verdict.INCONCLUSIVE
-        out.append(_graph("tree-degree-parity", verdict, count_deg_2_3_mod4=count23, n=n))
-
-    if unicyclic and facts.bip.present and n % 2 == 0 and any(d != 2 for d in deg):
-        bad = (count23 % 2 == 0) != (n % 4 == 0)
-        out.append(_graph("unicyclic-degree-parity",
-                          Verdict.RULED_OUT if bad else Verdict.INCONCLUSIVE,
-                          count_deg_2_3_mod4=count23, n_mod4=n % 4))
-
-    if tree and n >= 5 and n % 2 == 0 and is_caterpillar(g):
-        pendants = sum(1 for d in deg if d == 1)
-        if pendants % 2 == 0:
-            out.append(_graph("caterpillar-pendant-parity", Verdict.RULED_OUT,
-                              route="even-pendants", pendants=pendants))
-        else:
-            out.append(_graph("caterpillar-pendant-parity", Verdict.INCONCLUSIVE,
-                              pendants=pendants))
-
-    if tree:
-        inner = _pendant_tree_pattern(g, deg)
-        if inner is not None:
-            verdict = Verdict.RULED_OUT if all(d % 4 in (1, 2) for d in inner) \
-                else Verdict.INCONCLUSIVE
-            out.append(_graph("pendant-tree-pattern", verdict, inner_degrees=tuple(sorted(inner))))
-    return out or [_graph("tree-suite", Verdict.INCONCLUSIVE,
-                          note="no tree or unicyclic rule applies")]
-
-
-def _pendant_tree_pattern(g: WeightedGraph, deg) -> list[int] | None:
-    """If g is a tree obtained from a smaller tree by attaching one pendant
-    to every vertex, return the inner tree's degree list (in g minus one)."""
-    n = g.n
-    if n < 4 or n % 2 != 0:
-        return None
-    pendants = [v for v in range(n) if deg[v] == 1]
-    if len(pendants) != n // 2:
-        return None
-    inner = [v for v in range(n) if deg[v] > 1]
-    attached = set()
-    for p in pendants:
-        host = next(iter(g.neighbourhoods[p]))
-        if deg[host] == 1 or host in attached:
-            return None
-        attached.add(host)
-    if len(attached) != len(inner):
-        return None
-    return [deg[v] - 1 for v in inner]
+        return [_graph("bipartite-order-mod4", Verdict.RULED_OUT, n=n, remainder=n % 4)]
+    return [_graph("bipartite-order-mod4", Verdict.INCONCLUSIVE, n=n,
+                   note="orders one and two mix" if n <= 2 else None)]
 
 
 def cert_pendant_pair(facts: GraphFacts) -> list[CertificateVerdict]:
@@ -571,11 +497,8 @@ RULES = (
          cert_degree_A_c4free, _ADJ, _UNIT),
     Rule(("bipartite-degree-parity",), cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
     Rule(("pendant-pair",), cert_pendant_pair),
-    Rule(("tree-suite", "path-graph", "tree-degree-parity", "unicyclic-degree-parity",
-          "caterpillar-pendant-parity", "pendant-tree-pattern"),
-         cert_tree_suite, _ADJ, _UNIT, scope=GRAPH_SCOPE),
-    Rule(("bipartite-order-mod4", "bipartite-singular-square"),
-         cert_bipartite_global, _ADJ, bipartite=True, scope=GRAPH_SCOPE),
+    Rule(("bipartite-order-mod4",), cert_bipartite_global, _ADJ, bipartite=True,
+         scope=GRAPH_SCOPE),
     Rule(("bipartite-kernel-square",), cert_kernel_vector, _ADJ, _INT, bipartite=True),
     Rule(("twin-subgraph",), cert_twin_subgraphs),
     Rule(("eigenvector-inequality",), cert_eigenvector_inequality),

@@ -774,7 +774,7 @@ def _as_weight(x: Weight) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# Pendant structure and caterpillars
+# Pendant structure
 
 @dataclass(frozen=True)
 class PendantPair:
@@ -797,21 +797,3 @@ def pendant_pairs_with_common_neighbor(g: WeightedGraph) -> list[PendantPair]:
         for u, w in combinations(pend, 2):
             out.append(PendantPair(u=u, w=w, v=v, alpha=nbrs[v][u], beta=nbrs[v][w]))
     return out
-
-
-def is_caterpillar(g: WeightedGraph) -> bool:
-    """True when deleting all pendant vertices of a tree leaves a path.
-
-    An empty or single-vertex remainder counts as a path, so stars are
-    caterpillars.
-    """
-    if not is_tree(g):
-        raise ValueError("caterpillar test requires a tree")
-    deg = degrees(g)
-    keep = [v for v in range(g.n) if deg[v] > 1]
-    if len(keep) <= 1:
-        return True
-    kset = set(keep)
-    nbrs = g.neighbourhoods
-    inner_deg = [sum(1 for x in nbrs[v] if x in kset) for v in keep]
-    return max(inner_deg) <= 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -416,6 +416,98 @@ def reference_asserted_statements(g: WeightedGraph) -> dict[str, set[int]]:
     if 2 * min(size) ** 2 < n:
         statements["balance"] = everyone
     return statements
+
+
+def _unit_degrees(g: WeightedGraph) -> list[int]:
+    deg = [0] * g.n
+    for u, v, _ in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def is_caterpillar(g: WeightedGraph) -> bool:
+    """True when deleting all pendant vertices of a tree leaves a path; an
+    empty or single-vertex remainder counts as a path, so stars are
+    caterpillars."""
+    if g.edge_count != g.n - 1 or min(bfs_distances(g, 0)) < 0:
+        raise ValueError("caterpillar test requires a tree")
+    deg = _unit_degrees(g)
+    inner = {v for v in range(g.n) if deg[v] > 1}
+    inner_deg = Counter(x for u, v, _ in g.edges if u in inner and v in inner for x in (u, v))
+    return max(inner_deg.values(), default=0) <= 2
+
+
+def pendant_tree_pattern(g: WeightedGraph) -> list[int] | None:
+    """If the tree g is a corona, a smaller tree with one pendant attached to
+    each of its vertices, the inner tree's degree list (in g, minus one)."""
+    n, deg = g.n, _unit_degrees(g)
+    if n < 4 or n % 2 or deg.count(1) != n // 2:
+        return None
+    hosts = [v if deg[u] == 1 else u for u, v, _ in g.edges if 1 in (deg[u], deg[v])]
+    if any(deg[h] == 1 for h in hosts) or len(set(hosts)) != n // 2:
+        return None
+    return [d - 1 for d in deg if d > 1]
+
+
+def reference_tree_suite(g: WeightedGraph) -> set[str]:
+    """The statements of the deleted tree suite that rule out a connected
+    unit-weight graph under the adjacency walk, kept as the oracle for the
+    proof that each one restates `bipartite-degree-parity` or `twin-vertex`
+    (README, Certificate tiers).  With c the number of vertices whose degree
+    is 2 or 3 mod 4:
+
+    - path-graph: the path P_n with n >= 3;
+    - tree-degree-parity: a tree with even n >= 5 and c even;
+    - caterpillar-pendant-parity: a caterpillar with even n >= 5 and an
+      even number of pendants;
+    - pendant-tree-pattern: a corona whose inner tree has every degree 1
+      or 2 mod 4;
+    - unicyclic-degree-parity: a bipartite unicyclic graph, not a cycle,
+      with even n and c even iff n = 2 mod 4."""
+    n, m = g.n, g.edge_count
+    if min(bfs_distances(g, 0)) < 0:
+        return set()
+    deg = _unit_degrees(g)
+    c = sum(1 for d in deg if d % 4 in (2, 3))
+    tree = m == n - 1
+    fired = set()
+    if tree and n >= 3 and sorted(deg) == [1, 1] + [2] * (n - 2):
+        fired.add("path-graph")
+    if tree and n >= 5 and n % 2 == 0:
+        if c % 2 == 0:
+            fired.add("tree-degree-parity")
+        if is_caterpillar(g) and deg.count(1) % 2 == 0:
+            fired.add("caterpillar-pendant-parity")
+    inner = pendant_tree_pattern(g) if tree else None
+    if inner is not None and all(d % 4 in (1, 2) for d in inner):
+        fired.add("pendant-tree-pattern")
+    if (m == n and reference_bipartite(g) and n % 2 == 0 and any(d != 2 for d in deg)
+            and (c % 2 == 0) != (n % 4 == 0)):
+        fired.add("unicyclic-degree-parity")
+    return fired
+
+
+def reference_bipartite(g: WeightedGraph) -> bool:
+    """Whether every component of g has a proper 2-colouring."""
+    colour = [-1] * g.n
+    for source in range(g.n):
+        if colour[source] < 0:
+            for v, d in enumerate(bfs_distances(g, source)):
+                if d >= 0:
+                    colour[v] = d % 2
+    return all(colour[u] != colour[v] for u, v, _ in g.edges)
+
+
+def reference_singular_square(g: WeightedGraph, kernel_basis) -> bool:
+    """Whether the deleted `bipartite-singular-square` rule rules out g under
+    the adjacency walk, given a basis of its integer kernel: a singular
+    bipartite graph needs n = 1 or an even perfect square n.  Kept as the
+    oracle for the proof that `bipartite-order-mod4`, `connectivity` or
+    `bipartite-kernel-square` fires wherever it does."""
+    n, root = g.n, math.isqrt(g.n)
+    return (bool(kernel_basis) and reference_bipartite(g)
+            and not (n == 1 or (root * root == n and n % 2 == 0)))
 
 
 def reference_surd_offsets(values, tol):

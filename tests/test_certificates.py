@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -15,17 +16,19 @@ from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, MatrixKind, Twi
                   TwinSubgraphWitness, Verdict, WeightClass, WeightedGraph,
                   cert_bipartite_global, cert_bipartite_parity, cert_connectivity,
                   cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
-                  cert_kernel_vector, cert_pendant_pair, cert_tree_suite, cert_twin_subgraphs,
-                  cert_twins, certify_graph, certify_vertex, collect_facts, decompose_graph,
+                  cert_kernel_vector, cert_pendant_pair, cert_twin_subgraphs, cert_twins,
+                  certify_graph, certify_vertex, collect_facts, decompose_graph,
                   find_twin_pairs, parse_graph6, scan_uniform, search_twin_subgraphs, subdivide)
 from qmix.certificates import verdicts_by_scope
 from qmix.graphs import (TwinSearchResult, degrees, is_connected, is_tree,
                          verify_twin_subgraphs)
 from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
-                      cycle, hypercube, path, planted_true_pair, rational_matrix,
-                      random_connected_graph, random_tree, reference_asserted_statements,
-                      reference_eigenvector_inequality, reference_exact_kernel,
-                      reference_family_bounds, reference_report_summary, star)
+                      cycle, hypercube, path, pendant_tree_pattern, planted_true_pair,
+                      rational_matrix, random_connected_graph, random_tree,
+                      reference_asserted_statements, reference_eigenvector_inequality,
+                      reference_exact_kernel, reference_family_bounds,
+                      reference_report_summary, reference_singular_square,
+                      reference_tree_suite, star)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -500,7 +503,7 @@ def test_asserted_statements_fire_on_the_mixing_star():
     assert abs(detection.time - 2 * math.pi / (3 * math.sqrt(3))) < 1e-9
     report = certify_graph(g, dec, MatrixKind.ADJACENCY)
     assert report.surviving_vertices == (0, 1, 2, 3) and not report.graph_ruled_out
-    strict = ("bipartite-kernel-square", "bipartite-order-mod4", "bipartite-singular-square")
+    strict = ("bipartite-kernel-square", "bipartite-order-mod4")
     assert {v.rule_id for v in table_verdicts(facts_of(g, dec=dec))} >= set(strict)
 
 
@@ -543,24 +546,39 @@ def test_pendant_pair_laplacian_needs_equal_weights():
 
 
 # ---------------------------------------------------------------------------
-# tree suite
+# tree suite and bipartite-singular-square, deleted by proof: each oracle
+# statement fires only where a rule its proof names does
+
+BDP, TV = "bipartite-degree-parity", "twin-vertex"
+PROOF_RULES = {  # statement: the rules its proof names (README, Certificate tiers)
+    "path-graph": {BDP},
+    "tree-degree-parity": {BDP, TV},
+    "caterpillar-pendant-parity": {BDP, TV},
+    "pendant-tree-pattern": {BDP},
+    "unicyclic-degree-parity": {BDP},
+    "bipartite-singular-square": {"bipartite-order-mod4", "connectivity",
+                                  "bipartite-kernel-square"},
+}
+
 
 def test_tree_suite_path6():
-    vs = cert_tree_suite(facts_of(path(6)))
-    assert any(v.rule_id == "path-graph" and v.fired for v in vs)
-    assert any(v.rule_id == "caterpillar-pendant-parity" and v.fired for v in vs)
+    g = path(6)
+    assert reference_tree_suite(g) == {"path-graph", "tree-degree-parity",
+                                       "caterpillar-pendant-parity"}
+    # n even: c = n - 2 is even and |E| odd, so every degree-2 vertex fails
+    report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
+    assert [u for u in range(6) if fired(report.verdicts_for(u), BDP)] == [1, 2, 3, 4]
 
 
 def test_tree_suite_all_odd_degrees():
     # the 8-vertex "double star": two degree-4 centers, six pendants.  A tree
     # on n >= 5 vertices with no vertex of degree 2 has two leaves on one
-    # support vertex, so `twin-vertex` rules it out and the tree suite does
-    # not repeat it
+    # support vertex, so `twin-vertex` rules it out
     g = WeightedGraph.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
                                 (1, 4, 1), (1, 5, 1), (1, 6, 1), (0, 7, 1)])
     assert 2 not in degrees(g)
     assert fired(cert_twins(facts_of(g)), "twin-vertex")
-    assert "tree-no-degree-two" not in {v.rule_id for v in cert_tree_suite(facts_of(g))}
+    assert "tree-degree-parity" in reference_tree_suite(g)
     rng = np.random.default_rng(2)
     trees = [t for t in _atlas(7) if is_tree(t)] + [random_tree(rng, n) for n in range(5, 15)
                                                      for _ in range(200)]
@@ -576,19 +594,70 @@ def test_tree_suite_all_odd_degrees():
 def test_tree_suite_pendant_tree_pattern():
     from qmix import attach_pendants
     xp4 = attach_pendants(path(4))
-    vs = cert_tree_suite(facts_of(xp4))
-    assert any(v.rule_id == "pendant-tree-pattern" and v.fired for v in vs)
+    assert pendant_tree_pattern(xp4) == [1, 2, 2, 1]
+    assert "pendant-tree-pattern" in reference_tree_suite(xp4)
+    assert pendant_tree_pattern(path(6)) is None
+    # every degree of the corona is 1, 2 or 3 mod 4, and c = n / 2
+    assert fired(certify_graph(xp4, dec_of(xp4), MatrixKind.ADJACENCY).verdicts_for(0), BDP)
 
 
 def test_tree_suite_unicyclic_parity():
-    # 6-vertex bipartite unicyclic, not a cycle: C4 with a 2-path tail
-    g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
-                                (0, 4, 1), (4, 5, 1)])
-    vs = cert_tree_suite(facts_of(g))
-    entry = next(v for v in vs if v.rule_id == "unicyclic-degree-parity")
-    # n = 6 == 2 mod 4: rule fires exactly when the deg 2,3 (mod 4) count is even
-    count = sum(1 for d in [3, 2, 2, 2, 2, 1] if d % 4 in (2, 3))
-    assert entry.fired == (count % 2 == 0)
+    # 6-vertex bipartite unicyclic graphs, not cycles: n = 2 mod 4, so the
+    # statement fires exactly when the deg 2,3 (mod 4) count c is even, and
+    # then the odd-degree vertices fail `bipartite-degree-parity`
+    tail = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+                                   (0, 4, 1), (4, 5, 1)])  # c = 5
+    two_pendants = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+                                           (0, 4, 1), (2, 5, 1)])  # c = 4
+    assert "unicyclic-degree-parity" not in reference_tree_suite(tail)
+    assert "unicyclic-degree-parity" in reference_tree_suite(two_pendants)
+    report = certify_graph(two_pendants, dec_of(two_pendants), MatrixKind.ADJACENCY)
+    assert [u for u in range(6) if fired(report.verdicts_for(u), BDP)] == [0, 2, 4, 5]
+
+
+def _bipartite_unicyclic(max_n):
+    """Every graph made by adding one edge between two vertices at odd
+    distance >= 3 to a tree with at most max_n vertices."""
+    for n in range(4, max_n + 1):
+        for t in nx.nonisomorphic_trees(n):
+            dist = dict(nx.all_pairs_shortest_path_length(t))
+            for u, v in itertools.combinations(range(n), 2):
+                if dist[u][v] >= 3 and dist[u][v] % 2:
+                    yield WeightedGraph.build(n, [(a, b, 1) for a, b in t.edges()] + [(u, v, 1)])
+
+
+def _proof_cases():
+    """Every tree with 3-12 vertices, the bipartite unicyclic graphs from
+    trees with up to 10, every atlas graph, and seeded Pruefer trees with up
+    to 60 vertices, unit-weighted and with integer weights 1-3."""
+    for n in range(3, 13):
+        for t in nx.nonisomorphic_trees(n):
+            yield WeightedGraph.build(n, [(a, b, 1) for a, b in t.edges()])
+    yield from _bipartite_unicyclic(10)
+    yield from _atlas(7)
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        n = int(rng.integers(3, 61))
+        t = nx.from_prufer_sequence(rng.integers(0, n, n - 2).tolist())
+        yield WeightedGraph.build(n, [(a, b, 1) for a, b in t.edges()])
+        yield WeightedGraph.build(n, [(a, b, int(rng.integers(1, 4))) for a, b in t.edges()])
+
+
+def test_deleted_statements_fire_only_where_their_proof_rules_fire():
+    fired_statements = Counter()
+    for g in _proof_cases():
+        facts = facts_of(g)
+        statements = reference_tree_suite(g) if g.weight_class is WeightClass.UNIT else set()
+        if reference_singular_square(g, facts.kernel_basis):
+            statements.add("bipartite-singular-square")
+        if not statements:
+            continue
+        rules = set(certify_graph(g, None, MatrixKind.ADJACENCY, facts=facts).fired_rule_ids)
+        for statement in statements:
+            assert rules & PROOF_RULES[statement], (statement, g.edges)
+        fired_statements.update(statements)
+    assert set(fired_statements) == set(PROOF_RULES)
+    assert min(fired_statements.values()) >= 5, fired_statements
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +833,22 @@ def test_verdicts_follow_rule_table(rng):
                 assert rows == sorted(rows)
 
 
+def test_rule_table_declares_exactly_the_emitted_ids():
+    """Over the verified mixing instances and every atlas graph with at most
+    six vertices, under every walk: each emitted id is declared in a row of
+    RULES, and each declared id is emitted somewhere, so no row keeps the id
+    of a deleted statement."""
+    declared = {rule_id for row in RULES for rule_id in row.ids}
+    emitted = set()
+    for g in MIXING + (star(4),) + tuple(_atlas(6)):
+        for kind in WALK_MATRICES:
+            report = certify_graph(g, dec_of(g, kind), kind)
+            emitted.update(v.rule_id for v in report.graph_verdicts)
+            emitted.update(v.rule_id for _, vs in report.vertex_verdicts for v in vs)
+    assert emitted <= declared, emitted - declared
+    assert declared <= emitted, declared - emitted
+
+
 @pytest.mark.parametrize("kind", WALK_MATRICES)
 def test_each_rule_row_is_evaluated_once_per_graph(monkeypatch, kind):
     calls = Counter()
@@ -837,7 +922,6 @@ def test_generated_not_applicable_notes():
         "degree-common-neighbors-A": "requires a unit-weight graph under the adjacency walk",
         "bipartite-degree-parity":
             "requires a unit-weight bipartite graph under the adjacency walk",
-        "tree-suite": "requires a unit-weight graph under the adjacency walk",
         "bipartite-order-mod4": "requires a bipartite graph under the adjacency walk",
         "bipartite-kernel-square":
             "requires an integer-weight bipartite graph under the adjacency walk",

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, WeightClass,
                   WeightedGraph, attach_pendants, bipartition, common_neighbors, cycle_flags,
-                  cyclomatic_index, degree_stats, find_twin_pairs, is_caterpillar,
-                  matrix_of, parse_graph6, parse_weighted_edgelist,
-                  pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
-                  verify_twin_subgraphs)
+                  cyclomatic_index, degree_stats, find_twin_pairs, matrix_of, parse_graph6,
+                  parse_weighted_edgelist, pendant_pairs_with_common_neighbor,
+                  search_twin_subgraphs, subdivide, verify_twin_subgraphs)
 import qmix.graphs
 from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, degrees,
                          is_tree, weighted_degrees)
 
 from conftest import (big_fi, complete, complete_bipartite, count_distance_two_pairs, cycle,
-                      naive_twin_subgraph_check, path, planted_true_pair,
+                      is_caterpillar, naive_twin_subgraph_check, path, planted_true_pair,
                       random_connected_graph, reference_has_cycle5, reference_twin_search,
                       star)
 
@@ -545,6 +544,7 @@ def test_pendant_twin_consistency(rng):
 
 
 def test_is_caterpillar():
+    # the caterpillar test of the tree-suite oracle in conftest
     assert is_caterpillar(path(5))
     assert is_caterpillar(star(5))  # deleting the leaves leaves a single vertex
     spider = WeightedGraph.build(7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1),
