@@ -4,11 +4,9 @@ and sound spectral/combinatorial certificates that rule mixing out."""
 __version__ = "0.1.0"
 
 from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, MatrixKind,
-                     PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
-                     attach_pendants, bipartition, common_neighbors, cycle_flags,
-                     cyclomatic_index, degree_stats, find_twin_pairs, is_connected,
-                     is_tree, matrix_of, parse_graph6, parse_weighted_edgelist,
-                     pendant_pairs_with_common_neighbor, search_twin_subgraphs, subdivide,
+                     TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph, bipartition,
+                     cycle_flags, degree_stats, find_twin_pairs, is_connected, is_tree,
+                     matrix_of, parse_graph6, parse_weighted_edgelist, search_twin_subgraphs,
                      verify_twin_subgraphs)
 from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectralError,
                        SpectrumClassification, SpectrumKind, classify_spectrum, decompose,

@@ -28,15 +28,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import (MAX_VERTICES, Bipartition, CycleFlags, DegreeStats, MatrixKind,
-                     PendantPair, TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
+                     TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
                      bipartition, connected_components, cycle_flags, degree_stats,
-                     find_twin_pairs, pendant_pairs_with_common_neighbor,
-                     search_twin_subgraphs, verify_twin_subgraphs)
+                     find_twin_pairs, search_twin_subgraphs, verify_twin_subgraphs)
 from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
                        nonsingular_by_spectrum, signed_kernel_vectors)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -92,7 +92,6 @@ class GraphFacts:
     bip: Bipartition
     flags: CycleFlags
     twins: list[tuple[int, int, TwinKind]]
-    pendant_pairs: list[PendantPair]
     twin_witnesses: tuple[TwinSubgraphWitness, ...]  # true pairs with part size >= 2
     twin_search_truncated: bool
     kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
@@ -136,7 +135,6 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
         g=g, kind=kind, dec=dec, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
         flags=cycle_flags(g), twins=find_twin_pairs(g),
-        pendant_pairs=pendant_pairs_with_common_neighbor(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
         kernel_basis=basis, signed_truncated=dim > tol.signed_budget)
 
@@ -412,35 +410,36 @@ def cert_bipartite_global(facts: GraphFacts) -> list[CertificateVerdict]:
 
 
 def cert_pendant_pair(facts: GraphFacts) -> list[CertificateVerdict]:
-    """Two pendants sharing a support vertex give the exact eigenvector
-    e_u - (alpha/beta) e_w for the adjacency walk (and for the Laplacians
-    when alpha = beta); on five or more vertices its inequality always fails
-    at one of the pendants."""
+    """Two pendants u and w on one support vertex, with unequal weights
+    alpha and beta, give the exact adjacency eigenvector beta e_u - alpha e_w;
+    on five or more vertices its inequality fails at the lighter pendant (the
+    cherry lemma).  Pendants of equal weight are false twins, which
+    `twin-vertex` rules out under every walk (README, Certificate tiers)."""
     rule = "pendant-pair"
-    if not facts.pendant_pairs:
-        return [_graph(rule, Verdict.NOT_APPLICABLE, note="no pendant pair")]
+    nbrs, n = facts.g.neighbourhoods, facts.n
+    leaves: dict[int, list[int]] = {}  # support vertex: its pendants
+    for u, row in enumerate(nbrs):
+        if len(row) == 1:
+            leaves.setdefault(next(iter(row)), []).append(u)
     out: list[CertificateVerdict] = []
-    n = facts.n
-    for pair in facts.pendant_pairs:
-        if facts.kind is not MatrixKind.ADJACENCY and pair.alpha != pair.beta:
-            out.append(_graph(rule, Verdict.NOT_APPLICABLE,
-                              note="Laplacian walks need equal pendant weights",
-                              pair=(pair.u, pair.w)))
-            continue
-        if n <= 4:
-            out.append(_graph(rule, Verdict.INCONCLUSIVE, pair=(pair.u, pair.w),
-                              note="order at most four"))
-            continue
-        alpha, beta = pair.alpha, pair.beta
-        if isinstance(alpha, float) or isinstance(beta, float):  # exact products
-            alpha, beta = Fraction(alpha), Fraction(beta)
-        if n * beta * beta > (alpha + beta) ** 2:
-            out.append(_vertex(rule, pair.u, Verdict.RULED_OUT, partner=pair.w,
-                               support=pair.v, alpha=pair.alpha, beta=pair.beta))
-        if n * alpha * alpha > (alpha + beta) ** 2:
-            out.append(_vertex(rule, pair.w, Verdict.RULED_OUT, partner=pair.u,
-                               support=pair.v, alpha=pair.alpha, beta=pair.beta))
-    return out
+    for v, pend in sorted(leaves.items()):
+        for u, w in combinations(pend, 2):
+            alpha, beta = nbrs[v][u], nbrs[v][w]
+            if alpha == beta:
+                continue
+            if n <= 4:
+                out.append(_graph(rule, Verdict.INCONCLUSIVE, pair=(u, w),
+                                  note="order at most four"))
+                continue
+            square = (Fraction(alpha) + Fraction(beta)) ** 2  # exact products
+            if n * Fraction(beta) ** 2 > square:
+                out.append(_vertex(rule, u, Verdict.RULED_OUT, partner=w, support=v,
+                                   alpha=alpha, beta=beta))
+            if n * Fraction(alpha) ** 2 > square:
+                out.append(_vertex(rule, w, Verdict.RULED_OUT, partner=u, support=v,
+                                   alpha=alpha, beta=beta))
+    return out or [_graph(rule, Verdict.NOT_APPLICABLE,
+                          note="no pendant pair of unequal weights")]
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +495,7 @@ RULES = (
     Rule(("degree-common-neighbors-A", "degree-unicyclic-c4-A"),
          cert_degree_A_c4free, _ADJ, _UNIT),
     Rule(("bipartite-degree-parity",), cert_bipartite_parity, _ADJ, _UNIT, bipartite=True),
-    Rule(("pendant-pair",), cert_pendant_pair),
+    Rule(("pendant-pair",), cert_pendant_pair, _ADJ, scope=GRAPH_SCOPE),
     Rule(("bipartite-order-mod4",), cert_bipartite_global, _ADJ, bipartite=True,
          scope=GRAPH_SCOPE),
     Rule(("bipartite-kernel-square",), cert_kernel_vector, _ADJ, _INT, bipartite=True),

@@ -1,6 +1,5 @@
 """Weighted-graph model: parsing, matrices, combinatorial statistics and
-structure detectors (twins, twin subgraphs, pendant pairs), plus the
-subdivision and pendant-attachment constructions.
+structure detectors (twins and twin subgraphs).
 
 Vertices are dense integers 0..n-1.  Graphs are simple, loopless and
 undirected with strictly positive edge weights.  Values are immutable, so
@@ -308,14 +307,6 @@ class DegreeStats:
     dist2_pairs: int
 
 
-def common_neighbors(g: WeightedGraph, j: int, ell: int) -> int:
-    """Number of common neighbors of two distinct vertices."""
-    if j == ell:
-        raise ValueError("common_neighbors requires two distinct vertices")
-    nbrs = g.neighbourhoods
-    return len(nbrs[j].keys() & nbrs[ell].keys())
-
-
 def degree_stats(g: WeightedGraph) -> DegreeStats:
     """Exact degree statistics; dist2_pairs counts vertex pairs at distance two."""
     deg = degrees(g)
@@ -434,36 +425,6 @@ def _cycle5_count(adj) -> int:
         tr3 += int(d3.sum())
         by_degree += int(((deg[r:r + step] - 2) * d3).sum())
     return (tr5 - 5 * tr3 - 5 * by_degree) // 10
-
-
-def cyclomatic_index(g: WeightedGraph) -> int:
-    """k with |E| = (n - 1) + k; requires a connected graph."""
-    if not is_connected(g):
-        raise ValueError("cyclomatic index is defined for connected graphs only")
-    return g.edge_count - g.n + 1
-
-
-# ---------------------------------------------------------------------------
-# Constructions
-
-def subdivide(g: WeightedGraph) -> WeightedGraph:
-    """Replace each edge {u, v} by a two-edge path through a new vertex."""
-    if g.weight_class is not WeightClass.UNIT:
-        raise ValueError("subdivision is defined for unit-weight graphs")
-    edges = []
-    for idx, (u, v, _) in enumerate(g.edges):
-        mid = g.n + idx
-        edges.append((u, mid, 1))
-        edges.append((mid, v, 1))
-    return WeightedGraph.build(g.n + g.edge_count, edges, WeightClass.UNIT)
-
-
-def attach_pendants(g: WeightedGraph) -> WeightedGraph:
-    """Attach one new weight-1 pendant vertex to every vertex of g."""
-    edges = list(g.edges)
-    for v in range(g.n):
-        edges.append((v, g.n + v, 1))
-    return WeightedGraph.build(2 * g.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -771,29 +732,3 @@ def _true_pair(rows, compat, gs, hs) -> TwinSubgraphWitness | None:
 
 def _as_weight(x: Weight) -> Weight:
     return int(x) if isinstance(x, float) and x.is_integer() else x
-
-
-# ---------------------------------------------------------------------------
-# Pendant structure
-
-@dataclass(frozen=True)
-class PendantPair:
-    u: int
-    w: int
-    v: int       # the common neighbor
-    alpha: Weight  # weight of {u, v}
-    beta: Weight   # weight of {w, v}
-
-
-def pendant_pairs_with_common_neighbor(g: WeightedGraph) -> list[PendantPair]:
-    """All pairs of degree-1 vertices hanging off the same vertex."""
-    nbrs = g.neighbourhoods
-    by_support: dict[int, list[int]] = {}
-    for u, row in enumerate(nbrs):
-        if len(row) == 1:
-            by_support.setdefault(next(iter(row)), []).append(u)
-    out = []
-    for v, pend in sorted(by_support.items()):
-        for u, w in combinations(pend, 2):
-            out.append(PendantPair(u=u, w=w, v=v, alpha=nbrs[v][u], beta=nbrs[v][w]))
-    return out

@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmix import MatrixKind, WeightClass, WeightedGraph
-from qmix.graphs import is_tree
+from qmix import CertificateVerdict, MatrixKind, Verdict, WeightClass, WeightedGraph
+from qmix.graphs import is_connected, is_tree
 from qmix.spectral import leaf_peel_order
 
 
@@ -135,6 +135,44 @@ def random_connected_graph(rng, n, weight_class=WeightClass.UNIT, extra_edges=No
         return float(rng.uniform(0.5, 2.5))
 
     return WeightedGraph.build(n, [(u, v, weight()) for u, v in pairs], weight_class)
+
+
+# ---------------------------------------------------------------------------
+# Constructions and counts that only tests use
+
+def subdivide(g: WeightedGraph) -> WeightedGraph:
+    """Replace each edge {u, v} by a two-edge path through a new vertex."""
+    if g.weight_class is not WeightClass.UNIT:
+        raise ValueError("subdivision is defined for unit-weight graphs")
+    edges = []
+    for idx, (u, v, _) in enumerate(g.edges):
+        mid = g.n + idx
+        edges.append((u, mid, 1))
+        edges.append((mid, v, 1))
+    return WeightedGraph.build(g.n + g.edge_count, edges, WeightClass.UNIT)
+
+
+def attach_pendants(g: WeightedGraph) -> WeightedGraph:
+    """Attach one new weight-1 pendant vertex to every vertex of g."""
+    edges = list(g.edges)
+    for v in range(g.n):
+        edges.append((v, g.n + v, 1))
+    return WeightedGraph.build(2 * g.n, edges)
+
+
+def cyclomatic_index(g: WeightedGraph) -> int:
+    """k with |E| = (n - 1) + k; requires a connected graph."""
+    if not is_connected(g):
+        raise ValueError("cyclomatic index is defined for connected graphs only")
+    return g.edge_count - g.n + 1
+
+
+def common_neighbors(g: WeightedGraph, j: int, ell: int) -> int:
+    """Number of common neighbors of two distinct vertices."""
+    if j == ell:
+        raise ValueError("common_neighbors requires two distinct vertices")
+    nbrs = g.neighbourhoods
+    return len(nbrs[j].keys() & nbrs[ell].keys())
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +524,44 @@ def reference_tree_suite(g: WeightedGraph) -> set[str]:
             and (c % 2 == 0) != (n % 4 == 0)):
         fired.add("unicyclic-degree-parity")
     return fired
+
+
+def pendant_pairs(g: WeightedGraph) -> list[tuple[int, int, int, object, object]]:
+    """(v, u, w, alpha, beta) for every two pendants u < w on one support
+    vertex v, with alpha and beta the weights of uv and wv, in increasing
+    order."""
+    deg = _unit_degrees(g)
+    support = {}  # pendant: (support vertex, edge weight)
+    for a, b, wt in g.edges:
+        for leaf, hub in ((a, b), (b, a)):
+            if deg[leaf] == 1:
+                support[leaf] = (hub, wt)
+    return sorted((v, u, w, su, sw) for (u, (v, su)), (w, (v2, sw))
+                  in itertools.combinations(sorted(support.items()), 2) if v == v2)
+
+
+def reference_pendant_pair(g: WeightedGraph, kind: MatrixKind) -> list[CertificateVerdict]:
+    """The ruled-out verdicts of the former `pendant-pair` rule, kept as the
+    oracle for the proof that `twin-vertex` restates it except under the
+    adjacency walk with unequal weights (README, Certificate tiers).  Two
+    pendants u, w on one support vertex v, weights alpha and beta, give the
+    eigenvector beta e_u - alpha e_w of A, and of L and Q when alpha = beta;
+    on n >= 5 vertices it rules out u when n beta^2 > (alpha + beta)^2 and w
+    when n alpha^2 > (alpha + beta)^2."""
+    out = []
+    n = g.n
+    for v, u, w, alpha, beta in pendant_pairs(g):
+        if n <= 4 or (kind is not MatrixKind.ADJACENCY and alpha != beta):
+            continue
+        a, b = Fraction(alpha), Fraction(beta)
+        witness = (("support", v), ("alpha", alpha), ("beta", beta))
+        if n * b * b > (a + b) ** 2:
+            out.append(CertificateVerdict("pendant-pair", Verdict.RULED_OUT, ("vertex", u),
+                                          (("partner", w),) + witness))
+        if n * a * a > (a + b) ** 2:
+            out.append(CertificateVerdict("pendant-pair", Verdict.RULED_OUT, ("vertex", w),
+                                          (("partner", u),) + witness))
+    return out
 
 
 def reference_bipartite(g: WeightedGraph) -> bool:

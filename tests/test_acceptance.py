@@ -12,15 +12,16 @@ import networkx as nx
 import numpy as np
 
 from qmix import (HadamardKind, MatrixKind, WeightClass,
-                  WeightedGraph, bipartition, cert_pendant_pair, certify_graph,
-                  check_real_target_period, collect_facts, decompose_graph, empirical_inf,
+                  WeightedGraph, bipartition, certify_graph,
+                  check_real_target_period, decompose_graph, empirical_inf,
                   hadamard_classify, is_periodic_vertex, mixing_deviation,
                   regular_equivalence_check, scan_local, scan_uniform,
-                  states_proportional, subdivide, transition_matrix, vertex_support)
+                  states_proportional, transition_matrix, vertex_support)
 from qmix.walk import bipartite_block_check
 
 from conftest import (complete, complete_bipartite, cube_q3, cycle, grouped_reconstruction,
-                      path, projectors_of, random_connected_graph, random_tree, star)
+                      path, projectors_of, random_connected_graph, random_tree, star,
+                      subdivide)
 
 
 @contextmanager
@@ -279,7 +280,7 @@ def test_criterion_09_exhaustive_small_graphs():
 
 
 def test_criterion_10_limit_behavior_substitutes(rng):
-    with criterion(10, "5-cycle infima are nonincreasing; pendant pairs fire "
+    with criterion(10, "5-cycle infima are nonincreasing; cherries are ruled out "
                        "on 50 random limb trees"):
         vals = empirical_inf(dec_of(cycle(5)), None, (10.0, 100.0, 1000.0))
         infs = [v for _, v in vals]
@@ -290,9 +291,11 @@ def test_criterion_10_limit_behavior_substitutes(rng):
             n = host.n + 3
             edges = list(host.edges)
             v, u, w = host.n, host.n + 1, host.n + 2
-            edges += [(root, v, 1), (v, u, 1), (v, w, 1)]
-            g = WeightedGraph.build(n, edges)
-            assert g.n >= 5
-            verdicts = cert_pendant_pair(collect_facts(g, None, MatrixKind.ADJACENCY))
-            ruled = {x.scope[1] for x in verdicts if x.fired}
-            assert {u, w} <= ruled
+            # equal leaf weights make u and w twins, and unequal ones leave
+            # the cherry lemma to `pendant-pair`, which rules out the lighter leaf
+            for heavy, rule, ruled in ((1, "twin-vertex", (u, w)), (2, "pendant-pair", (u,))):
+                g = WeightedGraph.build(n, edges + [(root, v, 1), (v, u, 1), (v, w, heavy)])
+                assert g.n >= 5
+                report = certify_graph(g, None, MatrixKind.ADJACENCY)
+                for x in ruled:
+                    assert any(y.rule_id == rule and y.fired for y in report.verdicts_for(x))

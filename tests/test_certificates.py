@@ -18,17 +18,18 @@ from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, MatrixKind, Twi
                   cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
                   cert_kernel_vector, cert_pendant_pair, cert_twin_subgraphs, cert_twins,
                   certify_graph, certify_vertex, collect_facts, decompose_graph,
-                  find_twin_pairs, parse_graph6, scan_uniform, search_twin_subgraphs, subdivide)
+                  find_twin_pairs, parse_graph6, scan_uniform, search_twin_subgraphs)
 from qmix.certificates import verdicts_by_scope
 from qmix.graphs import (TwinSearchResult, degrees, is_connected, is_tree,
                          verify_twin_subgraphs)
-from conftest import (at, big_fi, cartesian_product, complete, complete_bipartite, cube_q3,
-                      cycle, hypercube, path, pendant_tree_pattern, planted_true_pair,
-                      rational_matrix, random_connected_graph, random_tree,
-                      reference_asserted_statements, reference_eigenvector_inequality,
-                      reference_exact_kernel, reference_family_bounds,
+from conftest import (at, attach_pendants, big_fi, cartesian_product, complete,
+                      complete_bipartite, cube_q3, cycle, hypercube, path, pendant_pairs,
+                      pendant_tree_pattern, planted_true_pair, rational_matrix,
+                      random_connected_graph, random_tree, reference_asserted_statements,
+                      reference_eigenvector_inequality, reference_exact_kernel,
+                      reference_family_bounds, reference_pendant_pair,
                       reference_report_summary, reference_singular_square,
-                      reference_tree_suite, star)
+                      reference_tree_suite, star, subdivide)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -241,6 +242,13 @@ def test_degree_A_unicyclic_c4_variant():
     stats_q = dict(var.witness)["dist2_pairs"]
     assert var.verdict in (Verdict.RULED_OUT, Verdict.INCONCLUSIVE)
     assert dict(var.witness)["bound"] == Fraction(2 * (5 + stats_q + 2), 5)
+    # a 4-cycle with k pendants on vertex 0: at k = 12 (n = 16) this is the
+    # only rule that rules out the hub under A, and at k = 8 no rule does
+    for k, hub_rules in ((12, ["degree-unicyclic-c4-A"]), (8, [])):
+        g = WeightedGraph.build(4 + k, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]
+                                + [(0, 4 + i, 1) for i in range(k)])
+        report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
+        assert [v.rule_id for v in report.verdicts_for(0) if v.fired] == hub_rules, k
 
 
 def _planar_graphs():
@@ -515,14 +523,6 @@ def test_bipartite_global_small_orders_exempt():
 # ---------------------------------------------------------------------------
 # pendant pairs
 
-def test_pendant_pair_unit_n6():
-    g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
-                                (3, 4, 1), (3, 5, 1)])
-    vs = cert_pendant_pair(facts_of(g))
-    ruled = {v.scope[1] for v in vs if v.fired}
-    assert ruled == {4, 5}
-
-
 def test_pendant_pair_weighted():
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
              (0, 6, 1), (6, 7, 3), (6, 8, 1)]
@@ -533,16 +533,110 @@ def test_pendant_pair_weighted():
 
 
 def test_pendant_pair_small_inconclusive():
-    vs = cert_pendant_pair(facts_of(star(4)))
+    # K1,3 with leaf weights 1, 2, 3: three unequal pairs on four vertices
+    g = WeightedGraph.build(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
+    vs = cert_pendant_pair(facts_of(g))
+    assert [dict(v.witness)["pair"] for v in vs] == [(1, 2), (1, 3), (2, 3)]
     assert all(v.verdict is Verdict.INCONCLUSIVE for v in vs)
 
 
-def test_pendant_pair_laplacian_needs_equal_weights():
-    edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
-             (0, 6, 1), (6, 7, 3), (6, 8, 1)]
-    g = WeightedGraph.build(9, edges)
-    vs = cert_pendant_pair(facts_of(g, MatrixKind.LAPLACIAN))
-    assert all(v.verdict is Verdict.NOT_APPLICABLE for v in vs)
+def test_pendant_pair_unit_n6():
+    # equal pendant weights make twins, which are left to `twin-vertex`
+    g = WeightedGraph.build(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1)])
+    facts = facts_of(g)
+    assert cert_pendant_pair(facts) == [CertificateVerdict(
+        "pendant-pair", Verdict.NOT_APPLICABLE, ("graph", None),
+        (("note", "no pendant pair of unequal weights"),))]
+    assert {v.scope[1] for v in cert_twins(facts) if v.fired} == {4, 5}
+
+
+def _weightings(g, rng):
+    """g with unit weights, integer weights 1-3 and real weights in [0.5, 2]."""
+    yield g
+    yield WeightedGraph.build(g.n, [(u, v, int(rng.integers(1, 4))) for u, v, _ in g.edges])
+    yield WeightedGraph.build(g.n, [(u, v, float(rng.uniform(0.5, 2.0))) for u, v, _ in g.edges])
+
+
+def _pendant_proof_cases():
+    """Every atlas graph, and seeded Pruefer trees and G(n, 0.3) with
+    n = 5-14, each with unit, integer and real weights."""
+    rng = np.random.default_rng(26)
+    for g in _atlas(7):
+        yield from _weightings(g, rng)
+    for n in range(5, 15):
+        for _ in range(8):
+            t = nx.from_prufer_sequence(rng.integers(0, n, n - 2).tolist())
+            yield from _weightings(WeightedGraph.build(n, [(a, b, 1) for a, b in t.edges()]), rng)
+            gnx = nx.gnp_random_graph(n, 0.3, seed=int(rng.integers(2**31)))
+            yield from _weightings(WeightedGraph.build(n, [(a, b, 1) for a, b in gnx.edges()]),
+                                   rng)
+
+
+def test_pendant_pair_keeps_only_what_twin_vertex_does_not_rule_out():
+    """The former rule, as an oracle: wherever it fires under L or Q, or on
+    a pair of equal weights, `twin-vertex` fires at that vertex; under A,
+    its verdicts on pairs of unequal weights are the rule's, in order."""
+    fired = Counter()
+    for g in _pendant_proof_cases():
+        for kind in WALK_MATRICES:
+            oracle = reference_pendant_pair(g, kind)
+            if not oracle and kind is not MatrixKind.ADJACENCY:
+                continue
+            facts = facts_of(g, kind)
+            twin_ruled = {v.scope[1] for v in cert_twins(facts) if v.fired}
+            kept = []
+            for v in oracle:
+                witness = dict(v.witness)
+                if kind is MatrixKind.ADJACENCY and witness["alpha"] != witness["beta"]:
+                    kept.append(v)
+                    fired["unequal"] += 1
+                else:
+                    assert v.scope[1] in twin_ruled, (g.edges, kind, v)
+                    fired["twins", kind] += 1
+            if kind is MatrixKind.ADJACENCY:
+                assert [v for v in cert_pendant_pair(facts) if v.fired] == kept, g.edges
+    assert min(fired.values()) >= 100 and len(fired) == 4, fired
+
+
+def _cherry_lemma_cases():
+    """Every atlas graph with n >= 5 and a cherry, and one seeded Pruefer
+    tree with a cherry for each n = 6-40."""
+    for g in _atlas(7):
+        if g.n >= 5 and pendant_pairs(g):
+            yield g
+    rng = np.random.default_rng(4)
+    for n in range(6, 41):
+        while True:
+            t = nx.from_prufer_sequence(rng.integers(0, n, n - 2).tolist())
+            g = WeightedGraph.build(n, [(a, b, 1) for a, b in t.edges()])
+            if pendant_pairs(g):
+                yield g
+                break
+
+
+def test_cherry_lemma_under_A():
+    """Under A, at every cherry of 20 random positive weightings (integer
+    weights 1-3 and real weights in [0.5, 2], alternately): equal leaf
+    weights let `twin-vertex` rule out both leaves, and unequal ones let
+    `pendant-pair` rule out the lighter leaf."""
+    rng = np.random.default_rng(27)
+    cases = Counter()
+    for base in _cherry_lemma_cases():
+        for i in range(20):
+            draw = ((lambda: int(rng.integers(1, 4))) if i % 2 == 0
+                    else (lambda: float(rng.uniform(0.5, 2.0))))
+            g = WeightedGraph.build(base.n, [(u, v, draw()) for u, v, _ in base.edges])
+            facts = facts_of(g)
+            twin_ruled = {v.scope[1] for v in cert_twins(facts) if v.fired}
+            pendant_ruled = {v.scope[1] for v in cert_pendant_pair(facts) if v.fired}
+            for _, u, w, alpha, beta in pendant_pairs(g):
+                if alpha == beta:
+                    assert {u, w} <= twin_ruled, (g.edges, u, w)
+                    cases["equal"] += 1
+                else:
+                    assert (u if alpha < beta else w) in pendant_ruled, (g.edges, u, w)
+                    cases["unequal"] += 1
+    assert min(cases.values()) >= 1000, cases
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +686,6 @@ def test_tree_suite_all_odd_degrees():
 
 
 def test_tree_suite_pendant_tree_pattern():
-    from qmix import attach_pendants
     xp4 = attach_pendants(path(4))
     assert pendant_tree_pattern(xp4) == [1, 2, 2, 1]
     assert "pendant-tree-pattern" in reference_tree_suite(xp4)
@@ -922,6 +1015,7 @@ def test_generated_not_applicable_notes():
         "degree-common-neighbors-A": "requires a unit-weight graph under the adjacency walk",
         "bipartite-degree-parity":
             "requires a unit-weight bipartite graph under the adjacency walk",
+        "pendant-pair": "requires a graph under the adjacency walk",
         "bipartite-order-mod4": "requires a bipartite graph under the adjacency walk",
         "bipartite-kernel-square":
             "requires an integer-weight bipartite graph under the adjacency walk",

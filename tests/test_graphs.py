@@ -11,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, WeightClass,
-                  WeightedGraph, attach_pendants, bipartition, common_neighbors, cycle_flags,
-                  cyclomatic_index, degree_stats, find_twin_pairs, matrix_of, parse_graph6,
-                  parse_weighted_edgelist, pendant_pairs_with_common_neighbor,
-                  search_twin_subgraphs, subdivide, verify_twin_subgraphs)
+                  WeightedGraph, bipartition, cert_pendant_pair, collect_facts, cycle_flags,
+                  degree_stats, find_twin_pairs, matrix_of, parse_graph6,
+                  parse_weighted_edgelist, search_twin_subgraphs, verify_twin_subgraphs)
 import qmix.graphs
 from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, degrees,
                          is_tree, weighted_degrees)
 
-from conftest import (big_fi, complete, complete_bipartite, count_distance_two_pairs, cycle,
-                      is_caterpillar, naive_twin_subgraph_check, path, planted_true_pair,
+from conftest import (attach_pendants, big_fi, common_neighbors, complete, complete_bipartite,
+                      count_distance_two_pairs, cycle, cyclomatic_index, is_caterpillar,
+                      naive_twin_subgraph_check, path, pendant_pairs, planted_true_pair,
                       random_connected_graph, reference_has_cycle5, reference_twin_search,
-                      star)
+                      star, subdivide)
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +525,25 @@ def test_search_truncation_follows_the_candidate_count(rng):
 # pendant structure
 
 def test_pendant_pairs():
-    pp = pendant_pairs_with_common_neighbor(star(4))
-    assert len(pp) == 3 and all(p.alpha == p.beta == 1 for p in pp)
-    assert pendant_pairs_with_common_neighbor(path(4)) == []
+    pp = pendant_pairs(star(4))
+    assert len(pp) == 3 and all(alpha == beta == 1 for *_, alpha, beta in pp)
+    assert pendant_pairs(path(4)) == []
     g = WeightedGraph.build(6, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
-    pp = pendant_pairs_with_common_neighbor(g)
-    assert len(pp) == 1 and (pp[0].alpha, pp[0].beta) == (2, 3)
+    assert pendant_pairs(g) == [(0, 1, 2, 2, 3)]
+    # `pendant-pair` finds the same pair from the neighbourhoods
+    [v] = cert_pendant_pair(collect_facts(g, None, MatrixKind.ADJACENCY))
+    assert v.scope == ("vertex", 1)
+    assert dict(v.witness) == {"partner": 2, "support": 0, "alpha": 2, "beta": 3}
 
 
 def test_pendant_twin_consistency(rng):
-    # unit-weight pendant pairs are exactly false twins
+    # pendant pairs of equal weight are exactly false twins
     from conftest import random_tree
     for _ in range(20):
         g = random_tree(rng, int(rng.integers(3, 10)))
         twins = {(u, v) for u, v, k in find_twin_pairs(g) if k is TwinKind.FALSE}
-        for p in pendant_pairs_with_common_neighbor(g):
-            assert (min(p.u, p.w), max(p.u, p.w)) in twins
+        for _, u, w, _, _ in pendant_pairs(g):
+            assert (u, w) in twins
 
 
 def test_is_caterpillar():

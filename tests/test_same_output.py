@@ -86,8 +86,8 @@ def test_compare_json_says_whether_the_verdicts_moved():
 
 
 def test_own_inputs_are_the_graphs_described(tmp_path):
-    dense, twinned, shared = (parse_weighted_edgelist(Path(p).read_text())
-                              for p in own_inputs(tmp_path))
+    dense, twinned, shared, hub = (parse_weighted_edgelist(Path(p).read_text())
+                                   for p in own_inputs(tmp_path))
     assert (dense.n, dense.edge_count) == (63, 904)
     assert not bipartition(dense).present and not cycle_flags(dense).has_c5
     assert twinned.n == 30 and {w for _, _, w in twinned.edges} == {1, 2, 3}
@@ -97,3 +97,5 @@ def test_own_inputs_are_the_graphs_described(tmp_path):
         dec = decompose_graph(shared, kind)
         assert {vertex_support(dec, u).indices for u in range(shared.n)} == \
             {tuple(range(len(dec.eigenvalues)))}
+    assert (hub.n, hub.edge_count) == (16, 16)
+    assert sorted(len(row) for row in hub.neighbourhoods) == [1] * 12 + [2] * 3 + [14]

@@ -15,7 +15,7 @@ matrix of commands:
 - `spectrum` on each mid-size input under each walk matrix;
 - `spectrum` under each walk matrix on three edge lists that this tool
   writes (see `own_inputs`), and `certify --matrix adjacency` on the first
-  two;
+  two and on a fourth, where only `degree-unicyclic-c4-A` rules out the hub;
 - `search` on each input of the search-small and search-large workloads,
   graph-wide and at the local vertex, with the benchmark's flags.
 
@@ -59,10 +59,10 @@ def command_matrix(work: Path) -> list[list[str]]:
     for item in midsize:
         argvs += [["certify", item["file"], "--matrix", m] for m in MATRICES]
         argvs += spectra(item["file"])
-    dense, twinned, shared = own_inputs(work)
+    dense, twinned, shared, hub = own_inputs(work)
     for path in (dense, twinned):
         argvs += spectra(path) + [["certify", path, "--matrix", "adjacency"]]
-    argvs += spectra(shared)
+    argvs += spectra(shared) + [["certify", hub, "--matrix", "adjacency"]]
     for workload in ("search-small", "search-large"):
         for item in inputs.generate(work, workload, SEED)["ladder"]:
             argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
@@ -78,11 +78,13 @@ def spectra(path: str) -> list[list[str]]:
 
 
 def own_inputs(work: Path) -> list[str]:
-    """Three weighted edge lists written to work: K30,30 with a pendant
+    """Four weighted edge lists written to work: K30,30 with a pendant
     triangle, dense and free of 5-cycles; a singular graph on 30 vertices
     with weights 1-3, a subdivided binary tree of depth 3 with a false twin
-    of its root; and G(256, 0.06) of networkx seed 7 with unit weights, at
-    whose vertices every walk matrix has one eigenvalue support."""
+    of its root; G(256, 0.06) of networkx seed 7 with unit weights, at
+    whose vertices every walk matrix has one eigenvalue support; and C4
+    with 12 unit pendants on vertex 0, whose hub only
+    `degree-unicyclic-c4-A` rules out under the adjacency walk."""
     dense = nx.complete_bipartite_graph(30, 30)
     nx.add_cycle(dense, [60, 61, 62])
     dense.add_edge(0, 60)
@@ -98,9 +100,12 @@ def own_inputs(work: Path) -> list[str]:
         twinned.add_edge(twin, v, weight=data["weight"])
     shared = nx.gnp_random_graph(256, 0.06, seed=7)
     nx.set_edge_attributes(shared, 1, "weight")
+    hub = nx.cycle_graph(4)
+    hub.add_edges_from((0, v) for v in range(4, 16))
+    nx.set_edge_attributes(hub, 1, "weight")
     paths = []
     for name, g in (("k30-30-triangle", dense), ("twinned-tree-30", twinned),
-                    ("gnp-256", shared)):
+                    ("gnp-256", shared), ("c4-hub-16", hub)):
         path = work / f"{name}.wel"
         path.write_text("".join(f"{u} {v} {d['weight']}\n"
                                 for u, v, d in sorted(g.edges(data=True))))
