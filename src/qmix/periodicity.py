@@ -94,7 +94,8 @@ class PeriodicityVerdict:
 
 def _period_hint(classification: SpectrumClassification, values: list[float]) -> float | None:
     # one eigenvalue: periodic at every time; two: at their difference; an
-    # empty support is irregular, so it gives no hint
+    # empty support is irregular, so it gives no hint.  The caller keeps
+    # only a finite, positive hint
     if 1 <= len(values) <= 2:
         return 1.0 if len(values) == 1 else 2.0 * math.pi / (max(values) - min(values))
     if classification.kind is SpectrumKind.ALL_INTEGER:
@@ -136,7 +137,10 @@ def _support_decision(dec: SpectralDecomposition, supp: EigenvalueSupport,
     values = list(supp.eigenvalues)
     if not ratio_condition(values, classification, tol).satisfied:
         return PeriodicityVerdict(PeriodicityStatus.NOT_PERIODIC)
-    return PeriodicityVerdict(PeriodicityStatus.UNKNOWN, _period_hint(classification, values))
+    hint = _period_hint(classification, values)
+    if hint is not None and not 0.0 < hint < math.inf:
+        hint = None  # a gap that overflows to inf gives 0, where U(0) = I passes any check
+    return PeriodicityVerdict(PeriodicityStatus.UNKNOWN, hint)
 
 
 def _verdict_at(dec: SpectralDecomposition, u: int,

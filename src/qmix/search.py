@@ -59,7 +59,7 @@ def default_step(dec: SpectralDecomposition) -> float:
     rho = dec.spectral_radius
     if rho <= 0.0:
         return 0.01
-    return min(0.01, math.pi / (8.0 * rho))
+    return min(0.01, math.pi / 8.0 / rho)  # 8 * rho overflows for rho > 2.2e307
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -8,7 +8,9 @@ keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
 decomposition holds O(n^2) numbers.  One kernel makes every decomposition,
 with one solver call on a stack of matrices of one order:
 `decompose_graphs` hands it many graphs at once, `decompose` and
-`decompose_graph` a stack of one, and the results agree bit for bit.
+`decompose_graph` a stack of one, and the results agree bit for bit.  The
+projector row tables of the eigenvector inequality are built per
+decomposition, by `projector_row_norms` only, when a rule reads them.
 Exact kernels carry no floating error at all.  The adjacency matrix is
 eliminated over the Python integers, fraction-free.  The certificates skip
 elimination where `nonsingular_by_spectrum` proves the matrix nonsingular
@@ -55,7 +57,6 @@ class SpectralDecomposition:
     vectors: np.ndarray                  # V, shape (n, n), from eigh
     column_eigenvalues: np.ndarray       # eigh's n eigenvalues, one per column of V
     group_gap: float                     # the grouping tolerance the groups were made with
-    row_tables: tuple[np.ndarray, np.ndarray] | None = None  # see projector_row_norms
 
     @property
     def n(self) -> int:
@@ -68,7 +69,7 @@ class SpectralDecomposition:
     @cached_property
     def _starts(self) -> np.ndarray:
         """First column of each group in V."""
-        return _read_only(_group_starts(self.multiplicities))
+        return _read_only(np.array((0, *accumulate(self.multiplicities[:-1]))))
 
     def projection_norms(self, x) -> np.ndarray:
         """||E_k x|| for every group k, read as ||B_k^T x||."""
@@ -89,33 +90,22 @@ class SpectralDecomposition:
 
     def projector_row_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, d) tables of ||E_k e_u|| and of sum_j |(E_k)_uj| over vertices
-        u and groups k: the tables `decompose_graphs` filled in, else those
-        of `_row_tables` over a stack of one."""
-        if self.row_tables is not None:
-            return self.row_tables
-        norms, sums = _row_tables(self.vectors[None], self._starts)
-        return norms[0], sums[0]
-
-
-def _group_starts(multiplicities: tuple[int, ...]) -> np.ndarray:
-    return np.array((0, *accumulate(multiplicities[:-1])))
-
-
-def _row_tables(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projector_row_norms tables, shape (s, n, d), of a stack of s
-    eigenvector matrices V, each (n, n), whose groups start at the same
-    columns.  Row u of every projector is one slice of reduceat(V[u] * V,
-    starts) over the columns of V; the stack is built for a block of r rows
-    of every matrix at a time, which holds an (s, r, n, n) product and its
-    (s, r, n, d) reduction, so memory stays within WORK_BYTES or one row."""
-    s, n, _ = v.shape
-    d = len(starts)
-    step = max(1, WORK_BYTES // (8 * s * n * (n + d)))
-    sums = np.empty((s, n, d))
-    for r in range(0, n, step):  # one expression, so no block outlives its step
-        np.abs(np.add.reduceat(v[:, r:r + step, None, :] * v[:, None], starts, axis=3)
-               ).sum(axis=2, out=sums[:, r:r + step])
-    return np.sqrt(np.add.reduceat(v * v, starts, axis=-1)), sums
+        u and groups k, built from V on each call.  A simple eigenvalue in
+        column c has (E_k)_uj = V_uc V_jc, so its sums are |V_uc| times
+        sum_j |V_jc|: O(n) per group.  A group of multiplicity m >= 2 then
+        overwrites its column with the row sums of |B_k B_k^T|, a block of
+        rows at a time; a block holds its rows of B_k B_k^T and their
+        absolute values, within WORK_BYTES or one row."""
+        v, starts, n = self.vectors, self._starts, self.n
+        a = np.abs(v)
+        sums = np.add.reduceat(a * np.add.reduce(a, axis=0), starts, axis=1)
+        step = max(1, WORK_BYTES // (16 * n))
+        for k, (c, m) in enumerate(zip(starts.tolist(), self.multiplicities)):
+            if m > 1:
+                b = v[:, c:c + m]
+                for r in range(0, n, step):  # one expression, so no block outlives its step
+                    np.add.reduce(np.abs(b[r:r + step] @ b.T), axis=1, out=sums[r:r + step, k])
+        return np.sqrt(np.add.reduceat(v * v, starts, axis=1)), sums
 
 
 def decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
@@ -149,11 +139,11 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
 
     Graphs of one order n are decomposed in stacks of k while k * 8n^2 <=
     WORK_BYTES, each by `_decompose_stack`; above that a stack holds one
-    graph.  The decompositions of a stack are yielded together, and the
-    stack is released once the caller drops them, before the next one is
-    built.  A stack of one, or one that `_decompose_stack` fails on, is
-    decomposed graph by graph by `decompose_graph`, so only the graph at
-    fault gets the error.  graphs[i] is not read once i is yielded, so the
+    graph.  A stack costs one eigh call, and its decompositions are yielded
+    together; the stack is released once the caller drops them, before the
+    next one is built.  A stack of one, or one that `_decompose_stack` fails
+    on, is decomposed graph by graph by `decompose_graph`, so only the graph
+    at fault gets the error.  graphs[i] is not read once i is yielded, so the
     caller may drop it then."""
     orders: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
@@ -181,27 +171,14 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
 
 def _decompose_stack(m: np.ndarray, tol: Tolerances) -> list[SpectralDecomposition]:
     """The decompositions of a (k, n, n) stack of symmetric matrices from one
-    eigh call.  Where k >= 2 their projector row tables are filled in too,
-    by one `_row_tables` kernel per set of equal multiplicities; a single
-    decomposition leaves them to `projector_row_norms`, which builds them
-    only where a reader asks."""
+    eigh call, each grouped on its own."""
     if not np.isfinite(m).all():  # a weighted degree can overflow to inf
         raise SpectralError("eigensolver failed: the matrix has a non-finite entry")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    groups = [_groups(x, tol) for x in w]
-    tables = [None] * len(m)
-    if len(m) > 1:
-        alike: dict[tuple[int, ...], list[int]] = {}
-        for j, (_, mults, _) in enumerate(groups):
-            alike.setdefault(mults, []).append(j)
-        for mults, js in alike.items():
-            norms, sums = _row_tables(v[js], _group_starts(mults))
-            for t, j in enumerate(js):
-                tables[j] = norms[t], sums[t]
-    return [_decomposition(*args) for args in zip(m, w, v, groups, tables)]
+    return [_decomposition(x, ws, vs, _groups(ws, tol)) for x, ws, vs in zip(m, w, v)]
 
 
 def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...], float]:
@@ -220,12 +197,11 @@ def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...]
     return np.array(means), tuple(b - a for a, b in zip(starts, stops)), gap
 
 
-def _decomposition(m, w, v, groups, row_tables=None) -> SpectralDecomposition:
+def _decomposition(m, w, v, groups) -> SpectralDecomposition:
     means, mults, gap = groups
     return SpectralDecomposition(
         matrix=_read_only(m), eigenvalues=_read_only(means), multiplicities=mults,
-        vectors=_read_only(v), column_eigenvalues=_read_only(w), group_gap=gap,
-        row_tables=None if row_tables is None else tuple(map(_read_only, row_tables)))
+        vectors=_read_only(v), column_eigenvalues=_read_only(w), group_gap=gap)
 
 
 @dataclass(frozen=True)

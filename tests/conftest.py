@@ -605,7 +605,8 @@ def reference_is_periodic_vertex(dec, u, tol):
     support, kept as its reference: the support of e_u read element by
     element, its classification from the eigenvalues at its indices, the
     ratio condition, the heuristic cut-off and the gcd loops of the period
-    hint, all redone at u, then the hint checked by the overlap."""
+    hint, all redone at u, then a finite, positive hint checked by the
+    overlap."""
     from qmix import (PeriodicityStatus, PeriodicityVerdict, RatioMode, SpectrumKind,
                       ratio_condition)
     from qmix.spectral import classify_values
@@ -638,7 +639,7 @@ def reference_is_periodic_vertex(dec, u, tol):
             g = math.gcd(g, b - bs[0])
         if g != 0 and classification.delta is not None:
             hint = 4.0 * math.pi / (g * math.sqrt(classification.delta))
-    if hint is None:
+    if hint is None or not 0.0 < hint < math.inf:
         return PeriodicityVerdict(status=PeriodicityStatus.UNKNOWN)
     overlap = abs(complex(_propagator(dec, [hint], u)[0, u]))
     status = PeriodicityStatus.PERIODIC if overlap > 1.0 - 1e-9 else PeriodicityStatus.UNKNOWN

@@ -146,6 +146,18 @@ def test_an_empty_support_is_unknown_without_a_hint():
         assert got == [reference_is_periodic_vertex(dec, u, tol) for u in range(g.n)]
 
 
+def test_a_hint_that_overflows_to_zero_is_no_hint():
+    # vertex 1 has the support {-a, a} with a = sqrt(2) 1e308, and 2a
+    # overflows to inf, so 2 pi / 2a would be 0, where U(0) = I
+    g = WeightedGraph.build(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    dec = dec_of(g)
+    assert len(vertex_support(dec, 1).indices) == 2
+    want = PeriodicityVerdict(PeriodicityStatus.UNKNOWN)
+    assert vertex_periodicity(dec)[1] == is_periodic_vertex(dec, 1) == want
+    assert reference_is_periodic_vertex(dec, 1, DEFAULT_TOLERANCES) == want
+    assert all(v.status is not PeriodicityStatus.PERIODIC for v in vertex_periodicity(dec))
+
+
 def test_periodicity_summary_classifies_each_distinct_support_once(monkeypatch):
     """A spy on the classification that the decisions call: one call per
     distinct vertex support, not one per vertex."""

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmix import (MatrixKind, decompose_graph, empirical_inf, golden_section,
+from qmix import (MatrixKind, WeightedGraph, decompose_graph, empirical_inf, golden_section,
                   matrix_uniform_deviation, mixing_deviation, scan_local, scan_uniform,
                   states_proportional)
-from qmix.search import GridError
+from qmix.search import MAX_GRID_POINTS, GridError, default_step
 
 from conftest import complete, cube_q3, cycle, path, star
 
@@ -131,3 +131,18 @@ def test_empirical_inf_rejects_unusable_grids():
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20, case
+
+
+def test_default_step_stays_positive_at_a_huge_spectral_radius():
+    # rho = sqrt(2) 1e308, so 8 rho overflows to inf and pi / (8 rho) is 0;
+    # the step is positive and its grid hits the cap, not the step check
+    dec = dec_of(WeightedGraph.build(3, [(0, 1, 1e308), (1, 2, 1e308)]))
+    step = default_step(dec)
+    assert math.isinf(8.0 * dec.spectral_radius) and step == math.pi / 8.0 / dec.spectral_radius
+    assert 0.0 < step < 1e-300
+    with pytest.raises(GridError, match=f"above the cap of {MAX_GRID_POINTS}"):
+        scan_uniform(dec, 1.0)
+    # wherever 8 rho is finite the step is the float it always was
+    for rho in (1e-3, 0.5, 3.0, 1e300, 2.2e307):
+        dec = dec_of(WeightedGraph.build(2, [(0, 1, rho)]))
+        assert default_step(dec) == min(0.01, math.pi / (8.0 * dec.spectral_radius))

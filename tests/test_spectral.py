@@ -17,8 +17,9 @@ from qmix.graphs import is_tree
 from qmix.spectral import (SpectralError, _surd_offsets, classify_values, decompose_graphs,
                            leaf_peel_order, nonsingular_by_spectrum)
 
-from conftest import (complete, complete_projectors, cycle, grouped_reconstruction, path,
-                      projectors_of, random_connected_graph, random_tree, reference_exact_kernel,
+from conftest import (cartesian_product, complete, complete_projectors, cycle,
+                      grouped_reconstruction, hypercube, path, projectors_of,
+                      random_connected_graph, random_tree, reference_exact_kernel,
                       reference_inequality_tables, reference_signed_vectors,
                       reference_surd_offsets, star, star_projectors)
 
@@ -190,32 +191,70 @@ def _table_cases(rng):
     yield decompose_graph(star(7), MatrixKind.LAPLACIAN)
 
 
+def _check_tables(dec):
+    """Both sides of the eigenvector inequality from projector_row_norms
+    against `reference_inequality_tables`; returns the vertices that break
+    it."""
+    n = dec.n
+    norms, sums = dec.projector_row_norms()
+    assert norms.shape == sums.shape == (n, len(dec.multiplicities))
+    rhs = np.full_like(norms, math.inf)
+    np.divide(sums, norms, out=rhs, where=norms > DEFAULT_TOLERANCES.supp)
+    lhs = math.sqrt(n) * norms
+    want_lhs, want_rhs = reference_inequality_tables(dec, DEFAULT_TOLERANCES)
+    np.testing.assert_allclose(lhs, want_lhs, rtol=0, atol=1e-12)
+    assert (np.isinf(rhs) == np.isinf(want_rhs)).all()
+    finite = np.isfinite(rhs)
+    np.testing.assert_allclose(rhs[finite], want_rhs[finite], rtol=0, atol=1e-12)
+    got, want = _inequality_hits(lhs, rhs, n), _inequality_hits(want_lhs, want_rhs, n)
+    assert got == want, n
+    return sum(got[0])
+
+
 def test_projector_row_norms_match_the_per_group_table(rng, monkeypatch):
-    # one block of rows, blocks of two or three rows at n = 40, and the
-    # WORK_BYTES blocks of a 200 x 200 matrix, each row of which holds an
-    # (n, n) product and its (n, d) reduction: two rows of about 67 groups
+    # at the budget every matrix here is one block of rows; at the smaller
+    # budget each group of multiplicity >= 2 of the 200 x 200 matrix is
+    # summed 16 rows at a time, a row of the block holding one row of
+    # B_k B_k^T and its absolute value, 2 * 8 * 200 bytes
     clustered = decompose(_clustered(rng, 200))
-    d = len(clustered.multiplicities)
-    assert qmix.spectral.WORK_BYTES // (8 * 200 * (200 + d)) == 2
+    assert max(clustered.multiplicities) >= 2
+    small = 16 * 16 * 200
+    assert qmix.spectral.WORK_BYTES // (16 * 200) >= 200 and small // (16 * 200) == 16
     hits = 0
-    for work_bytes in (qmix.spectral.WORK_BYTES, 2 * 8 * 40 * 80):
+    for work_bytes in (qmix.spectral.WORK_BYTES, small):
         monkeypatch.setattr(qmix.spectral, "WORK_BYTES", work_bytes)
         for dec in list(_table_cases(rng)) + [clustered]:
-            n = dec.n
-            norms, sums = dec.projector_row_norms()
-            assert norms.shape == sums.shape == (n, len(dec.multiplicities))
-            rhs = np.full_like(norms, math.inf)
-            np.divide(sums, norms, out=rhs, where=norms > DEFAULT_TOLERANCES.supp)
-            lhs = math.sqrt(n) * norms
-            want_lhs, want_rhs = reference_inequality_tables(dec, DEFAULT_TOLERANCES)
-            np.testing.assert_allclose(lhs, want_lhs, rtol=0, atol=1e-12)
-            assert (np.isinf(rhs) == np.isinf(want_rhs)).all()
-            finite = np.isfinite(rhs)
-            np.testing.assert_allclose(rhs[finite], want_rhs[finite], rtol=0, atol=1e-12)
-            got, want = _inequality_hits(lhs, rhs, n), _inequality_hits(want_lhs, want_rhs, n)
-            assert got == want, n
-            hits += sum(got[0])
+            hits += _check_tables(dec)
     assert hits > 50
+
+
+def test_projector_row_norms_split_a_repeated_group_across_row_blocks(monkeypatch):
+    # Q7 has eigenvalues of multiplicity up to 35; budgets of 10 rows, of
+    # one row and of less than one row split each such group into 13, 128
+    # and 128 blocks, and every split gives the one-block tables
+    dec = decompose_graph(hypercube(7), MatrixKind.ADJACENCY)
+    assert max(dec.multiplicities) == 35
+    norms, sums = dec.projector_row_norms()
+    for work_bytes in (16 * 128 * 10, 16 * 128, 1):
+        monkeypatch.setattr(qmix.spectral, "WORK_BYTES", work_bytes)
+        got_norms, got_sums = dec.projector_row_norms()
+        assert _same(got_norms, norms)
+        np.testing.assert_allclose(got_sums, sums, rtol=1e-14, atol=0)
+        _check_tables(dec)
+
+
+def test_projector_row_norms_at_a_few_hundred_vertices():
+    # G(300, 0.03) has almost only simple eigenvalues, each summed in O(n);
+    # the 20 x 20 grid and Q7 have groups of multiplicity up to 20 and 35
+    sparse = nx.gnp_random_graph(300, 0.03, seed=3)
+    decs = [decompose_graph(WeightedGraph.build(300, [(u, v, 1) for u, v in sparse.edges()]),
+                            kind) for kind in MatrixKind]
+    assert sum(m == 1 for m in decs[0].multiplicities) >= 250
+    decs += [decompose_graph(g, MatrixKind.ADJACENCY)
+             for g in (cartesian_product(path(20), path(20)), hypercube(7))]
+    assert [max(d.multiplicities) for d in decs[-2:]] == [20, 35]
+    for dec in decs:
+        _check_tables(dec)
 
 
 def test_support_star_center_and_leaf():

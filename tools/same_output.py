@@ -14,8 +14,10 @@ matrix of commands:
 - `certify` on each mid-size input under each walk matrix;
 - `spectrum` on each mid-size input under each walk matrix;
 - `spectrum` under each walk matrix on three edge lists that this tool
-  writes (see `own_inputs`), and `certify --matrix adjacency` on the first
-  two and on a fourth, where only `degree-unicyclic-c4-A` rules out the hub;
+  writes (see `own_inputs`), `certify --matrix adjacency` on the first two
+  and on a fourth, where only `degree-unicyclic-c4-A` rules out the hub,
+  and `certify` under the adjacency matrix and the Laplacian on the third,
+  whose eigenvalues are all simple, so the projector tables run at n = 256;
 - `search` on each input of the search-small and search-large workloads,
   graph-wide and at the local vertex, with the benchmark's flags.
 
@@ -62,7 +64,8 @@ def command_matrix(work: Path) -> list[list[str]]:
     dense, twinned, shared, hub = own_inputs(work)
     for path in (dense, twinned):
         argvs += spectra(path) + [["certify", path, "--matrix", "adjacency"]]
-    argvs += spectra(shared) + [["certify", hub, "--matrix", "adjacency"]]
+    argvs += spectra(shared) + [["certify", shared, "--matrix", m] for m in MATRICES[:2]]
+    argvs.append(["certify", hub, "--matrix", "adjacency"])
     for workload in ("search-small", "search-large"):
         for item in inputs.generate(work, workload, SEED)["ladder"]:
             argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
