@@ -22,6 +22,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .tolerances import Tolerances
+
 # Largest vertex count either parser accepts.  A graph-wide search peaks near
 # 35 MiB + 6.5 * 8n^2 bytes, about 0.85 GiB at this cap (see the README).
 MAX_VERTICES = 4096
@@ -585,7 +587,7 @@ class TwinSearchResult:
 
 
 def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
-                          subset_budget: int = 1_000_000) -> TwinSearchResult:
+                          subset_budget: int = Tolerances.subset_budget) -> TwinSearchResult:
     """True twin subgraphs with part sizes 2..a_max, where the size bound can decide.
 
     A true pair of part size a rules its vertices out iff n > 4a^2 (the

@@ -40,7 +40,8 @@ class RatioConditionResult:
     witness: tuple[float, float, float, float] | None = None
 
 
-def rational_reconstruct(x: float, max_den: int = 1_000_000) -> Fraction | None:
+def rational_reconstruct(x: float,
+                         max_den: int = Tolerances.rational_den_max) -> Fraction | None:
     """Continued-fraction reconstruction of a float that is plausibly a
     rational with denominator <= max_den; None when no convergent snaps."""
     if not math.isfinite(x):

@@ -62,7 +62,8 @@ def default_step(dec: SpectralDecomposition) -> float:
     return min(0.01, math.pi / 8.0 / rho)  # 8 * rho overflows for rho > 2.2e307
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
+def golden_section(f, a: float, b: float,
+                   tol: float = Tolerances.time_refine) -> tuple[float, float]:
     """Derivative-free minimization on [a, b]; returns (x, f(x)) at the
     interval midpoint once the bracket shrinks below tol."""
     c = b - (b - a) * _INV_PHI

@@ -4,12 +4,12 @@ signed {-1, 0, 1} kernel vectors, and recognition of integer or
 quadratic-surd spectra.
 
 Floating decompositions use LAPACK's symmetric eigensolver at every size and
-keep its n x n eigenvector matrix; an eigenprojector is never formed, so a
-decomposition holds O(n^2) numbers.  One kernel makes every decomposition,
-with one solver call on a stack of matrices of one order:
-`decompose_graphs` hands it many graphs at once, `decompose` and
-`decompose_graph` a stack of one, and the results agree bit for bit.  The
-projector row tables of the eigenvector inequality are built per
+keep its n x n eigenvector matrix, not the matrix decomposed; an
+eigenprojector is never formed, so a decomposition holds O(n^2) numbers.
+One kernel makes every decomposition, with one solver call on a stack of
+matrices of one order: `decompose_graphs` hands it many graphs at once,
+`decompose` and `decompose_graph` a stack of one, and the results agree bit
+for bit.  The projector row tables of the eigenvector inequality are built per
 decomposition, by `projector_row_norms` only, when a rule reads them.
 Exact kernels carry no floating error at all.  The adjacency matrix is
 eliminated over the Python integers, fraction-free.  The certificates skip
@@ -51,7 +51,6 @@ class SpectralDecomposition:
     distinct eigenvalue in ascending order; the eigenprojector of group k is
     E_k = B_k B_k^T with B_k the k-th group of columns."""
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray              # distinct values, ascending
     multiplicities: tuple[int, ...]
     vectors: np.ndarray                  # V, shape (n, n), from eigh
@@ -60,7 +59,7 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
     @property
     def spectral_radius(self) -> float:
@@ -140,8 +139,9 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
     Graphs of one order n are decomposed in stacks of k while k * 8n^2 <=
     WORK_BYTES, each by `_decompose_stack`; above that a stack holds one
     graph.  A stack costs one eigh call, and its decompositions are yielded
-    together; the stack is released once the caller drops them, before the
-    next one is built.  A stack of one, or one that `_decompose_stack` fails
+    together; its matrices are released once eigh has run, and its
+    eigenvectors once the caller drops the decompositions, before the next
+    stack is built.  A stack of one, or one that `_decompose_stack` fails
     on, is decomposed graph by graph by `decompose_graph`, so only the graph
     at fault gets the error.  graphs[i] is not read once i is yielded, so the
     caller may drop it then."""
@@ -171,14 +171,19 @@ def decompose_graphs(graphs: list[WeightedGraph], kind: MatrixKind,
 
 def _decompose_stack(m: np.ndarray, tol: Tolerances) -> list[SpectralDecomposition]:
     """The decompositions of a (k, n, n) stack of symmetric matrices from one
-    eigh call, each grouped on its own."""
+    eigh call, each grouped on its own.  A non-finite entry, a solver failure
+    or a group mean that overflows raises SpectralError."""
     if not np.isfinite(m).all():  # a weighted degree can overflow to inf
         raise SpectralError("eigensolver failed: the matrix has a non-finite entry")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    return [_decomposition(x, ws, vs, _groups(ws, tol)) for x, ws, vs in zip(m, w, v)]
+    with np.errstate(over="ignore"):  # a group mean can overflow; it is checked below
+        decs = [_decomposition(ws, vs, _groups(ws, tol)) for ws, vs in zip(w, v)]
+    if not all(np.isfinite(d.eigenvalues).all() for d in decs):
+        raise SpectralError("eigensolver failed: an eigenvalue overflows")
+    return decs
 
 
 def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...], float]:
@@ -197,10 +202,10 @@ def _groups(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, tuple[int, ...]
     return np.array(means), tuple(b - a for a, b in zip(starts, stops)), gap
 
 
-def _decomposition(m, w, v, groups) -> SpectralDecomposition:
+def _decomposition(w, v, groups) -> SpectralDecomposition:
     means, mults, gap = groups
     return SpectralDecomposition(
-        matrix=_read_only(m), eigenvalues=_read_only(means), multiplicities=mults,
+        eigenvalues=_read_only(means), multiplicities=mults,
         vectors=_read_only(v), column_eigenvalues=_read_only(w), group_gap=gap)
 
 
@@ -367,7 +372,7 @@ NO_SIGNED_VECTORS = SignedVectorResult(_read_only(np.zeros((0, 0), np.int8)), tr
 
 
 def signed_kernel_vectors(kernel_basis: list[tuple[int, ...]],
-                          max_dim: int = 12) -> SignedVectorResult:
+                          max_dim: int = Tolerances.signed_budget) -> SignedVectorResult:
     """Enumerate {-1, 0, 1}-coefficient combinations of the kernel basis and
     keep those whose entries all lie in {-1, 0, 1}, each with a positive
     lead, as the distinct rows of an int8 array in lexicographic order.
@@ -497,8 +502,11 @@ def _fit_surd_family(values, a, tol):
     targets = []
     for x in values:
         y = 2.0 * x - a
-        c = round(y * y)
-        if abs(y * y - c) > 8 * tol.recog * (1.0 + abs(y)):
+        square = y * y
+        if not math.isfinite(square):  # |y| above 1.3e154: no surd fits
+            return None
+        c = round(square)
+        if abs(square - c) > 8 * tol.recog * (1.0 + abs(y)):
             return None
         targets.append((y, int(c)))
     delta = None

@@ -145,7 +145,7 @@ class HadamardClass:
 
 
 def hadamard_classify(h: np.ndarray, tol: float = 1e-8,
-                      r_max: int = 24) -> HadamardClass:
+                      r_max: int = Tolerances.butson_rmax) -> HadamardClass:
     """Tightest Hadamard class of a square complex matrix.
 
     A complex Hadamard has unimodular entries and H conj(H)^T = nI; the

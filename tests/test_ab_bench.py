@@ -1,11 +1,14 @@
 """The summary of tools/ab_bench.py on canned benchmark results."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import ab_bench  # noqa: E402
 from ab_bench import report, summarize  # noqa: E402
 
 
@@ -40,3 +43,30 @@ def test_summary_flags_incorrect_or_failed_runs():
     one = summarize([(good, good)])
     assert one["ok"] and one["metrics"]["wall_s"]["parent_iqr"] == 0.0
     assert one["pairs_won"] == 0  # a tie is not a win
+
+
+def test_each_side_compiles_into_its_own_fresh_cache(tmp_path, monkeypatch, capsys):
+    roots = (tmp_path / "parent", tmp_path / "change")
+    for root in roots:
+        (root / "src" / "__pycache__").mkdir(parents=True)
+    seen = {root: set() for root in roots}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        if not seen[cwd]:
+            assert prefix.is_dir() and not any(prefix.iterdir())  # fresh at the side's first run
+        assert "PYTHONDONTWRITEBYTECODE" not in env  # the cache fills on the first start-up
+        seen[cwd].add(prefix)
+        (prefix / "qmix.cpython.pyc").touch()
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_result(1.0)) + "\n")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    assert ab_bench.main([str(r) for r in roots] + ["--workload", "atlas-batch", "--pairs", "3"]) == 0
+    assert "change won 0 of 3 pairs" in capsys.readouterr().out
+    assert all(len(prefixes) == 1 for prefixes in seen.values())  # one per side for all pairs
+    (parent_cache,), (change_cache,) = seen.values()
+    assert parent_cache != change_cache
+    for cache in (parent_cache, change_cache):
+        assert not any(cache.resolve().is_relative_to(root.resolve()) for root in roots)
+        assert not cache.exists()

@@ -14,7 +14,7 @@ import numpy as np
 from qmix import (HadamardKind, MatrixKind, WeightClass,
                   WeightedGraph, bipartition, certify_graph,
                   check_real_target_period, decompose_graph, empirical_inf,
-                  hadamard_classify, is_periodic_vertex, mixing_deviation,
+                  hadamard_classify, is_periodic_vertex, matrix_of, mixing_deviation,
                   regular_equivalence_check, scan_local, scan_uniform,
                   states_proportional, transition_matrix, vertex_support)
 from qmix.walk import bipartite_block_check
@@ -193,7 +193,8 @@ def test_criterion_08_randomized_invariant_suites(rng):
             # projector algebra and reconstruction
             total = sum(projectors_of(dec))
             assert np.abs(total - np.eye(n)).max() < tol
-            assert np.abs(grouped_reconstruction(dec) - dec.matrix).max() < tol
+            m = matrix_of(g, MatrixKind.ADJACENCY)
+            assert np.abs(grouped_reconstruction(dec) - m).max() < tol
             for a, p in enumerate(projectors_of(dec)):
                 assert np.abs(p @ p - p).max() < tol
                 for q in projectors_of(dec)[a + 1:]:

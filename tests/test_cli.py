@@ -11,18 +11,18 @@ import tracemalloc
 import warnings
 from collections import Counter
 from contextlib import redirect_stdout
-from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qmix.cli
 import qmix.graphs
-from qmix import DEFAULT_TOLERANCES, MatrixKind, decompose_graph, parse_graph6
+from qmix import DEFAULT_TOLERANCES, MatrixKind, Tolerances, decompose_graph, parse_graph6
 from qmix.graphs import MAX_VERTICES
 from qmix.cli import _batch_chunk, main
 from qmix.walk import deviation_profile
@@ -295,6 +295,34 @@ def test_tolerance_flags_keep_the_exit_code_contract(tmp_path_factory, capsys,
                 argv = [command, str(p), "--matrix", matrix, *options, *flags]
                 assert main(argv) in (0, 1, 2), argv
                 assert "Traceback" not in capsys.readouterr().err, argv
+
+
+_EXTREME_WEIGHT = st.one_of(
+    st.just("1"), st.integers(2, 9).map(str),
+    st.floats(-300, 308.23).map(lambda e: repr(10.0 ** e)),  # log-uniform in 1e-300..1.7e308
+    st.sampled_from((str(2 ** 53), str(10 ** 30))))
+_PAIRS = list(combinations(range(8), 2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=st.lists(st.tuples(st.sampled_from(_PAIRS), _EXTREME_WEIGHT),
+                      min_size=1, max_size=12, unique_by=lambda e: e[0]))
+# a group mean of two 1.7e308 eigenvalues overflows; eigh returns an
+# infinite eigenvalue of a finite signless Laplacian; a surd fit squares 2e155
+@example(edges=[((0, 4), "1.7e308"), ((2, 5), "1.7e308")])
+@example(edges=[((0, 1), str(2 ** 53)), ((0, 2), str(2 ** 53)), ((0, 3), "1.7e308")])
+@example(edges=[((0, 1), "1e155"), ((1, 2), "1")])
+def test_extreme_weights_keep_the_exit_code_contract(tmp_path_factory, capsys, edges):
+    p = tmp_path_factory.mktemp("graphs") / "g.wel"
+    p.write_text("".join(f"{u} {v} {w}\n" for (u, v), w in edges))
+    commands = (["spectrum"], ["certify"], ["search", "--tmax", "1"],
+                ["search", "--tmax", "1", "--vertex", "0"])
+    for command, *options in commands:
+        for matrix in ("adjacency", "laplacian", "signless"):
+            argv = [command, str(p), "--matrix", matrix, *options]
+            assert main(argv) in (0, 1, 2), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_search_detects_only_below_one_over_n(tmp_path, capsys):
@@ -668,14 +696,14 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_batch_entry_reports_truncation():
+def test_batch_entry_reports_truncation(monkeypatch):
     line = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode().strip()
     task = ("paths.g6", [(1, line)], MatrixKind.ADJACENCY, DEFAULT_TOLERANCES)
     [entry] = _batch_chunk(task)
     assert entry["twin_search_truncated"] is False
     assert entry["signed_enumeration_truncated"] is False
-    small = replace(DEFAULT_TOLERANCES, subset_budget=3)
-    [entry] = _batch_chunk(task[:-1] + (small,))
+    monkeypatch.setattr(Tolerances, "subset_budget", 3)
+    [entry] = _batch_chunk(task)
     assert entry["twin_search_truncated"] is True
 
 

@@ -67,9 +67,11 @@ def test_decompose_graph_equals_decompose_bitwise(rng):
               for _ in range(4)]
     for g in graphs:
         for kind in MatrixKind:
-            got, want = decompose_graph(g, kind), decompose(matrix_of(g, kind))
-            assert got.multiplicities == want.multiplicities
-            for name in ("matrix", "eigenvalues", "vectors"):
+            m = matrix_of(g, kind)
+            got, want = decompose_graph(g, kind), decompose(m)
+            assert _same((m + m.T) / 2.0, m)  # decompose's symmetrisation is exact here
+            assert got.multiplicities == want.multiplicities and got.group_gap == want.group_gap
+            for name in ("eigenvalues", "vectors", "column_eigenvalues"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, kind, name)
 
@@ -91,7 +93,7 @@ def test_decompose_graphs_equals_decompose_graph_bitwise(rng):
         for i, g in enumerate(graphs):
             a, b = got[i], decompose_graph(g, kind)
             assert a.multiplicities == b.multiplicities and a.group_gap == b.group_gap
-            for name in ("matrix", "eigenvalues", "vectors", "column_eigenvalues"):
+            for name in ("eigenvalues", "vectors", "column_eigenvalues"):
                 assert _same(getattr(a, name), getattr(b, name)), (i, kind, name)
             assert all(map(_same, a.projector_row_norms(), b.projector_row_norms())), (i, kind)
 
@@ -124,6 +126,23 @@ def test_decompose_graphs_yields_the_error_of_a_graph_it_cannot_decompose():
         assert _same(got[i].vectors, decompose_graph(g, MatrixKind.LAPLACIAN).vectors)
 
 
+def test_an_eigenvalue_that_overflows_is_a_spectral_error():
+    # two eigenvalue pairs +-1.7e308 whose group means overflow to +-inf, and a
+    # finite signless Laplacian whose eigenvalues eigh returns infinite
+    pairs = WeightedGraph.build(6, [(0, 4, 1.7e308), (2, 5, 1.7e308)])
+    big = 2 ** 53
+    spike = WeightedGraph.build(4, [(0, 1, big), (0, 2, big), (0, 3, 1.7e308)])
+    for g, kind in ((pairs, MatrixKind.ADJACENCY), (spike, MatrixKind.SIGNLESS_LAPLACIAN)):
+        assert np.isfinite(matrix_of(g, kind)).all()
+        with pytest.raises(SpectralError, match="an eigenvalue overflows"):
+            decompose_graph(g, kind)
+    # in a stack, only the graph at fault gets the error
+    got = dict(decompose_graphs([path(6), pairs, star(6)], MatrixKind.ADJACENCY))
+    assert isinstance(got[1], SpectralError) and "overflows" in str(got[1])
+    for i, g in ((0, path(6)), (2, star(6))):
+        assert _same(got[i].vectors, decompose_graph(g, MatrixKind.ADJACENCY).vectors)
+
+
 def test_group_means_are_np_mean_bitwise(rng):
     # clusters of up to 13 eigenvalues within the grouping tolerance
     large = 0
@@ -133,8 +152,9 @@ def test_group_means_are_np_mean_bitwise(rng):
         values = np.concatenate([c + rng.uniform(-1e-10, 1e-10, size=k)
                                  for c, k in zip(centres, sizes)])
         q, _ = np.linalg.qr(rng.normal(size=(len(values), len(values))))
-        dec = decompose((q * values) @ q.T)
-        w = np.linalg.eigh(dec.matrix)[0]
+        m = (q * values) @ q.T
+        dec = decompose(m)
+        w = np.linalg.eigh((m + m.T) / 2.0)[0]  # the matrix decompose solves
         stops = np.cumsum(dec.multiplicities)
         assert dec.multiplicities == tuple(sizes)
         for value, a, b in zip(dec.eigenvalues.tolist(), stops - dec.multiplicities, stops):
@@ -610,6 +630,15 @@ def test_classify_star_surd():
     dec = decompose_graph(star(4), MatrixKind.ADJACENCY)
     cls = classify_spectrum(dec)
     assert cls.kind is SpectrumKind.QUADRATIC_SURD and cls.delta == 3
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN])
+def test_surd_fit_of_an_eigenvalue_whose_square_overflows_is_no_fit(kind):
+    # an eigenvalue near 1e155 gives y = 2x - a near 2e155, and y * y is inf
+    g = WeightedGraph.build(3, [(0, 1, 1e155), (1, 2, 1)])
+    dec = decompose_graph(g, kind)
+    assert np.isfinite(dec.eigenvalues).all() and dec.spectral_radius > 1.3e154
+    assert classify_spectrum(dec).kind is SpectrumKind.IRREGULAR
 
 
 def test_classify_restricted_support():

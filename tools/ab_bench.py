@@ -6,7 +6,12 @@ Each pair runs `perfbench/run.py --trace 0` once in each checkout, one
 process at a time, so both runs of a pair see the same phase of the
 machine.  The parent runs first in the first pair, and the side that runs
 first alternates from pair to pair, so that neither side always runs
-second.  Pair i uses seed SEED + i in both.
+second.  Pair i uses seed SEED + i in both.  Each side compiles into its
+own bytecode cache (PYTHONPYCACHEPREFIX), made empty at start and removed
+at exit, so neither reads the `__pycache__` directories left in its tree.
+The runs may write there even under PYTHONDONTWRITEBYTECODE, or every
+process would compile numpy and the standard library too; the benchmark's
+first, untimed start-up fills the cache.
 Prints each pair's wall_s, setup_s and peak_rss_mb, the median of each
 metric per side with the parent's interquartile range, the change/parent
 ratio of the medians, the median of the paired wall_s ratios and the pairs
@@ -18,21 +23,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one benchmark run in a checkout, parsed."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """The last stdout line of one benchmark run in a checkout, with its
+    bytecode cache under pycache, parsed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
-        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=root, env=_env(pycache), stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _env(pycache: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return dict(env, PYTHONPYCACHEPREFIX=str(pycache))
 
 
 def _iqr(values: list[float]) -> float:
@@ -91,15 +105,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=50, help="seed of the first pair")
     args = parser.parse_args(argv)
     roots = (args.parent.resolve(), args.change.resolve())
+    caches = (Path(tempfile.mkdtemp(prefix="ab_bench_parent_")),
+              Path(tempfile.mkdtemp(prefix="ab_bench_change_")))
     pairs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        runs = {side: run_once(roots[side], args.workload, seed, args.seconds)
-                for side in ((0, 1) if i % 2 == 0 else (1, 0))}
-        pair = (runs[0], runs[1])
-        pairs.append(pair)
-        print(f"pair {i} (seed {seed}): wall_s {pair[0]['metrics']['wall_s']['value']:.3f} -> "
-              f"{pair[1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+    try:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            runs = {side: run_once(roots[side], args.workload, seed, args.seconds, caches[side])
+                    for side in ((0, 1) if i % 2 == 0 else (1, 0))}
+            pair = (runs[0], runs[1])
+            pairs.append(pair)
+            print(f"pair {i} (seed {seed}): wall_s {pair[0]['metrics']['wall_s']['value']:.3f} "
+                  f"-> {pair[1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+    finally:
+        for cache in caches:
+            shutil.rmtree(cache, ignore_errors=True)
     summary = summarize(pairs)
     print(report(summary))
     return 0 if summary["ok"] else 1
