@@ -3,10 +3,10 @@ and sound spectral/combinatorial certificates that rule mixing out."""
 
 __version__ = "0.1.0"
 
-from .graphs import (Bipartition, CycleFlags, DegreeStats, GraphFormatError, MatrixKind,
-                     TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph, bipartition,
-                     cycle_flags, degree_stats, find_twin_pairs, is_connected, is_tree,
-                     matrix_of, parse_graph6, parse_weighted_edgelist, search_twin_subgraphs,
+from .graphs import (Bipartition, DegreeStats, GraphFormatError, MatrixKind, TwinKind,
+                     TwinSubgraphWitness, WeightClass, WeightedGraph, bipartition,
+                     degree_stats, find_twin_pairs, has_c5, is_connected, is_tree, matrix_of,
+                     parse_graph6, parse_weighted_edgelist, search_twin_subgraphs,
                      verify_twin_subgraphs)
 from .spectral import (EigenvalueSupport, SpectralDecomposition, SpectralError,
                        SpectrumClassification, SpectrumKind, classify_spectrum, decompose,

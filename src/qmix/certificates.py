@@ -33,10 +33,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, Bipartition, CycleFlags, DegreeStats, MatrixKind,
-                     TwinKind, TwinSubgraphWitness, WeightClass, WeightedGraph,
-                     bipartition, connected_components, cycle_flags, degree_stats,
-                     find_twin_pairs, search_twin_subgraphs, verify_twin_subgraphs)
+from .graphs import (MAX_VERTICES, Bipartition, DegreeStats, MatrixKind, TwinKind,
+                     TwinSubgraphWitness, WeightClass, WeightedGraph, bipartition,
+                     connected_components, degree_stats, find_twin_pairs,
+                     search_twin_subgraphs, verify_twin_subgraphs)
 from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
                        nonsingular_by_spectrum, signed_kernel_vectors)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -90,7 +90,6 @@ class GraphFacts:
     stats: DegreeStats
     components: list[list[int]]
     bip: Bipartition
-    flags: CycleFlags
     twins: list[tuple[int, int, TwinKind]]
     twin_witnesses: tuple[TwinSubgraphWitness, ...]  # true pairs with part size >= 2
     twin_search_truncated: bool
@@ -134,7 +133,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
     return GraphFacts(
         g=g, kind=kind, dec=dec, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
-        flags=cycle_flags(g), twins=find_twin_pairs(g),
+        twins=find_twin_pairs(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
         kernel_basis=basis, signed_truncated=dim > tol.signed_budget)
 
@@ -265,11 +264,11 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
     """Adjacency walks on C4-free graphs: deg u <= 2(|E| + q)/n, with q the
     number of vertex pairs at distance two; and on unicyclic graphs whose
     cycle is a C4, deg u <= 2(n + q + 2)/n."""
-    g, st, fl = facts.g, facts.stats, facts.flags
+    g, st = facts.g, facts.stats
     n, q = g.n, st.dist2_pairs
 
     rule = "degree-common-neighbors-A"
-    if fl.has_c4:
+    if st.has_c4:
         out = list(_noted_row(
             rule, n, "requires a unit-weight C4-free graph under the adjacency walk"))
     else:
@@ -277,7 +276,7 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
 
     rule = "degree-unicyclic-c4-A"
     unicyclic = facts.connected and g.edge_count == n
-    if unicyclic and fl.has_c4:
+    if unicyclic and st.has_c4:
         out += _degree_bound(rule, st.deg, Fraction(2 * (n + q + 2), n), dist2_pairs=q)
     else:
         out += _noted_row(rule, n, "requires a unicyclic graph whose cycle is a C4")

@@ -13,7 +13,7 @@ here read them; neither is larger than O(n + m).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
@@ -307,20 +307,31 @@ class DegreeStats:
     max_degree: int
     edge_count: int
     dist2_pairs: int
+    has_triangle: bool
+    has_c4: bool
 
 
 def degree_stats(g: WeightedGraph) -> DegreeStats:
-    """Exact degree statistics; dist2_pairs counts vertex pairs at distance two."""
+    """Exact degree statistics, from one pass over neighbour bitmasks:
+    dist2_pairs counts vertex pairs at distance two, and the two flags say
+    whether a 3- or 4-cycle is a subgraph.
+
+    A 4-cycle exists exactly when some vertex pair has two or more common
+    neighbours, so C4-freeness matches the common-neighbour bound c(j,l) <= 1.
+    """
     deg = degrees(g)
     mask = [0] * g.n  # bit v of mask[u]: v is a neighbour of u
     for u, v, _ in g.edges:
         mask[u] |= 1 << v
         mask[v] |= 1 << u
-    q = 0
+    q, tri, c4 = 0, False, False
     for u, row in enumerate(g.neighbourhoods):
         reach = 0  # the vertices with a common neighbour with u, u among them
         for w in row:
+            # a vertex other than u next to w and to an earlier neighbour
+            c4 = c4 or bool(reach & mask[w] & ~(1 << u))
             reach |= mask[w]
+        tri = tri or bool(reach & mask[u])  # two adjacent neighbours of u
         q += ((reach & ~mask[u]) >> (u + 1)).bit_count()  # those above u, off u's row
     return DegreeStats(
         deg=tuple(deg),
@@ -328,6 +339,8 @@ def degree_stats(g: WeightedGraph) -> DegreeStats:
         max_degree=max(deg) if deg else 0,
         edge_count=g.edge_count,
         dist2_pairs=q,
+        has_triangle=tri,
+        has_c4=c4,
     )
 
 
@@ -371,37 +384,9 @@ def bipartition(g: WeightedGraph) -> Bipartition:
     return Bipartition(present=True, b1=b1, b2=b2)
 
 
-@dataclass(frozen=True)
-class CycleFlags:
-    has_triangle: bool
-    has_c4: bool
-    neighbourhoods: tuple[MappingProxyType, ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def has_c5(self) -> bool:
-        """Counted on first read: few readers need it, and it costs the most."""
-        return _cycle5_count(self.neighbourhoods) > 0
-
-
-def cycle_flags(g: WeightedGraph) -> CycleFlags:
-    """Exhaustive search for 3- and 4-cycles as subgraphs, and an exact count
-    of 5-cycles (`_cycle5_count`).
-
-    A 4-cycle exists exactly when some vertex pair has two or more common
-    neighbors, so C4-freeness matches the common-neighbor bound c(j,l) <= 1.
-    """
-    nbrs = g.neighbourhoods
-    nbr = [set(row) for row in nbrs]
-    tri = any(nbr[u] & nbr[v] for u, v, _ in g.edges)
-    c4 = False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if len(nbr[u] & nbr[v]) >= 2:
-                c4 = True
-                break
-        if c4:
-            break
-    return CycleFlags(has_triangle=tri, has_c4=c4, neighbourhoods=nbrs)
+def has_c5(g: WeightedGraph) -> bool:
+    """Whether a 5-cycle is a subgraph, from the exact count of 5-cycles."""
+    return _cycle5_count(g.neighbourhoods) > 0
 
 
 def _cycle5_count(adj) -> int:

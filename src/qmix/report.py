@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import CertificateReport, CertificateVerdict, GraphFacts
-from .graphs import WeightedGraph, bipartition, cycle_flags, degree_stats, is_connected
+from .graphs import WeightedGraph, bipartition, degree_stats, has_c5, is_connected
 from .periodicity import vertex_periodicity
 from .search import Detection, MixingReport
 from .spectral import SpectralDecomposition, SpectrumClassification, classify_spectrum
@@ -107,11 +107,11 @@ def report_header(tol: Tolerances) -> dict:
 
 def graph_summary(g: WeightedGraph, facts: GraphFacts | None = None) -> dict:
     """The structure of g; certificate facts of g, when given, supply the
-    degree statistics, bipartition and cycle flags they already hold."""
+    degree statistics and bipartition they already hold."""
     if facts is None:
-        stats, bip, flags = degree_stats(g), bipartition(g), cycle_flags(g)
+        stats, bip = degree_stats(g), bipartition(g)
     else:
-        stats, bip, flags = facts.stats, facts.bip, facts.flags
+        stats, bip = facts.stats, facts.bip
     connected = is_connected(g)
     return {
         "n": g.n,
@@ -125,9 +125,9 @@ def graph_summary(g: WeightedGraph, facts: GraphFacts | None = None) -> dict:
         "bipartite": bip.present,
         "parts": {"b1": list(bip.b1), "b2": list(bip.b2)} if bip.present else None,
         "cyclomatic_index": g.edge_count - g.n + 1 if connected else None,
-        "has_triangle": flags.has_triangle,
-        "has_c4": flags.has_c4,
-        "has_c5": flags.has_c5,
+        "has_triangle": stats.has_triangle,
+        "has_c4": stats.has_c4,
+        "has_c5": has_c5(g),
     }
 
 

@@ -179,7 +179,8 @@ def _decompose_stack(m: np.ndarray, tol: Tolerances) -> list[SpectralDecompositi
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    with np.errstate(over="ignore"):  # a group mean can overflow; it is checked below
+    # a group mean can overflow, or be NaN from inf - inf; both are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
         decs = [_decomposition(ws, vs, _groups(ws, tol)) for ws, vs in zip(w, v)]
     if not all(np.isfinite(d.eigenvalues).all() for d in decs):
         raise SpectralError("eigensolver failed: an eigenvalue overflows")
@@ -486,14 +487,15 @@ def _surd_offsets(values: list[float], tol: Tolerances) -> set[int]:
     """The candidate offsets a: every integer within 8 recog of a sum
     x_i + x_j, i <= j, with |a| <= surd_offset_max.  The sums are taken a
     block of rows i at a time; np.round rounds half to even, as round()
-    does."""
+    does.  A sum that overflows, and the NaN it gives, are never kept."""
     x = np.array(values, dtype=float)
     step = max(1, WORK_BYTES // (24 * len(x)))
     offsets: set[int] = set()
     for r in range(0, len(x), step):
-        sums = x[r:r + step, None] + x[r:]
-        near = np.round(sums)
-        keep = (np.abs(sums - near) <= 8 * tol.recog) & (np.abs(near) <= tol.surd_offset_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = x[r:r + step, None] + x[r:]
+            near = np.round(sums)
+            keep = (np.abs(sums - near) <= 8 * tol.recog) & (np.abs(near) <= tol.surd_offset_max)
         offsets.update(map(int, near[keep].tolist()))
     return offsets
 

@@ -381,6 +381,18 @@ def reference_has_cycle5(g: WeightedGraph) -> bool:
     return False
 
 
+def reference_cycle_flags(g: WeightedGraph) -> tuple[bool, bool]:
+    """(has_triangle, has_c4) from the square of the 0/1 adjacency matrix:
+    a triangle is an edge uv with a path of length two from u to v, and a
+    4-cycle is a pair of distinct vertices with two paths of length two."""
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v, _ in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    paths2 = adj @ adj
+    np.fill_diagonal(paths2, 0)
+    return bool((paths2 * adj).any()), bool((paths2 >= 2).any())
+
+
 def reference_family_bounds(g: WeightedGraph, kind: MatrixKind) -> dict[str, Fraction]:
     """The degree bounds of the deleted planar-family rules on a unit-weight
     graph asserted planar, kept as the oracle for the proof that they
@@ -392,12 +404,7 @@ def reference_family_bounds(g: WeightedGraph, kind: MatrixKind) -> dict[str, Fra
     (n >= 11).  Under A it is 2(15(n - 2)/7 + q)/n on a C4-free graph with
     n >= 4, q the pairs at distance two."""
     n, m = g.n, g.edge_count
-    adj = np.zeros((n, n), dtype=np.int64)
-    for u, v, _ in g.edges:
-        adj[u, v] = adj[v, u] = 1
-    paths2 = adj @ adj
-    has_triangle = bool((paths2 * adj).any())
-    has_c4 = bool((paths2 - np.diag(np.diag(paths2)) >= 2).any())
+    has_triangle, has_c4 = reference_cycle_flags(g)
     if kind is MatrixKind.ADJACENCY:
         if has_c4 or n < 4:
             return {}

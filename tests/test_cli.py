@@ -313,6 +313,12 @@ _PAIRS = list(combinations(range(8), 2))
 @example(edges=[((0, 4), "1.7e308"), ((2, 5), "1.7e308")])
 @example(edges=[((0, 1), str(2 ** 53)), ((0, 2), str(2 ** 53)), ((0, 3), "1.7e308")])
 @example(edges=[((0, 1), "1e155"), ((1, 2), "1")])
+# a surd offset sum of 1e308 with itself overflows; eigh's eigenvalues
+# include inf and -inf, whose group mean is NaN
+@example(edges=[((1, 2), "1"), ((0, 3), "1e+308"), ((4, 5), "9007199254740992")])
+@example(edges=[((0, 1), "1e+155"), ((0, 4), "3"), ((0, 3), "2"), ((1, 3), "1.7e+308"),
+                ((0, 2), "1e-300"), ((1, 4), "3"), ((1, 2), "2"), ((3, 4), "1e+308"),
+                ((2, 3), "1e+155"), ((2, 4), "1e+200")])
 def test_extreme_weights_keep_the_exit_code_contract(tmp_path_factory, capsys, edges):
     p = tmp_path_factory.mktemp("graphs") / "g.wel"
     p.write_text("".join(f"{u} {v} {w}\n" for (u, v), w in edges))
@@ -679,7 +685,7 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
     p = tmp_path / "gnp-64.g6"
     p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
     calls = Counter()
-    for name in ("degree_stats", "bipartition", "cycle_flags"):
+    for name in ("degree_stats", "bipartition", "has_c5"):
         original = getattr(qmix.graphs, name)
 
         def counted(g, _name=name, _original=original):
@@ -692,7 +698,7 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
     for matrix in ("adjacency", "laplacian"):
         calls.clear()
         assert main(["certify", str(p), "--matrix", matrix]) == 0
-        assert calls == {"degree_stats": 1, "bipartition": 1, "cycle_flags": 1}, matrix
+        assert calls == {"degree_stats": 1, "bipartition": 1, "has_c5": 1}, matrix
     capsys.readouterr()
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, WeightClass,
-                  WeightedGraph, bipartition, cert_pendant_pair, collect_facts, cycle_flags,
-                  degree_stats, find_twin_pairs, matrix_of, parse_graph6,
+                  WeightedGraph, bipartition, cert_pendant_pair, collect_facts, degree_stats,
+                  find_twin_pairs, has_c5, matrix_of, parse_graph6,
                   parse_weighted_edgelist, search_twin_subgraphs, verify_twin_subgraphs)
 import qmix.graphs
 from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, degrees,
@@ -21,8 +21,8 @@ from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, 
 from conftest import (attach_pendants, big_fi, common_neighbors, complete, complete_bipartite,
                       count_distance_two_pairs, cycle, cyclomatic_index, is_caterpillar,
                       naive_twin_subgraph_check, path, pendant_pairs, planted_true_pair,
-                      random_connected_graph, reference_has_cycle5, reference_twin_search,
-                      star, subdivide)
+                      random_connected_graph, reference_cycle_flags, reference_has_cycle5,
+                      reference_twin_search, star, subdivide)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,41 @@ def test_degree_stats_k2():
     assert st.dist2_pairs == 0
 
 
+def _prufer_tree(rng, n):
+    return WeightedGraph.build(n, [(u, v, 1) for u, v in nx.from_prufer_sequence(
+        rng.integers(0, n, n - 2).tolist()).edges()])
+
+
 def test_dist2_matches_bfs_oracle(rng):
-    from conftest import random_connected_graph
-    for _ in range(20):
-        g = random_connected_graph(rng, int(rng.integers(2, 12)))
-        assert degree_stats(g).dist2_pairs == count_distance_two_pairs(g)
+    # the distance-2 pairs, triangles and 4-cycles of one bitmask pass,
+    # against BFS and the square of the adjacency matrix; weights are ignored
+    graphs = [WeightedGraph.build(g.number_of_nodes(), [(u, v, 1) for u, v in g.edges()])
+              for g in nx.graph_atlas_g()[1:]]
+    for weight in (lambda: 1, lambda: int(rng.integers(1, 6)),
+                   lambda: float(rng.uniform(0.5, 2.5))):
+        for _ in range(40):
+            n = int(rng.integers(2, 61))
+            h = nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.4)),
+                                    seed=int(rng.integers(2 ** 31)))
+            graphs.append(WeightedGraph.build(n, [(u, v, weight()) for u, v in h.edges()]))
+    graphs += [_prufer_tree(rng, n) for n in (3, 10, 50, 100, 400) for _ in range(3)]
+    stats = [degree_stats(g) for g in graphs]
+    for g, st in zip(graphs, stats):
+        assert st.dist2_pairs == count_distance_two_pairs(g), g
+        assert (st.has_triangle, st.has_c4) == reference_cycle_flags(g), g
+    assert 100 < sum(st.has_c4 for st in stats) < len(graphs) - 100
+    assert 100 < sum(st.has_triangle for st in stats) < len(graphs) - 100
+
+
+@pytest.mark.parametrize("tree", ["random", "path"])
+def test_degree_stats_is_fast_on_large_c4_free_graphs(tree):
+    # a scan over all vertex pairs for two common neighbours took over a
+    # second on the 4096-vertex tree
+    g = _prufer_tree(np.random.default_rng(4096), 4096) if tree == "random" else path(4096)
+    start = perf_counter()
+    st = degree_stats(g)
+    assert perf_counter() - start < 1.0
+    assert not (st.has_c4 or st.has_triangle)
 
 
 def test_common_neighbors():
@@ -219,13 +249,13 @@ def test_bipartition_edges_cross_parts():
 
 
 def test_cycle_flags_and_index():
-    fl = cycle_flags(path(5))
-    assert not (fl.has_triangle or fl.has_c4 or fl.has_c5)
+    st = degree_stats(path(5))
+    assert not (st.has_triangle or st.has_c4 or has_c5(path(5)))
     assert cyclomatic_index(path(5)) == 0
-    assert cycle_flags(cycle(4)).has_c4 and cyclomatic_index(cycle(4)) == 1
-    assert cycle_flags(complete(4)).has_triangle and cyclomatic_index(complete(4)) == 3
-    assert cycle_flags(cycle(5)).has_c5
-    assert cycle_flags(complete(5)).has_c5  # 5-cycles exist as subgraphs
+    assert degree_stats(cycle(4)).has_c4 and cyclomatic_index(cycle(4)) == 1
+    assert degree_stats(complete(4)).has_triangle and cyclomatic_index(complete(4)) == 3
+    assert has_c5(cycle(5))
+    assert has_c5(complete(5))  # 5-cycles exist as subgraphs
     disconnected = WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(ValueError):
         cyclomatic_index(disconnected)
@@ -253,7 +283,7 @@ def test_has_c5_matches_the_search_oracle(rng):
         h = nx.gnp_random_graph(n, float(rng.uniform(0.03, 0.3)), seed=int(rng.integers(2 ** 31)))
         graphs.append(WeightedGraph.build(n, [(u, v, int(rng.integers(1, 4)))
                                               for u, v in h.edges()]))
-    found = [cycle_flags(g).has_c5 for g in graphs]
+    found = [has_c5(g) for g in graphs]
     assert found == [reference_has_cycle5(g) for g in graphs]
     assert 100 < sum(found) < len(graphs) - 100
 
@@ -269,10 +299,10 @@ def test_has_c5_is_fast_on_dense_c5_free_graphs():
     # K60,60 with a pendant triangle has no 5-cycle, and a search for one
     # walks some 60^5 paths; a pendant C5 gives one
     small = _with_pendant(complete_bipartite(6, 6), complete(3))
-    assert cycle_flags(small).has_c5 is reference_has_cycle5(small) is False
+    assert has_c5(small) is reference_has_cycle5(small) is False
     start = perf_counter()
-    assert not cycle_flags(_with_pendant(complete_bipartite(60, 60), complete(3))).has_c5
-    assert cycle_flags(_with_pendant(complete_bipartite(60, 60), cycle(5))).has_c5
+    assert not has_c5(_with_pendant(complete_bipartite(60, 60), complete(3)))
+    assert has_c5(_with_pendant(complete_bipartite(60, 60), cycle(5)))
     assert perf_counter() - start < 1.0
 # ---------------------------------------------------------------------------
 # constructions

@@ -10,8 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
                          own_inputs, verdict_values)
 
-from qmix import (MatrixKind, WeightClass, bipartition, cycle_flags, decompose_graph,  # noqa: E402
-                  exact_kernel, parse_weighted_edgelist, vertex_support)
+from qmix import (MatrixKind, WeightClass, bipartition, decompose_graph,  # noqa: E402
+                  exact_kernel, has_c5, parse_weighted_edgelist, vertex_support)
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -89,7 +89,7 @@ def test_own_inputs_are_the_graphs_described(tmp_path):
     dense, twinned, shared, hub = (parse_weighted_edgelist(Path(p).read_text())
                                    for p in own_inputs(tmp_path))
     assert (dense.n, dense.edge_count) == (63, 904)
-    assert not bipartition(dense).present and not cycle_flags(dense).has_c5
+    assert not bipartition(dense).present and not has_c5(dense)
     assert twinned.n == 30 and {w for _, _, w in twinned.edges} == {1, 2, 3}
     assert exact_kernel(twinned)  # the false twin makes it singular
     assert (shared.n, shared.edge_count, shared.weight_class) == (256, 1974, WeightClass.UNIT)
