@@ -35,8 +35,8 @@ import numpy as np
 
 from .graphs import (MAX_VERTICES, Bipartition, DegreeStats, MatrixKind, TwinKind,
                      TwinSubgraphWitness, WeightClass, WeightedGraph, bipartition,
-                     connected_components, degree_stats, find_twin_pairs,
-                     search_twin_subgraphs, verify_twin_subgraphs)
+                     connected_components, degree_stats, search_twin_subgraphs,
+                     twin_classes, verify_twin_subgraphs)
 from .spectral import (NO_SIGNED_VECTORS, SpectralDecomposition, exact_kernel,
                        nonsingular_by_spectrum, signed_kernel_vectors)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -90,7 +90,7 @@ class GraphFacts:
     stats: DegreeStats
     components: list[list[int]]
     bip: Bipartition
-    twins: list[tuple[int, int, TwinKind]]
+    twins: list[tuple[tuple[int, ...], TwinKind]]  # twin classes, see twin_classes
     twin_witnesses: tuple[TwinSubgraphWitness, ...]  # true pairs with part size >= 2
     twin_search_truncated: bool
     kernel_basis: list[tuple[int, ...]]  # exact; empty for real weights and under L and Q
@@ -133,7 +133,7 @@ def collect_facts(g: WeightedGraph, dec: SpectralDecomposition | None, kind: Mat
     return GraphFacts(
         g=g, kind=kind, dec=dec, tol=tol, stats=degree_stats(g),
         components=connected_components(g), bip=bipartition(g),
-        twins=find_twin_pairs(g),
+        twins=twin_classes(g),
         twin_witnesses=tw.witnesses, twin_search_truncated=tw.truncated,
         kernel_basis=basis, signed_truncated=dim > tol.signed_budget)
 
@@ -285,23 +285,13 @@ def cert_degree_A_c4free(facts: GraphFacts) -> list[CertificateVerdict]:
 
 def cert_twins(facts: GraphFacts) -> list[CertificateVerdict]:
     """A vertex with a twin cannot mix once the graph has five vertices."""
-    rule = "twin-vertex"
-    n = facts.n
-    twin: dict[int, tuple[int, TwinKind]] = {}  # each vertex's first twin pair
-    for a, b, k in facts.twins:
-        twin.setdefault(a, (b, k))
-        twin.setdefault(b, (a, k))
-    no_twin = _noted_row(rule, n, "no twin", Verdict.INCONCLUSIVE)
-    out = []
-    for u in range(n):
-        if u not in twin:
-            out.append(no_twin[u])
-        elif n >= 5:
-            out.append(_vertex(rule, u, Verdict.RULED_OUT, twin=twin[u][0],
-                               twin_kind=twin[u][1].value, n=n))
-        else:
-            out.append(_vertex(rule, u, Verdict.INCONCLUSIVE, twin=twin[u][0],
-                               twin_kind=twin[u][1].value, note="order at most four"))
+    rule, n = "twin-vertex", facts.n
+    out = list(_noted_row(rule, n, "no twin", Verdict.INCONCLUSIVE))
+    for members, kind in facts.twins:
+        for u in members:  # the witness is u's first twin, its smallest class-mate
+            twin = dict(twin=members[1] if u == members[0] else members[0], twin_kind=kind.value)
+            out[u] = (_vertex(rule, u, Verdict.RULED_OUT, **twin, n=n) if n >= 5 else
+                      _vertex(rule, u, Verdict.INCONCLUSIVE, **twin, note="order at most four"))
     return out
 
 

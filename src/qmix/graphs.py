@@ -13,6 +13,7 @@ here read them; neither is larger than O(n + m).
 from __future__ import annotations
 
 import enum
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -311,6 +312,12 @@ class DegreeStats:
     has_c4: bool
 
 
+def _neighbour_masks(g: WeightedGraph) -> list[int]:
+    """Bit v of entry u is set iff v is a neighbour of u.  They hold n^2
+    bits, so they are built where they are read, never cached on the graph."""
+    return [sum(1 << v for v in row) for row in g.neighbourhoods]
+
+
 def degree_stats(g: WeightedGraph) -> DegreeStats:
     """Exact degree statistics, from one pass over neighbour bitmasks:
     dist2_pairs counts vertex pairs at distance two, and the two flags say
@@ -320,10 +327,7 @@ def degree_stats(g: WeightedGraph) -> DegreeStats:
     neighbours, so C4-freeness matches the common-neighbour bound c(j,l) <= 1.
     """
     deg = degrees(g)
-    mask = [0] * g.n  # bit v of mask[u]: v is a neighbour of u
-    for u, v, _ in g.edges:
-        mask[u] |= 1 << v
-        mask[v] |= 1 << u
+    mask = _neighbour_masks(g)
     q, tri, c4 = 0, False, False
     for u, row in enumerate(g.neighbourhoods):
         reach = 0  # the vertices with a common neighbour with u, u among them
@@ -417,47 +421,54 @@ def _cycle5_count(adj) -> int:
 # ---------------------------------------------------------------------------
 # Twins and twin subgraphs
 
-def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
-    """Where rows of the adjacency matrix differ: entry x maps each y != x
-    whose row differs from row x in at most `limit` positions to that
-    position set D(x, y).  The rows hold an integer id per distinct exact
-    weight, because float64 would round integers above 2^53.
+def twin_classes(g: WeightedGraph) -> list[tuple[tuple[int, ...], TwinKind]]:
+    """The twin classes of size >= 2, each sorted, with their kind, in
+    order of their smallest vertex.  Twins have equal weighted
+    neighbourhoods off the pair, compared exactly; adjacent twins are true.
 
-    Built a block of rows x at a time, each block comparing at most
-    WORK_BYTES boolean entries or one row, so memory stays O(n^2); keys run in
-    increasing y.
-    """
-    n = g.n
-    ids: dict[Weight, int] = {}
-    mat = np.zeros((n, n), dtype=np.int32)
-    for u, v, w in g.edges:
-        mat[u, v] = mat[v, u] = ids.setdefault(w, len(ids) + 1)
-    out: list[dict[int, frozenset[int]]] = [{} for _ in range(n)]
-    step = max(1, WORK_BYTES // (n * n))
-    for start in range(0, n, step):
-        diff = mat[start:start + step, None] != mat  # diff[i, y, z]: row start + i vs row y at z
-        near = diff.sum(axis=2) <= limit
-        near[np.arange(len(near)), np.arange(start, start + len(near))] = False
-        xs, ys = np.nonzero(near)
-        positions: list[list[int]] = [[] for _ in range(len(xs))]
-        for i, z in zip(*(a.tolist() for a in np.nonzero(diff[xs, ys]))):
-            positions[i].append(z)
-        for x, y, pos in zip(xs.tolist(), ys.tolist(), positions):
-            out[start + x][y] = frozenset(pos)
-    return out
-
-
-def find_twin_pairs(g: WeightedGraph) -> list[tuple[int, int, TwinKind]]:
-    """All unordered twin pairs: equal weighted neighborhoods off {u, v},
-    compared exactly.  Adjacent twins are true twins."""
+    A row x's key is its ascending neighbour ids and weights; a false class
+    shares it, a true class of edge weight w shares it with (x, w) put in.
+    True twins x, y have row x less (y, w) equal to row y less (x, w), so
+    order-free row hashes pick the edges to compare exactly.  No false key
+    is a true key, as no row holds its own vertex.  Twinship is transitive
+    (true twins xy and yz force w_xy = w_xz = w_yz) and no vertex has twins
+    of both kinds, so x has at most one key of each kind, O(n + m) in all,
+    and its smallest class-mate is its first twin in the vertex pair order."""
     nbrs = g.neighbourhoods
     items = [row.items() for row in nbrs]  # (neighbour, weight) pairs
-    # the rows differ in the pairs of items[u] ^ items[v]; an edge uv of
-    # weight w puts (v, w) and (u, w) there, and any other pair lies off {u, v}
-    return [(u, v, TwinKind.TRUE if v in nbrs[u] else TwinKind.FALSE)
-            for u, v in combinations(range(g.n), 2)
-            if len(nbrs[u]) == len(nbrs[v])
-            and len(items[u] ^ items[v]) == (2 if v in nbrs[u] else 0)]
+    sig = [sum(map(hash, it)) for it in items]
+    true_weight: dict[int, Weight] = {}
+    for u, v, w in g.edges:
+        if ((u not in true_weight or v not in true_weight) and len(nbrs[u]) == len(nbrs[v])
+                and sig[u] - hash((v, w)) == sig[v] - hash((u, w))
+                and len(items[u] ^ items[v]) == 2):
+            true_weight[u] = true_weight[v] = w
+    classes: dict[tuple, list[int]] = {}
+    for x, row in enumerate(nbrs):
+        ids, ws = tuple(row), tuple(row.values())
+        classes.setdefault((ids, ws), []).append(x)
+        if x in true_weight:
+            i, w = bisect(ids, x), true_weight[x]
+            classes.setdefault((ids[:i] + (x,) + ids[i:], ws[:i] + (w,) + ws[i:]), []).append(x)
+    return [(tuple(c), TwinKind.TRUE if c[1] in nbrs[c[0]] else TwinKind.FALSE)
+            for c in classes.values() if len(c) > 1]
+
+
+def _row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
+    """Where rows of the adjacency matrix differ, weights compared exactly:
+    entry x maps each y != x whose row differs from row x in at most
+    `limit` positions to that position set D(x, y), keys in increasing y.
+    D(x, y) holds the bits where the neighbour masks differ, so only pairs
+    with at most `limit` such bits compare their rows."""
+    mask = _neighbour_masks(g)
+    items = [row.items() for row in g.neighbourhoods]  # (neighbour, weight) pairs
+    out: list[dict[int, frozenset[int]]] = [{} for _ in range(g.n)]
+    for x, mx in enumerate(mask):
+        for y in [y for y in range(x + 1, g.n) if (mx ^ mask[y]).bit_count() <= limit]:
+            d = frozenset(z for z, _ in items[x] ^ items[y])
+            if len(d) <= limit:
+                out[x][y] = out[y][x] = d
+    return out
 
 
 @dataclass(frozen=True)
@@ -578,7 +589,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
     A true pair of part size a rules its vertices out iff n > 4a^2 (the
     paper's sqrt(n) bound).  The witnesses are every true pair with
     2 <= a <= a_max and 4a^2 < n.  Twin pairs (a = 1, see
-    :func:`find_twin_pairs`) are not reported: from n = 5 on they rule out
+    :func:`twin_classes`) are not reported: from n = 5 on they rule out
     only vertices that the twin-vertex rule rules out under every walk, and
     below that nothing.  False pairs with a >= 2 are not searched: at a = 2
     one rules out only vertices that have a twin (README, Twin subgraphs).
@@ -609,8 +620,6 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
     if sizes:
         compat = _row_differences(g, 2 * sizes[-1])
         active = [x for x in range(n) if compat[x]]
-        # exact weights in nested lists: the blocks read per candidate are tiny
-        rows = [[row.get(z, 0) for z in range(n)] for row in g.neighbourhoods]
     for a in sizes:
         for gs in combinations(active, a):
             hs_cut = None
@@ -622,7 +631,7 @@ def search_twin_subgraphs(g: WeightedGraph, a_max: int = 4,
             for hs in combinations(_partner_pool(compat, gs), a):
                 if hs_cut is not None and hs >= hs_cut:
                     break
-                w = _true_pair(rows, compat, gs, hs)
+                w = _true_pair(g.neighbourhoods, compat, gs, hs)
                 if w is not None:
                     witnesses.append(w)
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=cut is not None)
@@ -693,16 +702,15 @@ def _partner_pool(compat, gs) -> list[int]:
             return []
 
 
-def _true_pair(rows, compat, gs, hs) -> TwinSubgraphWitness | None:
+def _true_pair(nbrs, compat, gs, hs) -> TwinSubgraphWitness | None:
     """The true witness on the candidate (gs, hs), if any: both parts regular
     with one valency, a regular cross graph, and a pairing whose rows differ
-    only inside gs | hs.  rows is the adjacency matrix of exact weights as
-    nested lists."""
-    valency_in = {sum(rows[x][z] for z in part) for part in (gs, hs) for x in part}
+    only inside gs | hs.  nbrs are the graph's exact neighbourhoods."""
+    valency_in = {sum(nbrs[x].get(z, 0) for z in part) for part in (gs, hs) for x in part}
     if len(valency_in) != 1:
         return None
-    cross = ({sum(rows[x][y] for y in hs) for x in gs}
-             | {sum(rows[x][y] for x in gs) for y in hs})
+    cross = ({sum(nbrs[x].get(y, 0) for y in hs) for x in gs}
+             | {sum(nbrs[x].get(y, 0) for x in gs) for y in hs})
     if len(cross) != 1:
         return None
     inside = frozenset(gs) | frozenset(hs)

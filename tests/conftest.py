@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qmix import CertificateVerdict, MatrixKind, Verdict, WeightClass, WeightedGraph
-from qmix.graphs import is_connected, is_tree
+from qmix.graphs import WORK_BYTES, Weight, is_connected, is_tree, twin_classes
 from qmix.spectral import leaf_peel_order
 
 
@@ -328,6 +328,44 @@ def reference_twin_search(g: WeightedGraph, a_max: int = 4,
                     return TwinSearchResult(witnesses=tuple(witnesses), truncated=True)
                 witnesses.extend(classify(gs, hs))
     return TwinSearchResult(witnesses=tuple(witnesses), truncated=False)
+
+
+def twin_pairs(g: WeightedGraph) -> list[tuple[int, int, object]]:
+    """Every unordered twin pair (u, v, kind) with u < v, sorted: the twin
+    classes of `twin_classes` expanded into their pairs."""
+    return sorted((u, v, kind) for members, kind in twin_classes(g)
+                  for u, v in itertools.combinations(members, 2))
+
+
+def reference_row_differences(g: WeightedGraph, limit: int) -> list[dict[int, frozenset[int]]]:
+    """The dense row comparison, kept as the reference for the mask-filtered
+    one: entry x maps each y != x whose row differs from row x in at most
+    `limit` positions to that position set D(x, y).  The rows hold an
+    integer id per distinct exact weight, because float64 would round
+    integers above 2^53.
+
+    Built a block of rows x at a time, each block comparing at most
+    WORK_BYTES boolean entries or one row, so memory stays O(n^2); keys run in
+    increasing y.
+    """
+    n = g.n
+    ids: dict[Weight, int] = {}
+    mat = np.zeros((n, n), dtype=np.int32)
+    for u, v, w in g.edges:
+        mat[u, v] = mat[v, u] = ids.setdefault(w, len(ids) + 1)
+    out: list[dict[int, frozenset[int]]] = [{} for _ in range(n)]
+    step = max(1, WORK_BYTES // (n * n))
+    for start in range(0, n, step):
+        diff = mat[start:start + step, None] != mat  # diff[i, y, z]: row start + i vs row y at z
+        near = diff.sum(axis=2) <= limit
+        near[np.arange(len(near)), np.arange(start, start + len(near))] = False
+        xs, ys = np.nonzero(near)
+        positions: list[list[int]] = [[] for _ in range(len(xs))]
+        for i, z in zip(*(a.tolist() for a in np.nonzero(diff[xs, ys]))):
+            positions[i].append(z)
+        for x, y, pos in zip(xs.tolist(), ys.tolist(), positions):
+            out[start + x][y] = frozenset(pos)
+    return out
 
 
 def reference_signed_vectors(kernel_basis, max_dim=12):

@@ -18,7 +18,7 @@ from qmix import (DEFAULT_TOLERANCES, RULES, CertificateVerdict, MatrixKind, Twi
                   cert_degree_A_c4free, cert_degree_LQ, cert_eigenvector_inequality,
                   cert_kernel_vector, cert_pendant_pair, cert_twin_subgraphs, cert_twins,
                   certify_graph, certify_vertex, collect_facts, decompose_graph,
-                  find_twin_pairs, parse_graph6, scan_uniform, search_twin_subgraphs)
+                  parse_graph6, scan_uniform, search_twin_subgraphs)
 from qmix.certificates import verdicts_by_scope
 from qmix.graphs import (TwinSearchResult, degrees, is_connected, is_tree,
                          verify_twin_subgraphs)
@@ -29,7 +29,7 @@ from conftest import (at, attach_pendants, big_fi, cartesian_product, complete,
                       reference_eigenvector_inequality, reference_exact_kernel,
                       reference_family_bounds, reference_pendant_pair,
                       reference_report_summary, reference_singular_square,
-                      reference_tree_suite, star, subdivide)
+                      reference_tree_suite, star, subdivide, twin_pairs)
 
 
 def dec_of(g, kind=MatrixKind.ADJACENCY):
@@ -333,7 +333,7 @@ def test_twin_subgraphs_planted_true_pairs_fire(rng):
             g, planted = planted_true_pair(rng, n, weights)
             kind = WALK_MATRICES[i % 3]
             facts = facts_of(g, kind)
-            assert not {v for a, b, _ in facts.twins for v in (a, b)} & set(planted)
+            assert not {v for members, _ in facts.twins for v in members} & set(planted)
             for u in planted:
                 v = at(cert_twin_subgraphs(facts), u)[0]
                 assert v.verdict is Verdict.RULED_OUT, (n, weights, kind, u)
@@ -374,7 +374,7 @@ def test_twin_subgraphs_rejects_bad_witness():
 
 
 def test_every_atlas_twin_pair_passes_verification(rng):
-    """Every twin pair of find_twin_pairs, as a singleton witness of its
+    """Every twin pair of the twin classes, as a singleton witness of its
     kind, passes the exact twin-subgraph check, unweighted and with integer
     or real weights on the same edges: `twin-vertex` reads the same pairs
     that an a = 1 twin-subgraph witness would."""
@@ -383,7 +383,7 @@ def test_every_atlas_twin_pair_passes_verification(rng):
         for weights in ((1,), (1, 2), (0.5, 1.5)):
             wg = g if weights == (1,) else WeightedGraph.build(
                 g.n, [(u, v, rng.choice(weights).item()) for u, v, _ in g.edges])
-            for u, v, kind in find_twin_pairs(wg):
+            for u, v, kind in twin_pairs(wg):
                 true = kind is TwinKind.TRUE
                 w = TwinSubgraphWitness(
                     kind=kind, g_vertices=(u,), h_vertices=(v,), bijection=((u, v),),
@@ -417,7 +417,7 @@ def test_twin_verdicts_are_left_to_twin_vertex():
                 for kind in WALK_MATRICES:
                     report = certify_graph(g, dec_of(g, kind), kind)
                     verdicts = [v for _, vs in report.vertex_verdicts for v in vs]
-                    for u, w, _ in find_twin_pairs(g):
+                    for u, w, _ in twin_pairs(g):
                         pairs += 1
                         assert _has_fired(verdicts, "twin-vertex", u), (g.edges, kind, u)
                         assert _has_fired(verdicts, "twin-vertex", w), (g.edges, kind, w)

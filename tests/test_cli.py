@@ -685,7 +685,7 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
     p = tmp_path / "gnp-64.g6"
     p.write_text(nx.to_graph6_bytes(gnx, header=False).decode())
     calls = Counter()
-    for name in ("degree_stats", "bipartition", "has_c5"):
+    for name in ("degree_stats", "bipartition", "has_c5", "twin_classes"):
         original = getattr(qmix.graphs, name)
 
         def counted(g, _name=name, _original=original):
@@ -698,7 +698,8 @@ def test_certify_derives_structure_once(tmp_path, capsys, monkeypatch):
     for matrix in ("adjacency", "laplacian"):
         calls.clear()
         assert main(["certify", str(p), "--matrix", matrix]) == 0
-        assert calls == {"degree_stats": 1, "bipartition": 1, "has_c5": 1}, matrix
+        assert calls == {"degree_stats": 1, "bipartition": 1, "has_c5": 1,
+                         "twin_classes": 1}, matrix
     capsys.readouterr()
 
 

@@ -1,6 +1,8 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from time import perf_counter
 
@@ -11,18 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (GraphFormatError, MatrixKind, TwinKind, TwinSubgraphWitness, WeightClass,
-                  WeightedGraph, bipartition, cert_pendant_pair, collect_facts, degree_stats,
-                  find_twin_pairs, has_c5, matrix_of, parse_graph6,
-                  parse_weighted_edgelist, search_twin_subgraphs, verify_twin_subgraphs)
+                  WeightedGraph, bipartition, cert_pendant_pair, cert_twins, collect_facts,
+                  degree_stats, has_c5, matrix_of, parse_graph6, parse_weighted_edgelist,
+                  search_twin_subgraphs, twin_classes, verify_twin_subgraphs)
 import qmix.graphs
-from qmix.graphs import (TwinSearchResult, _cycle5_count, connected_components, degrees,
-                         is_tree, weighted_degrees)
+from qmix.graphs import (TwinSearchResult, _cycle5_count, _row_differences,
+                         connected_components, degrees, is_tree, weighted_degrees)
 
 from conftest import (attach_pendants, big_fi, common_neighbors, complete, complete_bipartite,
                       count_distance_two_pairs, cycle, cyclomatic_index, is_caterpillar,
                       naive_twin_subgraph_check, path, pendant_pairs, planted_true_pair,
                       random_connected_graph, reference_cycle_flags, reference_has_cycle5,
-                      reference_twin_search, star, subdivide)
+                      reference_row_differences, reference_twin_search, star, subdivide,
+                      twin_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +357,65 @@ def test_attach_pendants_degree_shift(rng):
 # twins
 
 def test_find_twin_pairs():
-    pairs = find_twin_pairs(star(5))
+    pairs = twin_pairs(star(5))
     assert len(pairs) == 6 and all(k is TwinKind.FALSE for _, _, k in pairs)
-    pairs = find_twin_pairs(complete(4))
+    pairs = twin_pairs(complete(4))
     assert len(pairs) == 6 and all(k is TwinKind.TRUE for _, _, k in pairs)
-    assert find_twin_pairs(path(4)) == []
+    assert twin_pairs(path(4)) == []
+
+
+def test_twin_classes_come_sorted_in_order_of_their_smallest_vertex():
+    # hub 0 with leaves 2, 5 and 6; 1 and 3 joined by weight 2, both next to 4
+    g = WeightedGraph.build(7, [(0, 2, 1), (0, 5, 1), (0, 6, 1), (0, 4, 1),
+                                (1, 3, 2), (1, 4, 1), (3, 4, 1)])
+    assert twin_classes(g) == [((1, 3), TwinKind.TRUE), ((2, 5, 6), TwinKind.FALSE)]
+    # `twin-vertex` names each vertex's smallest class-mate
+    verdicts = cert_twins(collect_facts(g, None, MatrixKind.ADJACENCY))
+    assert [dict(v.witness).get("twin") for v in verdicts] == [None, 3, 5, 1, None, 2, 2]
+
+
+def test_collect_facts_is_fast_on_a_large_star():
+    # listing the 8.4 M twin pairs of K1,4095 one by one took 11 s and 577 MB
+    g = star(4096)
+    start = perf_counter()
+    facts = collect_facts(g, None, MatrixKind.LAPLACIAN)
+    assert perf_counter() - start < 1.0
+    assert facts.twins == [(tuple(range(1, 4096)), TwinKind.FALSE)]
+    assert facts.twin_search_truncated and facts.twin_witnesses == ()
+
+
+def test_twin_classes_stay_small_on_a_dense_graph_with_distinct_weights():
+    # K300 with a distinct weight on each edge: no twins, and no key kept per
+    # vertex and weight (n^2 keys of n entries each)
+    n = 300
+    g = WeightedGraph.build(n, [(u, v, u * n + v + 1) for u, v in combinations(range(n), 2)])
+    g.neighbourhoods
+    start = perf_counter()
+    assert twin_classes(g) == []
+    assert perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        twin_classes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_twin_pairs_respect_weights():
     g = WeightedGraph.build(3, [(0, 1, 1), (0, 2, 2)])
-    assert find_twin_pairs(g) == []  # unequal weights break the twin relation
+    assert twin_pairs(g) == []  # unequal weights break the twin relation
 
 
 def test_twins_compare_weights_above_2_53_exactly():
     big = 2 ** 70  # big + 1, big + 2 and big + 3 all round to big as floats
     g = WeightedGraph.build(5, [(0, 1, big + 1), (0, 2, big), (0, 3, big + 2), (0, 4, big + 3)])
-    assert find_twin_pairs(g) == []
+    assert twin_pairs(g) == []
     assert search_twin_subgraphs(g, a_max=2).witnesses == ()
     g = WeightedGraph.build(4, [(0, 1, big + 1), (0, 2, big), (0, 3, big + 1)])
-    assert find_twin_pairs(g) == [(1, 3, TwinKind.FALSE)]
+    assert twin_pairs(g) == [(1, 3, TwinKind.FALSE)]
     k2 = WeightedGraph.build(2, [(0, 1, 2 ** 53 + 1)])
-    assert find_twin_pairs(k2) == [(0, 1, TwinKind.TRUE)]
+    assert twin_pairs(k2) == [(0, 1, TwinKind.TRUE)]
     w = TwinSubgraphWitness(kind=TwinKind.TRUE, g_vertices=(0,), h_vertices=(1,),
                             valency_in=0, valency_cross=2 ** 53 + 1)
     assert verify_twin_subgraphs(k2, w)
@@ -417,7 +458,7 @@ def test_verify_rejects_overlap():
 
 def test_search_star_singletons():
     # the six leaf pairs of the 5-star are twins, not twin-subgraph witnesses
-    assert len(find_twin_pairs(star(5))) == 6
+    assert len(twin_pairs(star(5))) == 6
     for a_max in (1, 2):
         assert search_twin_subgraphs(star(5), a_max=a_max) == TwinSearchResult((), False)
     assert search_twin_subgraphs(star(5), a_max=1, subset_budget=9).truncated  # 10 pairs
@@ -539,8 +580,81 @@ def test_search_matches_reference_property(case):
     assert (search_twin_subgraphs(g, a_max=a_max, subset_budget=budget)
             == expected_search(g, a_max, budget))
     # the reference's singleton witnesses are exactly the twin pairs
-    assert find_twin_pairs(g) == [(w.g_vertices[0], w.h_vertices[0], w.kind)
+    assert twin_pairs(g) == [(w.g_vertices[0], w.h_vertices[0], w.kind)
                                   for w in reference_twin_search(g, a_max=1).witnesses]
+
+
+def _blow_up(rng, k, weights):
+    """A weighted K_k, each vertex replaced by a class of one to three
+    vertices, joined with one random weight (true twins) or not at all
+    (false twins); the cross weights are the K_k weights."""
+    base = {(a, b): rng.choice(weights) for a, b in combinations(range(k), 2)}
+    parts, n = [], 0
+    for _ in range(k):
+        size = int(rng.integers(1, 4))
+        parts.append(range(n, n + size))
+        n += size
+    edges = [(u, v, base[a, b].item()) for (a, b) in base for u in parts[a] for v in parts[b]]
+    for part in parts:
+        if rng.random() < 0.5:
+            w = rng.choice(weights).item()
+            edges += [(u, v, w) for u, v in combinations(part, 2)]
+    return WeightedGraph.build(n, edges)
+
+
+@pytest.mark.parametrize("hashed", [True, False], ids=["hashed", "every-row-hash-equal"])
+def test_twin_pairs_match_reference_on_weighted_graphs(rng, monkeypatch, hashed):
+    # the reference's singleton witnesses, with unit, integer and real
+    # weights, weights that round to one float64 value, large trees, and
+    # dense graphs with a distinct weight per edge, few weights or planted
+    # twin classes; with every row hash equal the exact comparison decides
+    if not hashed:
+        monkeypatch.setattr(qmix.graphs, "hash", lambda _: 0, raising=False)
+    weights = (lambda: 1, lambda: int(rng.integers(1, 4)), lambda: float(rng.choice([0.5, 1.5])),
+               lambda: 2 ** 53 + int(rng.integers(0, 2)))
+    graphs = [WeightedGraph.build(gnx.number_of_nodes(), [(u, v, weight()) for u, v in gnx.edges()])
+              for gnx in nx.graph_atlas_g()[1:] for weight in weights]
+    graphs += [_prufer_tree(rng, n) for n in (10, 50, 200, 400)]
+    for _ in range(60):
+        n = int(rng.integers(3, 17))
+        h = nx.gnp_random_graph(n, float(rng.choice([0.7, 0.9, 1.0])),
+                                seed=int(rng.integers(2 ** 31)))
+        graphs.append(WeightedGraph.build(n, [(u, v, u * n + v + 1) for u, v in h.edges()]))
+        graphs.append(WeightedGraph.build(n, [(u, v, int(rng.integers(1, 3)))
+                                              for u, v in h.edges()]))
+        graphs.append(_blow_up(rng, int(rng.integers(2, 6)), np.array([1, 2, 2 ** 53 + 1])))
+    found = 0
+    for g in graphs:
+        pairs = twin_pairs(g)
+        assert pairs == [(w.g_vertices[0], w.h_vertices[0], w.kind)
+                         for w in reference_twin_search(g, a_max=1).witnesses], g.edges
+        found += len(pairs)
+    assert found > 3000
+
+
+def test_row_differences_match_the_dense_reference(rng):
+    # the mask-filtered rows against the dense comparison of every row pair,
+    # keys in increasing y; integer weights above 2^53 have no float64 value
+    graphs = [WeightedGraph.build(gnx.number_of_nodes(), [(u, v, 1) for u, v in gnx.edges()])
+              for gnx in nx.graph_atlas_g()[1:]]
+    for weight in (lambda: 1, lambda: int(rng.integers(1, 4)),
+                   lambda: float(rng.choice([0.5, 1.0, 2.5])),
+                   lambda: int(rng.choice([2 ** 53, 2 ** 53 + 1, 2 ** 70 + 1, 2 ** 70 + 3]))):
+        for _ in range(30):
+            n = int(rng.integers(2, 41))
+            h = nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.5)),
+                                    seed=int(rng.integers(2 ** 31)))
+            graphs.append(WeightedGraph.build(n, [(u, v, weight()) for u, v in h.edges()]))
+    graphs += [planted_true_pair(rng, n, (1, 2))[0] for n in range(5, 41, 5)]
+    graphs += [_prufer_tree(rng, n) for n in (10, 50, 100, 200)]
+    near = 0
+    for g in graphs:
+        for limit in (2, 4):
+            got, want = _row_differences(g, limit), reference_row_differences(g, limit)
+            assert got == want, (g.edges, limit)
+            assert [list(row) for row in got] == [list(row) for row in want]
+            near += sum(map(len, got))
+    assert near > 50_000
 
 
 def test_search_truncation_follows_the_candidate_count(rng):
@@ -571,7 +685,7 @@ def test_pendant_twin_consistency(rng):
     from conftest import random_tree
     for _ in range(20):
         g = random_tree(rng, int(rng.integers(3, 10)))
-        twins = {(u, v) for u, v, k in find_twin_pairs(g) if k is TwinKind.FALSE}
+        twins = {(u, v) for u, v, k in twin_pairs(g) if k is TwinKind.FALSE}
         for _, u, w, _, _ in pendant_pairs(g):
             assert (u, w) in twins
 

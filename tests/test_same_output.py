@@ -10,8 +10,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
                          own_inputs, verdict_values)
 
-from qmix import (MatrixKind, WeightClass, bipartition, decompose_graph,  # noqa: E402
-                  exact_kernel, has_c5, parse_weighted_edgelist, vertex_support)
+from qmix import (MatrixKind, TwinKind, WeightClass, bipartition,  # noqa: E402
+                  decompose_graph, exact_kernel, has_c5, is_connected,
+                  parse_weighted_edgelist, search_twin_subgraphs, twin_classes,
+                  vertex_support)
 
 
 def test_documents_reads_one_document_or_a_sequence():
@@ -86,8 +88,8 @@ def test_compare_json_says_whether_the_verdicts_moved():
 
 
 def test_own_inputs_are_the_graphs_described(tmp_path):
-    dense, twinned, shared, hub = (parse_weighted_edgelist(Path(p).read_text())
-                                   for p in own_inputs(tmp_path))
+    dense, twinned, shared, hub, cut = (parse_weighted_edgelist(Path(p).read_text())
+                                        for p in own_inputs(tmp_path))
     assert (dense.n, dense.edge_count) == (63, 904)
     assert not bipartition(dense).present and not has_c5(dense)
     assert twinned.n == 30 and {w for _, _, w in twinned.edges} == {1, 2, 3}
@@ -99,3 +101,10 @@ def test_own_inputs_are_the_graphs_described(tmp_path):
             {tuple(range(len(dec.eigenvalues)))}
     assert (hub.n, hub.edge_count) == (16, 16)
     assert sorted(len(row) for row in hub.neighbourhoods) == [1] * 12 + [2] * 3 + [14]
+    # the search is cut inside part size 2 (n >= 55), after the planted pair
+    assert cut.n == 60 and is_connected(cut)
+    search = search_twin_subgraphs(cut, a_max=2)
+    assert search.truncated
+    assert ((0, 1), (2, 3)) in [(w.g_vertices, w.h_vertices) for w in search.witnesses]
+    assert twin_classes(cut) == [((4, 5, 6), TwinKind.TRUE)]
+    assert cut.neighbourhoods[4][5] == 2 ** 53 + 1

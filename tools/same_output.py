@@ -17,7 +17,9 @@ matrix of commands:
   writes (see `own_inputs`), `certify --matrix adjacency` on the first two
   and on a fourth, where only `degree-unicyclic-c4-A` rules out the hub,
   and `certify` under the adjacency matrix and the Laplacian on the third,
-  whose eigenvalues are all simple, so the projector tables run at n = 256;
+  whose eigenvalues are all simple, so the projector tables run at n = 256,
+  and on a fifth, where the twin-subgraph search is cut inside its part
+  size 2 block after a witness;
 - `search` on each input of the search-small and search-large workloads,
   graph-wide and at the local vertex, with the benchmark's flags.
 
@@ -61,11 +63,12 @@ def command_matrix(work: Path) -> list[list[str]]:
     for item in midsize:
         argvs += [["certify", item["file"], "--matrix", m] for m in MATRICES]
         argvs += spectra(item["file"])
-    dense, twinned, shared, hub = own_inputs(work)
+    dense, twinned, shared, hub, cut = own_inputs(work)
     for path in (dense, twinned):
         argvs += spectra(path) + [["certify", path, "--matrix", "adjacency"]]
     argvs += spectra(shared) + [["certify", shared, "--matrix", m] for m in MATRICES[:2]]
     argvs.append(["certify", hub, "--matrix", "adjacency"])
+    argvs += [["certify", cut, "--matrix", m] for m in MATRICES[:2]]
     for workload in ("search-small", "search-large"):
         for item in inputs.generate(work, workload, SEED)["ladder"]:
             argvs.append(["search", item["file"], "--tmax", repr(item["tmax"])])
@@ -81,13 +84,18 @@ def spectra(path: str) -> list[list[str]]:
 
 
 def own_inputs(work: Path) -> list[str]:
-    """Four weighted edge lists written to work: K30,30 with a pendant
+    """Five weighted edge lists written to work: K30,30 with a pendant
     triangle, dense and free of 5-cycles; a singular graph on 30 vertices
     with weights 1-3, a subdivided binary tree of depth 3 with a false twin
     of its root; G(256, 0.06) of networkx seed 7 with unit weights, at
-    whose vertices every walk matrix has one eigenvalue support; and C4
+    whose vertices every walk matrix has one eigenvalue support; C4
     with 12 unit pendants on vertex 0, whose hub only
-    `degree-unicyclic-c4-A` rules out under the adjacency walk."""
+    `degree-unicyclic-c4-A` rules out under the adjacency walk; and a graph
+    on 60 vertices, more than the 55 from which the twin-subgraph search is
+    cut inside part size 2, with a true pair {0, 1}, {2, 3} of two edges of
+    weight 2 and a matching of weight 3, which comes before the cut, and a
+    true twin triangle 4, 5, 6 of weight 2^53 + 1 on G(53, 0.1) of networkx
+    seed 5, on vertices 7-59."""
     dense = nx.complete_bipartite_graph(30, 30)
     nx.add_cycle(dense, [60, 61, 62])
     dense.add_edge(0, 60)
@@ -106,9 +114,16 @@ def own_inputs(work: Path) -> list[str]:
     hub = nx.cycle_graph(4)
     hub.add_edges_from((0, v) for v in range(4, 16))
     nx.set_edge_attributes(hub, 1, "weight")
+    cut = nx.relabel_nodes(nx.gnp_random_graph(53, 0.1, seed=5), lambda v: v + 7)
+    nx.set_edge_attributes(cut, 1, "weight")
+    for x, y, near in ((0, 2, (7, 9, 12, 20, 31)), (1, 3, (8, 9, 15, 40, 52))):
+        cut.add_weighted_edges_from((u, v, 1) for v in near for u in (x, y))
+    cut.add_weighted_edges_from([(0, 1, 2), (2, 3, 2), (0, 2, 3), (1, 3, 3)])
+    cut.add_weighted_edges_from((u, v, 2 ** 53 + 1) for u, v in ((4, 5), (4, 6), (5, 6)))
+    cut.add_weighted_edges_from((u, v, 1) for u in (4, 5, 6) for v in (10, 33))
     paths = []
     for name, g in (("k30-30-triangle", dense), ("twinned-tree-30", twinned),
-                    ("gnp-256", shared), ("c4-hub-16", hub)):
+                    ("gnp-256", shared), ("c4-hub-16", hub), ("cut-twins-60", cut)):
         path = work / f"{name}.wel"
         path.write_text("".join(f"{u} {v} {d['weight']}\n"
                                 for u, v, d in sorted(g.edges(data=True))))
