@@ -512,9 +512,6 @@ class CertificateReport:
                 return verdicts
         raise KeyError(u)
 
-    def fired_rules(self) -> list[str]:
-        return list(self.fired_rule_ids)
-
 
 # The verdicts of one graph: those scoped to the graph, then one list per vertex.
 Grouping = tuple[list[CertificateVerdict], list[list[CertificateVerdict]]]

@@ -38,6 +38,10 @@ class _UsageError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not argparse's 2
         raise _UsageError(message)
@@ -129,45 +133,20 @@ def _load_graph(path: str) -> WeightedGraph:
     raise GraphFormatError(f"{path}: unknown input format (expected .g6 or .wel)")
 
 
-def _cmd_spectrum(args) -> int:
-    tol = _tolerances(args)
-    g = _load_graph(args.input)
-    dec = decompose_graph(g, _MATRIX[args.matrix], tol)
-    doc = report_header(tol)
-    doc["command"] = "spectrum"
-    doc["matrix"] = args.matrix
-    doc["graph"] = graph_summary(g)
-    doc["spectrum"] = spectrum_summary(dec, tol)
-    doc["periodicity"] = periodicity_summary(dec, tol)
-    print(render_json(doc))
-    return 0
+def _spectrum(args, g, kind, dec, tol) -> dict:
+    return {"matrix": args.matrix, "graph": graph_summary(g),
+            "spectrum": spectrum_summary(dec, tol), "periodicity": periodicity_summary(dec, tol)}
 
 
-def _cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    g = _load_graph(args.input)
-    if args.vertex is not None and not 0 <= args.vertex < g.n:
-        raise GraphFormatError(f"vertex {args.vertex} out of range for n={g.n}")
-    kind = _MATRIX[args.matrix]
-    dec = decompose_graph(g, kind, tol)
+def _certify(args, g, kind, dec, tol) -> dict:
+    # the facts, and the signed pool among them, go when this returns
     facts = collect_facts(g, dec, kind, tol)
     report = certify_graph(g, dec, kind, tol, facts)
-    doc = report_header(tol)
-    doc["command"] = "certify"
-    doc["graph"] = graph_summary(g, facts)
-    del facts  # frees the signed pool before the report is rendered
-    doc["certificates"] = certificate_report_dict(report, only_vertex=args.vertex)
-    print(render_json(doc))
-    return 0
+    return {"graph": graph_summary(g, facts),
+            "certificates": certificate_report_dict(report, only_vertex=args.vertex)}
 
 
-def _cmd_search(args) -> int:
-    tol = _tolerances(args)
-    g = _load_graph(args.input)
-    if args.vertex is not None and not 0 <= args.vertex < g.n:
-        raise GraphFormatError(f"vertex {args.vertex} out of range for n={g.n}")
-    kind = _MATRIX[args.matrix]
-    dec = decompose_graph(g, kind, tol)
+def _search(args, g, kind, dec, tol) -> dict:
     try:
         if args.vertex is None:
             report = scan_uniform(dec, args.tmax, args.step, tol)
@@ -182,13 +161,27 @@ def _cmd_search(args) -> int:
                 for t, d in zip(report.grid, report.profile):
                     fh.write(f"{format(float(t), '.15g')},{format(float(d), '.15g')}\n")
         except OSError as exc:
-            print(f"qmix: cannot write CSV: {exc}", file=sys.stderr)
-            return 2
+            raise _OutputError(f"cannot write CSV: {exc}") from None
+    return {"matrix": args.matrix, "graph": graph_summary(g), "mixing": mixing_report_dict(report)}
+
+
+# the sections of each single-graph command, after the header and "command"
+_SECTIONS = {"spectrum": _spectrum, "certify": _certify, "search": _search}
+
+
+def _cmd_graph(args) -> int:
+    """One graph file to one JSON document: load, check --vertex,
+    decompose, then the command's sections."""
+    tol = _tolerances(args)
+    g = _load_graph(args.input)
+    vertex = getattr(args, "vertex", None)  # spectrum has no --vertex
+    if vertex is not None and not 0 <= vertex < g.n:
+        raise GraphFormatError(f"vertex {vertex} out of range for n={g.n}")
+    kind = _MATRIX[args.matrix]
+    dec = decompose_graph(g, kind, tol)
     doc = report_header(tol)
-    doc["command"] = "search"
-    doc["matrix"] = args.matrix
-    doc["graph"] = graph_summary(g)
-    doc["mixing"] = mixing_report_dict(report)
+    doc["command"] = args.command
+    doc.update(_SECTIONS[args.command](args, g, kind, dec, tol))
     print(render_json(doc))
     return 0
 
@@ -242,8 +235,8 @@ def _batch_chunk(task) -> list[dict]:
             entry["n"] = g.n
             entry["edge_count"] = g.edge_count
             entry["graph_ruled_out"] = report.graph_ruled_out
-            entry["surviving_vertices"] = list(report.surviving_vertices)
-            entry["fired_rules"] = report.fired_rules()
+            entry["surviving_vertices"] = report.surviving_vertices
+            entry["fired_rules"] = report.fired_rule_ids
             entry["twin_search_truncated"] = report.twin_search_truncated
             entry["signed_enumeration_truncated"] = report.signed_enumeration_truncated
         except (ValueError, SpectralError) as exc:
@@ -308,16 +301,9 @@ def _write_batch(chunks) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"qmix: usage error: {exc}", file=sys.stderr)
-        return 1
-    commands = {"spectrum": _cmd_spectrum, "certify": _cmd_certify,
-                "search": _cmd_search, "batch": _cmd_batch}
-    try:
-        code = commands[args.command](args)
+        args = _build_parser().parse_args(argv)
+        code = (_cmd_batch if args.command == "batch" else _cmd_graph)(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -330,6 +316,9 @@ def main(argv=None) -> int:
         return 1
     except (GraphFormatError, SpectralError) as exc:
         print(f"qmix: input error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(f"qmix: {exc}", file=sys.stderr)
         return 2
 
 

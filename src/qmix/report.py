@@ -19,7 +19,7 @@ from .certificates import CertificateReport, CertificateVerdict, GraphFacts
 from .graphs import WeightedGraph, bipartition, degree_stats, has_c5, is_connected
 from .periodicity import vertex_periodicity
 from .search import Detection, MixingReport
-from .spectral import SpectralDecomposition, SpectrumClassification, classify_spectrum
+from .spectral import SpectralDecomposition, classify_spectrum
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
@@ -131,16 +131,13 @@ def graph_summary(g: WeightedGraph, facts: GraphFacts | None = None) -> dict:
     }
 
 
-def classification_dict(cls: SpectrumClassification) -> dict:
-    return {"kind": cls.kind.value, "delta": cls.delta, "half_offset": cls.half_offset}
-
-
 def spectrum_summary(dec: SpectralDecomposition, tol: Tolerances) -> dict:
     cls = classify_spectrum(dec, tol=tol)
     return {
         "distinct_eigenvalues": [float(x) for x in dec.eigenvalues],
         "multiplicities": list(dec.multiplicities),
-        "classification": classification_dict(cls),
+        "classification": {"kind": cls.kind.value, "delta": cls.delta,
+                           "half_offset": cls.half_offset},
     }
 
 
@@ -150,11 +147,7 @@ def periodicity_summary(dec: SpectralDecomposition, tol: Tolerances) -> list[dic
 
 
 def verdict_dict(v: CertificateVerdict) -> dict:
-    witness = {}
-    for key, value in v.witness:
-        if value is None:
-            continue
-        witness[key] = value
+    witness = {key: value for key, value in v.witness if value is not None}
     return {
         "rule": v.rule_id,
         "tier": "strict",  # every rule is strict; kept so schema 1 and its bytes stay
@@ -174,8 +167,8 @@ def certificate_report_dict(report: CertificateReport, only_vertex: int | None =
         "matrix": report.kind.value,
         "tier": "strict",  # as in verdict_dict
         "graph_ruled_out": report.graph_ruled_out,
-        "surviving_vertices": list(report.surviving_vertices),
-        "fired_rules": report.fired_rules(),
+        "surviving_vertices": report.surviving_vertices,
+        "fired_rules": report.fired_rule_ids,
         "graph_verdicts": [verdict_dict(v) for v in report.graph_verdicts],
         "vertex_verdicts": vertices,
         "twin_search_truncated": report.twin_search_truncated,

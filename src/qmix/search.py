@@ -82,18 +82,22 @@ def golden_section(f, a: float, b: float,
     return x, f(x)
 
 
-def _polish(f, t: float, h: float) -> tuple[float, float]:
-    """One parabolic-interpolation step using points outside the rounding
-    plateau; golden section alone cannot localize the bottom of a flat
-    quadratic basin better than the noise radius."""
-    f0, fp, fm = f(t), f(t + h), f(t - h)
+def _polish(f, t: float, f0: float, h: float, slack: float) -> tuple[float, float]:
+    """One parabolic-interpolation step from golden section's point (t, f0)
+    using points outside the rounding plateau; golden section alone cannot
+    localize the bottom of a flat quadratic basin better than the noise
+    radius."""
+    fp, fm = f(t + h), f(t - h)
     denom = fp - 2.0 * f0 + fm
     if denom > 0.0 and fp >= f0 <= fm:
         shift = -h * (fp - fm) / (2.0 * denom)
         if abs(shift) <= h:
             cand = t + shift
             fc = f(cand)
-            if fc <= max(fp, fm):
+            # kept only when it loses no more than rounding: at a kink where
+            # two columns cross the step moves off the kink, while on K4's
+            # plateau it must be kept, as it lands on pi/4 a rounding above f0
+            if fc <= f0 + slack:
                 return cand, fc
     return t, f0
 
@@ -125,13 +129,14 @@ def _scan(dec: SpectralDecomposition, u: int | None, t_max: float, step: float |
     else:
         objective = lambda t: mixing_deviation(dec, u, t)
 
+    slack = 4.0 * dec.n * np.finfo(float).eps  # rounding of one deviation
     minima: list[tuple[float, float]] = []
     for i in range(1, ts.shape[0] - 1):
         if profile[i] <= profile[i - 1] and profile[i] <= profile[i + 1]:
             if profile[i] == profile[i - 1] and i >= 2 and profile[i - 1] <= profile[i - 2]:
                 continue  # plateau already refined from its left edge
             t_star, d_star = golden_section(objective, ts[i - 1], ts[i + 1], tol.time_refine)
-            t_star, d_star = _polish(objective, t_star, step * 1e-3)
+            t_star, d_star = _polish(objective, t_star, d_star, step * 1e-3, slack)
             minima.append((float(t_star), float(d_star)))
     minima.sort(key=lambda md: (md[1], md[0]))
 

@@ -119,7 +119,7 @@ def test_criterion_06_soundness_regression():
                    budget=2.0):
         for g in (complete(2), complete(3), complete(4), cube_q3(), star(4), cycle(5)):
             report = certify_graph(g, dec_of(g), MatrixKind.ADJACENCY)
-            assert not strict_fired_anywhere(report), (g.n, report.fired_rules())
+            assert not strict_fired_anywhere(report), (g.n, report.fired_rule_ids)
 
 
 def test_criterion_07_rule_out_regressions(rng):
@@ -161,14 +161,14 @@ def test_criterion_07_rule_out_regressions(rng):
             def subdivided_ruled_out(s=s):
                 report = certify_graph(s, None, MatrixKind.ADJACENCY)
                 assert report.graph_ruled_out
-                assert "bipartite-order-mod4" in report.fired_rules()
+                assert "bipartite-order-mod4" in report.fired_rule_ids
             timed(f"subdivided-tree-{i}", subdivided_ruled_out)
 
         def k33_ruled_out():
             k33 = complete_bipartite(3, 3)
             report = certify_graph(k33, dec_of(k33), MatrixKind.ADJACENCY)
             assert report.graph_ruled_out
-            assert "bipartite-order-mod4" in report.fired_rules()
+            assert "bipartite-order-mod4" in report.fired_rule_ids
         timed("k33", k33_ruled_out)
 
         def p4_pendants():
@@ -262,7 +262,7 @@ def test_criterion_09_exhaustive_small_graphs():
             if detected:
                 mixing_names.add((g.n, g.edge_count))
                 assert not strict_fired_anywhere(report), \
-                    (g.edges, report.fired_rules())
+                    (g.edges, report.fired_rule_ids)
                 for d in detected[:2]:
                     cls = d.hadamard
                     assert cls.kind is not HadamardKind.NOT_HADAMARD

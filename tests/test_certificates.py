@@ -763,7 +763,7 @@ def test_soundness_regression_strict_tier():
     for g in MIXING_INSTANCES:
         dec = dec_of(g)
         report = certify_graph(g, dec, MatrixKind.ADJACENCY)
-        assert not report.graph_ruled_out, (g, report.fired_rules())
+        assert not report.graph_ruled_out, (g, report.fired_rule_ids)
         assert report.surviving_vertices == tuple(range(g.n))
 
 
@@ -778,14 +778,14 @@ def test_strict_tier_silent_under_every_matrix():
               cycle(5)) + weighted_k2:
         for kind in WALK_MATRICES:
             report = certify_graph(g, dec_of(g, kind), kind)
-            assert not report.graph_ruled_out, (g, kind, report.fired_rules())
+            assert not report.graph_ruled_out, (g, kind, report.fired_rule_ids)
             assert report.surviving_vertices == tuple(range(g.n)), (g, kind)
     # the 4-star mixes under A, and |U(pi/4) e_0| is flat at its centre
     # under both Laplacians
     for kind in WALK_MATRICES:
         report = certify_graph(star(4), dec_of(star(4), kind), kind)
         survivors = (0, 1, 2, 3) if kind is MatrixKind.ADJACENCY else (0,)
-        assert set(survivors) <= set(report.surviving_vertices), (kind, report.fired_rules())
+        assert set(survivors) <= set(report.surviving_vertices), (kind, report.fired_rule_ids)
 
 
 # regular graphs that mix under A (at pi/4 or 2 pi/9), so under L and Q too
@@ -803,7 +803,7 @@ def test_strict_tier_silent_on_large_mixing_instances():
         for kind in WALK_MATRICES:
             report = certify_graph(g, dec_of(g, kind), kind)
             assert report.surviving_vertices == tuple(range(g.n)), (name, kind,
-                                                                    report.fired_rules())
+                                                                    report.fired_rule_ids)
     # n = 27..32: the part-size-2 search runs in full, and a true pair would
     # contradict the sqrt(n) theorem on a mixing graph
     for name in ("Q5", "K3xK3xK3", "K4xK4xK2"):
@@ -828,7 +828,7 @@ def test_strict_tier_silent_on_mixing_instances_under_relabelling(data):
         report = certify_graph(h, dec_of(h, kind), kind)
         if g in MIXING:
             assert report.surviving_vertices == tuple(range(h.n)), (perm, kind)
-            assert not report.graph_ruled_out, (perm, kind, report.fired_rules())
+            assert not report.graph_ruled_out, (perm, kind, report.fired_rule_ids)
         else:  # the centre of the 4-star mixes under all three matrices
             assert perm[0] in report.surviving_vertices, (perm, kind)
 
@@ -877,7 +877,7 @@ def test_laplacian_kernels_decide_no_verdict(g):
         for (u, vs), (_, pooled_vs) in zip(report.vertex_verdicts, pooled.vertex_verdicts):
             assert fired(vs, "eigenvector-inequality") == \
                 fired(pooled_vs, "eigenvector-inequality"), (kind, u)
-        assert report.fired_rules() == pooled.fired_rules(), kind
+        assert report.fired_rule_ids == pooled.fired_rule_ids, kind
         assert report.surviving_vertices == pooled.surviving_vertices, kind
         assert report.signed_enumeration_truncated == pooled.signed_enumeration_truncated
 
@@ -1035,7 +1035,7 @@ def test_one_pass_summary_matches_the_three_walks():
         for kind in WALK_MATRICES:
             dec = dec_of(g, kind)
             report = certify_graph(g, dec, kind)
-            assert (report.graph_ruled_out, report.fired_rules(),
+            assert (report.graph_ruled_out, list(report.fired_rule_ids),
                     report.surviving_vertices) == reference_report_summary(report), (
                 g.edges, kind)
 

@@ -110,6 +110,17 @@ def test_search_vertex_and_csv(tmp_path, capsys):
     assert ts == sorted(ts)
 
 
+def test_search_csv_that_cannot_be_written_is_an_output_error(tmp_path, capsys):
+    p = write_star_g6(tmp_path)
+    csv = tmp_path / "missing" / "out.csv"
+    for scope in ([], ["--vertex", "0"]):
+        assert main(["search", str(p), "--tmax", "1", "--csv", str(csv), *scope]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv.parent.exists()
+        assert captured.err.startswith("qmix: cannot write CSV: ")
+        assert "Traceback" not in captured.err and str(csv) in captured.err
+
+
 def test_search_csv_reuses_scan_profile(tmp_path, capsys, monkeypatch):
     text = nx.to_graph6_bytes(nx.path_graph(5), header=False).decode().strip()
     p = tmp_path / "p5.g6"

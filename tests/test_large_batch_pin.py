@@ -71,7 +71,7 @@ def entries() -> list[dict]:
                 "graph": name, "matrix": matrix, "n": g.n, "edge_count": g.edge_count,
                 "graph_ruled_out": report.graph_ruled_out,
                 "surviving_vertices": list(report.surviving_vertices),
-                "fired_rules": report.fired_rules(),
+                "fired_rules": list(report.fired_rule_ids),
                 "twin_search_truncated": report.twin_search_truncated,
                 "signed_enumeration_truncated": report.signed_enumeration_truncated,
             })

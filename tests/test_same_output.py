@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from same_output import (compare_json, documents, first_difference, float_gap,  # noqa: E402
-                         own_inputs, verdict_values)
+                         largest_gap, own_inputs, verdict_values)
 
 from qmix import (MatrixKind, TwinKind, WeightClass, bipartition,  # noqa: E402
                   decompose_graph, exact_kernel, has_c5, is_connected,
@@ -45,9 +45,25 @@ def test_float_gap_takes_target_state_phases_modulo_two_pi():
 
 def test_compare_json_reports_both_cases():
     assert compare_json(b'{"x": 0.5}', b'{"x": 0.5000000000000107}') == \
-        "equal apart from floats, largest gap 1.07e-14"
+        "equal apart from floats, largest gap 1.07e-14 at x"
     assert compare_json(b'{"x": "a"}', b'{"x": "b"}') == "differs beyond floats at x"
     assert compare_json(b'{"x": 1}', b'not json') == "not JSON"
+
+
+def test_compare_json_names_where_the_largest_float_gap_is():
+    before = {"mixing": {"empirical_inf": 0.1, "minima": [{"time": 1.0, "deviation": 0.1}]}}
+    after = {"mixing": {"empirical_inf": 0.1 + 1e-9,
+                        "minima": [{"time": 1.0 + 2e-6, "deviation": 0.1 + 1e-9}]}}
+    gap, path = largest_gap(before, after)
+    assert path == "mixing.minima[0].time" and abs(gap - 2e-6) < 1e-12
+    assert compare_json(*(json.dumps(d).encode() for d in (before, after))) == \
+        "equal apart from floats, largest gap 2e-06 at mixing.minima[0].time"
+    batch = b'{"t": 0.5}\n{"t": 0.25}\n'  # a sequence: the path starts with its index
+    assert compare_json(batch, batch.replace(b"0.25", b"0.5")) == \
+        "equal apart from floats, largest gap 0.25 at [1].t"
+    assert largest_gap(before, before) == (0.0, "mixing.empirical_inf")  # the first of ties
+    assert largest_gap(1.0, 1.5) == (0.5, "(root)")
+    assert largest_gap({"a": 1}, {"a": 2}) is None
 
 
 def test_compare_json_names_the_first_value_that_differs_beyond_floats():
@@ -84,7 +100,7 @@ def test_compare_json_says_whether_the_verdicts_moved():
     assert compare_json(batch, batch.replace(b"}\n{", b"}\n" + batch[:-1] + b"\n{")) \
         .endswith("; verdicts differ")  # one more entry
     assert compare_json(b'{"x": 0.5}', b'{"x": 0.25}') == \
-        "equal apart from floats, largest gap 0.25"  # no verdicts, nothing said of them
+        "equal apart from floats, largest gap 0.25 at x"  # no verdicts, nothing said of them
 
 
 def test_own_inputs_are_the_graphs_described(tmp_path):

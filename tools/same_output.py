@@ -27,8 +27,9 @@ Every command whose stdout or exit code differs between the roots is
 printed, and the exit status is 1 if any does, else 0.  Where both stdouts
 parse as JSON (one document, or a sequence of them as `batch` prints), the
 line also says whether they are equal apart from their floats, and gives
-the largest float gap, with target-state phases compared modulo 2 pi, or
-else the path of the first value that differs beyond floats.  Where the
+the largest float gap with the path of the value where it is, such as
+`mixing.minima[0].time`, target-state phases compared modulo 2 pi, or else
+the path of the first value that differs beyond floats.  Where the
 documents hold verdicts (`certify` and `batch`), it also says whether every
 `graph_ruled_out` and `surviving_vertices` value is equal, so a change that
 moves only witnesses or rule ids shows as such.  None of that changes the
@@ -155,27 +156,37 @@ def documents(out: bytes) -> list:
 
 def float_gap(a, b, key: str = "") -> float | None:
     """The largest gap between the floats of two JSON values that are equal
-    apart from their floats, or None where they differ otherwise.  key is
-    the name of the field that holds them; `target_state_phases` holds
-    angles, whose gap is taken modulo 2 pi, so pi and -pi agree."""
+    apart from their floats, or None where they differ otherwise."""
+    found = largest_gap(a, b, key)
+    return None if found is None else found[0]
+
+
+def largest_gap(a, b, key: str = "", path: str = "") -> tuple[float, str] | None:
+    """float_gap with the path, such as `mixing.minima[0].time`, of the
+    first value at which the gap is largest.  key is the name of the field
+    that holds the values; `target_state_phases` holds angles, whose gap is
+    taken modulo 2 pi, so pi and -pi agree."""
+    here = path or "(root)"
     if isinstance(a, bool) or isinstance(b, bool):
-        return 0.0 if a is b else None
+        return (0.0, here) if a is b else None
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if isinstance(a, float) or isinstance(b, float):
             gap = a - b
-            return abs(math.remainder(gap, 2.0 * math.pi) if key == "target_state_phases" else gap)
-        return 0.0 if a == b else None
+            if key == "target_state_phases":
+                gap = math.remainder(gap, 2.0 * math.pi)
+            return abs(gap), here
+        return (0.0, here) if a == b else None
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             return None
-        gaps = [float_gap(a[k], b[k], k) for k in a]
+        gaps = [largest_gap(a[k], b[k], k, f"{path}.{k}" if path else k) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        gaps = [float_gap(x, y, key) for x, y in zip(a, b)]
+        gaps = [largest_gap(x, y, key, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     else:
-        return 0.0 if a == b else None
-    return None if None in gaps else max(gaps, default=0.0)
+        return (0.0, here) if a == b else None
+    return None if None in gaps else max(gaps, key=lambda g: g[0], default=(0.0, here))
 
 
 def first_difference(a, b, path: str = "") -> str | None:
@@ -214,11 +225,11 @@ def compare_json(before: bytes, after: bytes) -> str:
     moved = ""
     if verdicts != [[], []]:
         moved = "; verdicts equal" if verdicts[0] == verdicts[1] else "; verdicts differ"
-    gap = float_gap(*docs)
-    if gap is not None:
-        return f"equal apart from floats, largest gap {gap:.3g}{moved}"
     if len(docs[0]) == len(docs[1]) == 1:
         docs = docs[0][0], docs[1][0]
+    found = largest_gap(*docs)
+    if found is not None:
+        return f"equal apart from floats, largest gap {found[0]:.3g} at {found[1]}{moved}"
     return f"differs beyond floats at {first_difference(*docs)}{moved}"
 
 
